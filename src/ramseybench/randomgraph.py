@@ -1,18 +1,34 @@
 """Deterministic finite engine for the countable universal graph.
 
-A configuration is a list of distinct parameter vertices plus the set of
-positions the demanded witness must be adjacent to; realizing one means
-finding a vertex outside the parameters whose adjacency matches exactly.
-The builder walks a fixed schedule of configurations, adding a fresh
-witness whenever none exists, so the same step count always yields the
-same graph.  The schedule sorts by (max parameter vertex, parameter
-count, parameters lexicographically, target set as ascending bitmask);
-the lone empty configuration comes first.
+A configuration lists distinct parameter vertices and the colour that the
+edge from a demanded witness to each of them must carry; a witness is a
+vertex outside the parameters whose edges match.  Unrecorded pairs carry
+colour 0.  A graph is the palette-2 case: colour 1 is an edge, and a
+graph configuration names the positions the witness must be adjacent to.
 
-The same machinery runs with a color palette instead of an edge/no-edge
-alternative: a palette configuration demands a witness whose edge to
-each parameter carries a prescribed color.  Unspecified pairs default to
-color 0, so palette size 2 reproduces the graph builder exactly.
+One witness engine builds every graph and every palette coloring.  It
+walks a schedule of configurations and adds a fresh witness whenever none
+exists, so the same inputs always give the same result.  The schedule
+puts the lone empty configuration first, then sorts by (largest
+parameter ``top``, parameter count, parameters lexicographically, colours
+little-endian); at palette 2 the last key is the target set as an
+ascending bitmask.  The engine keeps one int bitmask per vertex and
+colour >= 1, plus their union.  The least witness is the lowest set bit
+of ``all & ~params & AND(mask(a, c))``, where colour 0 ("none of the
+others") takes the complement of the union.
+
+A covering walks a capped schedule: parameter counts stop at
+``max_params`` and the walk stops at the first parameter that reaches
+``max_vertex``, so it generates nothing that the covering would skip.
+The capped schedule is still exponential in ``max_params``, so its size
+is counted before any work, and above ``SCHEDULE_BOUND`` configurations
+the builders raise ``LimitError``; step counts share that bound.  The
+(8, 2) covering walks 241 configurations and (8, 4) 29,809; (9, 9)
+would walk more than 3 * 10^8 and is refused.
+
+``configuration_schedule``, ``color_schedule``, ``realize_configuration``
+and ``realize_color_configuration`` are the public definitions, views
+over the same schedule and masks; the builders do not go through them.
 
 Richness of a vertex set is approximated internally: a set is rich when
 some subset satisfies the k-extension property using only witnesses
@@ -21,16 +37,47 @@ inside itself.  That check is exhaustive and bounded.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass, field
-from itertools import combinations, islice, permutations
+from functools import cached_property
+from itertools import combinations, islice, permutations, product
+from math import perm
 
 from .errors import LimitError
 from .homogeneity import Coloring, check_tau_homogeneous
 from .pointsets import FiniteCondition, Point
-from .typecalc import NType, parse_list_form
+from .typecalc import parse_list_form
 
 RICH_SUBSET_BOUND = 12
+# Most configurations one build may walk.  A configuration costs a few
+# big-int operations on masks as wide as the vertex count, and a walk adds
+# at most one vertex per configuration, so this also caps the mask width.
+# The widest builds inside it, the (14999, 1) graph and the palette-5
+# (5999, 1) coverings (15,000 and 18,001 vertices), take about 0.2 s and
+# under 70 MB on one core of a Xeon server.
+SCHEDULE_BOUND = 30_000
+
+
+def _bits(mask: int):
+    """Positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _witnesses(rows, pool: int, params, colors) -> int:
+    """The vertices of ``pool`` outside ``params`` whose edge to each
+    ``params[i]`` carries ``colors[i]``, as a bitmask.
+
+    ``rows[a][c]`` for c >= 1 holds the vertices joined to ``a`` by colour
+    c, and ``rows[a][0]`` their union, so colour 0 is its complement.
+    """
+    for a, c in zip(params, colors):
+        row = rows[a]
+        pool &= ~(1 << a) & (row[c] if c else ~row[0])
+    return pool
 
 
 @dataclass(frozen=True)
@@ -45,19 +92,26 @@ class Graph:
             if not (0 <= u < v < self.vertex_count):
                 raise ValueError(f"bad edge {(u, v)} on {self.vertex_count} vertices")
 
+    @cached_property
+    def adjacency(self) -> tuple[int, ...]:
+        """The neighbourhood of each vertex as an int bitmask."""
+        adj = [0] * self.vertex_count
+        for (u, v) in self.edges:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        return tuple(adj)
+
     def has_edge(self, u: int, v: int) -> bool:
-        if u == v:
-            return False
-        return (min(u, v), max(u, v)) in self.edges
+        return u != v and bool(self.adjacency[u] >> v & 1)
 
     def neighbors(self, v: int) -> set[int]:
-        out = set()
-        for (a, b) in self.edges:
-            if a == v:
-                out.add(b)
-            elif b == v:
-                out.add(a)
-        return out
+        return set(_bits(self.adjacency[v]))
+
+
+def _graph_rows(g: Graph) -> list[tuple[int, int]]:
+    # Palette-2 rows for _witnesses: colour 1 is the neighbourhood and,
+    # being the only colour >= 1, also the union.
+    return [(m, m) for m in g.adjacency]
 
 
 @dataclass(frozen=True)
@@ -77,20 +131,118 @@ class Configuration:
                 f"targets {sorted(self.targets)} are not positions into {self.params}"
             )
 
+    @property
+    def colors(self) -> tuple[int, ...]:
+        """The palette-2 colours: 1 at the target positions, else 0."""
+        return tuple(int(i in self.targets) for i in range(len(self.params)))
+
+
+def _targets(colors) -> frozenset[int]:
+    return frozenset(i for i, c in enumerate(colors) if c)
+
+
+def _using_top(lower, top: int, count: int):
+    """The ``count``-tuples of distinct members of ``lower`` and ``top``
+    that use ``top``, in lexicographic order; ``lower`` ascends below
+    ``top``.  Every tuple is built once, none is filtered away."""
+    if count == 1:
+        yield (top,)
+        return
+    lower = tuple(lower)
+    for i, x in enumerate(lower):
+        # a 1-tuple tail is (top,) whatever is left below
+        rest = lower[:i] + lower[i + 1:] if count > 2 else ()
+        for tail in _using_top(rest, top, count - 1):
+            yield (x, *tail)
+    for tail in permutations(lower, count - 1):
+        yield (top, *tail)
+
+
+def _schedule(palette: int, max_vertex: int | None = None,
+              max_params: int | None = None):
+    """(params, colours) pairs in the documented order, capped.
+
+    Parameter counts stop at ``max_params`` and the walk stops before
+    ``top`` reaches ``max_vertex``; None leaves that side open.  Only
+    tuples that use ``top`` are generated.
+    """
+    yield (), ()
+    if max_params == 0:
+        return
+    top = 0
+    while max_vertex is None or top < max_vertex:
+        counts = top + 1 if max_params is None else min(top + 1, max_params)
+        for count in range(1, counts + 1):
+            for params in _using_top(range(top), top, count):
+                for digits in product(range(palette), repeat=count):
+                    yield params, digits[::-1]
+        top += 1
+
+
+def _schedule_size(palette: int, max_vertex: int, max_params: int) -> int:
+    """Length of the capped schedule, counted only until it passes
+    SCHEDULE_BOUND: ``count`` slots for ``top`` times the arrangements of
+    the other parameters below it, times the colourings."""
+    size = 1
+    if max_params == 0:
+        return size
+    for top in range(max_vertex):
+        for count in range(1, min(top + 1, max_params) + 1):
+            size += count * perm(top, count - 1) * palette ** count
+        if size > SCHEDULE_BOUND:
+            break
+    return size
+
+
+def _walk(palette: int, steps: int | None = None, max_vertex: int | None = None,
+          max_params: int | None = None) -> tuple[int, dict]:
+    """The witness engine: run the schedule (its first ``steps`` entries,
+    or the covering capped at ``max_vertex``/``max_params``) from the
+    one-vertex seed.  Returns the vertex count and the pairs of colour
+    >= 1 as ``{(u, v): colour}`` with u < v."""
+    if palette < 2:
+        raise ValueError(f"palette must have >= 2 colors, got {palette}")
+    if steps is not None:
+        if steps < 1:
+            raise ValueError(f"steps must be >= 1, got {steps}")
+        size = steps
+        configs = islice(_schedule(palette), steps)
+    else:
+        if max_vertex < 0 or max_params < 0:
+            raise ValueError("bounds must be naturals")
+        size = _schedule_size(palette, max_vertex, max_params)
+        configs = _schedule(palette, max_vertex, max_params)
+    if size > SCHEDULE_BOUND:
+        raise LimitError(
+            f"build refused: the schedule walk exceeds the bound of "
+            f"{SCHEDULE_BOUND} configurations"
+        )
+    rows = [[0] * palette]
+    table: dict = {}
+    for params, colors in configs:
+        # The vertex pool is conceptually all naturals: a parameter the
+        # walk has not reached yet is simply an isolated vertex so far.
+        while params and len(rows) <= max(params):
+            rows.append([0] * palette)
+        if _witnesses(rows, (1 << len(rows)) - 1, params, colors):
+            continue
+        fresh = len(rows)
+        row = [0] * palette
+        for a, c in zip(params, colors):
+            if c:
+                rows[a][c] |= 1 << fresh
+                rows[a][0] |= 1 << fresh
+                row[c] |= 1 << a
+                row[0] |= 1 << a
+                table[(a, fresh)] = c
+        rows.append(row)
+    return len(rows), table
+
 
 def configuration_schedule():
     """The canonical infinite configuration order; see the module doc."""
-    yield Configuration((), frozenset())
-    top = 0
-    while True:
-        for count in range(1, top + 2):
-            for params in permutations(range(top + 1), count):
-                if max(params) != top:
-                    continue
-                for bits in range(1 << count):
-                    targets = frozenset(i for i in range(count) if bits >> i & 1)
-                    yield Configuration(params, targets)
-        top += 1
+    for params, colors in _schedule(2):
+        yield Configuration(params, _targets(colors))
 
 
 def realize_configuration(g: Graph, cfg: Configuration):
@@ -98,55 +250,22 @@ def realize_configuration(g: Graph, cfg: Configuration):
     for p in cfg.params:
         if p >= g.vertex_count:
             raise ValueError(f"parameter {p} is not a vertex of the graph")
-    for b in range(g.vertex_count):
-        if b in cfg.params:
-            continue
-        if all(g.has_edge(b, a) == (i in cfg.targets)
-               for i, a in enumerate(cfg.params)):
-            return b
-    return None
-
-
-def _grow(edges: set[tuple[int, int]], count: int, cfg: Configuration) -> int:
-    # The vertex pool is conceptually all naturals: a parameter the edge
-    # history has not touched yet is simply an isolated vertex so far.
-    if cfg.params:
-        count = max(count, max(cfg.params) + 1)
-    g = Graph(count, frozenset(edges))
-    if realize_configuration(g, cfg) is not None:
-        return count
-    fresh = count
-    for i in cfg.targets:
-        a = cfg.params[i]
-        edges.add((min(a, fresh), max(a, fresh)))
-    return count + 1
+    found = _witnesses(_graph_rows(g), (1 << g.vertex_count) - 1,
+                       cfg.params, cfg.colors)
+    return (found & -found).bit_length() - 1 if found else None
 
 
 def build_random_graph(steps: int) -> Graph:
     """Run the first ``steps`` schedule entries from the one-vertex seed."""
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    edges: set[tuple[int, int]] = set()
-    count = 1
-    for cfg in islice(configuration_schedule(), steps):
-        count = _grow(edges, count, cfg)
-    return Graph(count, frozenset(edges))
+    count, table = _walk(2, steps=steps)
+    return Graph(count, frozenset(table))
 
 
 def build_graph_covering(max_vertex: int, max_params: int) -> Graph:
     """Process every configuration with params inside [0, max_vertex) and
     at most max_params parameters, in schedule order."""
-    if max_vertex < 0 or max_params < 0:
-        raise ValueError("bounds must be naturals")
-    edges: set[tuple[int, int]] = set()
-    count = 1
-    for cfg in configuration_schedule():
-        if cfg.params and max(cfg.params) >= max_vertex:
-            break
-        if len(cfg.params) > max_params:
-            continue
-        count = _grow(edges, count, cfg)
-    return Graph(count, frozenset(edges))
+    count, table = _walk(2, max_vertex=max_vertex, max_params=max_params)
+    return Graph(count, frozenset(table))
 
 
 def check_extension_property(g: Graph, k: int, m: int) -> list[Configuration]:
@@ -156,31 +275,26 @@ def check_extension_property(g: Graph, k: int, m: int) -> list[Configuration]:
         raise ValueError(f"k must be >= 0, got {k}")
     if not 0 <= m <= g.vertex_count:
         raise ValueError(f"m must be between 0 and {g.vertex_count}, got {m}")
+    rows = _graph_rows(g)
+    everyone = (1 << g.vertex_count) - 1
     unsatisfied = []
     for count in range(0, k + 1):
         for params in permutations(range(m), count):
-            for bits in range(1 << count):
-                targets = frozenset(i for i in range(count) if bits >> i & 1)
-                cfg = Configuration(params, targets)
-                if realize_configuration(g, cfg) is None:
-                    unsatisfied.append(cfg)
+            for digits in product((0, 1), repeat=count):
+                colors = digits[::-1]
+                if not _witnesses(rows, everyone, params, colors):
+                    unsatisfied.append(Configuration(params, _targets(colors)))
     return unsatisfied
 
 
-def _internally_extends(g: Graph, inner: tuple[int, ...], k: int) -> bool:
+def _internally_extends(rows, inner: tuple[int, ...], k: int) -> bool:
     if not inner:
         return False
-    pool = set(inner)
+    pool = sum(1 << v for v in inner)
     for count in range(0, k + 1):
         for params in permutations(inner, count):
-            for bits in range(1 << count):
-                targets = {i for i in range(count) if bits >> i & 1}
-                if not any(
-                    b not in params
-                    and all(g.has_edge(b, a) == (i in targets)
-                            for i, a in enumerate(params))
-                    for b in pool
-                ):
+            for colors in product((0, 1), repeat=count):
+                if not _witnesses(rows, pool, params, colors):
                     return False
     return True
 
@@ -198,9 +312,10 @@ def check_rich(subset, g: Graph, k: int = 1,
             f"rich check refused: {len(vertices)} vertices exceeds the "
             f"exhaustive bound {bound}"
         )
+    rows = _graph_rows(g)
     for size in range(1, len(vertices) + 1):
         for inner in combinations(vertices, size):
-            if _internally_extends(g, inner, k):
+            if _internally_extends(rows, inner, k):
                 return True
     return False
 
@@ -245,6 +360,20 @@ class EdgeColoring:
             if c < 0 or (self.palette is not None and c >= self.palette):
                 raise ValueError(f"color {c} outside palette")
 
+    @cached_property
+    def masks(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex, the witness engine's row: index c >= 1 holds the
+        vertices joined to it by colour c, index 0 their union."""
+        width = self.palette or max(self.table.values(), default=0) + 1
+        rows = [[0] * width for _ in range(self.vertex_count)]
+        for (u, v), c in self.table.items():
+            if c:
+                rows[u][c] |= 1 << v
+                rows[v][c] |= 1 << u
+                rows[u][0] |= 1 << v
+                rows[v][0] |= 1 << u
+        return tuple(map(tuple, rows))
+
     def color(self, u: int, v: int) -> int:
         if u == v:
             raise ValueError("no color on a loop")
@@ -270,19 +399,8 @@ class ColorConfiguration:
 def color_schedule(palette: int):
     """Canonical palette-configuration order; colors ascend little-endian
     so palette 2 coincides with the graph schedule's bitmask order."""
-    yield ColorConfiguration((), ())
-    top = 0
-    while True:
-        for count in range(1, top + 2):
-            for params in permutations(range(top + 1), count):
-                if max(params) != top:
-                    continue
-                for value in range(palette ** count):
-                    colors = tuple(
-                        (value // palette ** i) % palette for i in range(count)
-                    )
-                    yield ColorConfiguration(params, colors)
-        top += 1
+    for params, colors in _schedule(palette):
+        yield ColorConfiguration(params, colors)
 
 
 def realize_color_configuration(ec: EdgeColoring, cfg: ColorConfiguration):
@@ -290,52 +408,23 @@ def realize_color_configuration(ec: EdgeColoring, cfg: ColorConfiguration):
     for p in cfg.params:
         if p >= ec.vertex_count:
             raise ValueError(f"parameter {p} is not a vertex")
-    for b in range(ec.vertex_count):
-        if b in cfg.params:
-            continue
-        if all(ec.color(b, a) == c for a, c in zip(cfg.params, cfg.colors)):
-            return b
-    return None
-
-
-def _grow_colors(table: dict, count: int, palette: int,
-                 cfg: ColorConfiguration) -> int:
-    if cfg.params:
-        count = max(count, max(cfg.params) + 1)
-    ec = EdgeColoring(count, palette, dict(table))
-    if realize_color_configuration(ec, cfg) is not None:
-        return count
-    fresh = count
-    for a, c in zip(cfg.params, cfg.colors):
-        table[(min(a, fresh), max(a, fresh))] = c
-    return count + 1
+    rows = ec.masks
+    if rows and any(not 0 <= c < len(rows[0]) for c in cfg.colors):
+        return None  # no edge carries a colour outside the palette
+    found = _witnesses(rows, (1 << ec.vertex_count) - 1, cfg.params, cfg.colors)
+    return (found & -found).bit_length() - 1 if found else None
 
 
 def build_random_coloring(palette: int, steps: int) -> EdgeColoring:
     """Run the first ``steps`` palette-schedule entries from one vertex."""
-    if palette < 2:
-        raise ValueError(f"palette must have >= 2 colors, got {palette}")
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    table: dict = {}
-    count = 1
-    for cfg in islice(color_schedule(palette), steps):
-        count = _grow_colors(table, count, palette, cfg)
+    count, table = _walk(palette, steps=steps)
     return EdgeColoring(count, palette, table)
 
 
 def build_coloring_covering(palette: int, max_vertex: int,
                             max_params: int) -> EdgeColoring:
-    if palette < 2:
-        raise ValueError(f"palette must have >= 2 colors, got {palette}")
-    table: dict = {}
-    count = 1
-    for cfg in color_schedule(palette):
-        if cfg.params and max(cfg.params) >= max_vertex:
-            break
-        if len(cfg.params) > max_params:
-            continue
-        count = _grow_colors(table, count, palette, cfg)
+    """Palette analogue of build_graph_covering."""
+    count, table = _walk(palette, max_vertex=max_vertex, max_params=max_params)
     return EdgeColoring(count, palette, table)
 
 
@@ -467,10 +556,27 @@ def graph_to_json(g: Graph) -> dict:
     }
 
 
+def _natural(value, path: str) -> int:
+    # bool is an int subclass, but JSON true is not a vertex number
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{path}: expected a natural number, got {json.dumps(value)}")
+    return value
+
+
 def graph_from_json(doc: dict) -> Graph:
+    """Read a graph document; malformed input raises ValueError naming
+    its JSON path, e.g. ``edges[0][1]``."""
     if not isinstance(doc, dict) or "vertices" not in doc or "edges" not in doc:
         raise ValueError("graph document needs 'vertices' and 'edges'")
-    edges = frozenset(
-        (min(int(u), int(v)), max(int(u), int(v))) for u, v in doc["edges"]
-    )
-    return Graph(int(doc["vertices"]), edges)
+    count = _natural(doc["vertices"], "vertices")
+    if not isinstance(doc["edges"], list):
+        raise ValueError("edges: expected a list of vertex pairs")
+    edges = set()
+    for i, edge in enumerate(doc["edges"]):
+        if not isinstance(edge, list) or len(edge) != 2:
+            raise ValueError(f"edges[{i}]: expected a pair of vertices, got {json.dumps(edge)}")
+        u, v = (_natural(x, f"edges[{i}][{j}]") for j, x in enumerate(edge))
+        if u == v or max(u, v) >= count:
+            raise ValueError(f"edges[{i}]: bad edge {[u, v]} on {count} vertices")
+        edges.add((min(u, v), max(u, v)))
+    return Graph(count, frozenset(edges))

@@ -228,15 +228,15 @@ def tail_analysis(expr: PlanarSet) -> TailForm:
 def in_fr2(expr: PlanarSet) -> bool:
     """Cofinitely many sections cofinite?  Decided by the tail coefficient:
     beyond the horizon every section shares upper's character, and the
-    finitely many sections below it cannot tip the verdict either way."""
+    finitely many sections below it cannot tip the verdict either way.
+
+    The same call answers ``meets_all_fr2``: infinitely many sections
+    infinite?  A FinCofin section is infinite exactly when cofinite, and
+    past the horizon all sections share upper's character."""
     return tail_analysis(expr).upper.cofinite
 
 
-def meets_all_fr2(expr: PlanarSet) -> bool:
-    """Infinitely many sections infinite?  A FinCofin section is infinite
-    exactly when cofinite, and past the horizon all sections share upper's
-    character, so this too is upper's call."""
-    return tail_analysis(expr).upper.cofinite
+meets_all_fr2 = in_fr2
 
 
 @dataclass(frozen=True)

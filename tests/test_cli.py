@@ -9,6 +9,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -289,6 +290,65 @@ def test_graph_build_steps_conflicts_with_cover(files):
         ["graph", "build", "--steps", "3", "--cover-vertices", "2"])
     assert result.exit_code == 1
     assert "not both" in json.loads(err)["error"]
+
+
+def test_graph_build_refuses_oversized_covering_fast():
+    start = time.perf_counter()
+    result, out, err = invoke(
+        ["graph", "build", "--cover-vertices", "9", "--cover-params", "9"])
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 1 and out == ""
+    doc = json.loads(err)
+    conforms("error", doc)
+    assert doc["kind"] == "LimitError"
+
+
+def test_graph_build_covers_eight_vertices(files):
+    gpath = files["dir"] / "g8.json"
+    start = time.perf_counter()
+    payload, _ = run_ok(
+        ["graph", "build", "--cover-vertices", "8", "--cover-params", "2",
+         "--out", str(gpath)],
+        "graph.build")
+    assert time.perf_counter() - start < 1.0
+    assert payload["vertices"] >= 8
+    payload, _ = run_ok(
+        ["graph", "check", "--in", str(gpath), "--k", "2", "--m", "8"],
+        "graph.check")
+    assert payload["satisfied"] and payload["unsatisfied"] == []
+
+
+@pytest.mark.parametrize("doc, path", [
+    ({"vertices": 3, "edges": [[0, None]]}, "edges[0][1]"),
+    ({"vertices": 3, "edges": [[True, 2]]}, "edges[0][0]"),
+    ({"vertices": 3, "edges": [[0, 1], [1.5, 2]]}, "edges[1][0]"),
+    ({"vertices": 3, "edges": [[0, "1"]]}, "edges[0][1]"),
+    ({"vertices": 3, "edges": [[0, -1]]}, "edges[0][1]"),
+    ({"vertices": 3, "edges": [[0]]}, "edges[0]"),
+    ({"vertices": 3, "edges": [[0, 1, 2]]}, "edges[0]"),
+    ({"vertices": 3, "edges": [{"u": 0, "v": 1}]}, "edges[0]"),
+    ({"vertices": 3, "edges": [[1, 1]]}, "edges[0]"),
+    ({"vertices": 3, "edges": [[0, 3]]}, "edges[0]"),
+    ({"vertices": 3, "edges": {"0": 1}}, "edges"),
+    ({"vertices": True, "edges": []}, "vertices"),
+    ({"vertices": None, "edges": []}, "vertices"),
+    ({"vertices": "3", "edges": []}, "vertices"),
+    ({"edges": []}, "vertices"),
+    ([[0, 1]], "vertices"),
+])
+@pytest.mark.parametrize("action", [
+    ["graph", "check", "--k", "1", "--m", "1"],
+    ["graph", "rich", "--vertices", "0,1"],
+])
+def test_malformed_graph_documents_are_domain_errors(files, doc, path, action):
+    gpath = files["dir"] / "bad_graph.json"
+    gpath.write_text(json.dumps(doc))
+    result, out, err = invoke([*action, "--in", str(gpath)])
+    assert result.exit_code == 1 and out == ""
+    payload = json.loads(err)
+    conforms("error", payload)
+    assert payload["kind"] == "ValueError"
+    assert path in payload["error"]
 
 
 def test_graph_demos():

@@ -1,11 +1,22 @@
+import random
 from itertools import combinations, islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import (
+    full_schedule,
+    is_rich,
+    least_witness,
+    schedule_walk,
+    unsatisfied_configurations,
+)
 
 from ramseybench.errors import LimitError
 from ramseybench.homogeneity import check_tau_homogeneous, count_classes_met
 from ramseybench.pointsets import FiniteCondition, Point
 from ramseybench.randomgraph import (
+    SCHEDULE_BOUND,
     VERTICAL_PAIR,
     ColorConfiguration,
     Configuration,
@@ -25,6 +36,7 @@ from ramseybench.randomgraph import (
     graph_from_json,
     graph_to_json,
     noreverse_demo,
+    realize_color_configuration,
     realize_configuration,
 )
 from ramseybench.typecalc import parse_list_form
@@ -224,3 +236,102 @@ def test_noreverse_columns_really_fail_homogeneity():
         coloring = color_vertical_pairs(cond, g)
         report = check_tau_homogeneous(cond, coloring, parse_list_form(VERTICAL_PAIR))
         assert not report.homogeneous
+
+
+# ------------------------------------------------------------ engine vs oracle
+
+def colour_table(ec):
+    return {pair: c for pair, c in ec.table.items() if c}
+
+
+@pytest.mark.parametrize("max_vertex", range(7))
+@pytest.mark.parametrize("max_params", range(4))
+def test_graph_covering_matches_walk_oracle(max_vertex, max_params):
+    count, table = schedule_walk(2, max_vertex=max_vertex, max_params=max_params)
+    g = build_graph_covering(max_vertex, max_params)
+    assert (g.vertex_count, g.edges) == (count, frozenset(table))
+
+
+@pytest.mark.parametrize("palette, max_vertex, max_params", [
+    (p, v, m) for p in (2, 3, 4) for v, m in ((3, 3), (4, 1), (4, 2))
+] + [(2, 5, 1), (3, 5, 1), (3, 5, 2)])
+def test_coloring_covering_matches_walk_oracle(palette, max_vertex, max_params):
+    ec = build_coloring_covering(palette, max_vertex, max_params)
+    assert (ec.vertex_count, colour_table(ec)) == schedule_walk(
+        palette, max_vertex=max_vertex, max_params=max_params)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=4), st.integers(min_value=1, max_value=400))
+def test_step_builds_match_walk_oracle(palette, steps):
+    count, table = schedule_walk(palette, steps=steps)
+    ec = build_random_coloring(palette, steps)
+    assert (ec.vertex_count, colour_table(ec)) == (count, table)
+    if palette == 2:
+        g = build_random_graph(steps)
+        assert (g.vertex_count, g.edges) == (count, frozenset(table))
+
+
+@pytest.mark.parametrize("palette", [2, 3])
+def test_schedules_match_the_filtered_full_schedule(palette):
+    want = list(islice(full_schedule(palette), 3000))
+    assert [(c.params, c.colors) for c in islice(color_schedule(palette), 3000)] == want
+    if palette == 2:
+        got = [(c.params, c.targets) for c in islice(configuration_schedule(), 3000)]
+        assert got == [(ps, frozenset(i for i, c in enumerate(cs) if c)) for ps, cs in want]
+
+
+def test_covering_size_is_bounded_before_any_work():
+    with pytest.raises(LimitError):
+        build_graph_covering(9, 9)
+    with pytest.raises(LimitError):
+        build_coloring_covering(5, 10**9, 1)
+    with pytest.raises(LimitError):
+        build_random_graph(SCHEDULE_BOUND + 1)
+    g = build_graph_covering(8, 2)
+    assert check_extension_property(g, 2, 8) == []
+
+
+def random_graph(rng, n, density):
+    return Graph(n, frozenset(
+        (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density))
+
+
+def adjacency_sets(g):
+    adj = [set() for _ in range(g.vertex_count)]
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_mask_checks_match_oracle(seed):
+    rng = random.Random(seed)
+    g = random_graph(rng, rng.randint(1, 14), rng.choice((0.2, 0.5, 0.8)))
+    adj = adjacency_sets(g)
+    assert [g.neighbors(v) for v in range(g.vertex_count)] == adj
+    for k in range(3):
+        m = rng.randint(0, min(g.vertex_count, 5))
+        got = [(c.params, c.targets) for c in check_extension_property(g, k, m)]
+        assert got == unsatisfied_configurations(adj, k, m)
+    for _ in range(30):
+        count = rng.randint(0, min(3, g.vertex_count))
+        params = tuple(rng.sample(range(g.vertex_count), count))
+        targets = frozenset(i for i in range(count) if rng.random() < 0.5)
+        assert realize_configuration(g, Configuration(params, targets)) == \
+            least_witness(adj, params, targets)
+    for _ in range(4):
+        vertices = rng.sample(range(g.vertex_count), min(g.vertex_count, rng.randint(1, 7)))
+        for k in (0, 1):
+            assert check_rich(vertices, g, k) == is_rich(adj, vertices, k)
+
+
+def test_realize_color_configuration_least_witness():
+    ec = EdgeColoring(5, 3, {(0, 2): 1, (1, 2): 2, (0, 3): 1, (1, 3): 1, (0, 4): 2})
+    assert realize_color_configuration(ec, ColorConfiguration((0, 1), (1, 1))) == 3
+    assert realize_color_configuration(ec, ColorConfiguration((0, 1), (1, 2))) == 2
+    assert realize_color_configuration(ec, ColorConfiguration((0,), (0,))) == 1
+    assert realize_color_configuration(ec, ColorConfiguration((0,), (2,))) == 4
+    assert realize_color_configuration(ec, ColorConfiguration((0,), (3,))) is None
+    assert realize_color_configuration(ec, ColorConfiguration((0,), (-1,))) is None
