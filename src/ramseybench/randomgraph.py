@@ -59,14 +59,6 @@ RICH_SUBSET_BOUND = 12
 SCHEDULE_BOUND = 30_000
 
 
-def _bits(mask: int):
-    """Positions of the set bits of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _witnesses(rows, pool: int, params, colors) -> int:
     """The vertices of ``pool`` outside ``params`` whose edge to each
     ``params[i]`` carries ``colors[i]``, as a bitmask.
@@ -102,10 +94,15 @@ class Graph:
         return tuple(adj)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return u != v and bool(self.adjacency[u] >> v & 1)
+        if u == v:
+            return False
+        return (min(u, v), max(u, v)) in self.edges
 
     def neighbors(self, v: int) -> set[int]:
-        return set(_bits(self.adjacency[v]))
+        if not 0 <= v < self.vertex_count:
+            return set()
+        mask = self.adjacency[v]
+        return {u for u in range(self.vertex_count) if mask >> u & 1}
 
 
 def _graph_rows(g: Graph) -> list[tuple[int, int]]:
@@ -131,13 +128,9 @@ class Configuration:
                 f"targets {sorted(self.targets)} are not positions into {self.params}"
             )
 
-    @property
-    def colors(self) -> tuple[int, ...]:
-        """The palette-2 colours: 1 at the target positions, else 0."""
-        return tuple(int(i in self.targets) for i in range(len(self.params)))
-
 
 def _targets(colors) -> frozenset[int]:
+    """A palette-2 colour tuple as a graph configuration's target set."""
     return frozenset(i for i, c in enumerate(colors) if c)
 
 
@@ -250,8 +243,9 @@ def realize_configuration(g: Graph, cfg: Configuration):
     for p in cfg.params:
         if p >= g.vertex_count:
             raise ValueError(f"parameter {p} is not a vertex of the graph")
+    colors = [int(i in cfg.targets) for i in range(len(cfg.params))]
     found = _witnesses(_graph_rows(g), (1 << g.vertex_count) - 1,
-                       cfg.params, cfg.colors)
+                       cfg.params, colors)
     return (found & -found).bit_length() - 1 if found else None
 
 
@@ -406,7 +400,7 @@ def color_schedule(palette: int):
 def realize_color_configuration(ec: EdgeColoring, cfg: ColorConfiguration):
     """Least witness whose edges to the parameters carry the given colors."""
     for p in cfg.params:
-        if p >= ec.vertex_count:
+        if not 0 <= p < ec.vertex_count:
             raise ValueError(f"parameter {p} is not a vertex")
     rows = ec.masks
     if rows and any(not 0 <= c < len(rows[0]) for c in cfg.colors):

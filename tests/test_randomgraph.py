@@ -47,6 +47,7 @@ def test_graph_invariants():
     assert g.has_edge(0, 2) and g.has_edge(2, 0)
     assert not g.has_edge(0, 1)
     assert g.neighbors(2) == {0}
+    assert g.neighbors(1) == g.neighbors(3) == g.neighbors(-1) == set()
     with pytest.raises(ValueError):
         Graph(2, frozenset({(0, 2)}))
     with pytest.raises(ValueError):
@@ -335,3 +336,6 @@ def test_realize_color_configuration_least_witness():
     assert realize_color_configuration(ec, ColorConfiguration((0,), (2,))) == 4
     assert realize_color_configuration(ec, ColorConfiguration((0,), (3,))) is None
     assert realize_color_configuration(ec, ColorConfiguration((0,), (-1,))) is None
+    for params in ((5,), (-1,)):
+        with pytest.raises(ValueError):
+            realize_color_configuration(ec, ColorConfiguration(params, (0,)))
