@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import LexOrderError, LimitError
-from .pointsets import FiniteCondition, Point, classify_subsets, find_realizer, realized_type
+from .pointsets import FiniteCondition, Point, classify_subsets, realized_type
 from .typecalc import NType, count_ntypes, enumerate_ntypes, list_form
 
 EXHAUSTIVE_SEARCH_BOUND = 16
@@ -270,14 +270,11 @@ def weak_ramsey_floor_demo(cond: FiniteCondition, n: int) -> FloorReport:
     """Count pattern classes met by cond's n-subsets against the full tally.
 
     The floor holds exactly when the pattern coloring meets all count_ntypes(n)
-    classes; any pattern without a realizer (checked by find_realizer) is
-    reported missing.
+    classes; any pattern absent from the classify index has no realizer
+    and is reported missing.
     """
     index = classify_subsets(cond, n)
-    missing = tuple(
-        list_form(t) for t in enumerate_ntypes(n)
-        if find_realizer(cond, t) is None
-    )
+    missing = tuple(list_form(t) for t in enumerate_ntypes(n) if t not in index)
     classes_met = len(index)
     t_n = count_ntypes(n)
     return FloorReport(

@@ -15,17 +15,25 @@ subsets by their pattern.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from math import comb
 
-from .errors import NoRealizedTypeError
-from .typecalc import MAX_N, NType, Symbol, enumerate_ntypes
+from .errors import LimitError, NoRealizedTypeError
+from .typecalc import MAX_N, NType, Symbol, _symbol, count_ntypes, enumerate_ntypes
 
 CLAUSE_SECTIONS = "sections-disjoint"
 CLAUSE_DIAGONAL = "above-diagonal"
 CLAUSE_XY = "xy-disjoint"
+
+# Bound on the steps extend_with_realizers may take, as counted by
+# _growth_work before any work: a few seconds at most.  It admits n = 5
+# from the empty condition (4,763,712 steps) and bases of up to 31 points
+# at n = 5, 104 at n = 4 and 310 at n = 3; n = 6 (about 9 * 10**8 steps
+# from empty) is refused.
+GROW_BOUND = 5_000_000
 
 
 @dataclass(frozen=True, order=True)
@@ -144,12 +152,22 @@ def realized_type(subset) -> NType:
     pts = sorted({_as_point(p) for p in subset}, key=lambda p: p.y)
     if not pts:
         raise NoRealizedTypeError("empty", "no type realized: empty point set")
-    values: dict[int, set[Symbol]] = {}
+    return _pattern_of(pts)
+
+
+def _pattern_of(pts) -> NType:
+    """The pattern of nonempty y-sorted points from a valid condition.
+
+    Built without re-validation: the clauses already make the class
+    sequence a valid pattern (distinct, increasing y's that no x meets,
+    every x below its own y).
+    """
+    values: dict[int, list[Symbol]] = {}
     for i, p in enumerate(pts, start=1):
-        values.setdefault(p.x, set()).add(Symbol("x", i))
-        values.setdefault(p.y, set()).add(Symbol("y", i))
+        values.setdefault(p.x, []).append(_symbol("x", i))
+        values.setdefault(p.y, []).append(_symbol("y", i))
     classes = tuple(frozenset(values[v]) for v in sorted(values))
-    return NType(len(pts), classes)
+    return NType._trusted(len(pts), classes)
 
 
 def subset_realizes(subset, t: NType) -> bool:
@@ -176,29 +194,58 @@ def subset_realizes(subset, t: NType) -> bool:
     return True
 
 
-def _level_signature(pts) -> tuple:
-    """Grouping of symbol ids (i for x_i, n+i for y_i) by coordinate level.
+# The pair code.  For y-sorted points p_1, ..., p_k of a valid condition,
+# every comparison between their symbols but two per pair a < b is fixed
+# by the clauses: the y's are distinct and increase, x_a < y_a < y_b, and
+# no x equals a y.  The two left are x_a against x_b and x_b against y_a,
+# and together they say where x_b sits against x_a < y_a: below x_a (0),
+# tied with it (1), between x_a and y_a (2) or above y_a (3).  So the
+# pattern is fixed by these base-4 codes, and the key of a k-subset packs
+# them: column t (0 <= t < k) holds code(s, t) in bits 2s, 2s + 1 for
+# s < t, and sits at bit t * (t - 1).  A prefix of a subset owns the low
+# bits of its key, so scans extend keys one point at a time.
 
-    For y-sorted points from a valid condition this names the same class
-    tuple realized_type builds, as plain ints; the scan helpers compare
-    signatures instead of constructing a validated pattern per subset.
-    """
-    values = sorted({v for p in pts for v in (p.x, p.y)})
-    level = {v: k for k, v in enumerate(values)}
-    n = len(pts)
-    buckets: list[list[int]] = [[] for _ in values]
-    for i, p in enumerate(pts, start=1):
-        buckets[level[p.x]].append(i)
-        buckets[level[p.y]].append(n + i)
-    return tuple(tuple(sorted(b)) for b in buckets)
+def _type_key(t: NType) -> int:
+    """The key every realizer of t has."""
+    r = t.rank
+    x = [r[_symbol("x", i)] for i in range(1, t.n + 1)]
+    y = [r[_symbol("y", i)] for i in range(1, t.n + 1)]
+    key = 0
+    for b in range(1, t.n):
+        for a in range(b):
+            code = (x[b] >= x[a]) + (x[b] > x[a]) + (x[b] > y[a])
+            key |= code << b * (b - 1) + 2 * a
+    return key
 
 
-def _type_signature(t: NType) -> tuple:
-    out = []
-    for cls in t.classes:
-        ids = sorted(s.index if s.kind == "x" else t.n + s.index for s in cls)
-        out.append(tuple(ids))
-    return tuple(out)
+def _keyed_subsets(pts, n: int, target: int | None = None):
+    """Yield (subset, key) for the n-subsets of y-sorted pts, in
+    lexicographic y-sequence order; with a target key, only the subsets
+    having it, skipping every prefix whose key already differs."""
+    m = len(pts)
+    if not 1 <= n <= m:
+        return
+    xs = [p.x for p in pts]
+
+    def walk(prefix, key, cols, lo):
+        # cols[c - lo] is column k of the key for candidate c >= lo
+        k = len(prefix)
+        shift = k * (k - 1)
+        want = None if target is None else target >> shift & ((1 << 2 * k) - 1)
+        for b in range(lo, m - n + k + 1):
+            col = cols[b - lo]
+            if want is not None and col != want:
+                continue
+            p = pts[b]
+            if k == n - 1:
+                yield prefix + (p,), key | col << shift
+            else:
+                xb, yb, up = p.x, p.y, 2 * k
+                child = [u | ((x >= xb) + (x > xb) + (x > yb)) << up
+                         for u, x in zip(cols[b - lo + 1:], xs[b + 1:])]
+                yield from walk(prefix + (p,), key | col << shift, child, b + 1)
+
+    yield from walk((), 0, [0] * m, 0)
 
 
 def find_realizer(cond: FiniteCondition, t: NType):
@@ -207,33 +254,29 @@ def find_realizer(cond: FiniteCondition, t: NType):
     Returns a tuple of points sorted by y, or None when no subset
     realizes t (in particular when t.n exceeds the condition size).
     """
-    if t.n > len(cond):
-        return None
-    target = _type_signature(t)
-    for combo in combinations(cond.sorted_points, t.n):
-        if _level_signature(combo) == target:
-            return combo
-    return None
+    found = _keyed_subsets(cond.sorted_points, t.n, _type_key(t))
+    return next((subset for subset, _ in found), None)
 
 
 def classify_subsets(cond: FiniteCondition, n: int) -> dict[NType, list[tuple[Point, ...]]]:
     """Index every n-subset of cond under the pattern it realizes.
 
-    Only patterns that occur appear as keys; subsets are listed in
-    lexicographic y-sequence order.
+    Only patterns that occur appear as keys, in order of first
+    occurrence; subsets are listed in lexicographic y-sequence order.
     """
+    _check_size(n)
+    groups: dict[int, list[tuple[Point, ...]]] = {}
+    for subset, key in _keyed_subsets(cond.sorted_points, n):
+        group = groups.get(key)
+        if group is None:
+            groups[key] = group = []
+        group.append(subset)
+    return {_pattern_of(group[0]): group for group in groups.values()}
+
+
+def _check_size(n: int):
     if not 1 <= n <= MAX_N:
         raise ValueError(f"n must be between 1 and {MAX_N}, got {n}")
-    index: dict[NType, list[tuple[Point, ...]]] = {}
-    by_sig: dict[tuple, NType] = {}
-    for combo in combinations(cond.sorted_points, n):
-        sig = _level_signature(combo)
-        t = by_sig.get(sig)
-        if t is None:
-            t = realized_type(combo)
-            by_sig[sig] = t
-        index.setdefault(t, []).append(combo)
-    return index
 
 
 def _fresh_realizer(t: NType, base: int) -> list[Point]:
@@ -248,6 +291,28 @@ def _fresh_realizer(t: NType, base: int) -> list[Point]:
     ]
 
 
+def _lift(key: int, j: int, i: int) -> int:
+    """The key bits of a j-subset with key ``key`` placed above i points
+    whose values all lie below its own: each new column gets code 3
+    against the i points, then the subset's own column."""
+    out = 0
+    for t in range(j):
+        col = key >> t * (t - 1) & ((1 << 2 * t) - 1)
+        out |= ((1 << 2 * i) - 1 | col << 2 * i) << (i + t) * (i + t - 1)
+    return out
+
+
+def _growth_work(m: int, n: int) -> int:
+    """Upper bound on the work of growing an m-point condition for n:
+    the base's subsets of size <= n, scanned once, plus the key sums of at
+    most one fresh batch per pattern, each joining at most C(n, j) of its
+    j-subsets to at most T(k - j) realized (k - j)-patterns below it."""
+    t = [1] + [count_ntypes(k) for k in range(1, n + 1)]
+    per_batch = sum(comb(n, j) * t[k - j]
+                    for k in range(1, n + 1) for j in range(1, k + 1))
+    return sum(comb(m, k) for k in range(1, n + 1)) + t[n] * per_batch
+
+
 def extend_with_realizers(cond: FiniteCondition, n: int) -> FiniteCondition:
     """Grow cond until every n-pattern has a realizer.
 
@@ -255,17 +320,41 @@ def extend_with_realizers(cond: FiniteCondition, n: int) -> FiniteCondition:
     (possibly by points added for an earlier one) is skipped, otherwise a
     fresh batch of points is appended with all values strictly above
     everything used so far.  The input is never mutated.
+
+    The base is scanned once for the keys of its subsets of each size
+    k <= n.  A fresh batch lies above everything before it, so a subset
+    that meets it is a subset of the points below followed by one of the
+    batch, and its key is the lower key plus the batch subset's key
+    lifted above it: the realized keys grow by these sums alone.  Growth
+    whose bound ``_growth_work`` exceeds GROW_BOUND raises LimitError
+    before any work.
     """
-    if not 1 <= n <= MAX_N:
-        raise ValueError(f"n must be between 1 and {MAX_N}, got {n}")
-    current = cond
+    _check_size(n)
+    base = cond.sorted_points
+    work = _growth_work(len(base), n)
+    if work > GROW_BOUND:
+        raise LimitError(
+            f"growth refused: growing {len(base)} points for n={n} may take "
+            f"{work} steps, the bound is {GROW_BOUND}"
+        )
+    realized = [{0}] + [{key for _, key in _keyed_subsets(base, k)}
+                        for k in range(1, n + 1)]
+    top = max((p.y for p in base), default=-1)
+    added: list[Point] = []
     for t in enumerate_ntypes(n):
-        if find_realizer(current, t) is not None:
+        if _type_key(t) in realized[n]:
             continue
-        used = [p.x for p in current] + [p.y for p in current]
-        base = max(used) + 1 if used else 0
-        current = current.union(_fresh_realizer(t, base))
-    return current
+        batch = _fresh_realizer(t, top + 1)
+        top += len(t.classes)
+        own = [{0}] + [{key for _, key in _keyed_subsets(batch, j)}
+                       for j in range(1, n + 1)]
+        for k in range(n, 0, -1):
+            for j in range(1, k + 1):
+                for key in own[j]:
+                    lifted = _lift(key, j, k - j)
+                    realized[k].update(low | lifted for low in realized[k - j])
+        added.extend(batch)
+    return cond.union(added) if added else cond
 
 
 def random_condition(rng: random.Random, n_points: int, spread: int = 4) -> FiniteCondition:
@@ -300,14 +389,23 @@ def condition_to_json(cond: FiniteCondition) -> list[list[int]]:
     return [[p.x, p.y] for p in cond.sorted_points]
 
 
+def _natural(value, path: str) -> int:
+    # bool is an int subclass, but JSON true is not a number here
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{path}: expected a natural number, got {json.dumps(value)}")
+    return value
+
+
 def points_from_json(doc) -> list[Point]:
+    """Read a list of [x, y] pairs; malformed input raises ValueError
+    naming its JSON path, e.g. ``[1][0]``."""
     if not isinstance(doc, list):
         raise ValueError("condition document must be a list of [x, y] pairs")
     out = []
-    for item in doc:
-        if not isinstance(item, (list, tuple)) or len(item) != 2:
-            raise ValueError(f"bad point entry: {item!r}")
-        out.append(Point(int(item[0]), int(item[1])))
+    for i, item in enumerate(doc):
+        if not isinstance(item, list) or len(item) != 2:
+            raise ValueError(f"[{i}]: expected an [x, y] pair, got {json.dumps(item)}")
+        out.append(Point(*(_natural(v, f"[{i}][{j}]") for j, v in enumerate(item))))
     return out
 
 

@@ -46,7 +46,7 @@ from math import perm
 
 from .errors import LimitError
 from .homogeneity import Coloring, check_tau_homogeneous
-from .pointsets import FiniteCondition, Point
+from .pointsets import FiniteCondition, Point, _natural
 from .typecalc import parse_list_form
 
 RICH_SUBSET_BOUND = 12
@@ -548,13 +548,6 @@ def graph_to_json(g: Graph) -> dict:
         "vertices": g.vertex_count,
         "edges": [[u, v] for (u, v) in sorted(g.edges)],
     }
-
-
-def _natural(value, path: str) -> int:
-    # bool is an int subclass, but JSON true is not a vertex number
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"{path}: expected a natural number, got {json.dumps(value)}")
-    return value
 
 
 def graph_from_json(doc: dict) -> Graph:

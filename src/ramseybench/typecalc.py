@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import chain, product
 from math import comb
 
 MAX_N = 6  # enumeration is exhaustive; counts explode well before this hurts
@@ -124,6 +124,15 @@ class NType:
         malformed, violations = _class_problems(self.n, classes)
         if malformed or violations:
             raise ValueError("invalid pattern: " + "; ".join(malformed + violations))
+
+    @classmethod
+    def _trusted(cls, n: int, classes: tuple) -> "NType":
+        """Build without validation, for class tuples that this package's
+        own generators produce and that are valid by construction (the
+        tests hold every enumerated pattern to ``_class_problems``)."""
+        t = cls.__new__(cls)
+        t.__dict__.update(n=n, classes=classes)
+        return t
 
     @cached_property
     def rank(self) -> dict[Symbol, int]:
@@ -277,6 +286,11 @@ def iter_weak_orders(items):
         )
 
 
+# Shared Symbols for the patterns this package builds itself, so they
+# skip a validated Symbol per use.
+_symbol = lru_cache(maxsize=1024)(Symbol)
+
+
 def _gap_assignments(n: int):
     # component i (1-based) is the gap of xi; legal gaps are 0..i-1
     return product(*(range(i) for i in range(1, n + 1)))
@@ -285,20 +299,20 @@ def _gap_assignments(n: int):
 def enumerate_ntypes(n: int) -> list[NType]:
     """All n-patterns, lexicographic in (gap vector, per-gap rank vectors)."""
     _check_n(n)
+    xs = [_symbol("x", i) for i in range(1, n + 1)]
+    ys = [(frozenset({_symbol("y", g)}),) for g in range(1, n + 1)] + [()]
     out = []
     for assign in _gap_assignments(n):
-        gaps: list[list[int]] = [[] for _ in range(n + 1)]
-        for i, g in enumerate(assign, start=1):
-            gaps[g].append(i)
-        per_gap = [list(iter_weak_orders(idx)) for idx in gaps]
+        gaps: list[list[Symbol]] = [[] for _ in range(n + 1)]
+        for x, g in zip(xs, assign):
+            gaps[g].append(x)
+        # each gap's x-blocks in weak order, then the y that closes the gap
+        per_gap = [
+            [blocks + y for blocks in iter_weak_orders(members)]
+            for members, y in zip(gaps, ys)
+        ]
         for choice in product(*per_gap):
-            classes: list[frozenset[Symbol]] = []
-            for g in range(n + 1):
-                for block in choice[g]:
-                    classes.append(frozenset(Symbol("x", i) for i in block))
-                if g < n:
-                    classes.append(frozenset({Symbol("y", g + 1)}))
-            out.append(NType(n, tuple(classes)))
+            out.append(NType._trusted(n, tuple(chain.from_iterable(choice))))
     return out
 
 
@@ -328,10 +342,12 @@ def list_form(t: NType) -> str:
     Ties are joined by '=', consecutive classes by '<'; within a tied
     class the x's appear in ascending index order.
     """
-    parts = []
-    for cls in t.classes:
-        parts.append("=".join(str(s) for s in sorted(cls)))
-    return "<".join(parts)
+    return "<".join(map(_class_form, t.classes))
+
+
+@lru_cache(maxsize=1024)
+def _class_form(cls: frozenset) -> str:
+    return "=".join(str(s) for s in sorted(cls))
 
 
 def parse_list_form(text: str) -> NType:

@@ -4,7 +4,12 @@ Nothing here imports the enumeration, counting, or tail machinery it
 checks: patterns are rebuilt from raw rank vectors filtered by the
 defining clauses, planar membership is evaluated point by point, and
 graph witnesses are found by scanning every vertex against adjacency
-sets.  Slow on purpose; keep n and expression depth small.
+sets.  The condition scans read each subset's pattern from its sorted
+coordinate levels and build it through the validating ``NType``
+constructor; only the growth reference takes its visiting order from
+``enumerate_ntypes``, whose output the enumeration tests check on their
+own.  Slow on purpose; keep n, condition sizes and expression depth
+small.
 """
 
 from itertools import combinations, permutations, product
@@ -18,45 +23,35 @@ from ramseybench.setalgebra import (
     Rect,
     Union,
 )
-from ramseybench.typecalc import NType, Symbol
+from ramseybench.pointsets import FiniteCondition, Point
+from ramseybench.typecalc import NType, Symbol, count_ntypes, enumerate_ntypes, list_form
 
 
 def brute_force_ntypes(n: int) -> set[NType]:
-    """Every n-pattern, by filtering all rank vectors on the 2n symbols.
+    """Every n-pattern, by filtering rank vectors on the 2n symbols.
 
     A rank vector assigns each symbol a level; normalization (levels form
     an initial segment) makes vectors correspond one-to-one with weak
-    orders.  The defining clauses are then checked literally: y-levels
-    strictly increasing, each x strictly below its y, and no y sharing a
-    level with anything else.
+    orders.  Vectors are drawn with y-levels strictly increasing and each
+    x below its y, which are two of the defining clauses; the rest are
+    then checked literally: levels normalized and no y sharing a level
+    with anything else.
     """
-    syms = [Symbol("x", i) for i in range(1, n + 1)] + [
-        Symbol("y", i) for i in range(1, n + 1)
-    ]
+    xs = [Symbol("x", i) for i in range(1, n + 1)]
+    ys = [Symbol("y", i) for i in range(1, n + 1)]
     found = set()
-    for vec in product(range(2 * n), repeat=2 * n):
-        levels = sorted(set(vec))
-        if levels != list(range(len(levels))):
-            continue
-        rank = dict(zip(syms, vec))
-        if any(
-            rank[Symbol("y", i)] >= rank[Symbol("y", i + 1)] for i in range(1, n)
-        ):
-            continue
-        if any(rank[Symbol("x", i)] >= rank[Symbol("y", i)] for i in range(1, n + 1)):
-            continue
-        ok = True
-        for i in range(1, n + 1):
-            yi = Symbol("y", i)
-            if any(s != yi and rank[s] == rank[yi] for s in syms):
-                ok = False
-                break
-        if not ok:
-            continue
-        classes = []
-        for level in range(len(levels)):
-            classes.append(frozenset(s for s in syms if rank[s] == level))
-        found.add(NType(n, tuple(classes)))
+    for y_levels in combinations(range(2 * n), n):
+        for x_levels in product(*(range(level) for level in y_levels)):
+            rank = dict(zip(xs + ys, x_levels + y_levels))
+            levels = sorted(set(rank.values()))
+            if levels != list(range(len(levels))):
+                continue
+            if any(s != y and rank[s] == rank[y] for y in ys for s in rank):
+                continue
+            classes = tuple(
+                frozenset(s for s in rank if rank[s] == level) for level in levels
+            )
+            found.add(NType(n, classes))
     return found
 
 
@@ -182,3 +177,82 @@ def is_rich(adj, vertices, k: int) -> bool:
             ):
                 return True
     return False
+
+
+# ---------------------------------------------------------------- conditions
+# The per-subset signature scan the condition routines used before the
+# pair code, kept as their reference.
+
+def level_signature(pts) -> tuple:
+    """Grouping of symbol ids (i for x_i, n+i for y_i) by coordinate level,
+    for y-sorted points of a valid condition."""
+    values = sorted({v for p in pts for v in (p.x, p.y)})
+    level = {v: k for k, v in enumerate(values)}
+    n = len(pts)
+    buckets: list[list[int]] = [[] for _ in values]
+    for i, p in enumerate(pts, start=1):
+        buckets[level[p.x]].append(i)
+        buckets[level[p.y]].append(n + i)
+    return tuple(tuple(sorted(b)) for b in buckets)
+
+
+def type_signature(t: NType) -> tuple:
+    return tuple(
+        tuple(sorted(s.index if s.kind == "x" else t.n + s.index for s in cls))
+        for cls in t.classes
+    )
+
+
+def signature_type(n: int, sig) -> NType:
+    """The validated pattern a level signature names."""
+    return NType(n, tuple(
+        frozenset(Symbol("x", i) if i <= n else Symbol("y", i - n) for i in ids)
+        for ids in sig
+    ))
+
+
+def find_realizer_scan(cond: FiniteCondition, t: NType):
+    """Least realizer of t by lexicographic y-sequence, or None."""
+    target = type_signature(t)
+    for combo in combinations(cond.sorted_points, t.n):
+        if level_signature(combo) == target:
+            return combo
+    return None
+
+
+def classify_scan(cond: FiniteCondition, n: int) -> dict:
+    """Every n-subset indexed under its pattern, patterns in order of first
+    occurrence, subsets in lexicographic y-sequence order."""
+    index: dict[NType, list] = {}
+    for combo in combinations(cond.sorted_points, n):
+        t = signature_type(n, level_signature(combo))
+        index.setdefault(t, []).append(combo)
+    return index
+
+
+def extend_scan(cond: FiniteCondition, n: int) -> FiniteCondition:
+    """Find-and-append growth: per pattern in enumeration order, scan for a
+    realizer and, without one, append a fresh batch of points whose values
+    lie strictly above everything used so far."""
+    current = cond
+    for t in enumerate_ntypes(n):
+        if find_realizer_scan(current, t) is not None:
+            continue
+        base = max((v for p in current for v in (p.x, p.y)), default=-1) + 1
+        level = {s: base + k for k, cls in enumerate(t.classes) for s in cls}
+        current = current.union(
+            Point(level[Symbol("x", i)], level[Symbol("y", i)])
+            for i in range(1, t.n + 1)
+        )
+    return current
+
+
+def floor_scan(cond: FiniteCondition, n: int):
+    """(classes_met, t_n, floor_holds, missing list forms), missing found
+    by one realizer scan per pattern."""
+    classes_met = len(classify_scan(cond, n))
+    missing = tuple(
+        list_form(t) for t in enumerate_ntypes(n) if find_realizer_scan(cond, t) is None
+    )
+    t_n = count_ntypes(n)
+    return classes_met, t_n, not missing and classes_met == t_n, missing

@@ -7,6 +7,7 @@ Payload shapes are validated against schemas/cli_payloads.json.
 
 import io
 import json
+import re
 import subprocess
 import sys
 import time
@@ -16,7 +17,14 @@ import pytest
 from jsonschema import Draft202012Validator
 
 from ramseybench import cli
-from ramseybench.pointsets import FiniteCondition, condition_to_json, extend_with_realizers
+from ramseybench.pointsets import (
+    FiniteCondition,
+    Point,
+    classify_subsets,
+    condition_to_json,
+    extend_with_realizers,
+)
+from ramseybench.typecalc import enumerate_ntypes, list_form
 
 REPO = Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((REPO / "schemas" / "cli_payloads.json").read_text())
@@ -182,6 +190,90 @@ def test_cond_grow_out_persists_bare_condition(files):
     # the artifact must feed straight back in
     again, _ = run_ok(["cond", "classify", "--in", str(out), "--n", "2"])
     assert again["classes_met"] == 4
+
+
+def value_separated_blocks(points):
+    """Maximal runs of y-sorted points whose values all lie below every
+    value of the points after them."""
+    points = sorted(points, key=lambda p: p[1])
+    blocks, start = [], 0
+    for k in range(1, len(points) + 1):
+        if k == len(points) or points[k - 1][1] < min(p[0] for p in points[k:]):
+            blocks.append(points[start:k])
+            start = k
+    return blocks
+
+
+def realized_by_blocks(points, n):
+    """List forms of the n-patterns a condition realizes: classify each
+    value-separated block, then join the patterns of lower blocks with
+    those of higher ones, renumbering the higher pattern's indices."""
+    def joined(low, i, high):
+        high = re.sub(r"\d+", lambda m: str(int(m.group()) + i), high)
+        return f"{low}<{high}" if low else high
+
+    realized = {0: {""}} | {k: set() for k in range(1, n + 1)}
+    for block in value_separated_blocks(points):
+        block = FiniteCondition(frozenset(Point(x, y) for x, y in block))
+        own = {j: {list_form(t) for t in classify_subsets(block, j)}
+               for j in range(1, min(n, len(block)) + 1)}
+        for k in range(n, 0, -1):
+            realized[k] |= {joined(low, k - j, high)
+                            for j in own if j <= k
+                            for low in realized[k - j] for high in own[j]}
+    return realized[n]
+
+
+def test_cond_grow_n4_meets_every_pattern(files):
+    out = files["dir"] / "grown4.json"
+    start = time.perf_counter()
+    payload, _ = run_ok(["cond", "grow", "--n", "4", "--out", str(out)], "cond.grow")
+    assert time.perf_counter() - start < 2.0
+    assert payload["after"] == 716
+    assert realized_by_blocks(payload["condition"], 4) == {
+        list_form(t) for t in enumerate_ntypes(4)}
+
+
+def test_cond_grow_past_its_bound_is_refused():
+    start = time.perf_counter()
+    result, out, err = invoke(["cond", "grow", "--n", "6"])
+    assert time.perf_counter() - start < 2.0
+    assert result.exit_code == 1 and out == ""
+    doc = json.loads(err)
+    conforms("error", doc)
+    assert doc["kind"] == "LimitError"
+
+
+@pytest.mark.parametrize("doc, path", [
+    ([[1, 2], [None, 3]], "[1][0]"),
+    ([[True, 3]], "[0][0]"),
+    ([[0, 2], [1.5, 3]], "[1][0]"),
+    ([[0, "2"]], "[0][1]"),
+    ([[-1, 2]], "[0][0]"),
+    ([[0, 2], [1]], "[1]"),
+    ([[0, 1, 2]], "[0]"),
+    ([{"x": 0, "y": 1}], "[0]"),
+    ([[0, 1], 5], "[1]"),
+    ({"points": [[0, None]]}, "[0][1]"),
+    ({"points": 3}, "condition document"),
+    ("nope", "condition document"),
+])
+@pytest.mark.parametrize("action", [
+    ["cond", "check"],
+    ["cond", "classify", "--n", "2"],
+    ["cond", "grow", "--n", "2"],
+    ["cond", "realize", "--type", "x1<y1"],
+    ["homog", "floor", "--n", "2"],
+])
+def test_malformed_condition_documents_are_domain_errors(files, doc, path, action):
+    cpath = files["dir"] / "bad_condition.json"
+    cpath.write_text(json.dumps(doc))
+    result, out, err = invoke([*action, "--in", str(cpath)])
+    assert result.exit_code == 1 and out == ""
+    payload = json.loads(err)
+    conforms("error", payload)
+    assert payload["kind"] == "ValueError"
+    assert path in payload["error"]
 
 
 # ------------------------------------------------------------------ homog

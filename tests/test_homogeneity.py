@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from ramseybench.errors import LexOrderError, LimitError
 from ramseybench.homogeneity import (
     NO_DATA,
@@ -179,6 +180,16 @@ def test_floor_demo_exact_counts():
         assert report.t_n == count_ntypes(n)
         assert report.floor_holds
         assert report.missing == ()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=14),
+       st.integers(min_value=1, max_value=3))
+def test_floor_demo_matches_rescanning_oracle(seed, size, n):
+    c = random_condition(random.Random(seed), size)
+    report = weak_ramsey_floor_demo(c, n)
+    assert (report.classes_met, report.t_n, report.floor_holds,
+            report.missing) == oracles.floor_scan(c, n)
 
 
 def test_floor_demo_reports_missing_patterns():

@@ -1,11 +1,13 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramseybench.errors import NoRealizedTypeError
+import oracles
+from ramseybench.errors import LimitError, NoRealizedTypeError
 from ramseybench.pointsets import (
     CLAUSE_DIAGONAL,
     CLAUSE_SECTIONS,
@@ -22,6 +24,7 @@ from ramseybench.pointsets import (
     realized_type,
     subset_realizes,
 )
+from ramseybench.pointsets import _keyed_subsets, _type_key
 from ramseybench.typecalc import count_ntypes, enumerate_ntypes, list_form, parse_list_form
 
 EMPTY = FiniteCondition(frozenset())
@@ -200,17 +203,77 @@ def test_json_rejects_bad_documents():
             condition_from_json(bad)
 
 
-def test_level_signature_agrees_with_realized_type():
-    # the scan helpers compare signatures; hold them to the real thing
-    from ramseybench.pointsets import _level_signature, _type_signature
-
+def test_pair_code_keys_agree_with_realized_type():
+    # the scans compare pair-code keys; hold them to the real thing
     rng = random.Random(5)
     for _ in range(60):
         c = random_condition(rng, rng.randint(2, 7))
         for n in (1, 2, 3):
-            for combo in combinations(c.sorted_points, n):
-                t = realized_type(combo)
-                assert _level_signature(combo) == _type_signature(t)
+            for subset, key in _keyed_subsets(c.sorted_points, n):
+                assert key == _type_key(realized_type(subset))
+    for n in range(1, 5):
+        assert len({_type_key(t) for t in enumerate_ntypes(n)}) == count_ntypes(n)
+
+
+@st.composite
+def conditions(draw, max_points=14):
+    """Valid conditions on values below 40 whose x's come mostly from a
+    few shared columns, so tied patterns are common."""
+    size = draw(st.integers(0, max_points))
+    ys = draw(st.lists(st.integers(1, 39), min_size=size, max_size=size, unique=True))
+    columns = draw(st.lists(st.integers(0, 38), min_size=1, max_size=4))
+    points = set()
+    for y in ys:
+        choices = [v for v in columns if v < y and v not in ys]
+        if draw(st.booleans()) or not choices:
+            choices = [v for v in range(y) if v not in ys]
+        if choices:
+            points.add(Point(draw(st.sampled_from(choices)), y))
+    return FiniteCondition(frozenset(points))
+
+
+def assert_scans_match_oracles(c, sizes):
+    for n in sizes:
+        index = classify_subsets(c, n)
+        expected = oracles.classify_scan(c, n)
+        assert list(index.items()) == list(expected.items())
+        for t in enumerate_ntypes(n):
+            assert find_realizer(c, t) == oracles.find_realizer_scan(c, t)
+
+
+SEEDED = [random_condition(random.Random(seed), size)
+          for seed, size in ((11, 9), (12, 12), (13, 14))]
+
+
+@pytest.mark.parametrize("c", SEEDED, ids=lambda c: f"{len(c)} points")
+def test_scans_match_signature_oracles_on_seeded_conditions(c):
+    assert_scans_match_oracles(c, (1, 2, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(conditions())
+def test_scans_match_signature_oracles(c):
+    assert_scans_match_oracles(c, (1, 2, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(conditions(max_points=10), st.integers(1, 2))
+def test_growth_matches_find_and_append_oracle(c, n):
+    assert extend_with_realizers(c, n) == oracles.extend_scan(c, n)
+
+
+@pytest.mark.parametrize("base", [EMPTY, SEEDED[0]], ids=["empty", "seeded"])
+def test_growth_matches_find_and_append_oracle_at_three(base):
+    assert extend_with_realizers(base, 3) == oracles.extend_scan(base, 3)
+
+
+def test_growth_past_its_bound_is_refused_before_any_work():
+    start = time.perf_counter()
+    with pytest.raises(LimitError):
+        extend_with_realizers(EMPTY, 6)
+    with pytest.raises(LimitError):
+        extend_with_realizers(random_condition(random.Random(1), 400), 3)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_union_checks_validity():

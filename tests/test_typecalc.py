@@ -21,6 +21,7 @@ from ramseybench.typecalc import (
     restrict_to_initial,
     validate_ntype,
 )
+from ramseybench.typecalc import _class_problems
 
 from oracles import brute_force_ntypes, weak_order_count
 
@@ -54,11 +55,19 @@ def test_fubini_matches_brute_force():
         assert fubini(k) == weak_order_count(k)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_enumeration_equals_brute_force(n):
     got = enumerate_ntypes(n)
     assert len(got) == len(set(got)), "enumeration repeated a pattern"
     assert set(got) == brute_force_ntypes(n)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_enumerated_patterns_pass_validation(n):
+    # enumeration skips the constructor's checks; run them here instead
+    for t in enumerate_ntypes(n):
+        assert t.n == n and all(type(cls) is frozenset for cls in t.classes)
+        assert _class_problems(n, t.classes) == ([], [])
 
 
 @pytest.mark.parametrize("n", KNOWN_COUNTS)
