@@ -22,7 +22,7 @@ from functools import cached_property
 from math import comb
 
 from .errors import LimitError, NoRealizedTypeError
-from .typecalc import MAX_N, NType, Symbol, _symbol, count_ntypes, enumerate_ntypes
+from .typecalc import NType, Symbol, _check_n, _symbol, count_ntypes, enumerate_ntypes
 
 CLAUSE_SECTIONS = "sections-disjoint"
 CLAUSE_DIAGONAL = "above-diagonal"
@@ -264,7 +264,7 @@ def classify_subsets(cond: FiniteCondition, n: int) -> dict[NType, list[tuple[Po
     Only patterns that occur appear as keys, in order of first
     occurrence; subsets are listed in lexicographic y-sequence order.
     """
-    _check_size(n)
+    _check_n(n)
     groups: dict[int, list[tuple[Point, ...]]] = {}
     for subset, key in _keyed_subsets(cond.sorted_points, n):
         group = groups.get(key)
@@ -272,11 +272,6 @@ def classify_subsets(cond: FiniteCondition, n: int) -> dict[NType, list[tuple[Po
             groups[key] = group = []
         group.append(subset)
     return {_pattern_of(group[0]): group for group in groups.values()}
-
-
-def _check_size(n: int):
-    if not 1 <= n <= MAX_N:
-        raise ValueError(f"n must be between 1 and {MAX_N}, got {n}")
 
 
 def _fresh_realizer(t: NType, base: int) -> list[Point]:
@@ -329,7 +324,7 @@ def extend_with_realizers(cond: FiniteCondition, n: int) -> FiniteCondition:
     whose bound ``_growth_work`` exceeds GROW_BOUND raises LimitError
     before any work.
     """
-    _check_size(n)
+    _check_n(n)
     base = cond.sorted_points
     work = _growth_work(len(base), n)
     if work > GROW_BOUND:

@@ -300,20 +300,23 @@ def enumerate_ntypes(n: int) -> list[NType]:
     """All n-patterns, lexicographic in (gap vector, per-gap rank vectors)."""
     _check_n(n)
     xs = [_symbol("x", i) for i in range(1, n + 1)]
-    ys = [(frozenset({_symbol("y", g)}),) for g in range(1, n + 1)] + [()]
     out = []
     for assign in _gap_assignments(n):
         gaps: list[list[Symbol]] = [[] for _ in range(n + 1)]
         for x, g in zip(xs, assign):
             gaps[g].append(x)
-        # each gap's x-blocks in weak order, then the y that closes the gap
-        per_gap = [
-            [blocks + y for blocks in iter_weak_orders(members)]
-            for members, y in zip(gaps, ys)
-        ]
+        per_gap = [_gap_classes(tuple(members), g, n) for g, members in enumerate(gaps)]
         for choice in product(*per_gap):
             out.append(NType._trusted(n, tuple(chain.from_iterable(choice))))
     return out
+
+
+@lru_cache(maxsize=1024)
+def _gap_classes(members: tuple, g: int, n: int) -> list[tuple]:
+    """Each weak order of a gap's x's as its blocks, then the y closing
+    the gap (none after the last); shared by every pattern using it."""
+    closing = (frozenset({_symbol("y", g + 1)}),) if g < n else ()
+    return [blocks + closing for blocks in iter_weak_orders(members)]
 
 
 def count_ntypes(n: int) -> int:
