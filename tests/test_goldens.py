@@ -1,4 +1,4 @@
-"""Pinned stdout digests of `graph` and condition calls.
+"""Pinned stdout digests of `graph`, condition and homogeneity calls.
 
 ``data/graph_goldens.json`` holds the sha256 of the stdout of each listed
 call as the schedule walk produced it before the witness engine moved to
@@ -9,6 +9,13 @@ stderr digest too, so the floor's ``no realizer for ...`` diagnostics are
 pinned; an entry's ``cond`` document, when present, is passed as
 ``--cond``.  Any change to a count, a point, a tie-break or the JSON
 layout shows up here as a digest mismatch.
+
+``data/homog_goldens.json`` pins stdout and stderr of ``homog search``
+(exact and greedy) and ``homog check`` as the per-subset realizer filter
+produced them.  Its ``colorings`` are stored once, as a JSON document
+(passed as ``--in``) or as CSV text (``--csv``); each call names one by
+index, and its ``cond``, when present, is passed as ``--cond``.  Greedy
+calls whose colour majority ties pin the order of the realizer table.
 """
 
 import hashlib
@@ -23,6 +30,7 @@ from ramseybench import cli
 DATA = Path(__file__).resolve().parent / "data"
 GOLDENS = json.loads((DATA / "graph_goldens.json").read_text())
 CONDITION_GOLDENS = json.loads((DATA / "condition_goldens.json").read_text())
+HOMOG_GOLDENS = json.loads((DATA / "homog_goldens.json").read_text())
 
 
 def sha256(text):
@@ -48,6 +56,33 @@ def test_graph_stdout_matches_golden(entry):
                                          if e["cond"] is not None else ""))
 def test_condition_output_matches_golden(entry, tmp_path):
     argv = list(entry["argv"])
+    if entry["cond"] is not None:
+        path = tmp_path / "cond.json"
+        path.write_text(json.dumps(entry["cond"]))
+        argv += ["--cond", str(path)]
+    out, err = run(argv)
+    assert sha256(out) == entry["stdout_sha256"]
+    assert sha256(err) == entry["stderr_sha256"]
+
+
+def _homog_id(entry):
+    kind = next(iter(HOMOG_GOLDENS["colorings"][entry["coloring"]]))
+    where = f" on {len(entry['cond'])} points" if entry["cond"] is not None else ""
+    return " ".join(entry["argv"]) + f" {kind}#{entry['coloring']}" + where
+
+
+@pytest.mark.parametrize("entry", HOMOG_GOLDENS["calls"], ids=_homog_id)
+def test_homog_output_matches_golden(entry, tmp_path):
+    argv = list(entry["argv"])
+    stored = HOMOG_GOLDENS["colorings"][entry["coloring"]]
+    if "json" in stored:
+        path = tmp_path / "coloring.json"
+        path.write_text(json.dumps(stored["json"]))
+        argv += ["--in", str(path)]
+    else:
+        path = tmp_path / "coloring.csv"
+        path.write_text(stored["csv"])
+        argv += ["--csv", str(path)]
     if entry["cond"] is not None:
         path = tmp_path / "cond.json"
         path.write_text(json.dumps(entry["cond"]))
