@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import LexOrderError, LimitError
-from .pointsets import FiniteCondition, Point, classify_subsets, realized_type
+from .pointsets import (FiniteCondition, Point, _keyed_subsets, _type_key,
+                        classify_subsets, realized_type)
 from .typecalc import NType, count_ntypes, enumerate_ntypes, list_form
 
 EXHAUSTIVE_SEARCH_BOUND = 16
@@ -44,13 +45,9 @@ class Coloring:
     rule: object = field(compare=False)
 
     def color_of(self, subset):
-        pts = tuple(sorted((p if isinstance(p, Point) else Point(*p) for p in subset),
-                           key=lambda p: p.y))
-        if len(set(pts)) != self.n:
+        pts = _normalize_subset(subset, self.ground)
+        if len(pts) != self.n:
             raise ValueError(f"expected a {self.n}-subset, got {pts}")
-        for p in pts:
-            if p not in self.ground:
-                raise ValueError(f"{p} is not in the ground condition")
         return self.rule(pts)
 
     @classmethod
@@ -91,33 +88,32 @@ def check_tau_homogeneous(subset, coloring: Coloring, tau: NType) -> TauReport:
     Vacuously homogeneous (flagged, color None) when subset carries no
     colored realizer of tau.
     """
+    realizers = _tau_realizers(_normalize_subset(subset, coloring.ground), coloring, tau)
+    colors = {c for _, c in realizers if c is not None}
+    return TauReport(
+        homogeneous=len(colors) <= 1,
+        color=next(iter(colors)) if len(colors) == 1 else None,
+        realizers=len(realizers),
+        vacuous=not colors,
+    )
+
+
+def _tau_realizers(pts, coloring: Coloring, tau: NType) -> list[tuple[tuple[Point, ...], object]]:
+    """(subset, color) per tau-realizer among y-sorted ground points pts, in
+    lexicographic y-sequence order: the subsets whose pair-code key is tau's."""
     if tau.n != coloring.n:
         raise ValueError(
             f"pattern size {tau.n} does not match coloring arity {coloring.n}"
         )
-    pts = _normalize_subset(subset, coloring.ground)
-    realizers = 0
-    colors = set()
-    for combo in combinations(pts, tau.n):
-        if realized_type(combo) != tau:
-            continue
-        realizers += 1
-        c = coloring.color_of(combo)
-        if c is not None:
-            colors.add(c)
-    return TauReport(
-        homogeneous=len(colors) <= 1,
-        color=next(iter(colors)) if len(colors) == 1 else None,
-        realizers=realizers,
-        vacuous=not colors,
-    )
+    found = _keyed_subsets(pts, tau.n, _type_key(tau))
+    return [(combo, coloring.color_of(combo)) for combo, _ in found]
 
 
 def _normalize_subset(subset, ground: FiniteCondition) -> tuple[Point, ...]:
     if isinstance(subset, FiniteCondition):
         pts = subset.sorted_points
     else:
-        pts = tuple(sorted((p if isinstance(p, Point) else Point(*p) for p in subset),
+        pts = tuple(sorted({p if isinstance(p, Point) else Point(*p) for p in subset},
                            key=lambda p: p.y))
     for p in pts:
         if p not in ground:
@@ -155,22 +151,22 @@ def search_homogeneous(coloring: Coloring, tau: NType, min_size: int = 0,
 
     Exact mode scans subsets by descending size and returns a maximum-size
     answer, ties broken by lexicographically least sorted point list; it
-    refuses grounds larger than ``bound``.  Greedy mode removes the most
-    conflicted point until homogeneous, re-adds what it can, and makes no
-    optimality claim.
+    refuses grounds larger than ``bound`` before any work.  Greedy mode
+    removes the most conflicted point until homogeneous, re-adds what it
+    can, and makes no optimality claim.
     """
     if mode not in ("exact", "greedy"):
         raise ValueError(f"mode must be 'exact' or 'greedy', got {mode!r}")
-    ground_pts = tuple(sorted(coloring.ground.sorted_points))
+    ground_pts = tuple(sorted(coloring.ground.points))
     m = len(ground_pts)
-    realizers = _tau_realizers(coloring, tau, ground_pts)
+    if mode == "exact" and m > bound:
+        raise LimitError(
+            f"exhaustive search refused: ground has {m} points, bound is "
+            f"{bound}; pass mode='greedy' or raise the bound"
+        )
+    realizers = _realizer_table(coloring, tau, ground_pts)
 
     if mode == "exact":
-        if m > bound:
-            raise LimitError(
-                f"exhaustive search refused: ground has {m} points, bound is "
-                f"{bound}; pass mode='greedy' or raise the bound"
-            )
         checked = 0
         for size in range(m, -1, -1):
             for combo in combinations(range(m), size):
@@ -217,13 +213,14 @@ def search_homogeneous(coloring: Coloring, tau: NType, min_size: int = 0,
     )
 
 
-def _tau_realizers(coloring: Coloring, tau: NType, ground_pts) -> list[tuple[int, object]]:
-    out = []
-    for combo in combinations(range(len(ground_pts)), tau.n):
-        pts = tuple(ground_pts[i] for i in combo)
-        if realized_type(pts) == tau:
-            out.append((_mask(combo), coloring.color_of(pts)))
-    return out
+def _realizer_table(coloring: Coloring, tau: NType, ground_pts) -> list[tuple[int, object]]:
+    """(bitmask over ground_pts, color) per tau-realizer of the ground, in
+    lexicographic order of the index tuples, by which greedy breaks ties."""
+    index = {p: i for i, p in enumerate(ground_pts)}
+    rows = [(sorted(index[p] for p in combo), c)
+            for combo, c in _tau_realizers(coloring.ground.sorted_points, coloring, tau)]
+    rows.sort(key=lambda row: row[0])
+    return [(_mask(combo), c) for combo, c in rows]
 
 
 def _mask(indices) -> int:

@@ -256,3 +256,33 @@ def floor_scan(cond: FiniteCondition, n: int):
     )
     t_n = count_ntypes(n)
     return classes_met, t_n, not missing and classes_met == t_n, missing
+
+
+# ---------------------------------------------------------------- homogeneity
+# The per-subset realizer filter homogeneity used before it read realizers
+# off the pair-code keys, with each subset's pattern read from its level
+# signature.
+
+def tau_realizer_table(coloring, tau: NType) -> list:
+    """(bitmask over the (x, y)-sorted ground, color) per tau-realizer, in
+    lexicographic order of the index tuples."""
+    ground = tuple(sorted(coloring.ground.points))
+    target = type_signature(tau)
+    out = []
+    for combo in combinations(range(len(ground)), tau.n):
+        pts = tuple(sorted((ground[i] for i in combo), key=lambda p: p.y))
+        if level_signature(pts) == target:
+            out.append((sum(1 << i for i in combo), coloring.color_of(pts)))
+    return out
+
+
+def tau_check_scan(subset, coloring, tau: NType):
+    """(homogeneous, color, realizers, vacuous) over the tau-realizers
+    among the points of subset."""
+    pts = sorted(set(subset), key=lambda p: p.y)
+    target = type_signature(tau)
+    realizers = [combo for combo in combinations(pts, tau.n)
+                 if level_signature(combo) == target]
+    colors = {coloring.color_of(combo) for combo in realizers} - {None}
+    color = next(iter(colors)) if len(colors) == 1 else None
+    return len(colors) <= 1, color, len(realizers), not colors

@@ -317,6 +317,21 @@ def test_homog_search_exact(files):
     assert payload["exact"] and payload["size"] == 6
 
 
+@pytest.mark.parametrize("action", [
+    ["homog", "check"],
+    ["homog", "search", "--mode", "exact"],
+    ["homog", "search", "--mode", "greedy"],
+])
+def test_homog_pattern_size_must_match_coloring_arity(files, action):
+    result, out, err = invoke([*action, "--in", str(files["coloring"]),
+                               "--type", "x1<y1<x2<y2<x3<y3"])
+    assert result.exit_code == 1 and out == ""
+    payload = json.loads(err)
+    conforms("error", payload)
+    assert payload == {"error": "pattern size 3 does not match coloring arity 2",
+                       "kind": "ValueError"}
+
+
 def test_homog_search_respects_limit_env(files, monkeypatch):
     monkeypatch.setenv(cli.LIMITS_ENV, json.dumps({"search": 3}))
     result, out, err = invoke(

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from ramseybench.errors import LexOrderError, LimitError
+from ramseybench import homogeneity
 from ramseybench.homogeneity import (
     NO_DATA,
     STABLE_0,
@@ -144,6 +146,26 @@ def test_search_exact_refuses_large_ground():
     search_homogeneous(coloring, TIED, mode="exact", bound=17)
 
 
+def test_search_exact_refuses_before_reading_any_color():
+    calls = []
+    big = random_condition(random.Random(0), 17)
+    coloring = Coloring.from_rule(big, 2, lambda pts: calls.append(pts) or 0)
+    with pytest.raises(LimitError):
+        search_homogeneous(coloring, SPLIT, mode="exact")
+    assert calls == []
+    search_homogeneous(coloring, SPLIT, mode="greedy")
+    assert calls
+
+
+def test_search_refuses_a_pattern_of_another_size():
+    calls = []
+    coloring = Coloring.from_rule(GROUND, 2, lambda pts: calls.append(pts) or 0)
+    for mode in ("exact", "greedy"):
+        with pytest.raises(ValueError, match="does not match coloring arity 2"):
+            search_homogeneous(coloring, parse_list_form("x1<y1<x2<y2<x3<y3"), mode=mode)
+    assert calls == []
+
+
 def test_search_greedy_always_returns_homogeneous_subset():
     rng = random.Random(42)
     for _ in range(20):
@@ -170,6 +192,42 @@ def test_search_greedy_agrees_with_exact_often_enough_to_matter():
     assert len(greedy.points) >= 3
     assert check_tau_homogeneous(greedy.points, coloring, TIED).homogeneous
     assert exact.size >= greedy.size
+
+
+def random_coloring(rng, size, n):
+    """A seeded partial coloring: colors of mixed types, some subsets None."""
+    ground = random_condition(rng, size)
+    palette = [None, 0, 1, "1", "red"]
+    table = {frozenset(combo): rng.choice(palette)
+             for combo in combinations(ground.sorted_points, n)}
+    return Coloring.from_rule(ground, n, lambda pts: table[frozenset(pts)])
+
+
+def assert_tables_match_oracle(coloring, rng):
+    part = rng.sample(coloring.ground.sorted_points, len(coloring.ground) // 2)
+    for tau in enumerate_ntypes(coloring.n):
+        ground_pts = tuple(sorted(coloring.ground.points))
+        table = homogeneity._realizer_table(coloring, tau, ground_pts)
+        assert table == oracles.tau_realizer_table(coloring, tau)
+        for subset in (coloring.ground, part):
+            report = check_tau_homogeneous(subset, coloring, tau)
+            assert (report.homogeneous, report.color, report.realizers,
+                    report.vacuous) == oracles.tau_check_scan(subset, coloring, tau)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("n", [2, 3])
+def test_realizer_tables_match_per_subset_oracle(seed, n):
+    rng = random.Random(seed)
+    assert_tables_match_oracle(random_coloring(rng, rng.randint(n, 12), n), rng)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=12),
+       st.sampled_from([2, 3]))
+def test_realizer_tables_match_oracle_on_hypothesis_colorings(seed, size, n):
+    rng = random.Random(seed)
+    assert_tables_match_oracle(random_coloring(rng, size, n), rng)
 
 
 def test_floor_demo_exact_counts():
