@@ -14,13 +14,14 @@ relation from a ternary one by reading trailing windows along columns.
 from __future__ import annotations
 
 import csv
+import json
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import LexOrderError, LimitError
-from .pointsets import (FiniteCondition, Point, _keyed_subsets, _type_key,
-                        classify_subsets, realized_type)
+from .pointsets import (FiniteCondition, Point, _keyed_subsets, _natural, _type_key,
+                        classify_subsets, points_from_json, realized_type)
 from .typecalc import NType, count_ntypes, enumerate_ntypes, list_form
 
 EXHAUSTIVE_SEARCH_BOUND = 16
@@ -399,17 +400,29 @@ def extract_S_from_R(grid: TernaryRelationGrid, cond: FiniteCondition,
 
 def coloring_from_json(doc: dict, ground: FiniteCondition | None = None,
                        partial: bool = False) -> Coloring:
-    """Ingest {"n": ..., "entries": [{"subset": [[x,y],...], "color": ...}]}."""
+    """Ingest {"n": ..., "entries": [{"subset": [[x,y],...], "color": ...}]}.
+
+    Colors are JSON scalars.  Malformed input raises ValueError naming its
+    JSON path, e.g. ``entries[0].subset[1][0]``.
+    """
     if not isinstance(doc, dict) or "n" not in doc or "entries" not in doc:
         raise ValueError("coloring document needs 'n' and 'entries'")
-    n = int(doc["n"])
+    n = _natural(doc["n"], "n")
+    if not isinstance(doc["entries"], list):
+        raise ValueError(f"entries: expected a list, got {json.dumps(doc['entries'])}")
     table = {}
     pts: set[Point] = set()
-    for entry in doc["entries"]:
-        subset = frozenset(Point(int(x), int(y)) for x, y in entry["subset"])
+    for i, entry in enumerate(doc["entries"]):
+        where = f"entries[{i}]"
+        if not isinstance(entry, dict) or "subset" not in entry or "color" not in entry:
+            raise ValueError(f"{where}: expected an object with 'subset' and 'color'")
+        subset = frozenset(points_from_json(entry["subset"], f"{where}.subset"))
         if len(subset) != n:
-            raise ValueError(f"entry subset is not a {n}-set: {entry['subset']}")
-        table[subset] = entry["color"]
+            raise ValueError(f"{where}.subset: not a {n}-set: {json.dumps(entry['subset'])}")
+        color = entry["color"]
+        if color is not None and not isinstance(color, (str, int, float)):
+            raise ValueError(f"{where}.color: expected a JSON scalar, got {json.dumps(color, default=repr)}")
+        table[subset] = color
         pts |= subset
     if ground is None:
         ground = FiniteCondition(frozenset(pts))

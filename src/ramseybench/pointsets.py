@@ -391,16 +391,16 @@ def _natural(value, path: str) -> int:
     return value
 
 
-def points_from_json(doc) -> list[Point]:
-    """Read a list of [x, y] pairs; malformed input raises ValueError
-    naming its JSON path, e.g. ``[1][0]``."""
+def points_from_json(doc, where: str = "") -> list[Point]:
+    """Read a list of [x, y] pairs found at JSON path ``where``; malformed
+    input raises ValueError naming its path, e.g. ``[1][0]``."""
     if not isinstance(doc, list):
-        raise ValueError("condition document must be a list of [x, y] pairs")
+        raise ValueError(f"{where or 'condition document'} must be a list of [x, y] pairs")
     out = []
     for i, item in enumerate(doc):
         if not isinstance(item, list) or len(item) != 2:
-            raise ValueError(f"[{i}]: expected an [x, y] pair, got {json.dumps(item)}")
-        out.append(Point(*(_natural(v, f"[{i}][{j}]") for j, v in enumerate(item))))
+            raise ValueError(f"{where}[{i}]: expected an [x, y] pair, got {json.dumps(item)}")
+        out.append(Point(*(_natural(v, f"{where}[{i}][{j}]") for j, v in enumerate(item))))
     return out
 
 

@@ -14,6 +14,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
 from ramseybench import cli
@@ -277,6 +279,76 @@ def test_malformed_condition_documents_are_domain_errors(files, doc, path, actio
 
 
 # ------------------------------------------------------------------ homog
+
+PAIR = [[0, 1], [0, 2]]
+
+
+@pytest.mark.parametrize("doc, path", [
+    ([], "coloring document"),
+    ({"entries": []}, "coloring document"),
+    ({"n": True, "entries": []}, "n:"),
+    ({"n": "2", "entries": []}, "n:"),
+    ({"n": 2, "entries": 5}, "entries:"),
+    ({"n": 2, "entries": {"subset": PAIR, "color": 0}}, "entries:"),
+    ({"n": 2, "entries": [5]}, "entries[0]:"),
+    ({"n": 2, "entries": [{"subset": PAIR}]}, "entries[0]:"),
+    ({"n": 2, "entries": [{"color": 0}]}, "entries[0]:"),
+    ({"n": 2, "entries": [{"subset": 5, "color": 0}]}, "entries[0].subset"),
+    ({"n": 2, "entries": [{"subset": {"x": 0}, "color": 0}]}, "entries[0].subset"),
+    ({"n": 2, "entries": [{"subset": [[0, True], [0, 2]], "color": 0}]},
+     "entries[0].subset[0][1]:"),
+    ({"n": 2, "entries": [{"subset": [[0, 1], [0.5, 2]], "color": 0}]},
+     "entries[0].subset[1][0]:"),
+    ({"n": 2, "entries": [{"subset": PAIR, "color": 0},
+                          {"subset": [[0, 1], [-1, 3]], "color": 0}]},
+     "entries[1].subset[1][0]:"),
+    ({"n": 2, "entries": [{"subset": [[0, 1], [0]], "color": 0}]}, "entries[0].subset[1]:"),
+    ({"n": 2, "entries": [{"subset": [[0, 1], 7], "color": 0}]}, "entries[0].subset[1]:"),
+    ({"n": 2, "entries": [{"subset": [[0, 1], [0, 1]], "color": 0}]}, "entries[0].subset:"),
+    ({"n": 2, "entries": [{"subset": PAIR, "color": [1]}]}, "entries[0].color:"),
+    ({"n": 2, "entries": [{"subset": PAIR, "color": {"c": 1}}]}, "entries[0].color:"),
+])
+@pytest.mark.parametrize("action", [
+    ["homog", "check", "--type", "x1=x2<y1<y2"],
+    ["homog", "search", "--type", "x1=x2<y1<y2"],
+    ["homog", "search", "--type", "x1=x2<y1<y2", "--mode", "greedy"],
+])
+def test_malformed_coloring_documents_are_domain_errors(files, doc, path, action):
+    cpath = files["dir"] / "bad_coloring.json"
+    cpath.write_text(json.dumps(doc))
+    result, out, err = invoke([*action, "--in", str(cpath)])
+    assert result.exit_code == 1 and out == ""
+    payload = json.loads(err)
+    conforms("error", payload)
+    assert payload["kind"] == "ValueError"
+    assert payload["error"].startswith(path)
+
+
+JSON_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats(allow_nan=False)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["n", "entries", "subset", "color"]), inner, max_size=4),
+    max_leaves=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    JSON_JUNK,
+    st.fixed_dictionaries({"n": st.just(2) | JSON_JUNK, "entries": st.lists(
+        st.fixed_dictionaries({"subset": st.just(PAIR) | JSON_JUNK,
+                               "color": JSON_JUNK}), max_size=2)})),
+    st.sampled_from(["check", "search"]))
+def test_junk_coloring_documents_succeed_or_fail_with_the_error_payload(tmp_path_factory,
+                                                                         doc, action):
+    cpath = tmp_path_factory.mktemp("junk") / "coloring.json"
+    cpath.write_text(json.dumps(doc))
+    result, out, err = invoke(["homog", action, "--in", str(cpath), "--type", "x1=x2<y1<y2"])
+    if result.exit_code == 0:
+        conforms(f"homog.{action}", json.loads(out))
+    else:
+        assert result.exit_code == 1 and out == ""
+        conforms("error", json.loads(err))
 
 def test_homog_floor_matches_documented_example(files):
     payload, err = run_ok(
