@@ -246,6 +246,21 @@ def test_cond_grow_past_its_bound_is_refused():
     assert doc["kind"] == "LimitError"
 
 
+@pytest.mark.parametrize("action", [["cond", "classify"], ["homog", "floor"]])
+def test_classify_past_its_bound_is_refused(files, action):
+    grown = files["dir"] / "grown4_for_classify.json"
+    grown.write_text(json.dumps(condition_to_json(
+        extend_with_realizers(FiniteCondition(frozenset()), 4))))
+    start = time.perf_counter()
+    result, out, err = invoke([*action, "--n", "4", "--cond", str(grown)])
+    assert time.perf_counter() - start < 2.0
+    assert result.exit_code == 1 and out == ""
+    doc = json.loads(err)
+    conforms("error", doc)
+    assert doc["kind"] == "LimitError"
+    assert "716 points" in doc["error"]
+
+
 @pytest.mark.parametrize("doc, path", [
     ([[1, 2], [None, 3]], "[1][0]"),
     ([[True, 3]], "[0][0]"),

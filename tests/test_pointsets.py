@@ -1,6 +1,7 @@
 import random
 import time
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from ramseybench.pointsets import (
     realized_type,
     subset_realizes,
 )
+from ramseybench import pointsets
 from ramseybench.pointsets import _keyed_subsets, _type_key
 from ramseybench.typecalc import count_ntypes, enumerate_ntypes, list_form, parse_list_form
 
@@ -155,6 +157,16 @@ def test_classify_subsets_partitions_everything():
         for t, subs in index.items():
             for sub in subs:
                 assert realized_type(sub) == t
+
+
+def test_classify_subsets_refuses_above_its_bound(monkeypatch):
+    monkeypatch.setattr(pointsets, "CLASSIFY_BOUND", comb(10, 3))
+    c = random_condition(random.Random(3), 11)
+    at_bound = FiniteCondition(frozenset(c.sorted_points[:10]))
+    assert sum(map(len, classify_subsets(at_bound, 3).values())) == comb(10, 3)
+    with pytest.raises(LimitError, match="165 3-subsets, the bound is 120"):
+        classify_subsets(c, 3)
+    assert sum(map(len, classify_subsets(c, 2).values())) == comb(11, 2)
 
 
 def test_extend_from_empty_covers_all_two_types():
