@@ -403,7 +403,8 @@ def coloring_from_json(doc: dict, ground: FiniteCondition | None = None,
     """Ingest {"n": ..., "entries": [{"subset": [[x,y],...], "color": ...}]}.
 
     Colors are JSON scalars.  Malformed input raises ValueError naming its
-    JSON path, e.g. ``entries[0].subset[1][0]``.
+    JSON path, e.g. ``entries[0].subset[1][0]``; a missing key raises
+    KeyError naming its path, e.g. ``entries[0].color``.
     """
     if not isinstance(doc, dict) or "n" not in doc or "entries" not in doc:
         raise ValueError("coloring document needs 'n' and 'entries'")
@@ -414,14 +415,18 @@ def coloring_from_json(doc: dict, ground: FiniteCondition | None = None,
     pts: set[Point] = set()
     for i, entry in enumerate(doc["entries"]):
         where = f"entries[{i}]"
-        if not isinstance(entry, dict) or "subset" not in entry or "color" not in entry:
-            raise ValueError(f"{where}: expected an object with 'subset' and 'color'")
+        if not isinstance(entry, dict):
+            raise ValueError(f"{where}: expected an object, got {json.dumps(entry)}")
+        for key in ("subset", "color"):
+            if key not in entry:
+                raise KeyError(f"{where}.{key}")
         subset = frozenset(points_from_json(entry["subset"], f"{where}.subset"))
         if len(subset) != n:
             raise ValueError(f"{where}.subset: not a {n}-set: {json.dumps(entry['subset'])}")
         color = entry["color"]
         if color is not None and not isinstance(color, (str, int, float)):
-            raise ValueError(f"{where}.color: expected a JSON scalar, got {json.dumps(color, default=repr)}")
+            raise ValueError(f"{where}.color: expected a JSON scalar, "
+                             f"got {json.dumps(color, default=repr)}")
         table[subset] = color
         pts |= subset
     if ground is None:

@@ -306,8 +306,7 @@ PAIR = [[0, 1], [0, 2]]
     ({"n": 2, "entries": 5}, "entries:"),
     ({"n": 2, "entries": {"subset": PAIR, "color": 0}}, "entries:"),
     ({"n": 2, "entries": [5]}, "entries[0]:"),
-    ({"n": 2, "entries": [{"subset": PAIR}]}, "entries[0]:"),
-    ({"n": 2, "entries": [{"color": 0}]}, "entries[0]:"),
+    ({"n": 2, "entries": [[PAIR, 0]]}, "entries[0]:"),
     ({"n": 2, "entries": [{"subset": 5, "color": 0}]}, "entries[0].subset"),
     ({"n": 2, "entries": [{"subset": {"x": 0}, "color": 0}]}, "entries[0].subset"),
     ({"n": 2, "entries": [{"subset": [[0, True], [0, 2]], "color": 0}]},
@@ -337,6 +336,19 @@ def test_malformed_coloring_documents_are_domain_errors(files, doc, path, action
     conforms("error", payload)
     assert payload["kind"] == "ValueError"
     assert payload["error"].startswith(path)
+
+
+@pytest.mark.parametrize("entry, key", [({"subset": PAIR}, "color"),
+                                        ({"color": 0}, "subset")])
+def test_coloring_entries_without_a_key_name_its_path(files, entry, key):
+    cpath = files["dir"] / "keyless_coloring.json"
+    cpath.write_text(json.dumps({"n": 2, "entries": [{"subset": PAIR, "color": 0}, entry]}))
+    result, out, err = invoke(["homog", "check", "--in", str(cpath), "--type", "x1<y1<x2<y2"])
+    assert result.exit_code == 1 and out == ""
+    payload = json.loads(err)
+    conforms("error", payload)
+    assert payload == {"error": f"missing key 'entries[1].{key}' in input document",
+                       "kind": "KeyError"}
 
 
 JSON_JUNK = st.recursive(
