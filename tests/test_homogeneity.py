@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ramseybench.errors import LexOrderError, LimitError
 from ramseybench import homogeneity
+from ramseybench.errors import LexOrderError, LimitError
 from ramseybench.homogeneity import (
     NO_DATA,
     STABLE_0,

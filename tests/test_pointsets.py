@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from ramseybench import pointsets
 from ramseybench.errors import LimitError, NoRealizedTypeError
 from ramseybench.pointsets import (
     CLAUSE_DIAGONAL,
@@ -25,7 +26,6 @@ from ramseybench.pointsets import (
     realized_type,
     subset_realizes,
 )
-from ramseybench import pointsets
 from ramseybench.pointsets import _keyed_subsets, _type_key
 from ramseybench.typecalc import count_ntypes, enumerate_ntypes, list_form, parse_list_form
 
