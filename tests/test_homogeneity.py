@@ -87,6 +87,9 @@ def test_check_tau_homogeneous_happy_and_vacuous():
     assert report.homogeneous and report.color == "c" and not report.vacuous
     assert report.realizers == 1
 
+    # a repeated point is one point, not a tied pair
+    assert check_tau_homogeneous([(0, 1), (0, 1), (3, 5)], coloring, TIED).realizers == 0
+
     # no x2<x1<y1<y2 realizer in GROUND: vacuous
     report = check_tau_homogeneous(GROUND, coloring, parse_list_form("x2<x1<y1<y2"))
     assert report.homogeneous and report.vacuous and report.color is None
@@ -104,6 +107,13 @@ def test_check_tau_homogeneous_arity_mismatch():
     coloring = realized_type_coloring(GROUND, 2)
     with pytest.raises(ValueError):
         check_tau_homogeneous(GROUND, coloring, parse_list_form("x1<y1"))
+    # search refuses the same way, before reading any color
+    calls = []
+    coloring = Coloring.from_rule(GROUND, 2, lambda pts: calls.append(pts) or 0)
+    for mode in ("exact", "greedy"):
+        with pytest.raises(ValueError, match="does not match coloring arity 2"):
+            search_homogeneous(coloring, parse_list_form("x1<y1<x2<y2<x3<y3"), mode=mode)
+    assert calls == []
 
 
 def test_count_classes_met_on_pattern_coloring():
@@ -155,15 +165,6 @@ def test_search_exact_refuses_before_reading_any_color():
     assert calls == []
     search_homogeneous(coloring, SPLIT, mode="greedy")
     assert calls
-
-
-def test_search_refuses_a_pattern_of_another_size():
-    calls = []
-    coloring = Coloring.from_rule(GROUND, 2, lambda pts: calls.append(pts) or 0)
-    for mode in ("exact", "greedy"):
-        with pytest.raises(ValueError, match="does not match coloring arity 2"):
-            search_homogeneous(coloring, parse_list_form("x1<y1<x2<y2<x3<y3"), mode=mode)
-    assert calls == []
 
 
 def test_search_greedy_always_returns_homogeneous_subset():
