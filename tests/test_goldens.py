@@ -16,11 +16,17 @@ produced them.  Its ``colorings`` are stored once, as a JSON document
 (passed as ``--in``) or as CSV text (``--csv``); each call names one by
 index, and its ``cond``, when present, is passed as ``--cond``.  Greedy
 calls whose colour majority ties pin the order of the realizer table.
+
+``data/usage_goldens.json`` pins exit code, stdout and stderr of the
+parser's own answers as the full parser tree gave them: ``--help`` at the
+top, per area and per action, unknown areas and actions, and missing or
+bad options.  Help text is laid out for 80 columns.
 """
 
 import hashlib
 import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -31,6 +37,7 @@ DATA = Path(__file__).resolve().parent / "data"
 GOLDENS = json.loads((DATA / "graph_goldens.json").read_text())
 CONDITION_GOLDENS = json.loads((DATA / "condition_goldens.json").read_text())
 HOMOG_GOLDENS = json.loads((DATA / "homog_goldens.json").read_text())
+USAGE_GOLDENS = json.loads((DATA / "usage_goldens.json").read_text())
 
 
 def sha256(text):
@@ -90,3 +97,17 @@ def test_homog_output_matches_golden(entry, tmp_path):
     out, err = run(argv)
     assert sha256(out) == entry["stdout_sha256"]
     assert sha256(err) == entry["stderr_sha256"]
+
+
+@pytest.mark.parametrize("entry", USAGE_GOLDENS, ids=lambda e: " ".join(e["argv"]) or "(none)")
+def test_usage_output_matches_golden(entry, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.run(list(entry["argv"])).exit_code
+        except SystemExit as exc:
+            code = exc.code
+    assert code == entry["exit"]
+    assert sha256(out.getvalue()) == entry["stdout_sha256"]
+    assert sha256(err.getvalue()) == entry["stderr_sha256"]
