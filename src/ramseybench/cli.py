@@ -30,10 +30,8 @@ from . import homogeneity, omegatypes, pointsets, randomgraph, setalgebra, typec
 from .errors import WorkbenchError
 
 LIMITS_ENV = "NBT_WORKBENCH_LIMITS"
-_LIMIT_KEYS = {
-    "search": homogeneity.EXHAUSTIVE_SEARCH_BOUND,
-    "rich": randomgraph.RICH_SUBSET_BOUND,
-}
+# Defaults live with their handlers, so parsing the limits loads no area.
+_LIMIT_KEYS = ("rich", "search")
 
 
 @dataclass
@@ -48,8 +46,9 @@ class CommandResult:
 
 
 def _limits() -> dict:
+    """The bounds set in the environment; a handler falls back to its default."""
     raw = os.environ.get(LIMITS_ENV)
-    limits = dict(_LIMIT_KEYS)
+    limits = {}
     if not raw:
         return limits
     try:
@@ -59,9 +58,9 @@ def _limits() -> dict:
     if not isinstance(doc, dict):
         raise ValueError(f"{LIMITS_ENV} must be a JSON object")
     for key, value in doc.items():
-        if key not in limits:
+        if key not in _LIMIT_KEYS:
             raise ValueError(
-                f"{LIMITS_ENV}: unknown key {key!r} (known: {sorted(limits)})"
+                f"{LIMITS_ENV}: unknown key {key!r} (known: {sorted(_LIMIT_KEYS)})"
             )
         if not isinstance(value, int) or value < 0:
             raise ValueError(f"{LIMITS_ENV}: {key} must be a natural number")
@@ -249,7 +248,7 @@ def _cmd_homog_search(args, limits):
     tau = typecalc.parse_list_form(args.type)
     result = homogeneity.search_homogeneous(
         coloring, tau, min_size=args.min_size, mode=args.mode,
-        bound=limits["search"],
+        bound=limits.get("search", homogeneity.EXHAUSTIVE_SEARCH_BOUND),
     )
     return {
         "mode": args.mode,
@@ -330,7 +329,8 @@ def _cmd_graph_check(args, limits):
 def _cmd_graph_rich(args, limits):
     g = randomgraph.graph_from_json(_read_json(args.infile))
     vertices = _int_list(args.vertices)
-    rich = randomgraph.check_rich(vertices, g, k=args.k, bound=limits["rich"])
+    rich = randomgraph.check_rich(
+        vertices, g, k=args.k, bound=limits.get("rich", randomgraph.RICH_SUBSET_BOUND))
     return {"vertices": sorted(set(vertices)), "k": args.k, "rich": rich}, [], None
 
 
@@ -459,23 +459,13 @@ def _add_in(parser, required=True, cond_alias=False, help="input JSON file"):
     parser.set_defaults(_in_required=required)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ramseybench",
-        description="workbench for finite pattern combinatorics on the plane",
-    )
-    areas = parser.add_subparsers(dest="area", required=True, metavar="AREA")
-
-    # ---- types
-    types = areas.add_parser("types", help="pattern enumeration and extension")
-    tsub = types.add_subparsers(dest="action", required=True, metavar="ACTION")
-
-    p = tsub.add_parser("enum", help="list all patterns of a size")
+def _types_actions(actions):
+    p = actions.add_parser("enum", help="list all patterns of a size")
     p.add_argument("--n", type=int, required=True)
     _add_common(p)
     p.set_defaults(func=_cmd_types_enum)
 
-    p = tsub.add_parser("count", help="number of patterns of a size")
+    p = actions.add_parser("count", help="number of patterns of a size")
     p.add_argument("--n", type=int, required=True)
     _add_common(p)
     p.set_defaults(func=_cmd_types_count)
@@ -484,46 +474,42 @@ def build_parser() -> argparse.ArgumentParser:
         ("extend", _cmd_types_extend, "append a new pair strictly last"),
         ("insert", _cmd_types_insert, "tie a new pair into a 2-pattern"),
     ):
-        p = tsub.add_parser(name, help=hlp)
+        p = actions.add_parser(name, help=hlp)
         p.add_argument("--type", default=None,
                        help="pattern in list form, e.g. 'x1<y1<x2<y2'")
         _add_in(p, required=False, help="pattern JSON file")
         _add_common(p)
         p.set_defaults(func=fn)
 
-    # ---- cond
-    cond = areas.add_parser("cond", help="finite planar conditions")
-    csub = cond.add_subparsers(dest="action", required=True, metavar="ACTION")
 
-    p = csub.add_parser("check", help="validate the three condition clauses")
+def _cond_actions(actions):
+    p = actions.add_parser("check", help="validate the three condition clauses")
     _add_in(p, cond_alias=True, help="condition JSON file ([[x,y],...])")
     _add_common(p)
     p.set_defaults(func=_cmd_cond_check)
 
-    p = csub.add_parser("realize", help="least subset realizing a pattern")
+    p = actions.add_parser("realize", help="least subset realizing a pattern")
     _add_in(p, cond_alias=True, help="condition JSON file")
     p.add_argument("--type", required=True, help="pattern in list form")
     _add_common(p)
     p.set_defaults(func=_cmd_cond_realize)
 
-    p = csub.add_parser("classify", help="tally n-subsets by realized pattern")
+    p = actions.add_parser("classify", help="tally n-subsets by realized pattern")
     _add_in(p, cond_alias=True, help="condition JSON file")
     p.add_argument("--n", type=int, required=True)
     _add_common(p)
     p.set_defaults(func=_cmd_cond_classify)
 
-    p = csub.add_parser("grow", help="extend until every n-pattern is realized")
+    p = actions.add_parser("grow", help="extend until every n-pattern is realized")
     _add_in(p, required=False, cond_alias=True,
             help="starting condition (default empty)")
     p.add_argument("--n", type=int, required=True)
     _add_common(p)
     p.set_defaults(func=_cmd_cond_grow)
 
-    # ---- homog
-    homog = areas.add_parser("homog", help="colorings and homogeneity")
-    hsub = homog.add_subparsers(dest="action", required=True, metavar="ACTION")
 
-    p = hsub.add_parser("check", help="is a set homogeneous for one pattern")
+def _homog_actions(actions):
+    p = actions.add_parser("check", help="is a set homogeneous for one pattern")
     _add_in(p, required=False, help="coloring JSON file")
     p.add_argument("--csv", default=None, help="coloring CSV file")
     p.add_argument("--cond", default=None,
@@ -534,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_homog_check, _in_required=False)
 
-    p = hsub.add_parser("search", help="find a homogeneous subset")
+    p = actions.add_parser("search", help="find a homogeneous subset")
     _add_in(p, required=False, help="coloring JSON file")
     p.add_argument("--csv", default=None, help="coloring CSV file")
     p.add_argument("--cond", default=None,
@@ -546,31 +532,29 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_homog_search, _in_required=False)
 
-    p = hsub.add_parser("floor", help="pattern classes met vs the full tally")
+    p = actions.add_parser("floor", help="pattern classes met vs the full tally")
     _add_in(p, cond_alias=True, help="condition JSON file")
     p.add_argument("--n", type=int, required=True)
     _add_common(p)
     p.set_defaults(func=_cmd_homog_floor)
 
-    p = hsub.add_parser("stabilize", help="stable bits of lex-monotone rows")
+    p = actions.add_parser("stabilize", help="stable bits of lex-monotone rows")
     _add_in(p, help="JSON list of equal-width 0/1 rows")
     p.add_argument("--direction", choices=("increasing", "decreasing"),
                    default="increasing")
     _add_common(p)
     p.set_defaults(func=_cmd_homog_stabilize)
 
-    p = hsub.add_parser("extract-s", help="stable binary relation from a grid")
+    p = actions.add_parser("extract-s", help="stable binary relation from a grid")
     _add_in(p, help="ternary grid JSON file")
     p.add_argument("--cond", required=True, help="condition JSON file")
     p.add_argument("--window", type=int, default=3)
     _add_common(p)
     p.set_defaults(func=_cmd_homog_extract_s)
 
-    # ---- graph
-    graph = areas.add_parser("graph", help="deterministic extension-rich graphs")
-    gsub = graph.add_subparsers(dest="action", required=True, metavar="ACTION")
 
-    p = gsub.add_parser("build", help="run the construction schedule")
+def _graph_actions(actions):
+    p = actions.add_parser("build", help="run the construction schedule")
     p.add_argument("--steps", type=int, default=None,
                    help="number of schedule entries to process")
     p.add_argument("--cover-vertices", type=int, default=None,
@@ -580,14 +564,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_graph_build, _in_required=False)
 
-    p = gsub.add_parser("check", help="verify the extension property")
+    p = actions.add_parser("check", help="verify the extension property")
     _add_in(p, help="graph JSON file")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     _add_common(p)
     p.set_defaults(func=_cmd_graph_check)
 
-    p = gsub.add_parser("rich", help="does a vertex set contain a rich core")
+    p = actions.add_parser("rich", help="does a vertex set contain a rich core")
     _add_in(p, help="graph JSON file")
     p.add_argument("--vertices", required=True,
                    help="comma-separated vertex list, e.g. 0,2,5")
@@ -595,25 +579,23 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_graph_rich)
 
-    p = gsub.add_parser("demo-noreverse",
+    p = actions.add_parser("demo-noreverse",
                         help="adjacency coloring is never constant on rich columns")
     p.add_argument("--count", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=_cmd_graph_demo_noreverse, _in_required=False)
 
-    p = gsub.add_parser("demo-coloring",
+    p = actions.add_parser("demo-coloring",
                         help="one column meets every color of a palette")
     p.add_argument("--palette", type=int, required=True)
     p.add_argument("--max-vertex", type=int, default=4)
     _add_common(p)
     p.set_defaults(func=_cmd_graph_demo_coloring, _in_required=False)
 
-    # ---- sets
-    sets_p = areas.add_parser("sets", help="planar set algebra and filter sums")
-    ssub = sets_p.add_subparsers(dest="action", required=True, metavar="ACTION")
 
-    p = ssub.add_parser("column", help="exact vertical section")
+def _sets_actions(actions):
+    p = actions.add_parser("column", help="exact vertical section")
     _add_in(p, help="planar set expression JSON file")
     p.add_argument("--x", type=int, required=True)
     _add_common(p)
@@ -624,59 +606,81 @@ def build_parser() -> argparse.ArgumentParser:
         ("fr2", _cmd_sets_fr2, "cofinitely many cofinite sections?"),
         ("meets", _cmd_sets_meets, "infinitely many infinite sections?"),
     ):
-        p = ssub.add_parser(name, help=hlp)
+        p = actions.add_parser(name, help=hlp)
         _add_in(p, help="planar set expression JSON file")
         _add_common(p)
         p.set_defaults(func=fn)
 
-    p = ssub.add_parser("sum", help="membership in an indexed filter sum")
+    p = actions.add_parser("sum", help="membership in an indexed filter sum")
     _add_in(p, help="planar set expression JSON file")
     p.add_argument("--u", required=True, help="index stand-in JSON file")
     p.add_argument("--seq", required=True, help="stand-in sequence JSON file")
     _add_common(p)
     p.set_defaults(func=_cmd_sets_sum)
 
-    p = ssub.add_parser("image", help="membership in the sum's first projection")
+    p = actions.add_parser("image", help="membership in the sum's first projection")
     _add_in(p, help="finite/cofinite set JSON file")
     p.add_argument("--u", required=True, help="index stand-in JSON file")
     p.add_argument("--seq", required=True, help="stand-in sequence JSON file")
     _add_common(p)
     p.set_defaults(func=_cmd_sets_image)
 
-    # ---- omega
-    omega = areas.add_parser("omega", help="prefixes of infinite patterns")
-    osub = omega.add_subparsers(dest="action", required=True, metavar="ACTION")
 
-    p = osub.add_parser("validate", help="judge a candidate prefix")
+def _omega_actions(actions):
+    p = actions.add_parser("validate", help="judge a candidate prefix")
     _add_in(p, help="prefix JSON file")
     _add_common(p)
     p.set_defaults(func=_cmd_omega_validate)
 
-    p = osub.add_parser("phi", help="realize a prefix as a condition")
+    p = actions.add_parser("phi", help="realize a prefix as a condition")
     _add_in(p, help="prefix JSON file")
     p.add_argument("--z", required=True, help="comma-separated increasing values")
     _add_common(p)
     p.set_defaults(func=_cmd_omega_phi)
 
-    p = osub.add_parser("assignd", help="label demanded after a chain fragment")
+    p = actions.add_parser("assignd", help="label demanded after a chain fragment")
     _add_in(p, help="prefix JSON file")
     p.add_argument("--s", default="", help="comma-separated values so far")
     _add_common(p)
     p.set_defaults(func=_cmd_omega_assignd)
 
-    p = osub.add_parser("zchain", help="walk a chain through its demanded sets")
+    p = actions.add_parser("zchain", help="walk a chain through its demanded sets")
     _add_in(p, help="prefix JSON file")
     p.add_argument("--z", required=True, help="comma-separated increasing values")
     p.add_argument("--za", required=True, help="label assignment JSON file")
     _add_common(p)
     p.set_defaults(func=_cmd_omega_zchain)
 
-    p = osub.add_parser("hmember", help="point membership in the carved set")
+    p = actions.add_parser("hmember", help="point membership in the carved set")
     p.add_argument("--za", required=True, help="label assignment JSON file")
     p.add_argument("--point", required=True, help="x,y")
     _add_common(p)
     p.set_defaults(func=_cmd_omega_hmember, _in_required=False)
 
+
+# (area, help, adds its actions) in the order the top-level help lists them
+_AREAS = (
+    ("types", "pattern enumeration and extension", _types_actions),
+    ("cond", "finite planar conditions", _cond_actions),
+    ("homog", "colorings and homogeneity", _homog_actions),
+    ("graph", "deterministic extension-rich graphs", _graph_actions),
+    ("sets", "planar set algebra and filter sums", _sets_actions),
+    ("omega", "prefixes of infinite patterns", _omega_actions),
+)
+
+
+def build_parser(area=None) -> argparse.ArgumentParser:
+    """The command parser.  Every area is registered with its help; only
+    ``area``'s actions are added, or every area's when ``area`` is None."""
+    parser = argparse.ArgumentParser(
+        prog="ramseybench",
+        description="workbench for finite pattern combinatorics on the plane",
+    )
+    areas = parser.add_subparsers(dest="area", required=True, metavar="AREA")
+    for name, hlp, add_actions in _AREAS:
+        sub = areas.add_parser(name, help=hlp)
+        if area in (None, name):
+            add_actions(sub.add_subparsers(dest="action", required=True, metavar="ACTION"))
     return parser
 
 
@@ -684,7 +688,9 @@ def run(argv, stdout=None, stderr=None) -> CommandResult:
     """Parse, dispatch, print.  Raises SystemExit(2) on usage errors."""
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = build_parser()
+    # The top level takes no option with a value, so its first positional
+    # argument is the area argparse will descend into.
+    parser = build_parser(next((a for a in argv if not a.startswith("-")), None))
     args = parser.parse_args(argv)
 
     if getattr(args, "_in_required", False) and not getattr(args, "infile", None):

@@ -1,0 +1,72 @@
+"""The package surface: public names and lazily loaded area modules.
+
+``import ramseybench`` registers the six area modules without running
+their bodies; a CLI call then runs only the bodies its area needs.  Each
+case starts a fresh interpreter so no earlier import hides a load.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import ramseybench
+
+REPO = Path(__file__).resolve().parent.parent
+DATA = Path(__file__).resolve().parent / "data"
+PUBLIC_NAMES = json.loads((DATA / "public_names.json").read_text())
+LAYERS = ("typecalc", "pointsets", "homogeneity", "randomgraph", "setalgebra", "omegatypes")
+
+PROBE = """
+import io, json, sys, types
+import ramseybench.cli as cli
+
+def state():
+    mods = {n: sys.modules.get("ramseybench." + n) for n in %r}
+    return {n: None if m is None else type(m) is types.ModuleType for n, m in mods.items()}
+
+before = state()
+result = cli.run(json.loads(sys.argv[1]), stdout=io.StringIO(), stderr=io.StringIO())
+print(json.dumps({"before": before, "after": state(), "exit": result.exit_code}))
+""" % (LAYERS,)
+
+
+def loads_after(argv):
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps(argv)],
+                          capture_output=True, text=True, env=env, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_public_names_still_resolve():
+    assert sorted(ramseybench.__all__) == PUBLIC_NAMES
+    namespace = {}
+    exec(f"from ramseybench import {', '.join(PUBLIC_NAMES)}", namespace)
+    for name in PUBLIC_NAMES:
+        assert namespace[name] is getattr(ramseybench, name)
+        if hasattr(namespace[name], "__module__"):
+            assert namespace[name].__module__.startswith("ramseybench.")
+    assert set(PUBLIC_NAMES) <= set(dir(ramseybench))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ramseybench.no_such_name
+
+
+@pytest.mark.parametrize("argv, doc, loaded", [
+    (["sets", "column", "--x", "2"], {"aboveDiag": True}, {"setalgebra"}),
+    (["types", "count", "--n", "3"], None, {"typecalc"}),
+    (["homog", "search", "--type", "x1<y1<x2<y2"],
+     {"n": 2, "entries": [{"subset": [[0, 1], [2, 3]], "color": 0}]},
+     {"homogeneity", "pointsets", "typecalc"}),
+])
+def test_a_call_loads_only_its_area(argv, doc, loaded, tmp_path):
+    if doc is not None:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        argv = [*argv, "--in", str(path)]
+    seen = loads_after(argv)
+    assert seen["exit"] == 0
+    assert seen["before"] == dict.fromkeys(LAYERS, False)
+    assert {n for n, done in seen["after"].items() if done} == loaded
