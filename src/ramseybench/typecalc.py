@@ -266,12 +266,28 @@ def _rank_vectors(k: int) -> tuple[tuple[int, ...], ...]:
 
     A rank vector maps position -> block index; value sets are initial
     segments {0..m-1}, so vectors and weak orders correspond one-to-one.
+    Built depth first, values ascending: a value is placed only while the
+    values missing below the largest so far fit in the positions left.
     """
     out = []
-    for vec in product(range(max(k, 1)), repeat=k):
-        values = set(vec)
-        if values == set(range(len(values))):
-            out.append(vec)
+    vec = []
+
+    def extend(used: int, top: int):
+        left = k - len(vec)
+        if not left:
+            out.append(tuple(vec))
+            return
+        for v in range(k):
+            seen = used | 1 << v
+            high = max(top, v)
+            if high + 1 - seen.bit_count() < left:
+                vec.append(v)
+                extend(seen, high)
+                vec.pop()
+            elif v > top:
+                break  # above the largest value the gaps only grow with v
+
+    extend(0, -1)
     return tuple(out)
 
 

@@ -74,14 +74,21 @@ def point_in(expr, x: int, y: int) -> bool:
     raise TypeError(f"unknown expression node: {expr!r}")
 
 
-def weak_order_count(k: int) -> int:
-    """Number of weak orders on k labeled items, counted by brute force."""
-    total = 0
-    for vec in product(range(k), repeat=k):
+def rank_vectors_filter(k: int) -> list[tuple[int, ...]]:
+    """Rank vectors of the weak orders on k positions, lexicographically:
+    every vector of ``product(range(k), repeat=k)`` whose values form an
+    initial segment {0..m-1}."""
+    out = []
+    for vec in product(range(max(k, 1)), repeat=k):
         levels = sorted(set(vec))
         if levels == list(range(len(levels))):
-            total += 1
-    return total if k else 1
+            out.append(vec)
+    return out
+
+
+def weak_order_count(k: int) -> int:
+    """Number of weak orders on k labeled items, counted by brute force."""
+    return len(rank_vectors_filter(k))
 
 
 def full_schedule(palette: int):

@@ -21,9 +21,9 @@ from ramseybench.typecalc import (
     restrict_to_initial,
     validate_ntype,
 )
-from ramseybench.typecalc import _class_problems
+from ramseybench.typecalc import _class_problems, _rank_vectors
 
-from oracles import brute_force_ntypes, weak_order_count
+from oracles import brute_force_ntypes, rank_vectors_filter, weak_order_count
 
 KNOWN_COUNTS = {1: 1, 2: 4, 3: 26, 4: 236, 5: 2752, 6: 39208}
 
@@ -53,6 +53,11 @@ def test_fubini_small_values():
 def test_fubini_matches_brute_force():
     for k in range(6):
         assert fubini(k) == weak_order_count(k)
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_rank_vectors_match_the_filter_in_order(k):
+    assert _rank_vectors(k) == tuple(rank_vectors_filter(k))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
