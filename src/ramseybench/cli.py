@@ -70,7 +70,11 @@ def _limits() -> dict:
 
 def _read_json(path: str):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            # json's decoder recurses once per nesting level
+            raise ValueError(f"{path}: JSON document nested too deeply to read") from None
 
 
 def _load_condition(path: str) -> pointsets.FiniteCondition:

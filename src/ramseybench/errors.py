@@ -1,4 +1,9 @@
-"""Exception types shared across the workbench modules."""
+"""Exception types shared across the workbench modules, and the checks
+the JSON readers share to name the path of a malformed value."""
+
+from __future__ import annotations
+
+import json
 
 
 class WorkbenchError(Exception):
@@ -35,3 +40,18 @@ class LexOrderError(WorkbenchError):
         )
         self.index = index
         self.witness = (row, next_row)
+
+
+def _natural(value, path: str) -> int:
+    # bool is an int subclass, but JSON true is not a number here
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{path}: expected a natural number, got {json.dumps(value)}")
+    return value
+
+
+def _naturals(value, path: str, size: int | None = None) -> list[int]:
+    """``value`` as a list of natural numbers, exactly ``size`` of them if given."""
+    if not isinstance(value, list) or size not in (None, len(value)):
+        what = "a list of" if size is None else f"a list of {size}"
+        raise ValueError(f"{path}: expected {what} natural numbers, got {json.dumps(value)}")
+    return [_natural(v, f"{path}[{i}]") for i, v in enumerate(value)]

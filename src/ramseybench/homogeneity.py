@@ -19,8 +19,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .errors import LexOrderError, LimitError
-from .pointsets import (FiniteCondition, Point, _keyed_subsets, _natural, _type_key,
+from .errors import LexOrderError, LimitError, _natural, _naturals
+from .pointsets import (FiniteCondition, Point, _keyed_subsets, _type_key,
                         classify_subsets, points_from_json, realized_type)
 from .typecalc import NType, count_ntypes, enumerate_ntypes, list_form
 
@@ -471,9 +471,14 @@ def grid_to_json(grid: TernaryRelationGrid) -> dict:
 
 
 def grid_from_json(doc: dict) -> TernaryRelationGrid:
-    """Ingest {"bounds": [bx, by, bz], "triples": [[x, y, z], ...]}."""
+    """Ingest {"bounds": [bx, by, bz], "triples": [[x, y, z], ...]}; malformed
+    input raises ValueError naming its JSON path, e.g. ``triples[3][1]``."""
     if not isinstance(doc, dict) or "bounds" not in doc or "triples" not in doc:
         raise ValueError("grid document needs 'bounds' and 'triples'")
-    bx, by, bz = (int(b) for b in doc["bounds"])
-    triples = frozenset((int(x), int(y), int(z)) for x, y, z in doc["triples"])
-    return TernaryRelationGrid(bx, by, bz, triples)
+    bounds = _naturals(doc["bounds"], "bounds", 3)
+    if not isinstance(doc["triples"], list):
+        raise ValueError(f"triples: expected a list of [x, y, z] triples, "
+                         f"got {json.dumps(doc['triples'])}")
+    triples = frozenset(tuple(_naturals(t, f"triples[{i}]", 3))
+                        for i, t in enumerate(doc["triples"]))
+    return TernaryRelationGrid(*bounds, triples)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import MissingLabelError
+from .errors import MissingLabelError, _natural, _naturals
 from .pointsets import FiniteCondition, Point
 from .setalgebra import FinCofin, fincofin_from_json, fincofin_to_json
 
@@ -68,16 +68,20 @@ ASSUMED_CLAUSES = (
 
 
 def _coerce_classes(classes):
+    """Classes as given, or read from JSON entries; a malformed entry
+    raises ValueError naming its path, e.g. ``classes[0].x``."""
+    if not isinstance(classes, (list, tuple)):
+        raise ValueError(f"classes: expected a list of class entries, got {classes!r}")
     out = []
-    for cls in classes:
+    for i, cls in enumerate(classes):
         if isinstance(cls, (YClass, XClass)):
             out.append(cls)
         elif isinstance(cls, dict) and set(cls) == {"y"}:
-            out.append(YClass(int(cls["y"])))
+            out.append(YClass(_natural(cls["y"], f"classes[{i}].y")))
         elif isinstance(cls, dict) and set(cls) == {"x"}:
-            out.append(XClass(frozenset(int(i) for i in cls["x"])))
+            out.append(XClass(frozenset(_naturals(cls["x"], f"classes[{i}].x"))))
         else:
-            raise ValueError(f"bad class entry: {cls!r}")
+            raise ValueError(f"classes[{i}]: bad class entry: {cls!r}")
     return tuple(out)
 
 
@@ -345,7 +349,7 @@ def prefix_from_json(doc: dict) -> OmegaTypePrefix:
 def zassignment_from_json(doc: dict) -> ZAssignment:
     if not isinstance(doc, dict):
         raise ValueError("assignment document must be an object")
-    return ZAssignment({k: fincofin_from_json(v) for k, v in doc.items()})
+    return ZAssignment({k: fincofin_from_json(v, k) for k, v in doc.items()})
 
 
 def zassignment_to_json(za: ZAssignment) -> dict:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 
-from .errors import LimitError, NoRealizedTypeError
+from .errors import LimitError, NoRealizedTypeError, _natural
 from .typecalc import NType, Symbol, _check_n, _symbol, count_ntypes, enumerate_ntypes
 
 CLAUSE_SECTIONS = "sections-disjoint"
@@ -397,13 +397,6 @@ def random_condition(rng: random.Random, n_points: int, spread: int = 4) -> Fini
 
 def condition_to_json(cond: FiniteCondition) -> list[list[int]]:
     return [[p.x, p.y] for p in cond.sorted_points]
-
-
-def _natural(value, path: str) -> int:
-    # bool is an int subclass, but JSON true is not a number here
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"{path}: expected a natural number, got {json.dumps(value)}")
-    return value
 
 
 def points_from_json(doc, where: str = "") -> list[Point]:

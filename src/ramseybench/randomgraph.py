@@ -44,9 +44,9 @@ from functools import cached_property
 from itertools import combinations, islice, permutations, product
 from math import perm
 
-from .errors import LimitError
+from .errors import LimitError, _natural
 from .homogeneity import Coloring, check_tau_homogeneous
-from .pointsets import FiniteCondition, Point, _natural
+from .pointsets import FiniteCondition, Point
 from .typecalc import parse_list_form
 
 RICH_SUBSET_BOUND = 12

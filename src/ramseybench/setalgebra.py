@@ -31,6 +31,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .errors import _natural, _naturals
+
 
 @dataclass(frozen=True)
 class FinCofin:
@@ -378,12 +380,28 @@ def fincofin_to_json(s: FinCofin) -> dict:
     return {key: sorted(s.support)}
 
 
-def fincofin_from_json(doc: dict) -> FinCofin:
-    if isinstance(doc, dict) and set(doc) == {"finite"}:
-        return FinCofin.finite(doc["finite"])
-    if isinstance(doc, dict) and set(doc) == {"cofinite"}:
-        return FinCofin.cofinite_except(doc["cofinite"])
-    raise ValueError(f"bad finite/cofinite document: {doc!r}")
+# The readers below take the JSON path of the document they read as
+# ``where`` ("" at the top) and name the path of a malformed value.
+
+def _at(where: str, key: str) -> str:
+    return f"{where}.{key}" if where else key
+
+
+def _bad(where: str, what: str, doc) -> ValueError:
+    return ValueError(f"{where + ': ' if where else ''}bad {what} document: {doc!r}")
+
+
+def _fields(doc, where: str, keys: tuple[str, ...]) -> dict:
+    if not isinstance(doc, dict) or not all(k in doc for k in keys):
+        raise ValueError(f"{where}: expected an object with keys {', '.join(keys)}, got {doc!r}")
+    return doc
+
+
+def fincofin_from_json(doc: dict, where: str = "") -> FinCofin:
+    if isinstance(doc, dict) and len(doc) == 1 and ("finite" in doc or "cofinite" in doc):
+        [(key, values)] = doc.items()
+        return FinCofin(key == "cofinite", frozenset(_naturals(values, _at(where, key))))
+    raise _bad(where, "finite/cofinite", doc)
 
 
 def planar_set_to_json(expr: PlanarSet) -> dict:
@@ -406,12 +424,20 @@ def planar_set_to_json(expr: PlanarSet) -> dict:
     raise TypeError(f"not a planar set expression: {expr!r}")
 
 
-def planar_set_from_json(doc: dict) -> PlanarSet:
+def planar_set_from_json(doc: dict, where: str = "") -> PlanarSet:
+    """Read an expression; malformed input raises ValueError naming its
+    JSON path, e.g. ``args[0].rect.x``."""
     if not isinstance(doc, dict):
-        raise ValueError(f"bad planar set document: {doc!r}")
+        raise _bad(where, "planar set", doc)
     if "op" in doc:
         op = doc["op"]
-        args = [planar_set_from_json(a) for a in doc.get("args", [])]
+        raw = doc.get("args", [])
+        if not isinstance(raw, list):
+            raise ValueError(f"{_at(where, 'args')}: expected a list, got {raw!r}")
+        # a loop, not a comprehension: one frame per nesting level
+        args = []
+        for i, arg in enumerate(raw):
+            args.append(planar_set_from_json(arg, f"{_at(where, 'args')}[{i}]"))
         if op == "union":
             return Union(tuple(args))
         if op == "intersection":
@@ -422,24 +448,30 @@ def planar_set_from_json(doc: dict) -> PlanarSet:
             return Complement(args[0])
         raise ValueError(f"unknown operator {op!r}")
     if "points" in doc:
-        return FinitePoints(frozenset((x, y) for x, y in doc["points"]))
+        where = _at(where, "points")
+        if not isinstance(doc["points"], list):
+            raise ValueError(f"{where}: expected a list of [x, y] pairs, got {doc['points']!r}")
+        return FinitePoints(frozenset(tuple(_naturals(p, f"{where}[{i}]", 2))
+                                      for i, p in enumerate(doc["points"])))
     if "rect" in doc:
-        return Rect(fincofin_from_json(doc["rect"]["x"]),
-                    fincofin_from_json(doc["rect"]["y"]))
+        rect = _fields(doc["rect"], _at(where, "rect"), ("x", "y"))
+        return Rect(fincofin_from_json(rect["x"], _at(where, "rect.x")),
+                    fincofin_from_json(rect["y"], _at(where, "rect.y")))
     if "aboveDiag" in doc:
         return AboveDiag()
     if "column" in doc:
-        return Column(int(doc["column"]["x"]),
-                      fincofin_from_json(doc["column"]["content"]))
-    raise ValueError(f"bad planar set document: {doc!r}")
+        column = _fields(doc["column"], _at(where, "column"), ("x", "content"))
+        return Column(_natural(column["x"], _at(where, "column.x")),
+                      fincofin_from_json(column["content"], _at(where, "column.content")))
+    raise _bad(where, "planar set", doc)
 
 
-def standin_from_json(doc: dict) -> FilterStandIn:
+def standin_from_json(doc: dict, where: str = "") -> FilterStandIn:
     if isinstance(doc, dict) and set(doc) == {"frechet"} and doc["frechet"]:
         return Frechet()
     if isinstance(doc, dict) and set(doc) == {"principal"}:
-        return Principal(int(doc["principal"]))
-    raise ValueError(f"bad stand-in document: {doc!r}")
+        return Principal(_natural(doc["principal"], _at(where, "principal")))
+    raise _bad(where, "stand-in", doc)
 
 
 def standin_to_json(s: FilterStandIn) -> dict:
@@ -451,8 +483,13 @@ def standin_to_json(s: FilterStandIn) -> dict:
 def sequence_from_json(doc: dict) -> StandInSequence:
     if not isinstance(doc, dict) or "default" not in doc:
         raise ValueError("stand-in sequence document needs 'default'")
-    exceptions = tuple(
-        (int(k), standin_from_json(v))
-        for k, v in doc.get("exceptions", {}).items()
-    )
-    return StandInSequence(standin_from_json(doc["default"]), exceptions)
+    raw = doc.get("exceptions", {})
+    if not isinstance(raw, dict):
+        raise ValueError(f"exceptions: expected an object from indices to stand-ins, got {raw!r}")
+    exceptions = []
+    for key, value in raw.items():
+        where = f"exceptions.{key}"
+        if not (key.isascii() and key.isdigit()):
+            raise ValueError(f"{where}: the index must be a natural number")
+        exceptions.append((int(key), standin_from_json(value, where)))
+    return StandInSequence(standin_from_json(doc["default"], "default"), tuple(exceptions))

@@ -653,6 +653,141 @@ def test_omega_hmember(files):
     assert payload["member"] is True
 
 
+# ------------------------------------------------------------------ malformed documents
+# Set-algebra, prefix and grid readers; each action reads its file options
+# from the valid ``files`` except the one given the malformed document.
+
+READERS = {
+    "sets column": (["sets", "column", "--x", "1"], {"--in": "expr"}),
+    "sets tail": (["sets", "tail"], {"--in": "expr"}),
+    "sets fr2": (["sets", "fr2"], {"--in": "expr"}),
+    "sets meets": (["sets", "meets"], {"--in": "expr"}),
+    "sets sum": (["sets", "sum"], {"--in": "expr", "--u": "frechet", "--seq": "seq"}),
+    "sets image": (["sets", "image"], {"--in": "bset", "--u": "frechet", "--seq": "seq"}),
+    "omega phi": (["omega", "phi", "--z", "0,1,2"], {"--in": "prefix"}),
+    "omega assignd": (["omega", "assignd", "--s", "7"], {"--in": "prefix"}),
+    "omega zchain": (["omega", "zchain", "--z", "0,5,9"], {"--in": "prefix", "--za": "za"}),
+    "omega hmember": (["omega", "hmember", "--point", "0,6"], {"--za": "za"}),
+    "homog extract-s": (["homog", "extract-s"], {"--in": "grid", "--cond": "gridcond"}),
+}
+EXPRESSION_READERS = ("sets column", "sets tail", "sets fr2", "sets meets", "sets sum")
+PREFIX_READERS = ("omega phi", "omega assignd", "omega zchain")
+ZA_READERS = ("omega zchain", "omega hmember")
+STANDIN_READERS = ("sets sum", "sets image")
+DEEP = '{"op": "complement", "args": [' * 600 + '{"aboveDiag": true}' + "]}" * 600
+FILE = object()  # the error names the file, not a path inside it
+NOTHING = {"finite": []}
+
+# (actions, option, document, the start of the error message)
+MALFORMED = [
+    (EXPRESSION_READERS, "--in", {"rect": [1, 2]}, "rect:"),
+    (EXPRESSION_READERS, "--in", {"rect": {"x": NOTHING}}, "rect:"),
+    (EXPRESSION_READERS, "--in", {"rect": {"x": {"finite": [True]}, "y": NOTHING}},
+     "rect.x.finite[0]:"),
+    (EXPRESSION_READERS, "--in", {"rect": {"x": {"cofinite": None}, "y": NOTHING}},
+     "rect.x.cofinite:"),
+    (EXPRESSION_READERS, "--in", {"column": 3}, "column:"),
+    (EXPRESSION_READERS, "--in", {"column": {"x": [1], "content": NOTHING}}, "column.x:"),
+    (EXPRESSION_READERS, "--in", {"column": {"x": -1, "content": NOTHING}}, "column.x:"),
+    (EXPRESSION_READERS, "--in", {"column": {"x": 1, "content": [1]}}, "column.content:"),
+    (EXPRESSION_READERS, "--in", {"points": [1]}, "points[0]:"),
+    (EXPRESSION_READERS, "--in", {"points": [[1, 2, 3]]}, "points[0]:"),
+    (EXPRESSION_READERS, "--in", {"points": [[1, True]]}, "points[0][1]:"),
+    (EXPRESSION_READERS, "--in", {"points": 5}, "points:"),
+    (EXPRESSION_READERS, "--in", {"op": "union", "args": 3}, "args:"),
+    (EXPRESSION_READERS, "--in",
+     {"op": "union", "args": [{"aboveDiag": True}, {"op": "complement", "args": [
+         {"column": {"x": 0, "content": {"finite": ["0"]}}}]}]},
+     "args[1].args[0].column.content.finite[0]:"),
+    (EXPRESSION_READERS, "--in", DEEP, FILE),
+    (("sets image",), "--in", {"cofinite": None}, "cofinite:"),
+    (("sets image",), "--in", {"finite": [1, True]}, "finite[1]:"),
+    (STANDIN_READERS, "--u", {"principal": [1]}, "principal:"),
+    (STANDIN_READERS, "--u", {"principal": True}, "principal:"),
+    (STANDIN_READERS, "--seq", {"default": {"frechet": True}, "exceptions": 3}, "exceptions:"),
+    (STANDIN_READERS, "--seq", {"default": {"frechet": True}, "exceptions": {"x": NOTHING}},
+     "exceptions.x:"),
+    (STANDIN_READERS, "--seq",
+     {"default": {"frechet": True}, "exceptions": {"2": {"principal": "2"}}},
+     "exceptions.2.principal:"),
+    (STANDIN_READERS, "--seq", {"default": {"principal": None}}, "default.principal:"),
+    (STANDIN_READERS, "--seq", "[" * 2000 + "]" * 2000, FILE),
+    (PREFIX_READERS, "--in", {"classes": 5}, "classes:"),
+    (PREFIX_READERS, "--in", {"classes": [{"x": 1}]}, "classes[0].x:"),
+    (PREFIX_READERS, "--in", {"classes": [{"y": [1]}]}, "classes[0].y:"),
+    (PREFIX_READERS, "--in", {"classes": [{"x": [1]}, {"y": True}]}, "classes[1].y:"),
+    (PREFIX_READERS, "--in", {"classes": [{"x": [1, None]}, {"y": 1}]}, "classes[0].x[1]:"),
+    (PREFIX_READERS, "--in", {"classes": [{"z": [1]}]}, "classes[0]:"),
+    (ZA_READERS, "--za", {"U": {"cofinite": None}}, "U.cofinite:"),
+    (ZA_READERS, "--za", {"U": {"finite": [True]}}, "U.finite[0]:"),
+    (("homog extract-s",), "--in", {"bounds": 5, "triples": []}, "bounds:"),
+    (("homog extract-s",), "--in", {"bounds": [True, 9, 2], "triples": []}, "bounds[0]:"),
+    (("homog extract-s",), "--in", {"bounds": [3, 11], "triples": []}, "bounds:"),
+    (("homog extract-s",), "--in", {"bounds": [3, 11, 3], "triples": 5}, "triples:"),
+    (("homog extract-s",), "--in",
+     {"bounds": [3, 11, 3], "triples": [[0, 4, 0], [0, 5, 0], [0, 8, 0], [0, "4", 2]]},
+     "triples[3][1]:"),
+    (("homog extract-s",), "--in", {"bounds": [3, 11, 3], "triples": [[0, 4]]}, "triples[0]:"),
+    (("homog extract-s",), "--in", {"bounds": [3, 11, 3], "triples": [[0, 4, 1.5]]},
+     "triples[0][2]:"),
+]
+
+
+def _reader_argv(files, action, option, bad):
+    argv, inputs = READERS[action]
+    argv = list(argv)
+    for opt, key in inputs.items():
+        argv += [opt, str(bad if opt == option else files[key])]
+    return argv
+
+
+@pytest.mark.parametrize("action", READERS)
+def test_reader_actions_succeed_on_the_valid_files(files, action):
+    result, out, err = invoke(_reader_argv(files, action, None, None))
+    assert result.exit_code == 0, err
+    conforms(action.replace(" ", "."), json.loads(out))
+
+
+@pytest.mark.parametrize("action, option, doc, start", [
+    pytest.param(action, option, doc, start, id=f"{action} {option} #{i}")
+    for i, (actions, option, doc, start) in enumerate(MALFORMED) for action in actions])
+def test_malformed_documents_name_their_path(files, action, option, doc, start):
+    bad = files["dir"] / "malformed.json"
+    bad.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    result, out, err = invoke(_reader_argv(files, action, option, bad))
+    assert result.exit_code == 1 and out == ""
+    payload = json.loads(err)
+    conforms("error", payload)
+    assert payload["kind"] == "ValueError"
+    assert payload["error"].startswith(f"{bad}: " if start is FILE else start)
+
+
+READER_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 12) | st.floats(allow_nan=False)
+    | st.text(max_size=3) | st.sampled_from(["union", "intersection", "complement"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(
+        ["op", "args", "points", "rect", "column", "aboveDiag", "x", "y", "content", "finite",
+         "cofinite", "classes", "bounds", "triples", "principal", "frechet", "default",
+         "exceptions", "U", "3"]), inner, max_size=3),
+    max_leaves=14)
+
+
+@settings(max_examples=150, deadline=None)
+@given(READER_JUNK, st.sampled_from(sorted(
+    {(action, option) for actions, option, _, _ in MALFORMED for action in actions})))
+def test_junk_reader_documents_succeed_or_fail_with_the_error_payload(
+        files, doc, action_option):
+    action, option = action_option
+    bad = files["dir"] / "junk.json"
+    bad.write_text(json.dumps(doc))
+    result, out, err = invoke(_reader_argv(files, action, option, bad))
+    if result.exit_code == 0:
+        conforms(action.replace(" ", "."), json.loads(out))
+    else:
+        assert result.exit_code == 1 and out == ""
+        conforms("error", json.loads(err))
+
+
 # ------------------------------------------------------------------ envelope
 
 def test_usage_error_exits_2():
