@@ -431,13 +431,13 @@ def planar_set_from_json(doc: dict, where: str = "") -> PlanarSet:
         raise _bad(where, "planar set", doc)
     if "op" in doc:
         op = doc["op"]
-        raw = doc.get("args", [])
+        raw, at = doc.get("args", []), _at(where, "args")
         if not isinstance(raw, list):
-            raise ValueError(f"{_at(where, 'args')}: expected a list, got {raw!r}")
+            raise ValueError(f"{at}: expected a list, got {raw!r}")
         # a loop, not a comprehension: one frame per nesting level
         args = []
         for i, arg in enumerate(raw):
-            args.append(planar_set_from_json(arg, f"{_at(where, 'args')}[{i}]"))
+            args.append(planar_set_from_json(arg, f"{at}[{i}]"))
         if op == "union":
             return Union(tuple(args))
         if op == "intersection":
@@ -448,11 +448,11 @@ def planar_set_from_json(doc: dict, where: str = "") -> PlanarSet:
             return Complement(args[0])
         raise ValueError(f"unknown operator {op!r}")
     if "points" in doc:
-        where = _at(where, "points")
-        if not isinstance(doc["points"], list):
-            raise ValueError(f"{where}: expected a list of [x, y] pairs, got {doc['points']!r}")
-        return FinitePoints(frozenset(tuple(_naturals(p, f"{where}[{i}]", 2))
-                                      for i, p in enumerate(doc["points"])))
+        raw, at = doc["points"], _at(where, "points")
+        if not isinstance(raw, list):
+            raise ValueError(f"{at}: expected a list of [x, y] pairs, got {raw!r}")
+        return FinitePoints(frozenset(tuple(_naturals(p, f"{at}[{i}]", 2))
+                                      for i, p in enumerate(raw)))
     if "rect" in doc:
         rect = _fields(doc["rect"], _at(where, "rect"), ("x", "y"))
         return Rect(fincofin_from_json(rect["x"], _at(where, "rect.x")),
