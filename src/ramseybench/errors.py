@@ -1,8 +1,6 @@
 """Exception types shared across the workbench modules, and the checks
 the JSON readers share to name the path of a malformed value."""
 
-from __future__ import annotations
-
 import json
 
 
