@@ -1,22 +1,10 @@
 """Workbench for finite pattern combinatorics on the natural-number plane.
 
-Six areas, each its own module, plus the `ramseybench` command (cli):
-
-- typecalc: canonical n-types, enumeration, counting, extension recipes.
-- pointsets: finite planar conditions, realized types, realizer search,
-  and growth by type completion.
-- homogeneity: colorings of point subsets, homogeneous-subset search, the
-  weak pigeonhole floor, lexicographic stabilization, slice extraction.
-- randomgraph: extension-rich graphs, larger palettes, and the demos tying
-  graph adjacency to column colorings.
-- setalgebra: finite/cofinite sets, planar set expressions, column
-  sections, tail forms, and filter stand-in sums.
-- omegatypes: finite prefixes of infinite patterns and the chain
-  discipline that carves planar sets.
-
-Each area module is registered lazily: it sits in ``sys.modules`` from
-``import ramseybench`` on, and runs its body on first attribute access,
-so a command pays only for the areas it uses.  The names below are
+Six area modules (typecalc, pointsets, homogeneity, randomgraph,
+setalgebra, omegatypes) and the `ramseybench` command (cli).  Each area
+is registered lazily: it sits in ``sys.modules`` from ``import
+ramseybench`` on and runs its body on first attribute access, so a
+command pays only for the areas it uses.  The public names below are
 served from their area on first use.
 """
 
