@@ -27,7 +27,7 @@ import sys
 from dataclasses import dataclass, field
 
 from . import homogeneity, omegatypes, pointsets, randomgraph, setalgebra, typecalc
-from .errors import WorkbenchError
+from .errors import WorkbenchError, _natural
 
 LIMITS_ENV = "NBT_WORKBENCH_LIMITS"
 # Defaults live with their handlers, so parsing the limits loads no area.
@@ -62,9 +62,7 @@ def _limits() -> dict:
             raise ValueError(
                 f"{LIMITS_ENV}: unknown key {key!r} (known: {sorted(_LIMIT_KEYS)})"
             )
-        if not isinstance(value, int) or value < 0:
-            raise ValueError(f"{LIMITS_ENV}: {key} must be a natural number")
-        limits[key] = value
+        limits[key] = _natural(value, f"{LIMITS_ENV}.{key}")
     return limits
 
 

@@ -18,13 +18,17 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import comb
 
 from .errors import LexOrderError, LimitError, _natural, _naturals
-from .pointsets import (FiniteCondition, Point, _keyed_subsets, _type_key,
-                        classify_subsets, points_from_json, realized_type)
+from .pointsets import (CLASSIFY_BOUND, FiniteCondition, Point, _keyed_subsets,
+                        _type_key, classify_subsets, points_from_json, realized_type)
 from .typecalc import NType, count_ntypes, enumerate_ntypes, list_form
 
-EXHAUSTIVE_SEARCH_BOUND = 16
+# Exact search is exponential in the ground size.  In process on an Intel
+# Xeon (Python 3.11), the slowest seeded planted or uniform 2- or
+# 3-colouring took 0.51 s at 24 points and 1.18 s at 25 (CHANGES.md).
+EXHAUSTIVE_SEARCH_BOUND = 24
 
 STABLE_1 = "stable-1"
 STABLE_0 = "stable-0"
@@ -150,11 +154,15 @@ def search_homogeneous(coloring: Coloring, tau: NType, min_size: int = 0,
                        bound: int = EXHAUSTIVE_SEARCH_BOUND) -> SearchResult:
     """Find a large H in the ground with the tau-realizers monochromatic.
 
-    Exact mode scans subsets by descending size and returns a maximum-size
-    answer, ties broken by lexicographically least sorted point list; it
-    refuses grounds larger than ``bound`` before any work.  Greedy mode
-    removes the most conflicted point until homogeneous, re-adds what it
-    can, and makes no optimality claim.
+    Exact mode returns a maximum-size answer, ties broken by the
+    lexicographically least sorted point list, found by branch and bound
+    (``_max_homogeneous``); it refuses grounds larger than ``bound``
+    before any work.  Its ``subsets_checked`` is the number of subsets a
+    scan by descending size, each size in lexicographic order, checks up
+    to and including the answer.  Greedy mode removes the most conflicted
+    point until homogeneous, re-adds what it can, and makes no optimality
+    claim; it refuses grounds with more than CLASSIFY_BOUND n-subsets
+    before any work.
     """
     if mode not in ("exact", "greedy"):
         raise ValueError(f"mode must be 'exact' or 'greedy', got {mode!r}")
@@ -165,26 +173,27 @@ def search_homogeneous(coloring: Coloring, tau: NType, min_size: int = 0,
             f"exhaustive search refused: ground has {m} points, bound is "
             f"{bound}; pass mode='greedy' or raise the bound"
         )
+    if mode == "greedy" and (count := comb(m, coloring.n)) > CLASSIFY_BOUND:
+        raise LimitError(
+            f"greedy search refused: {m} points have {count} "
+            f"{coloring.n}-subsets, the bound is {CLASSIFY_BOUND}"
+        )
     realizers = _realizer_table(coloring, tau, ground_pts)
 
     if mode == "exact":
-        checked = 0
-        for size in range(m, -1, -1):
-            for combo in combinations(range(m), size):
-                checked += 1
-                mask = _mask(combo)
-                ok, color = _mono(realizers, mask)
-                if ok:
-                    pts = tuple(ground_pts[i] for i in combo)
-                    return SearchResult(
-                        points=tuple(sorted(pts, key=lambda p: p.y)),
-                        color=color,
-                        size=size,
-                        met_min_size=size >= min_size,
-                        exact=True,
-                        stats={"mode": "exact", "subsets_checked": checked},
-                    )
-        raise AssertionError("unreachable: the empty subset is homogeneous")
+        mask = _max_homogeneous(realizers, m)
+        combo = [i for i in range(m) if mask >> i & 1]
+        # the first coloured realizer in table order names the colour,
+        # as the scan reported it (1, 1.0 and True are equal colours)
+        _, color = _mono(realizers, mask)
+        return SearchResult(
+            points=tuple(sorted((ground_pts[i] for i in combo), key=lambda p: p.y)),
+            color=color,
+            size=len(combo),
+            met_min_size=len(combo) >= min_size,
+            exact=True,
+            stats={"mode": "exact", "subsets_checked": _scan_count(m, combo)},
+        )
 
     keep = set(range(m))
     removed: list[int] = []
@@ -212,6 +221,57 @@ def search_homogeneous(coloring: Coloring, tau: NType, min_size: int = 0,
         exact=False,
         stats={"mode": "greedy", "removed": len(removed)},
     )
+
+
+def _max_homogeneous(realizers, m: int) -> int:
+    """Bitmask of the lexicographically least largest index set whose
+    coloured realizers share one colour.
+
+    Include-first depth-first search over the indices 0..m-1: index j
+    may join only if every coloured realizer with top index j inside the
+    new set agrees with the colour fixed so far.  A branch is cut once
+    it cannot beat the best set found, and only a strictly larger set
+    replaces it, so the first largest set found is the least.
+    """
+    buckets: list[list[tuple[int, object]]] = [[] for _ in range(m)]
+    for sub, c in realizers:
+        if c is not None:
+            top = sub.bit_length() - 1
+            buckets[top].append((sub ^ 1 << top, c))
+    best_mask = best_size = 0
+    # frames (next index to try, set, its size, its colour); a loop, not
+    # recursion, so a raised bound cannot exhaust the interpreter's stack
+    stack = [(0, 0, 0, None)]
+    while stack:
+        j, mask, size, color = stack.pop()
+        if size > best_size:
+            best_mask, best_size = mask, size
+        while j < m and size + m - j > best_size:
+            c = color
+            for rest, rc in buckets[j]:
+                if rest & mask == rest:
+                    if c is None:
+                        c = rc
+                    elif rc != c:
+                        break
+            else:
+                stack.append((j + 1, mask, size, color))  # then without j
+                stack.append((j + 1, mask | 1 << j, size + 1, c))  # with j first
+                break
+            j += 1
+    return best_mask
+
+
+def _scan_count(m: int, combo) -> int:
+    """Subsets of range(m) a scan by descending size, each size in
+    lexicographic order, visits up to and including the sorted ``combo``."""
+    k = len(combo)
+    count = sum(comb(m, s) for s in range(k + 1, m + 1)) + 1
+    prev = -1
+    for j, c in enumerate(combo):
+        count += sum(comb(m - 1 - v, k - 1 - j) for v in range(prev + 1, c))
+        prev = c
+    return count
 
 
 def _realizer_table(coloring: Coloring, tau: NType, ground_pts) -> list[tuple[int, object]]:
@@ -436,16 +496,25 @@ def coloring_from_json(doc: dict, ground: FiniteCondition | None = None,
 
 def coloring_from_csv(path: str, ground: FiniteCondition | None = None,
                       partial: bool = False) -> Coloring:
-    """Ingest CSV rows x1,y1,...,xn,yn,color (no header)."""
+    """Ingest CSV rows x1,y1,...,xn,yn,color (no header).
+
+    A coordinate that is not a natural number in plain digits raises
+    ValueError naming its row (line) and column, both counted from 1.
+    """
     table = {}
     pts: set[Point] = set()
     n = None
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row:
                 continue
             if len(row) % 2 != 1 or len(row) < 3:
                 raise ValueError(f"bad coloring row (want 2n coords + color): {row}")
+            for col, v in enumerate(row[:-1], 1):
+                if not (v.isascii() and v.isdigit()):
+                    raise ValueError(f"row {reader.line_num}, column {col}: "
+                                     f"expected a natural number, got {v!r}")
             coords = [int(v) for v in row[:-1]]
             if n is None:
                 n = len(coords) // 2

@@ -20,10 +20,13 @@ count of the same patterns, used as a cross-check.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, product
 from math import comb
+
+from .errors import _natural
 
 MAX_N = 6  # enumeration is exhaustive; counts explode well before this hurts
 
@@ -46,6 +49,8 @@ class Symbol:
 
     @classmethod
     def parse(cls, text: str) -> "Symbol":
+        if not isinstance(text, str):
+            raise ValueError(f"cannot parse symbol {text!r}")
         text = text.strip()
         if len(text) < 2 or text[0] not in ("x", "y") or not text[1:].isdigit():
             raise ValueError(f"cannot parse symbol {text!r}")
@@ -445,9 +450,23 @@ def ntype_to_json(t: NType) -> dict:
 
 
 def ntype_from_json(doc: dict) -> NType:
+    """Ingest {"n": 2, "classes": [["x1", "x2"], ["y1"], ["y2"]]}; malformed
+    input raises ValueError naming its JSON path, e.g. ``classes[0][1]``."""
     if not isinstance(doc, dict) or "n" not in doc or "classes" not in doc:
         raise ValueError("pattern document needs 'n' and 'classes'")
-    classes = tuple(
-        frozenset(Symbol.parse(name) for name in cls) for cls in doc["classes"]
-    )
-    return NType(int(doc["n"]), classes)
+    n = _natural(doc["n"], "n")
+    if not isinstance(doc["classes"], list):
+        raise ValueError(f"classes: expected a list of symbol lists, "
+                         f"got {json.dumps(doc['classes'])}")
+    classes = []
+    for i, cls in enumerate(doc["classes"]):
+        if not isinstance(cls, list):
+            raise ValueError(f"classes[{i}]: expected a list of symbols, got {json.dumps(cls)}")
+        symbols = []
+        for j, name in enumerate(cls):
+            try:
+                symbols.append(Symbol.parse(name))
+            except ValueError as exc:
+                raise ValueError(f"classes[{i}][{j}]: {exc}") from None
+        classes.append(frozenset(symbols))
+    return NType(n, tuple(classes))

@@ -293,3 +293,25 @@ def tau_check_scan(subset, coloring, tau: NType):
     colors = {coloring.color_of(combo) for combo in realizers} - {None}
     color = next(iter(colors)) if len(colors) == 1 else None
     return len(colors) <= 1, color, len(realizers), not colors
+
+
+def exact_search_scan(coloring, tau: NType, min_size: int = 0):
+    """(points, color, size, met_min_size, stats) of exact homogeneous
+    search, by the scan exact search made before branch and bound: every
+    subset of the (x, y)-sorted ground by descending size, each size in
+    lexicographic order of index tuples, until one carries coloured
+    realizers of one colour; the colour is that of its first coloured
+    realizer in the table's order."""
+    ground = tuple(sorted(coloring.ground.points))
+    table = tau_realizer_table(coloring, tau)
+    checked = 0
+    for size in range(len(ground), -1, -1):
+        for combo in combinations(range(len(ground)), size):
+            checked += 1
+            mask = sum(1 << i for i in combo)
+            colors = [c for sub, c in table if sub & mask == sub and c is not None]
+            if not any(c != colors[0] for c in colors[1:]):
+                pts = tuple(sorted((ground[i] for i in combo), key=lambda p: p.y))
+                return (pts, colors[0] if colors else None, size, size >= min_size,
+                        {"mode": "exact", "subsets_checked": checked})
+    raise AssertionError("unreachable: the empty subset is homogeneous")

@@ -296,6 +296,11 @@ def test_malformed_condition_documents_are_domain_errors(files, doc, path, actio
 # ------------------------------------------------------------------ homog
 
 PAIR = [[0, 1], [0, 2]]
+COLORING_READERS = [
+    ["homog", "check", "--type", "x1=x2<y1<y2"],
+    ["homog", "search", "--type", "x1=x2<y1<y2"],
+    ["homog", "search", "--type", "x1=x2<y1<y2", "--mode", "greedy"],
+]
 
 
 @pytest.mark.parametrize("doc, path", [
@@ -322,11 +327,7 @@ PAIR = [[0, 1], [0, 2]]
     ({"n": 2, "entries": [{"subset": PAIR, "color": [1]}]}, "entries[0].color:"),
     ({"n": 2, "entries": [{"subset": PAIR, "color": {"c": 1}}]}, "entries[0].color:"),
 ])
-@pytest.mark.parametrize("action", [
-    ["homog", "check", "--type", "x1=x2<y1<y2"],
-    ["homog", "search", "--type", "x1=x2<y1<y2"],
-    ["homog", "search", "--type", "x1=x2<y1<y2", "--mode", "greedy"],
-])
+@pytest.mark.parametrize("action", COLORING_READERS)
 def test_malformed_coloring_documents_are_domain_errors(files, doc, path, action):
     cpath = files["dir"] / "bad_coloring.json"
     cpath.write_text(json.dumps(doc))
@@ -336,6 +337,32 @@ def test_malformed_coloring_documents_are_domain_errors(files, doc, path, action
     conforms("error", payload)
     assert payload["kind"] == "ValueError"
     assert payload["error"].startswith(path)
+
+
+@pytest.mark.parametrize("text, start", [
+    ("0,1,0,2,0\n-3,1,0,2,0\n", "row 2, column 1:"),
+    ("0,1, 3,5,0\n", "row 1, column 3:"),
+    ("0,1,0,2 ,0\n", "row 1, column 4:"),
+    ("x,1,0,2,0\n", "row 1, column 1:"),
+    ("0,1.5,0,2,0\n", "row 1, column 2:"),
+    ("0,1,0,\u00b2,0\n", "row 1, column 4:"),
+    ("0,1,0,,0\n", "row 1, column 4:"),
+    ("0,1,0,2,0\n\n0,1,3,x,0\n", "row 3, column 4:"),
+    ("0,1,0,2\n", "bad coloring row"),
+    ("0,1\n", "bad coloring row"),
+    ("0,1,0,2,0\n0,1,0,2,3,5,0\n", "coloring rows disagree on subset size"),
+    ("\n\n", "empty coloring file"),
+])
+@pytest.mark.parametrize("action", COLORING_READERS)
+def test_malformed_coloring_csv_files_are_domain_errors(files, text, start, action):
+    cpath = files["dir"] / "bad_coloring.csv"
+    cpath.write_text(text, encoding="utf-8")
+    result, out, err = invoke([*action, "--csv", str(cpath)])
+    assert result.exit_code == 1 and out == ""
+    payload = json.loads(err)
+    conforms("error", payload)
+    assert payload["kind"] == "ValueError"
+    assert payload["error"].startswith(start)
 
 
 @pytest.mark.parametrize("entry, key", [({"subset": PAIR}, "color"),
@@ -442,7 +469,8 @@ def test_homog_search_respects_limit_env(files, monkeypatch):
 
 
 @pytest.mark.parametrize("raw", ["{not json", '{"search": -1}', '{"walk": 5}',
-                                 '{"search": 2.5}', "[3]"])
+                                 '{"search": 2.5}', "[3]", '{"search": true}',
+                                 '{"rich": false}'])
 def test_invalid_limits_env_is_a_domain_error(raw, monkeypatch):
     monkeypatch.setenv(cli.LIMITS_ENV, raw)
     result, out, err = invoke(["types", "count", "--n", "2"])
@@ -658,6 +686,8 @@ def test_omega_hmember(files):
 # from the valid ``files`` except the one given the malformed document.
 
 READERS = {
+    "types extend": (["types", "extend"], {"--in": "ntype"}),
+    "types insert": (["types", "insert"], {"--in": "ntype"}),
     "sets column": (["sets", "column", "--x", "1"], {"--in": "expr"}),
     "sets tail": (["sets", "tail"], {"--in": "expr"}),
     "sets fr2": (["sets", "fr2"], {"--in": "expr"}),
@@ -670,6 +700,7 @@ READERS = {
     "omega hmember": (["omega", "hmember", "--point", "0,6"], {"--za": "za"}),
     "homog extract-s": (["homog", "extract-s"], {"--in": "grid", "--cond": "gridcond"}),
 }
+TYPE_READERS = ("types extend", "types insert")
 EXPRESSION_READERS = ("sets column", "sets tail", "sets fr2", "sets meets", "sets sum")
 PREFIX_READERS = ("omega phi", "omega assignd", "omega zchain")
 ZA_READERS = ("omega zchain", "omega hmember")
@@ -730,6 +761,12 @@ MALFORMED = [
     (("homog extract-s",), "--in", {"bounds": [3, 11, 3], "triples": [[0, 4]]}, "triples[0]:"),
     (("homog extract-s",), "--in", {"bounds": [3, 11, 3], "triples": [[0, 4, 1.5]]},
      "triples[0][2]:"),
+    (TYPE_READERS, "--in", {"n": 2, "classes": 5}, "classes:"),
+    (TYPE_READERS, "--in", {"n": 2, "classes": [[5]]}, "classes[0][0]:"),
+    (TYPE_READERS, "--in", {"n": 2, "classes": [["x1"], "y1"]}, "classes[1]:"),
+    (TYPE_READERS, "--in", {"n": 2, "classes": [["x1", "z1"]]}, "classes[0][1]:"),
+    (TYPE_READERS, "--in", {"n": True, "classes": [["x1"], ["y1"]]}, "n:"),
+    (TYPE_READERS, "--in", {"n": "2", "classes": [["x1"], ["y1"], ["x2"], ["y2"]]}, "n:"),
 ]
 
 
@@ -768,7 +805,7 @@ READER_JUNK = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(
         ["op", "args", "points", "rect", "column", "aboveDiag", "x", "y", "content", "finite",
          "cofinite", "classes", "bounds", "triples", "principal", "frechet", "default",
-         "exceptions", "U", "3"]), inner, max_size=3),
+         "exceptions", "U", "3", "n"]), inner, max_size=3),
     max_leaves=14)
 
 

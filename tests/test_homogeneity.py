@@ -29,6 +29,7 @@ from ramseybench.homogeneity import (
 from ramseybench.pointsets import (
     FiniteCondition,
     Point,
+    classify_subsets,
     extend_with_realizers,
     random_condition,
 )
@@ -148,23 +149,56 @@ def test_search_exact_respects_min_size_flag():
 
 def test_search_exact_refuses_large_ground():
     rng = random.Random(0)
-    big = random_condition(rng, 17)
+    big = random_condition(rng, homogeneity.EXHAUSTIVE_SEARCH_BOUND + 1)
     coloring = realized_type_coloring(big, 2)
     with pytest.raises(LimitError):
         search_homogeneous(coloring, TIED, mode="exact")
     # explicit bound raise lets it through
-    search_homogeneous(coloring, TIED, mode="exact", bound=17)
+    search_homogeneous(coloring, TIED, mode="exact",
+                       bound=homogeneity.EXHAUSTIVE_SEARCH_BOUND + 1)
 
 
 def test_search_exact_refuses_before_reading_any_color():
     calls = []
-    big = random_condition(random.Random(0), 17)
+    big = random_condition(random.Random(0), homogeneity.EXHAUSTIVE_SEARCH_BOUND + 1)
     coloring = Coloring.from_rule(big, 2, lambda pts: calls.append(pts) or 0)
     with pytest.raises(LimitError):
         search_homogeneous(coloring, SPLIT, mode="exact")
     assert calls == []
     search_homogeneous(coloring, SPLIT, mode="greedy")
     assert calls
+
+
+def test_search_exact_takes_a_raised_bound_past_the_recursion_limit():
+    # one colour throughout: the whole ground is the answer, found on the
+    # first path, one step per point
+    big = random_condition(random.Random(0), 1100)
+    coloring = Coloring.from_rule(big, 2, lambda pts: 0)
+    result = search_homogeneous(coloring, TIED, mode="exact", bound=1100)
+    assert result.size == 1100 and result.stats["subsets_checked"] == 1
+
+
+def test_search_greedy_refuses_before_reading_any_color():
+    # C(183, 3) = 1,004,731 3-subsets, above CLASSIFY_BOUND
+    calls = []
+    big = random_condition(random.Random(0), 183)
+    coloring = Coloring.from_rule(big, 3, lambda pts: calls.append(pts) or 0)
+    with pytest.raises(LimitError, match="greedy search refused"):
+        search_homogeneous(coloring, parse_list_form("x1<x2<x3<y1<y2<y3"), mode="greedy")
+    assert calls == []
+
+
+def test_search_exact_reports_the_scans_color_among_equal_colors():
+    # a column of six points: every pair realizes TIED.  The realizer
+    # (0, 5) comes first in table order but completes last in the search.
+    ground = cond(*((0, y) for y in range(1, 7)))
+    index = {p: i for i, p in enumerate(sorted(ground.points))}
+    colors = {(0, 5): 1.0, (1, 2): 1}
+    coloring = Coloring.from_rule(
+        ground, 2, lambda pts: colors.get(tuple(sorted(index[p] for p in pts))))
+    result = search_homogeneous(coloring, TIED, mode="exact")
+    assert result.size == 6
+    assert result.color == 1 and isinstance(result.color, float)
 
 
 def test_search_greedy_always_returns_homogeneous_subset():
@@ -229,6 +263,59 @@ def test_realizer_tables_match_per_subset_oracle(seed, n):
 def test_realizer_tables_match_oracle_on_hypothesis_colorings(seed, size, n):
     rng = random.Random(seed)
     assert_tables_match_oracle(random_coloring(rng, size, n), rng)
+
+
+SEARCH_COLORS = [None, 0, 1, 1.0, True, "a"]
+UNCOLORED = object()  # no table entry: the subset is outside a partial coloring
+
+
+def assert_search_matches_scan(coloring, tau, min_size):
+    result = search_homogeneous(coloring, tau, min_size=min_size, mode="exact")
+    points, color, size, met, stats = oracles.exact_search_scan(coloring, tau, min_size)
+    assert (result.points, result.size, result.met_min_size, result.stats) == (
+        points, size, met, stats)
+    # 1, 1.0 and True are one colour but print differently
+    assert (result.color, type(result.color)) == (color, type(color))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(min_value=0, max_value=12), st.sampled_from([2, 3]))
+def test_exact_search_matches_scan_on_hypothesis_colorings(data, size, n):
+    ground = random_condition(random.Random(data.draw(st.integers(0, 10_000))), size)
+    combos = list(combinations(ground.sorted_points, n))
+    colors = data.draw(st.lists(st.sampled_from(SEARCH_COLORS + [UNCOLORED]),
+                                min_size=len(combos), max_size=len(combos)))
+    table = {frozenset(c): color for c, color in zip(combos, colors) if color is not UNCOLORED}
+    coloring = Coloring.from_table(ground, n, table, partial=True)
+    # prefer patterns the ground realizes; a pattern it lacks is vacuous
+    tau = data.draw(st.sampled_from(list(classify_subsets(ground, n))
+                                    or list(enumerate_ntypes(n))))
+    assert_search_matches_scan(coloring, tau, data.draw(st.integers(0, size + 1)))
+
+
+def planted_coloring(rng, m, n):
+    """Every n-subset colored 0, then a few pairwise disjoint realizers of
+    the ground's most frequent pattern recolored; returns it with the pattern."""
+    ground = random_condition(rng, m)
+    groups = classify_subsets(ground, n)
+    tau = max(groups, key=lambda t: (len(groups[t]), list_form(t)))
+    table = {frozenset(c): 0 for c in combinations(ground.sorted_points, n)}
+    used: set = set()
+    defects = rng.randint(1, 5)
+    for combo in rng.sample(groups[tau], len(groups[tau])):
+        if len(used) < n * defects and not used & set(combo):
+            table[frozenset(combo)] = rng.choice([1, 1.0, True, "a"])
+            used |= set(combo)
+    return Coloring.from_table(ground, n, table), tau
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("m", range(13, 19))
+@pytest.mark.parametrize("n", [2, 3])
+def test_exact_search_matches_scan_on_planted_colorings(m, n, seed):
+    rng = random.Random(1000 * m + 10 * n + seed)
+    coloring, tau = planted_coloring(rng, m, n)
+    assert_search_matches_scan(coloring, tau, rng.randint(m - 6, m))
 
 
 def test_floor_demo_exact_counts():
