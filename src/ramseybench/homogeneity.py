@@ -498,8 +498,9 @@ def coloring_from_csv(path: str, ground: FiniteCondition | None = None,
                       partial: bool = False) -> Coloring:
     """Ingest CSV rows x1,y1,...,xn,yn,color (no header).
 
-    A coordinate that is not a natural number in plain digits raises
-    ValueError naming its row (line) and column, both counted from 1.
+    A row that repeats a point, or a coordinate that is not a natural
+    number in plain digits, raises ValueError naming its row (the file's
+    line) and, for a coordinate, its column, both counted from 1.
     """
     table = {}
     pts: set[Point] = set()
@@ -523,6 +524,8 @@ def coloring_from_csv(path: str, ground: FiniteCondition | None = None,
             subset = frozenset(
                 Point(coords[2 * i], coords[2 * i + 1]) for i in range(n)
             )
+            if len(subset) != n:
+                raise ValueError(f"row {reader.line_num}: not a {n}-set: {row[:-1]}")
             table[subset] = row[-1]
             pts |= subset
     if n is None:

@@ -52,9 +52,10 @@ class Symbol:
         if not isinstance(text, str):
             raise ValueError(f"cannot parse symbol {text!r}")
         text = text.strip()
-        if len(text) < 2 or text[0] not in ("x", "y") or not text[1:].isdigit():
+        kind, digits = text[:1], text[1:]
+        if kind not in ("x", "y") or not (digits.isascii() and digits.isdigit()):
             raise ValueError(f"cannot parse symbol {text!r}")
-        return cls(text[0], int(text[1:]))
+        return cls(kind, int(digits))
 
 
 def _expected_symbols(n: int) -> frozenset[Symbol]:

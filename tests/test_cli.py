@@ -296,11 +296,6 @@ def test_malformed_condition_documents_are_domain_errors(files, doc, path, actio
 # ------------------------------------------------------------------ homog
 
 PAIR = [[0, 1], [0, 2]]
-COLORING_READERS = [
-    ["homog", "check", "--type", "x1=x2<y1<y2"],
-    ["homog", "search", "--type", "x1=x2<y1<y2"],
-    ["homog", "search", "--type", "x1=x2<y1<y2", "--mode", "greedy"],
-]
 
 
 @pytest.mark.parametrize("doc, path", [
@@ -327,7 +322,11 @@ COLORING_READERS = [
     ({"n": 2, "entries": [{"subset": PAIR, "color": [1]}]}, "entries[0].color:"),
     ({"n": 2, "entries": [{"subset": PAIR, "color": {"c": 1}}]}, "entries[0].color:"),
 ])
-@pytest.mark.parametrize("action", COLORING_READERS)
+@pytest.mark.parametrize("action", [
+    ["homog", "check", "--type", "x1=x2<y1<y2"],
+    ["homog", "search", "--type", "x1=x2<y1<y2"],
+    ["homog", "search", "--type", "x1=x2<y1<y2", "--mode", "greedy"],
+])
 def test_malformed_coloring_documents_are_domain_errors(files, doc, path, action):
     cpath = files["dir"] / "bad_coloring.json"
     cpath.write_text(json.dumps(doc))
@@ -348,12 +347,17 @@ def test_malformed_coloring_documents_are_domain_errors(files, doc, path, action
     ("0,1,0,\u00b2,0\n", "row 1, column 4:"),
     ("0,1,0,,0\n", "row 1, column 4:"),
     ("0,1,0,2,0\n\n0,1,3,x,0\n", "row 3, column 4:"),
+    ("0,1,0,2,0\n0,1,0,1,0\n", "row 2: not a 2-set"),
     ("0,1,0,2\n", "bad coloring row"),
     ("0,1\n", "bad coloring row"),
     ("0,1,0,2,0\n0,1,0,2,3,5,0\n", "coloring rows disagree on subset size"),
     ("\n\n", "empty coloring file"),
 ])
-@pytest.mark.parametrize("action", COLORING_READERS)
+@pytest.mark.parametrize("action", [
+    ["homog", "check", "--type", "x1=x2<y1<y2"],
+    ["homog", "search", "--type", "x1=x2<y1<y2"],
+    ["homog", "search", "--type", "x1=x2<y1<y2", "--mode", "greedy"],
+])
 def test_malformed_coloring_csv_files_are_domain_errors(files, text, start, action):
     cpath = files["dir"] / "bad_coloring.csv"
     cpath.write_text(text, encoding="utf-8")
@@ -805,7 +809,7 @@ READER_JUNK = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(
         ["op", "args", "points", "rect", "column", "aboveDiag", "x", "y", "content", "finite",
          "cofinite", "classes", "bounds", "triples", "principal", "frechet", "default",
-         "exceptions", "U", "3", "n"]), inner, max_size=3),
+         "exceptions", "U", "3"]), inner, max_size=3),
     max_leaves=14)
 
 

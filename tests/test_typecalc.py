@@ -45,6 +45,12 @@ def test_symbol_parse_and_order():
         Symbol.parse("x0")
 
 
+@pytest.mark.parametrize("text", ["x\u00b2", "y\u0661", 5, None, ["x1"]])
+def test_symbol_parse_refuses_other_digits_and_non_strings(text):
+    with pytest.raises(ValueError, match="cannot parse symbol"):
+        Symbol.parse(text)
+
+
 def test_fubini_small_values():
     # 1, 1, 3, 13, 75, 541: ordered set partition counts
     assert [fubini(k) for k in range(6)] == [1, 1, 3, 13, 75, 541]
