@@ -13,9 +13,9 @@ payload, except for the artifact producers ``cond grow`` and ``graph
 build`` which persist the bare condition/graph document so the file can
 be fed back through ``--in``.
 
-Search bounds are configured only through the environment variable
-``NBT_WORKBENCH_LIMITS``, a JSON object such as
-``{"search": 18, "rich": 14}``.
+The exact-search and richness bounds (``errors.WORK_BOUNDS``) can be set
+only through the environment variable ``NBT_WORKBENCH_LIMITS``, a JSON
+object such as ``{"search": 18, "rich": 14}``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ from . import homogeneity, omegatypes, pointsets, randomgraph, setalgebra, typec
 from .errors import WorkbenchError, _natural
 
 LIMITS_ENV = "NBT_WORKBENCH_LIMITS"
-# Defaults live with their handlers, so parsing the limits loads no area.
+# The bounds these keys set are the ``bound=`` arguments of check_rich and
+# exact search; unset, the routines use errors.WORK_BOUNDS.
 _LIMIT_KEYS = ("rich", "search")
 
 
@@ -46,7 +47,7 @@ class CommandResult:
 
 
 def _limits() -> dict:
-    """The bounds set in the environment; a handler falls back to its default."""
+    """The bounds set in the environment."""
     raw = os.environ.get(LIMITS_ENV)
     limits = {}
     if not raw:
@@ -250,7 +251,7 @@ def _cmd_homog_search(args, limits):
     tau = typecalc.parse_list_form(args.type)
     result = homogeneity.search_homogeneous(
         coloring, tau, min_size=args.min_size, mode=args.mode,
-        bound=limits.get("search", homogeneity.EXHAUSTIVE_SEARCH_BOUND),
+        bound=limits.get("search"),
     )
     return {
         "mode": args.mode,
@@ -331,8 +332,7 @@ def _cmd_graph_check(args, limits):
 def _cmd_graph_rich(args, limits):
     g = randomgraph.graph_from_json(_read_json(args.infile))
     vertices = _int_list(args.vertices)
-    rich = randomgraph.check_rich(
-        vertices, g, k=args.k, bound=limits.get("rich", randomgraph.RICH_SUBSET_BOUND))
+    rich = randomgraph.check_rich(vertices, g, k=args.k, bound=limits.get("rich"))
     return {"vertices": sorted(set(vertices)), "k": args.k, "rich": rich}, [], None
 
 
@@ -464,12 +464,10 @@ def _add_in(parser, required=True, cond_alias=False, help="input JSON file"):
 def _types_actions(actions):
     p = actions.add_parser("enum", help="list all patterns of a size")
     p.add_argument("--n", type=int, required=True)
-    _add_common(p)
     p.set_defaults(func=_cmd_types_enum)
 
     p = actions.add_parser("count", help="number of patterns of a size")
     p.add_argument("--n", type=int, required=True)
-    _add_common(p)
     p.set_defaults(func=_cmd_types_count)
 
     for name, fn, hlp in (
@@ -480,33 +478,28 @@ def _types_actions(actions):
         p.add_argument("--type", default=None,
                        help="pattern in list form, e.g. 'x1<y1<x2<y2'")
         _add_in(p, required=False, help="pattern JSON file")
-        _add_common(p)
         p.set_defaults(func=fn)
 
 
 def _cond_actions(actions):
     p = actions.add_parser("check", help="validate the three condition clauses")
     _add_in(p, cond_alias=True, help="condition JSON file ([[x,y],...])")
-    _add_common(p)
     p.set_defaults(func=_cmd_cond_check)
 
     p = actions.add_parser("realize", help="least subset realizing a pattern")
     _add_in(p, cond_alias=True, help="condition JSON file")
     p.add_argument("--type", required=True, help="pattern in list form")
-    _add_common(p)
     p.set_defaults(func=_cmd_cond_realize)
 
     p = actions.add_parser("classify", help="tally n-subsets by realized pattern")
     _add_in(p, cond_alias=True, help="condition JSON file")
     p.add_argument("--n", type=int, required=True)
-    _add_common(p)
     p.set_defaults(func=_cmd_cond_classify)
 
     p = actions.add_parser("grow", help="extend until every n-pattern is realized")
     _add_in(p, required=False, cond_alias=True,
             help="starting condition (default empty)")
     p.add_argument("--n", type=int, required=True)
-    _add_common(p)
     p.set_defaults(func=_cmd_cond_grow)
 
 
@@ -519,8 +512,7 @@ def _homog_actions(actions):
     p.add_argument("--type", required=True, help="pattern in list form")
     p.add_argument("--partial", action="store_true",
                    help="accept colorings that skip some subsets")
-    _add_common(p)
-    p.set_defaults(func=_cmd_homog_check, _in_required=False)
+    p.set_defaults(func=_cmd_homog_check)
 
     p = actions.add_parser("search", help="find a homogeneous subset")
     _add_in(p, required=False, help="coloring JSON file")
@@ -531,27 +523,23 @@ def _homog_actions(actions):
     p.add_argument("--mode", choices=("exact", "greedy"), default="exact")
     p.add_argument("--min-size", type=int, default=0)
     p.add_argument("--partial", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=_cmd_homog_search, _in_required=False)
+    p.set_defaults(func=_cmd_homog_search)
 
     p = actions.add_parser("floor", help="pattern classes met vs the full tally")
     _add_in(p, cond_alias=True, help="condition JSON file")
     p.add_argument("--n", type=int, required=True)
-    _add_common(p)
     p.set_defaults(func=_cmd_homog_floor)
 
     p = actions.add_parser("stabilize", help="stable bits of lex-monotone rows")
     _add_in(p, help="JSON list of equal-width 0/1 rows")
     p.add_argument("--direction", choices=("increasing", "decreasing"),
                    default="increasing")
-    _add_common(p)
     p.set_defaults(func=_cmd_homog_stabilize)
 
     p = actions.add_parser("extract-s", help="stable binary relation from a grid")
     _add_in(p, help="ternary grid JSON file")
     p.add_argument("--cond", required=True, help="condition JSON file")
     p.add_argument("--window", type=int, default=3)
-    _add_common(p)
     p.set_defaults(func=_cmd_homog_extract_s)
 
 
@@ -563,14 +551,12 @@ def _graph_actions(actions):
                    help="process all configurations inside this many vertices")
     p.add_argument("--cover-params", type=int, default=2,
                    help="parameter-count cap for --cover-vertices (default 2)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_graph_build, _in_required=False)
+    p.set_defaults(func=_cmd_graph_build)
 
     p = actions.add_parser("check", help="verify the extension property")
     _add_in(p, help="graph JSON file")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    _add_common(p)
     p.set_defaults(func=_cmd_graph_check)
 
     p = actions.add_parser("rich", help="does a vertex set contain a rich core")
@@ -578,29 +564,25 @@ def _graph_actions(actions):
     p.add_argument("--vertices", required=True,
                    help="comma-separated vertex list, e.g. 0,2,5")
     p.add_argument("--k", type=int, default=1)
-    _add_common(p)
     p.set_defaults(func=_cmd_graph_rich)
 
     p = actions.add_parser("demo-noreverse",
                         help="adjacency coloring is never constant on rich columns")
     p.add_argument("--count", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
-    p.set_defaults(func=_cmd_graph_demo_noreverse, _in_required=False)
+    p.set_defaults(func=_cmd_graph_demo_noreverse)
 
     p = actions.add_parser("demo-coloring",
                         help="one column meets every color of a palette")
     p.add_argument("--palette", type=int, required=True)
     p.add_argument("--max-vertex", type=int, default=4)
-    _add_common(p)
-    p.set_defaults(func=_cmd_graph_demo_coloring, _in_required=False)
+    p.set_defaults(func=_cmd_graph_demo_coloring)
 
 
 def _sets_actions(actions):
     p = actions.add_parser("column", help="exact vertical section")
     _add_in(p, help="planar set expression JSON file")
     p.add_argument("--x", type=int, required=True)
-    _add_common(p)
     p.set_defaults(func=_cmd_sets_column)
 
     for name, fn, hlp in (
@@ -610,54 +592,46 @@ def _sets_actions(actions):
     ):
         p = actions.add_parser(name, help=hlp)
         _add_in(p, help="planar set expression JSON file")
-        _add_common(p)
         p.set_defaults(func=fn)
 
     p = actions.add_parser("sum", help="membership in an indexed filter sum")
     _add_in(p, help="planar set expression JSON file")
     p.add_argument("--u", required=True, help="index stand-in JSON file")
     p.add_argument("--seq", required=True, help="stand-in sequence JSON file")
-    _add_common(p)
     p.set_defaults(func=_cmd_sets_sum)
 
     p = actions.add_parser("image", help="membership in the sum's first projection")
     _add_in(p, help="finite/cofinite set JSON file")
     p.add_argument("--u", required=True, help="index stand-in JSON file")
     p.add_argument("--seq", required=True, help="stand-in sequence JSON file")
-    _add_common(p)
     p.set_defaults(func=_cmd_sets_image)
 
 
 def _omega_actions(actions):
     p = actions.add_parser("validate", help="judge a candidate prefix")
     _add_in(p, help="prefix JSON file")
-    _add_common(p)
     p.set_defaults(func=_cmd_omega_validate)
 
     p = actions.add_parser("phi", help="realize a prefix as a condition")
     _add_in(p, help="prefix JSON file")
     p.add_argument("--z", required=True, help="comma-separated increasing values")
-    _add_common(p)
     p.set_defaults(func=_cmd_omega_phi)
 
     p = actions.add_parser("assignd", help="label demanded after a chain fragment")
     _add_in(p, help="prefix JSON file")
     p.add_argument("--s", default="", help="comma-separated values so far")
-    _add_common(p)
     p.set_defaults(func=_cmd_omega_assignd)
 
     p = actions.add_parser("zchain", help="walk a chain through its demanded sets")
     _add_in(p, help="prefix JSON file")
     p.add_argument("--z", required=True, help="comma-separated increasing values")
     p.add_argument("--za", required=True, help="label assignment JSON file")
-    _add_common(p)
     p.set_defaults(func=_cmd_omega_zchain)
 
     p = actions.add_parser("hmember", help="point membership in the carved set")
     p.add_argument("--za", required=True, help="label assignment JSON file")
     p.add_argument("--point", required=True, help="x,y")
-    _add_common(p)
-    p.set_defaults(func=_cmd_omega_hmember, _in_required=False)
+    p.set_defaults(func=_cmd_omega_hmember)
 
 
 # (area, help, adds its actions) in the order the top-level help lists them
@@ -682,7 +656,10 @@ def build_parser(area=None) -> argparse.ArgumentParser:
     for name, hlp, add_actions in _AREAS:
         sub = areas.add_parser(name, help=hlp)
         if area in (None, name):
-            add_actions(sub.add_subparsers(dest="action", required=True, metavar="ACTION"))
+            actions = sub.add_subparsers(dest="action", required=True, metavar="ACTION")
+            add_actions(actions)
+            for action in actions.choices.values():
+                _add_common(action)
     return parser
 
 

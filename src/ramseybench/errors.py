@@ -1,7 +1,42 @@
-"""Exception types shared across the workbench modules, and the checks
+"""Exception types shared across the workbench modules, the bounds on
+exhaustive work with the one check that enforces them, and the checks
 the JSON readers share to name the path of a malformed value."""
 
 import json
+
+# The bound on each quantity an exhaustive routine counts before it starts;
+# check_work refuses a count above it.  Only "points" and "vertices" can be
+# set, through the CLI's NBT_WORKBENCH_LIMITS keys "search" and "rich".
+WORK_BOUNDS = {
+    # Steps of extend_with_realizers, as counted by _growth_work: a few
+    # seconds at most.  It admits n = 5 from the empty condition (4,763,712
+    # steps) and bases of up to 31 points at n = 5, 104 at n = 4 and 310 at
+    # n = 3; n = 6 (about 9 * 10**8 steps from empty) is refused.
+    "steps": 5_000_000,
+    # Subsets visited one by one, counted as C(points, n) by classify_subsets,
+    # greedy search and count_classes_met, and the configurations that
+    # check_extension_property tests.  Listing 10**6 subsets takes about 1 s
+    # and 90 MB of peak memory (n = 3 on 183 points: 0.97 s, 86 MB peak RSS;
+    # n = 4 on 72 points: 1.2 s, 104 MB; Python 3.11 on an Intel Xeon).  It
+    # admits n = 2 up to 1,414 points, n = 3 up to 182 and n = 4 up to 71;
+    # the 716-point n = 4 growth (1.09 * 10**10 subsets) is refused.
+    "subsets": 1_000_000,
+    # Configurations one witness-engine build may walk.  A configuration
+    # costs a few big-int operations on masks as wide as the vertex count,
+    # and a walk adds at most one vertex per configuration, so this also
+    # caps the mask width.  The widest builds inside it, the (14999, 1)
+    # graph and the palette-5 (5999, 1) coverings (15,000 and 18,001
+    # vertices), take about 0.2 s and under 70 MB on one core of a Xeon
+    # server.
+    "configurations": 30_000,
+    # Ground points of an exact homogeneous search, which is exponential in
+    # them.  In process on an Intel Xeon (Python 3.11), the slowest seeded
+    # planted or uniform 2- or 3-colouring took 0.51 s at 24 points and
+    # 1.18 s at 25 (CHANGES.md).
+    "points": 24,
+    # Vertices of a richness check, which tries every subset of them.
+    "vertices": 12,
+}
 
 
 class WorkbenchError(Exception):
@@ -10,6 +45,17 @@ class WorkbenchError(Exception):
 
 class LimitError(WorkbenchError):
     """An input exceeds a documented size bound for exhaustive work."""
+
+
+def check_work(key: str, work: int, what: str, detail: str,
+               bound: int | None = None) -> None:
+    """Refuse ``work`` above ``bound``, or above WORK_BOUNDS[key] when
+    ``bound`` is None, with LimitError("<what> refused: <detail>, the bound
+    is <bound>")."""
+    if bound is None:
+        bound = WORK_BOUNDS[key]
+    if work > bound:
+        raise LimitError(f"{what} refused: {detail}, the bound is {bound}")
 
 
 class NoRealizedTypeError(WorkbenchError):

@@ -20,15 +20,10 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
-from .errors import LexOrderError, LimitError, _natural, _naturals
-from .pointsets import (CLASSIFY_BOUND, FiniteCondition, Point, _keyed_subsets,
-                        _type_key, classify_subsets, points_from_json, realized_type)
+from .errors import LexOrderError, _natural, _naturals, check_work
+from .pointsets import (FiniteCondition, Point, _keyed_subsets, _type_key,
+                        classify_subsets, points_from_json, realized_type)
 from .typecalc import NType, count_ntypes, enumerate_ntypes, list_form
-
-# Exact search is exponential in the ground size.  In process on an Intel
-# Xeon (Python 3.11), the slowest seeded planted or uniform 2- or
-# 3-colouring took 0.51 s at 24 points and 1.18 s at 25 (CHANGES.md).
-EXHAUSTIVE_SEARCH_BOUND = 24
 
 STABLE_1 = "stable-1"
 STABLE_0 = "stable-0"
@@ -111,7 +106,7 @@ def _tau_realizers(pts, coloring: Coloring, tau: NType) -> list[tuple[tuple[Poin
             f"pattern size {tau.n} does not match coloring arity {coloring.n}"
         )
     found = _keyed_subsets(pts, tau.n, _type_key(tau))
-    return [(combo, coloring.color_of(combo)) for combo, _ in found]
+    return [(combo, coloring.rule(combo)) for combo, _ in found]
 
 
 def _normalize_subset(subset, ground: FiniteCondition) -> tuple[Point, ...]:
@@ -127,16 +122,17 @@ def _normalize_subset(subset, ground: FiniteCondition) -> tuple[Point, ...]:
 
 
 def count_classes_met(subset, coloring: Coloring) -> int:
-    """Number of distinct colors over the colored n-subsets of subset."""
+    """Number of distinct colors over the colored n-subsets of subset.
+
+    It reads the colour of every n-subset, so more subsets than the
+    "subsets" work bound raise LimitError before any colour is read.
+    """
     pts = _normalize_subset(subset, coloring.ground)
-    if len(pts) < coloring.n:
-        return 0
-    colors = set()
-    for combo in combinations(pts, coloring.n):
-        c = coloring.color_of(combo)
-        if c is not None:
-            colors.add(c)
-    return len(colors)
+    count = comb(len(pts), coloring.n)
+    check_work("subsets", count, "class count",
+               f"{len(pts)} points have {count} {coloring.n}-subsets")
+    colors = {coloring.rule(combo) for combo in combinations(pts, coloring.n)}
+    return len(colors - {None})
 
 
 @dataclass(frozen=True)
@@ -151,33 +147,29 @@ class SearchResult:
 
 def search_homogeneous(coloring: Coloring, tau: NType, min_size: int = 0,
                        mode: str = "exact",
-                       bound: int = EXHAUSTIVE_SEARCH_BOUND) -> SearchResult:
+                       bound: int | None = None) -> SearchResult:
     """Find a large H in the ground with the tau-realizers monochromatic.
 
     Exact mode returns a maximum-size answer, ties broken by the
     lexicographically least sorted point list, found by branch and bound
-    (``_max_homogeneous``); it refuses grounds larger than ``bound``
-    before any work.  Its ``subsets_checked`` is the number of subsets a
-    scan by descending size, each size in lexicographic order, checks up
-    to and including the answer.  Greedy mode removes the most conflicted
+    (``_max_homogeneous``); it refuses grounds larger than ``bound`` (None:
+    the "points" work bound) before any work.  Its ``subsets_checked`` is
+    the number of subsets a scan by descending size, each size in
+    lexicographic order, checks up to and including the answer.  Greedy mode removes the most conflicted
     point until homogeneous, re-adds what it can, and makes no optimality
-    claim; it refuses grounds with more than CLASSIFY_BOUND n-subsets
-    before any work.
+    claim; it refuses grounds with more n-subsets than the "subsets" work
+    bound before any work.
     """
     if mode not in ("exact", "greedy"):
         raise ValueError(f"mode must be 'exact' or 'greedy', got {mode!r}")
     ground_pts = tuple(sorted(coloring.ground.points))
     m = len(ground_pts)
-    if mode == "exact" and m > bound:
-        raise LimitError(
-            f"exhaustive search refused: ground has {m} points, bound is "
-            f"{bound}; pass mode='greedy' or raise the bound"
-        )
-    if mode == "greedy" and (count := comb(m, coloring.n)) > CLASSIFY_BOUND:
-        raise LimitError(
-            f"greedy search refused: {m} points have {count} "
-            f"{coloring.n}-subsets, the bound is {CLASSIFY_BOUND}"
-        )
+    if mode == "exact":
+        check_work("points", m, "exact search", f"the ground has {m} points", bound)
+    else:
+        count = comb(m, coloring.n)
+        check_work("subsets", count, "greedy search",
+                   f"{m} points have {count} {coloring.n}-subsets")
     realizers = _realizer_table(coloring, tau, ground_pts)
 
     if mode == "exact":

@@ -21,27 +21,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 
-from .errors import LimitError, NoRealizedTypeError, _natural
+from .errors import NoRealizedTypeError, _natural, check_work
 from .typecalc import NType, Symbol, _check_n, _symbol, count_ntypes, enumerate_ntypes
 
 CLAUSE_SECTIONS = "sections-disjoint"
 CLAUSE_DIAGONAL = "above-diagonal"
 CLAUSE_XY = "xy-disjoint"
-
-# Bound on the steps extend_with_realizers may take, as counted by
-# _growth_work before any work: a few seconds at most.  It admits n = 5
-# from the empty condition (4,763,712 steps) and bases of up to 31 points
-# at n = 5, 104 at n = 4 and 310 at n = 3; n = 6 (about 9 * 10**8 steps
-# from empty) is refused.
-GROW_BOUND = 5_000_000
-
-# Bound on the n-subsets classify_subsets may list, counted as
-# C(points, n) before any work.  Listing 10**6 subsets takes about 1 s and
-# 90 MB of peak memory (n = 3 on 183 points: 0.97 s, 86 MB peak RSS; n = 4
-# on 72 points: 1.2 s, 104 MB; Python 3.11 on an Intel Xeon).  It admits
-# n = 2 up to 1,414 points, n = 3 up to 182 and n = 4 up to 71; the
-# 716-point n = 4 growth (1.09 * 10**10 subsets) is refused.
-CLASSIFY_BOUND = 1_000_000
 
 
 @dataclass(frozen=True, order=True)
@@ -271,15 +256,13 @@ def classify_subsets(cond: FiniteCondition, n: int) -> dict[NType, list[tuple[Po
 
     Only patterns that occur appear as keys, in order of first
     occurrence; subsets are listed in lexicographic y-sequence order.
-    More than CLASSIFY_BOUND subsets raise LimitError before any work.
+    More subsets than the "subsets" work bound raise LimitError before any
+    work.
     """
     _check_n(n)
     count = comb(len(cond), n)
-    if count > CLASSIFY_BOUND:
-        raise LimitError(
-            f"classification refused: {len(cond)} points have {count} "
-            f"{n}-subsets, the bound is {CLASSIFY_BOUND}"
-        )
+    check_work("subsets", count, "classification",
+               f"{len(cond)} points have {count} {n}-subsets")
     groups: dict[int, list[tuple[Point, ...]]] = {}
     for subset, key in _keyed_subsets(cond.sorted_points, n):
         group = groups.get(key)
@@ -336,17 +319,14 @@ def extend_with_realizers(cond: FiniteCondition, n: int) -> FiniteCondition:
     that meets it is a subset of the points below followed by one of the
     batch, and its key is the lower key plus the batch subset's key
     lifted above it: the realized keys grow by these sums alone.  Growth
-    whose bound ``_growth_work`` exceeds GROW_BOUND raises LimitError
-    before any work.
+    whose bound ``_growth_work`` exceeds the "steps" work bound raises
+    LimitError before any work.
     """
     _check_n(n)
     base = cond.sorted_points
     work = _growth_work(len(base), n)
-    if work > GROW_BOUND:
-        raise LimitError(
-            f"growth refused: growing {len(base)} points for n={n} may take "
-            f"{work} steps, the bound is {GROW_BOUND}"
-        )
+    check_work("steps", work, "growth",
+               f"growing {len(base)} points for n={n} may take {work} steps")
     realized = [{0}] + [{key for _, key in _keyed_subsets(base, k)}
                         for k in range(1, n + 1)]
     top = max((p.y for p in base), default=-1)

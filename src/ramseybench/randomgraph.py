@@ -21,10 +21,10 @@ A covering walks a capped schedule: parameter counts stop at
 ``max_params`` and the walk stops at the first parameter that reaches
 ``max_vertex``, so it generates nothing that the covering would skip.
 The capped schedule is still exponential in ``max_params``, so its size
-is counted before any work, and above ``SCHEDULE_BOUND`` configurations
-the builders raise ``LimitError``; step counts share that bound.  The
-(8, 2) covering walks 241 configurations and (8, 4) 29,809; (9, 9)
-would walk more than 3 * 10^8 and is refused.
+is counted before any work, and above the "configurations" work bound
+(``errors.WORK_BOUNDS``) the builders raise ``LimitError``; step counts
+share that bound.  The (8, 2) covering walks 241 configurations and
+(8, 4) 29,809; (9, 9) would walk more than 3 * 10^8 and is refused.
 
 ``configuration_schedule``, ``color_schedule``, ``realize_configuration``
 and ``realize_color_configuration`` are the public definitions, views
@@ -44,19 +44,10 @@ from functools import cached_property
 from itertools import combinations, islice, permutations, product
 from math import perm
 
-from .errors import LimitError, _natural
+from .errors import WORK_BOUNDS, _natural, check_work
 from .homogeneity import Coloring, check_tau_homogeneous
 from .pointsets import FiniteCondition, Point
 from .typecalc import parse_list_form
-
-RICH_SUBSET_BOUND = 12
-# Most configurations one build may walk.  A configuration costs a few
-# big-int operations on masks as wide as the vertex count, and a walk adds
-# at most one vertex per configuration, so this also caps the mask width.
-# The widest builds inside it, the (14999, 1) graph and the palette-5
-# (5999, 1) coverings (15,000 and 18,001 vertices), take about 0.2 s and
-# under 70 MB on one core of a Xeon server.
-SCHEDULE_BOUND = 30_000
 
 
 def _witnesses(rows, pool: int, params, colors) -> int:
@@ -70,6 +61,13 @@ def _witnesses(rows, pool: int, params, colors) -> int:
         row = rows[a]
         pool &= ~(1 << a) & (row[c] if c else ~row[0])
     return pool
+
+
+def _check_pair(u: int, v: int, vertex_count: int) -> None:
+    if u == v:
+        raise ValueError("no color on a loop")
+    if not (0 <= u < vertex_count and 0 <= v < vertex_count):
+        raise ValueError(f"pair {(u, v)} outside the vertex range")
 
 
 @dataclass(frozen=True)
@@ -97,6 +95,11 @@ class Graph:
         if u == v:
             return False
         return (min(u, v), max(u, v)) in self.edges
+
+    def color(self, u: int, v: int) -> int:
+        """The palette-2 view: 1 on an edge, 0 otherwise."""
+        _check_pair(u, v, self.vertex_count)
+        return int(self.has_edge(u, v))
 
     def neighbors(self, v: int) -> set[int]:
         if not 0 <= v < self.vertex_count:
@@ -173,16 +176,16 @@ def _schedule(palette: int, max_vertex: int | None = None,
 
 
 def _schedule_size(palette: int, max_vertex: int, max_params: int) -> int:
-    """Length of the capped schedule, counted only until it passes
-    SCHEDULE_BOUND: ``count`` slots for ``top`` times the arrangements of
-    the other parameters below it, times the colourings."""
+    """Length of the capped schedule, counted only until it passes the
+    "configurations" work bound: ``count`` slots for ``top`` times the
+    arrangements of the other parameters below it, times the colourings."""
     size = 1
     if max_params == 0:
         return size
     for top in range(max_vertex):
         for count in range(1, min(top + 1, max_params) + 1):
             size += count * perm(top, count - 1) * palette ** count
-        if size > SCHEDULE_BOUND:
+        if size > WORK_BOUNDS["configurations"]:
             break
     return size
 
@@ -205,11 +208,8 @@ def _walk(palette: int, steps: int | None = None, max_vertex: int | None = None,
             raise ValueError("bounds must be naturals")
         size = _schedule_size(palette, max_vertex, max_params)
         configs = _schedule(palette, max_vertex, max_params)
-    if size > SCHEDULE_BOUND:
-        raise LimitError(
-            f"build refused: the schedule walk exceeds the bound of "
-            f"{SCHEDULE_BOUND} configurations"
-        )
+    check_work("configurations", size, "build",
+               f"the schedule walk takes at least {size} configurations")
     rows = [[0] * palette]
     table: dict = {}
     for params, colors in configs:
@@ -264,11 +264,24 @@ def build_graph_covering(max_vertex: int, max_params: int) -> Graph:
 
 def check_extension_property(g: Graph, k: int, m: int) -> list[Configuration]:
     """All configurations with <= k params among the first m vertices that
-    lack a witness anywhere in g.  Empty list == property holds for (k, m)."""
+    lack a witness anywhere in g.  Empty list == property holds for (k, m).
+
+    There are sum over c <= min(k, m) of P(m, c) * 2**c configurations;
+    more than the "subsets" work bound raise LimitError before any work.
+    """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     if not 0 <= m <= g.vertex_count:
         raise ValueError(f"m must be between 0 and {g.vertex_count}, got {m}")
+    # each term exceeds the last, so the count may stop once past the bound
+    work = term = 1
+    for c in range(1, min(k, m) + 1):
+        if work > WORK_BOUNDS["subsets"]:
+            break
+        term *= 2 * (m - c + 1)
+        work += term
+    check_work("subsets", work, "extension check",
+               f"k={k} on {m} vertices gives at least {work} configurations")
     rows = _graph_rows(g)
     everyone = (1 << g.vertex_count) - 1
     unsatisfied = []
@@ -293,19 +306,16 @@ def _internally_extends(rows, inner: tuple[int, ...], k: int) -> bool:
     return True
 
 
-def check_rich(subset, g: Graph, k: int = 1,
-               bound: int = RICH_SUBSET_BOUND) -> bool:
+def check_rich(subset, g: Graph, k: int = 1, bound: int | None = None) -> bool:
     """Does some subset of ``subset`` satisfy the k-extension property with
-    all witnesses inside itself?  Exhaustive; refuses sets above ``bound``."""
+    all witnesses inside itself?  Exhaustive; refuses sets above ``bound``
+    (None: the "vertices" work bound)."""
     vertices = tuple(sorted(set(subset)))
     for v in vertices:
         if not 0 <= v < g.vertex_count:
             raise ValueError(f"{v} is not a vertex of the graph")
-    if len(vertices) > bound:
-        raise LimitError(
-            f"rich check refused: {len(vertices)} vertices exceeds the "
-            f"exhaustive bound {bound}"
-        )
+    check_work("vertices", len(vertices), "rich check",
+               f"the set has {len(vertices)} vertices", bound)
     rows = _graph_rows(g)
     for size in range(1, len(vertices) + 1):
         for inner in combinations(vertices, size):
@@ -317,23 +327,28 @@ def check_rich(subset, g: Graph, k: int = 1,
 VERTICAL_PAIR = "x1=x2<y1<y2"
 
 
-def color_vertical_pairs(cond: FiniteCondition, g: Graph) -> Coloring:
-    """Color tied pairs of cond by whether their y's are adjacent in g.
+def color_vertical_pairs(cond: FiniteCondition, g: Graph | EdgeColoring) -> Coloring:
+    """Color tied pairs of cond by the colour ``g.color`` gives their y's:
+    adjacency in a Graph, the pair's colour in an EdgeColoring.
 
     Pairs from different columns stay uncolored.  Every y-coordinate of
     cond must be a vertex of g.
     """
     for p in cond:
         if p.y >= g.vertex_count:
-            raise ValueError(f"y-coordinate {p.y} is not a vertex of the graph")
+            raise ValueError(f"y-coordinate {p.y} is not a vertex")
 
     def rule(pts):
         a, b = pts
         if a.x != b.x:
             return None
-        return 1 if g.has_edge(a.y, b.y) else 0
+        return g.color(a.y, b.y)
 
     return Coloring.from_rule(cond, 2, rule)
+
+
+# the palette name of the same rule, kept for callers that use it
+color_vertical_pairs_palette = color_vertical_pairs
 
 
 @dataclass(frozen=True)
@@ -369,10 +384,7 @@ class EdgeColoring:
         return tuple(map(tuple, rows))
 
     def color(self, u: int, v: int) -> int:
-        if u == v:
-            raise ValueError("no color on a loop")
-        if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
-            raise ValueError(f"pair {(u, v)} outside the vertex range")
+        _check_pair(u, v, self.vertex_count)
         return self.table.get((min(u, v), max(u, v)), 0)
 
 
@@ -420,21 +432,6 @@ def build_coloring_covering(palette: int, max_vertex: int,
     """Palette analogue of build_graph_covering."""
     count, table = _walk(palette, max_vertex=max_vertex, max_params=max_params)
     return EdgeColoring(count, palette, table)
-
-
-def color_vertical_pairs_palette(cond: FiniteCondition, ec: EdgeColoring) -> Coloring:
-    """Palette analogue of color_vertical_pairs."""
-    for p in cond:
-        if p.y >= ec.vertex_count:
-            raise ValueError(f"y-coordinate {p.y} is not a vertex")
-
-    def rule(pts):
-        a, b = pts
-        if a.x != b.x:
-            return None
-        return ec.color(a.y, b.y)
-
-    return Coloring.from_rule(cond, 2, rule)
 
 
 @dataclass(frozen=True)
@@ -536,7 +533,7 @@ def coloring_demo(palette: int, max_vertex: int = 4) -> PaletteDemoReport:
     cond = FiniteCondition(frozenset(
         Point(0, v) for v in range(1, ec.vertex_count)
     ))
-    coloring = color_vertical_pairs_palette(cond, ec)
+    coloring = color_vertical_pairs(cond, ec)
     met = count_classes_met(cond, coloring)
     return PaletteDemoReport(
         palette=palette, classes_met=met, all_colors=met == palette

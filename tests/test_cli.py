@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
+from oracles import unsatisfied_configurations
 
 from ramseybench import cli
 from ramseybench.pointsets import (
@@ -26,6 +27,7 @@ from ramseybench.pointsets import (
     condition_to_json,
     extend_with_realizers,
 )
+from ramseybench.randomgraph import build_graph_covering, graph_to_json
 from ramseybench.typecalc import enumerate_ntypes, list_form
 
 REPO = Path(__file__).resolve().parent.parent
@@ -554,6 +556,37 @@ def test_graph_build_covers_eight_vertices(files):
         ["graph", "check", "--in", str(gpath), "--k", "2", "--m", "8"],
         "graph.check")
     assert payload["satisfied"] and payload["unsatisfied"] == []
+
+
+def refused_fast(argv):
+    start = time.perf_counter()
+    result, out, err = invoke(argv)
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 1 and out == ""
+    doc = json.loads(err)
+    conforms("error", doc)
+    assert doc["kind"] == "LimitError"
+    return doc
+
+
+def test_graph_check_past_its_bound_is_refused(files):
+    # on the 30-vertex (8, 2) covering, k = 5 and m = 20 give more than
+    # 10**6 configurations; k = 4 and m = 12 give 201,193
+    g = build_graph_covering(8, 2)
+    gpath = files["dir"] / "g8_bound.json"
+    gpath.write_text(json.dumps(graph_to_json(g)))
+    doc = refused_fast(["graph", "check", "--in", str(gpath), "--k", "5", "--m", "20"])
+    assert "extension check refused" in doc["error"]
+    payload, _ = run_ok(["graph", "check", "--in", str(gpath), "--k", "4", "--m", "12"])
+    adj = [{u for u in range(g.vertex_count) if g.has_edge(u, v)}
+           for v in range(g.vertex_count)]
+    assert [(tuple(c["params"]), frozenset(c["targets"])) for c in payload["unsatisfied"]] \
+        == unsatisfied_configurations(adj, 4, 12)
+
+
+def test_graph_demo_coloring_past_its_bound_is_refused():
+    doc = refused_fast(["graph", "demo-coloring", "--palette", "5", "--max-vertex", "2000"])
+    assert "class count refused" in doc["error"]
 
 
 @pytest.mark.parametrize("doc, path", [

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from ramseybench import homogeneity
-from ramseybench.errors import LexOrderError, LimitError
+from ramseybench.errors import WORK_BOUNDS, LexOrderError, LimitError
 from ramseybench.homogeneity import (
     NO_DATA,
     STABLE_0,
@@ -32,6 +32,7 @@ from ramseybench.pointsets import (
     classify_subsets,
     extend_with_realizers,
     random_condition,
+    realized_type,
 )
 from ramseybench.typecalc import count_ntypes, enumerate_ntypes, list_form, parse_list_form
 
@@ -124,6 +125,47 @@ def test_count_classes_met_on_pattern_coloring():
     assert count_classes_met([], coloring) == 0
 
 
+def test_count_classes_met_refuses_before_reading_any_color():
+    # C(1415, 2) = 1,000,405 pairs, above the "subsets" work bound
+    calls = []
+    big = random_condition(random.Random(0), 1415)
+    coloring = Coloring.from_rule(big, 2, lambda pts: calls.append(pts) or 0)
+    with pytest.raises(LimitError, match="class count refused"):
+        count_classes_met(big, coloring)
+    assert calls == []
+
+
+def test_the_subset_bound_moves_every_subset_refusal_together(monkeypatch):
+    # C(11, 3) = 165 3-subsets: admitted at 165, refused at 164 by the
+    # classification, greedy search and the class count alike
+    ground = random_condition(random.Random(3), 11)
+    coloring = realized_type_coloring(ground, 3)
+    tau = realized_type(ground.sorted_points[:3])
+    runs = (lambda: classify_subsets(ground, 3),
+            lambda: search_homogeneous(coloring, tau, mode="greedy"),
+            lambda: count_classes_met(ground, coloring))
+    monkeypatch.setitem(WORK_BOUNDS, "subsets", 165)
+    for run in runs:
+        run()
+    monkeypatch.setitem(WORK_BOUNDS, "subsets", 164)
+    for run in runs:
+        with pytest.raises(LimitError, match="165 3-subsets, the bound is 164"):
+            run()
+
+
+def test_tables_read_colors_through_the_rule(monkeypatch):
+    # the keyed scan already yields y-sorted ground points, so no colour
+    # read goes through color_of's re-normalisation
+    ground = random_condition(random.Random(4), 9)
+    coloring = realized_type_coloring(ground, 2)
+    tau = realized_type(ground.sorted_points[:2])
+    monkeypatch.setattr(Coloring, "color_of", lambda *args: pytest.fail("color_of called"))
+    assert check_tau_homogeneous(ground, coloring, tau).color == list_form(tau)
+    for mode in ("exact", "greedy"):
+        assert search_homogeneous(coloring, tau, mode=mode).size == 9
+    assert count_classes_met(ground, coloring) == len(classify_subsets(ground, 2))
+
+
 def test_search_exact_finds_maximum_and_is_lex_least():
     # tied pairs colored by least y parity; only one 4-subset avoids a clash
     ground = cond((0, 1), (0, 2), (3, 4), (3, 5), (3, 6))
@@ -149,18 +191,18 @@ def test_search_exact_respects_min_size_flag():
 
 def test_search_exact_refuses_large_ground():
     rng = random.Random(0)
-    big = random_condition(rng, homogeneity.EXHAUSTIVE_SEARCH_BOUND + 1)
+    big = random_condition(rng, WORK_BOUNDS["points"] + 1)
     coloring = realized_type_coloring(big, 2)
     with pytest.raises(LimitError):
         search_homogeneous(coloring, TIED, mode="exact")
     # explicit bound raise lets it through
     search_homogeneous(coloring, TIED, mode="exact",
-                       bound=homogeneity.EXHAUSTIVE_SEARCH_BOUND + 1)
+                       bound=WORK_BOUNDS["points"] + 1)
 
 
 def test_search_exact_refuses_before_reading_any_color():
     calls = []
-    big = random_condition(random.Random(0), homogeneity.EXHAUSTIVE_SEARCH_BOUND + 1)
+    big = random_condition(random.Random(0), WORK_BOUNDS["points"] + 1)
     coloring = Coloring.from_rule(big, 2, lambda pts: calls.append(pts) or 0)
     with pytest.raises(LimitError):
         search_homogeneous(coloring, SPLIT, mode="exact")
@@ -179,7 +221,7 @@ def test_search_exact_takes_a_raised_bound_past_the_recursion_limit():
 
 
 def test_search_greedy_refuses_before_reading_any_color():
-    # C(183, 3) = 1,004,731 3-subsets, above CLASSIFY_BOUND
+    # C(183, 3) = 1,004,731 3-subsets, above the "subsets" work bound
     calls = []
     big = random_condition(random.Random(0), 183)
     coloring = Coloring.from_rule(big, 3, lambda pts: calls.append(pts) or 0)

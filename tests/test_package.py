@@ -70,3 +70,11 @@ def test_a_call_loads_only_its_area(argv, doc, loaded, tmp_path):
     assert seen["exit"] == 0
     assert seen["before"] == dict.fromkeys(LAYERS, False)
     assert {n for n, done in seen["after"].items() if done} == loaded
+
+
+def test_only_errors_raises_limit_errors():
+    # every exhaustive routine refuses through errors.check_work, so the
+    # bounds and their message live in one place
+    src = REPO / "src" / "ramseybench"
+    raising = {path.name for path in src.glob("*.py") if "LimitError(" in path.read_text()}
+    assert raising == {"errors.py"}

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from ramseybench import pointsets
-from ramseybench.errors import LimitError, NoRealizedTypeError
+from ramseybench.errors import WORK_BOUNDS, LimitError, NoRealizedTypeError
 from ramseybench.pointsets import (
     CLAUSE_DIAGONAL,
     CLAUSE_SECTIONS,
@@ -160,7 +160,7 @@ def test_classify_subsets_partitions_everything():
 
 
 def test_classify_subsets_refuses_above_its_bound(monkeypatch):
-    monkeypatch.setattr(pointsets, "CLASSIFY_BOUND", comb(10, 3))
+    monkeypatch.setitem(WORK_BOUNDS, "subsets", comb(10, 3))
     c = random_condition(random.Random(3), 11)
     at_bound = FiniteCondition(frozenset(c.sorted_points[:10]))
     assert sum(map(len, classify_subsets(at_bound, 3).values())) == comb(10, 3)

@@ -12,11 +12,10 @@ from oracles import (
     unsatisfied_configurations,
 )
 
-from ramseybench.errors import LimitError
+from ramseybench.errors import WORK_BOUNDS, LimitError
 from ramseybench.homogeneity import check_tau_homogeneous, count_classes_met
 from ramseybench.pointsets import FiniteCondition, Point
 from ramseybench.randomgraph import (
-    SCHEDULE_BOUND,
     VERTICAL_PAIR,
     ColorConfiguration,
     Configuration,
@@ -179,6 +178,20 @@ def test_palette_two_build_reduces_to_graph():
             assert (ec.color(u, v) == 1) == g.has_edge(u, v)
 
 
+def test_graph_color_is_the_palette_two_edge_coloring():
+    g = build_random_graph(20)
+    ec = build_random_coloring(2, 20)
+    for u in range(g.vertex_count):
+        for v in range(g.vertex_count):
+            if u != v:
+                assert g.color(u, v) == ec.color(u, v) == int(g.has_edge(u, v))
+    for pair in ((3, 3), (0, g.vertex_count), (-1, 2)):
+        for view in (g, ec):
+            with pytest.raises(ValueError):
+                view.color(*pair)
+    assert color_vertical_pairs_palette is color_vertical_pairs
+
+
 def test_edge_coloring_defaults_and_validation():
     ec = EdgeColoring(3, 4, {(0, 1): 2})
     assert ec.color(0, 1) == 2 == ec.color(1, 0)
@@ -288,7 +301,7 @@ def test_covering_size_is_bounded_before_any_work():
     with pytest.raises(LimitError):
         build_coloring_covering(5, 10**9, 1)
     with pytest.raises(LimitError):
-        build_random_graph(SCHEDULE_BOUND + 1)
+        build_random_graph(WORK_BOUNDS["configurations"] + 1)
     g = build_graph_covering(8, 2)
     assert check_extension_property(g, 2, 8) == []
 
