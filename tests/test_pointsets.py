@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ramseybench import pointsets
 from ramseybench.errors import WORK_BOUNDS, LimitError, NoRealizedTypeError
 from ramseybench.pointsets import (
     CLAUSE_DIAGONAL,
