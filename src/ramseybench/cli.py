@@ -27,7 +27,7 @@ import sys
 from dataclasses import dataclass, field
 
 from . import homogeneity, omegatypes, pointsets, randomgraph, setalgebra, typecalc
-from .errors import WorkbenchError, _natural
+from .errors import WorkbenchError, _natural, _naturals
 
 LIMITS_ENV = "NBT_WORKBENCH_LIMITS"
 # The bounds these keys set are the ``bound=`` arguments of check_rich and
@@ -279,6 +279,10 @@ def _cmd_homog_stabilize(args, limits):
     doc = _read_json(args.infile)
     if not isinstance(doc, list):
         raise ValueError("rows document must be a JSON list of 0/1 rows")
+    for i, row in enumerate(doc):
+        for j, bit in enumerate(_naturals(row, f"[{i}]")):
+            if bit > 1:
+                raise ValueError(f"[{i}][{j}]: expected 0 or 1, got {bit}")
     report = homogeneity.stabilize_lex(doc, direction=args.direction)
     return {
         "stable": list(report.stable),

@@ -14,14 +14,15 @@ WORK_BOUNDS = {
     # n = 3; n = 6 (about 9 * 10**8 steps from empty) is refused.
     "steps": 5_000_000,
     # Subsets visited one by one, counted as C(points, n) by classify_subsets,
-    # greedy search and count_classes_met, and the configurations that
-    # check_extension_property tests.  Listing 10**6 subsets takes about 1 s
-    # and 90 MB of peak memory (n = 3 on 183 points: 0.97 s, 86 MB peak RSS;
-    # n = 4 on 72 points: 1.2 s, 104 MB; Python 3.11 on an Intel Xeon).  It
-    # admits n = 2 up to 1,414 points, n = 3 up to 182 and n = 4 up to 71;
-    # the 716-point n = 4 growth (1.09 * 10**10 subsets) is refused.  The
-    # extension check is slower per item (201,193 configurations on the
-    # 30-vertex (8, 2) covering in 0.9 s), so at the bound it takes about 5 s.
+    # greedy search, count_classes_met and check_tau_homogeneous, and the
+    # configurations that check_extension_property tests.  Listing 10**6
+    # subsets takes about 1 s and 90 MB of peak memory (n = 3 on 183
+    # points: 0.97 s, 86 MB peak RSS; n = 4 on 72 points: 1.2 s, 104 MB;
+    # Python 3.11 on an Intel Xeon).  It admits n = 2 up to 1,414 points,
+    # n = 3 up to 182 and n = 4 up to 71; the 716-point n = 4 growth
+    # (1.09 * 10**10 subsets) is refused.  The extension check is slower
+    # per item (201,193 configurations on the 30-vertex (8, 2) covering in
+    # 0.9 s), so at the bound it takes about 5 s.
     "subsets": 1_000_000,
     # Configurations one witness-engine build may walk.  A configuration
     # costs a few big-int operations on masks as wide as the vertex count,

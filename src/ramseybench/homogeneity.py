@@ -86,9 +86,15 @@ def check_tau_homogeneous(subset, coloring: Coloring, tau: NType) -> TauReport:
     """Is the coloring constant on the tau-realizing n-subsets of subset?
 
     Vacuously homogeneous (flagged, color None) when subset carries no
-    colored realizer of tau.
+    colored realizer of tau.  The realizers are listed from the n-subsets
+    of subset, so more of those than the "subsets" work bound raise
+    LimitError before any colour is read.
     """
-    realizers = _tau_realizers(_normalize_subset(subset, coloring.ground), coloring, tau)
+    pts = _normalize_subset(subset, coloring.ground)
+    count = comb(len(pts), coloring.n)
+    check_work("subsets", count, "homogeneity check",
+               f"{len(pts)} points have {count} {coloring.n}-subsets")
+    realizers = _tau_realizers(pts, coloring, tau)
     colors = {c for _, c in realizers if c is not None}
     return TauReport(
         homogeneous=len(colors) <= 1,
@@ -189,15 +195,26 @@ def search_homogeneous(coloring: Coloring, tau: NType, min_size: int = 0,
 
     keep = set(range(m))
     removed: list[int] = []
+    # the coloured realizers inside keep, in table order
+    live = [(sub, c) for sub, c in realizers if c is not None]
     while True:
-        mask = _mask(keep)
-        ok, color = _mono(realizers, mask)
-        if ok:
+        colors = Counter(c for _, c in live)
+        if len(colors) <= 1:
+            # the first colour seen names it, as _mono reports it
+            color = next(iter(colors), None)
             break
-        counts = _conflict_counts(realizers, mask, m)
+        majority = colors.most_common(1)[0][0]
+        counts = [0] * m
+        for sub, c in live:
+            if c != majority:
+                while sub:
+                    low = sub & -sub
+                    counts[low.bit_length() - 1] += 1
+                    sub ^= low
         worst = max(keep, key=lambda i: (counts[i], -i))
         keep.discard(worst)
         removed.append(worst)
+        live = [(sub, c) for sub, c in live if not sub >> worst & 1]
     for i in sorted(removed):
         trial = _mask(keep | {i})
         ok, color_try = _mono(realizers, trial)
@@ -292,20 +309,6 @@ def _mono(realizers, mask: int):
             elif c != color:
                 return False, None
     return True, color
-
-
-def _conflict_counts(realizers, mask: int, m: int) -> list[int]:
-    colors = Counter(
-        c for sub, c in realizers if sub & mask == sub and c is not None
-    )
-    majority = colors.most_common(1)[0][0]
-    counts = [0] * m
-    for sub, c in realizers:
-        if sub & mask == sub and c is not None and c != majority:
-            for i in range(m):
-                if sub >> i & 1:
-                    counts[i] += 1
-    return counts
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,9 @@ little-endian); at palette 2 the last key is the target set as an
 ascending bitmask.  The engine keeps one int bitmask per vertex and
 colour >= 1, plus their union.  The least witness is the lowest set bit
 of ``all & ~params & AND(mask(a, c))``, where colour 0 ("none of the
-others") takes the complement of the union.
+others") takes the complement of the union.  ``EdgeColoring.masks``
+holds these rows for a finished colouring, and a ``Graph`` is the
+palette-2 ``EdgeColoring`` whose colour-1 pairs are its edges.
 
 A covering walks a capped schedule: parameter counts stop at
 ``max_params`` and the walk stops at the first parameter that reaches
@@ -25,10 +27,6 @@ is counted before any work, and above the "configurations" work bound
 (``errors.WORK_BOUNDS``) the builders raise ``LimitError``; step counts
 share that bound.  The (8, 2) covering walks 241 configurations and
 (8, 4) 29,809; (9, 9) would walk more than 3 * 10^8 and is refused.
-
-``configuration_schedule``, ``color_schedule``, ``realize_configuration``
-and ``realize_color_configuration`` are the public definitions, views
-over the same schedule and masks; the builders do not go through them.
 
 Richness of a vertex set is approximated internally: a set is rich when
 some subset satisfies the k-extension property using only witnesses
@@ -45,7 +43,7 @@ from itertools import combinations, islice, permutations, product
 from math import perm
 
 from .errors import WORK_BOUNDS, _natural, check_work
-from .homogeneity import Coloring, check_tau_homogeneous
+from .homogeneity import Coloring, check_tau_homogeneous, count_classes_met
 from .pointsets import FiniteCondition, Point
 from .typecalc import parse_list_form
 
@@ -63,55 +61,66 @@ def _witnesses(rows, pool: int, params, colors) -> int:
     return pool
 
 
-def _check_pair(u: int, v: int, vertex_count: int) -> None:
-    if u == v:
-        raise ValueError("no color on a loop")
-    if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-        raise ValueError(f"pair {(u, v)} outside the vertex range")
-
-
 @dataclass(frozen=True)
-class Graph:
-    """Simple graph on vertices 0..vertex_count-1; edges as sorted pairs."""
+class EdgeColoring:
+    """Total symmetric edge coloring of vertices 0..vertex_count-1 by the
+    colours 0..palette-1; ``table`` maps sorted pairs to colours, and
+    unrecorded pairs carry color 0.  Colourings are equal when their
+    colours are; the hash reads only the vertex count and palette."""
 
     vertex_count: int
-    edges: frozenset[tuple[int, int]]
+    palette: int
+    table: dict = field(hash=False)
 
     def __post_init__(self):
-        for (u, v) in self.edges:
+        for (u, v), c in self.table.items():
             if not (0 <= u < v < self.vertex_count):
-                raise ValueError(f"bad edge {(u, v)} on {self.vertex_count} vertices")
+                raise ValueError(f"bad pair {(u, v)} on {self.vertex_count} vertices")
+            if not 0 <= c < self.palette:
+                raise ValueError(f"color {c} outside palette")
 
     @cached_property
-    def adjacency(self) -> tuple[int, ...]:
-        """The neighbourhood of each vertex as an int bitmask."""
-        adj = [0] * self.vertex_count
-        for (u, v) in self.edges:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        return tuple(adj)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        if u == v:
-            return False
-        return (min(u, v), max(u, v)) in self.edges
+    def masks(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex, the witness engine's row: index c >= 1 holds the
+        vertices joined to it by colour c, index 0 their union."""
+        rows = [[0] * self.palette for _ in range(self.vertex_count)]
+        for (u, v), c in self.table.items():
+            if c:
+                rows[u][c] |= 1 << v
+                rows[v][c] |= 1 << u
+                rows[u][0] |= 1 << v
+                rows[v][0] |= 1 << u
+        return tuple(map(tuple, rows))
 
     def color(self, u: int, v: int) -> int:
-        """The palette-2 view: 1 on an edge, 0 otherwise."""
-        _check_pair(u, v, self.vertex_count)
-        return int(self.has_edge(u, v))
+        if u == v:
+            raise ValueError("no color on a loop")
+        if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
+            raise ValueError(f"pair {(u, v)} outside the vertex range")
+        return self.table.get((min(u, v), max(u, v)), 0)
+
+
+class Graph(EdgeColoring):
+    """Simple graph on vertices 0..vertex_count-1; edges as sorted pairs.
+
+    It is the palette-2 edge colouring with colour 1 on each edge.
+    """
+
+    def __init__(self, vertex_count: int, edges):
+        super().__init__(vertex_count, 2, dict.fromkeys(edges, 1))
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self.table)
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return u != v and (min(u, v), max(u, v)) in self.table
 
     def neighbors(self, v: int) -> set[int]:
         if not 0 <= v < self.vertex_count:
             return set()
-        mask = self.adjacency[v]
+        mask = self.masks[v][1]
         return {u for u in range(self.vertex_count) if mask >> u & 1}
-
-
-def _graph_rows(g: Graph) -> list[tuple[int, int]]:
-    # Palette-2 rows for _witnesses: colour 1 is the neighbourhood and,
-    # being the only colour >= 1, also the union.
-    return [(m, m) for m in g.adjacency]
 
 
 @dataclass(frozen=True)
@@ -244,22 +253,21 @@ def realize_configuration(g: Graph, cfg: Configuration):
         if p >= g.vertex_count:
             raise ValueError(f"parameter {p} is not a vertex of the graph")
     colors = [int(i in cfg.targets) for i in range(len(cfg.params))]
-    found = _witnesses(_graph_rows(g), (1 << g.vertex_count) - 1,
-                       cfg.params, colors)
+    found = _witnesses(g.masks, (1 << g.vertex_count) - 1, cfg.params, colors)
     return (found & -found).bit_length() - 1 if found else None
 
 
 def build_random_graph(steps: int) -> Graph:
     """Run the first ``steps`` schedule entries from the one-vertex seed."""
     count, table = _walk(2, steps=steps)
-    return Graph(count, frozenset(table))
+    return Graph(count, table)
 
 
 def build_graph_covering(max_vertex: int, max_params: int) -> Graph:
     """Process every configuration with params inside [0, max_vertex) and
     at most max_params parameters, in schedule order."""
     count, table = _walk(2, max_vertex=max_vertex, max_params=max_params)
-    return Graph(count, frozenset(table))
+    return Graph(count, table)
 
 
 def check_extension_property(g: Graph, k: int, m: int) -> list[Configuration]:
@@ -282,7 +290,7 @@ def check_extension_property(g: Graph, k: int, m: int) -> list[Configuration]:
         work += term
     check_work("subsets", work, "extension check",
                f"k={k} on {m} vertices gives at least {work} configurations")
-    rows = _graph_rows(g)
+    rows = g.masks
     everyone = (1 << g.vertex_count) - 1
     unsatisfied = []
     for count in range(0, k + 1):
@@ -316,7 +324,7 @@ def check_rich(subset, g: Graph, k: int = 1, bound: int | None = None) -> bool:
             raise ValueError(f"{v} is not a vertex of the graph")
     check_work("vertices", len(vertices), "rich check",
                f"the set has {len(vertices)} vertices", bound)
-    rows = _graph_rows(g)
+    rows = g.masks
     for size in range(1, len(vertices) + 1):
         for inner in combinations(vertices, size):
             if _internally_extends(rows, inner, k):
@@ -327,9 +335,9 @@ def check_rich(subset, g: Graph, k: int = 1, bound: int | None = None) -> bool:
 VERTICAL_PAIR = "x1=x2<y1<y2"
 
 
-def color_vertical_pairs(cond: FiniteCondition, g: Graph | EdgeColoring) -> Coloring:
-    """Color tied pairs of cond by the colour ``g.color`` gives their y's:
-    adjacency in a Graph, the pair's colour in an EdgeColoring.
+def color_vertical_pairs(cond: FiniteCondition, g: EdgeColoring) -> Coloring:
+    """Color tied pairs of cond by the colour ``g.color`` gives their y's,
+    which for a Graph is 1 on an edge and 0 off it.
 
     Pairs from different columns stay uncolored.  Every y-coordinate of
     cond must be a vertex of g.
@@ -349,76 +357,6 @@ def color_vertical_pairs(cond: FiniteCondition, g: Graph | EdgeColoring) -> Colo
 
 # the palette name of the same rule, kept for callers that use it
 color_vertical_pairs_palette = color_vertical_pairs
-
-
-@dataclass(frozen=True)
-class EdgeColoring:
-    """Total symmetric edge coloring; unrecorded pairs carry color 0.
-
-    ``palette`` is the palette size, or None for an unbounded palette.
-    """
-
-    vertex_count: int
-    palette: int | None
-    table: dict = field(compare=False)
-
-    def __post_init__(self):
-        for (u, v), c in self.table.items():
-            if not (0 <= u < v < self.vertex_count):
-                raise ValueError(f"bad pair {(u, v)}")
-            if c < 0 or (self.palette is not None and c >= self.palette):
-                raise ValueError(f"color {c} outside palette")
-
-    @cached_property
-    def masks(self) -> tuple[tuple[int, ...], ...]:
-        """Per vertex, the witness engine's row: index c >= 1 holds the
-        vertices joined to it by colour c, index 0 their union."""
-        width = self.palette or max(self.table.values(), default=0) + 1
-        rows = [[0] * width for _ in range(self.vertex_count)]
-        for (u, v), c in self.table.items():
-            if c:
-                rows[u][c] |= 1 << v
-                rows[v][c] |= 1 << u
-                rows[u][0] |= 1 << v
-                rows[v][0] |= 1 << u
-        return tuple(map(tuple, rows))
-
-    def color(self, u: int, v: int) -> int:
-        _check_pair(u, v, self.vertex_count)
-        return self.table.get((min(u, v), max(u, v)), 0)
-
-
-@dataclass(frozen=True)
-class ColorConfiguration:
-    """Parameters plus the prescribed color of the witness edge to each."""
-
-    params: tuple[int, ...]
-    colors: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(set(self.params)) != len(self.params):
-            raise ValueError(f"parameters must be distinct: {self.params}")
-        if len(self.colors) != len(self.params):
-            raise ValueError("one color per parameter")
-
-
-def color_schedule(palette: int):
-    """Canonical palette-configuration order; colors ascend little-endian
-    so palette 2 coincides with the graph schedule's bitmask order."""
-    for params, colors in _schedule(palette):
-        yield ColorConfiguration(params, colors)
-
-
-def realize_color_configuration(ec: EdgeColoring, cfg: ColorConfiguration):
-    """Least witness whose edges to the parameters carry the given colors."""
-    for p in cfg.params:
-        if not 0 <= p < ec.vertex_count:
-            raise ValueError(f"parameter {p} is not a vertex")
-    rows = ec.masks
-    if rows and any(not 0 <= c < len(rows[0]) for c in cfg.colors):
-        return None  # no edge carries a colour outside the palette
-    found = _witnesses(rows, (1 << ec.vertex_count) - 1, cfg.params, cfg.colors)
-    return (found & -found).bit_length() - 1 if found else None
 
 
 def build_random_coloring(palette: int, steps: int) -> EdgeColoring:
@@ -527,8 +465,6 @@ class PaletteDemoReport:
 
 def coloring_demo(palette: int, max_vertex: int = 4) -> PaletteDemoReport:
     """One column over the palette engine's vertices meets every color."""
-    from .homogeneity import count_classes_met
-
     ec = build_coloring_covering(palette, max_vertex, 1)
     cond = FiniteCondition(frozenset(
         Point(0, v) for v in range(1, ec.vertex_count)
@@ -563,4 +499,4 @@ def graph_from_json(doc: dict) -> Graph:
         if u == v or max(u, v) >= count:
             raise ValueError(f"edges[{i}]: bad edge {[u, v]} on {count} vertices")
         edges.add((min(u, v), max(u, v)))
-    return Graph(count, frozenset(edges))
+    return Graph(count, edges)

@@ -315,3 +315,50 @@ def exact_search_scan(coloring, tau: NType, min_size: int = 0):
                 return (pts, colors[0] if colors else None, size, size >= min_size,
                         {"mode": "exact", "subsets_checked": checked})
     raise AssertionError("unreachable: the empty subset is homogeneous")
+
+
+def greedy_search_scan(coloring, tau: NType):
+    """(points, color, removed) of greedy homogeneous search by the loop it
+    ran before keeping a live list: each round rescans the whole table for
+    the colours inside the kept set, stops when one is left (named by the
+    first coloured realizer in table order), and else counts, per index,
+    the realizers of another colour than the most common one (ties: the
+    first seen) by testing every index; it drops the most conflicted
+    index, the least on a tie, then re-adds the dropped ones in ascending
+    order wherever the set stays monochromatic."""
+    ground = tuple(sorted(coloring.ground.points))
+    table = tau_realizer_table(coloring, tau)
+    m = len(ground)
+
+    def inside(keep):
+        mask = sum(1 << i for i in keep)
+        return [c for sub, c in table if sub & mask == sub and c is not None]
+
+    keep = set(range(m))
+    removed = []
+    while True:
+        colors = inside(keep)
+        if all(c == colors[0] for c in colors):
+            color = colors[0] if colors else None
+            break
+        tally = {}
+        for c in colors:
+            tally[c] = tally.get(c, 0) + 1
+        majority = max(tally, key=tally.get)
+        mask = sum(1 << i for i in keep)
+        counts = [0] * m
+        for sub, c in table:
+            if sub & mask == sub and c is not None and c != majority:
+                for i in range(m):
+                    if sub >> i & 1:
+                        counts[i] += 1
+        worst = max(keep, key=lambda i: (counts[i], -i))
+        keep.discard(worst)
+        removed.append(worst)
+    for i in sorted(removed):
+        colors = inside(keep | {i})
+        if all(c == colors[0] for c in colors):
+            keep.add(i)
+            color = colors[0] if colors else None
+    pts = tuple(sorted((ground[i] for i in keep), key=lambda p: p.y))
+    return pts, color, len(removed)

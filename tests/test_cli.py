@@ -589,6 +589,20 @@ def test_graph_demo_coloring_past_its_bound_is_refused():
     assert "class count refused" in doc["error"]
 
 
+def test_homog_check_past_its_bound_is_refused(files):
+    # a 400-point column has C(400, 3) = 10,586,800 3-subsets, all of them
+    # realizers of the tied triple, though the coloring names only one
+    column = files["dir"] / "column400.json"
+    column.write_text(json.dumps(condition_to_json(
+        FiniteCondition(frozenset(Point(0, y) for y in range(1, 401))))))
+    cpath = files["dir"] / "one_entry_3coloring.json"
+    cpath.write_text(json.dumps(
+        {"n": 3, "entries": [{"subset": [[0, 1], [0, 2], [0, 3]], "color": 0}]}))
+    doc = refused_fast(["homog", "check", "--in", str(cpath), "--partial",
+                        "--cond", str(column), "--type", "x1=x2=x3<y1<y2<y3"])
+    assert doc["error"].startswith("homogeneity check refused: 400 points")
+
+
 @pytest.mark.parametrize("doc, path", [
     ({"vertices": 3, "edges": [[0, None]]}, "edges[0][1]"),
     ({"vertices": 3, "edges": [[True, 2]]}, "edges[0][0]"),
@@ -736,6 +750,7 @@ READERS = {
     "omega zchain": (["omega", "zchain", "--z", "0,5,9"], {"--in": "prefix", "--za": "za"}),
     "omega hmember": (["omega", "hmember", "--point", "0,6"], {"--za": "za"}),
     "homog extract-s": (["homog", "extract-s"], {"--in": "grid", "--cond": "gridcond"}),
+    "homog stabilize": (["homog", "stabilize"], {"--in": "rows"}),
 }
 TYPE_READERS = ("types extend", "types insert")
 EXPRESSION_READERS = ("sets column", "sets tail", "sets fr2", "sets meets", "sets sum")
@@ -804,6 +819,11 @@ MALFORMED = [
     (TYPE_READERS, "--in", {"n": 2, "classes": [["x1", "z1"]]}, "classes[0][1]:"),
     (TYPE_READERS, "--in", {"n": True, "classes": [["x1"], ["y1"]]}, "n:"),
     (TYPE_READERS, "--in", {"n": "2", "classes": [["x1"], ["y1"], ["x2"], ["y2"]]}, "n:"),
+    (("homog stabilize",), "--in", [1, 2], "[0]:"),
+    (("homog stabilize",), "--in", [[None]], "[0][0]:"),
+    (("homog stabilize",), "--in", [[0.7, 1]], "[0][0]:"),
+    (("homog stabilize",), "--in", [[0, 1], [True, False]], "[1][0]:"),
+    (("homog stabilize",), "--in", [[0, 1], [0, 2]], "[1][1]:"),
 ]
 
 

@@ -132,18 +132,21 @@ def test_count_classes_met_refuses_before_reading_any_color():
     coloring = Coloring.from_rule(big, 2, lambda pts: calls.append(pts) or 0)
     with pytest.raises(LimitError, match="class count refused"):
         count_classes_met(big, coloring)
+    with pytest.raises(LimitError, match="homogeneity check refused"):
+        check_tau_homogeneous(big, coloring, TIED)
     assert calls == []
 
 
 def test_the_subset_bound_moves_every_subset_refusal_together(monkeypatch):
     # C(11, 3) = 165 3-subsets: admitted at 165, refused at 164 by the
-    # classification, greedy search and the class count alike
+    # classification, greedy search, the class count and the check alike
     ground = random_condition(random.Random(3), 11)
     coloring = realized_type_coloring(ground, 3)
     tau = realized_type(ground.sorted_points[:3])
     runs = (lambda: classify_subsets(ground, 3),
             lambda: search_homogeneous(coloring, tau, mode="greedy"),
-            lambda: count_classes_met(ground, coloring))
+            lambda: count_classes_met(ground, coloring),
+            lambda: check_tau_homogeneous(ground, coloring, tau))
     monkeypatch.setitem(WORK_BOUNDS, "subsets", 165)
     for run in runs:
         run()
@@ -358,6 +361,56 @@ def test_exact_search_matches_scan_on_planted_colorings(m, n, seed):
     rng = random.Random(1000 * m + 10 * n + seed)
     coloring, tau = planted_coloring(rng, m, n)
     assert_search_matches_scan(coloring, tau, rng.randint(m - 6, m))
+
+
+def assert_greedy_matches_scan(coloring, tau):
+    result = search_homogeneous(coloring, tau, mode="greedy")
+    points, color, removed = oracles.greedy_search_scan(coloring, tau)
+    assert (result.points, result.size, result.stats) == (
+        points, len(points), {"mode": "greedy", "removed": removed})
+    assert (result.color, type(result.color)) == (color, type(color))
+
+
+@pytest.mark.parametrize("first, second", [(1, 0), (0, 1), ("a", True)])
+def test_greedy_search_breaks_a_majority_tie_by_the_first_colour_seen(first, second):
+    # a column of four points, every pair a TIED realizer: (0, 1) and
+    # (2, 3) carry one colour each, so the majority is (0, 1)'s colour
+    # and index 2 goes
+    ground = cond(*((0, y) for y in range(1, 5)))
+    colors = {(1, 2): first, (3, 4): second}
+    coloring = Coloring.from_rule(
+        ground, 2, lambda pts: colors.get(tuple(p.y for p in pts)))
+    result = search_homogeneous(coloring, TIED, mode="greedy")
+    assert result.points == (Point(0, 1), Point(0, 2), Point(0, 4))
+    assert (result.color, result.stats["removed"]) == (first, 1)
+    assert_greedy_matches_scan(coloring, TIED)
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("n", [2, 3])
+def test_greedy_search_matches_scan_on_seeded_colorings(seed, n):
+    rng = random.Random(seed)
+    coloring = random_coloring(rng, rng.randint(n, 16), n)
+    groups = classify_subsets(coloring.ground, n)
+    for tau in sorted(groups, key=list_form)[:4]:
+        assert_greedy_matches_scan(coloring, tau)
+    planted, tau = planted_coloring(rng, rng.randint(8, 14), n)
+    assert_greedy_matches_scan(planted, tau)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(min_value=0, max_value=13), st.sampled_from([2, 3]),
+       st.sampled_from([[0, 1], [0, 1, "a"], SEARCH_COLORS + [UNCOLORED]]))
+def test_greedy_search_matches_scan_on_hypothesis_colorings(data, size, n, palette):
+    ground = random_condition(random.Random(data.draw(st.integers(0, 10_000))), size)
+    combos = list(combinations(ground.sorted_points, n))
+    colors = data.draw(st.lists(st.sampled_from(palette),
+                                min_size=len(combos), max_size=len(combos)))
+    table = {frozenset(c): color for c, color in zip(combos, colors) if color is not UNCOLORED}
+    coloring = Coloring.from_table(ground, n, table, partial=True)
+    tau = data.draw(st.sampled_from(list(classify_subsets(ground, n))
+                                    or list(enumerate_ntypes(n))))
+    assert_greedy_matches_scan(coloring, tau)
 
 
 def test_floor_demo_exact_counts():

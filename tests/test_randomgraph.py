@@ -17,17 +17,16 @@ from ramseybench.homogeneity import check_tau_homogeneous, count_classes_met
 from ramseybench.pointsets import FiniteCondition, Point
 from ramseybench.randomgraph import (
     VERTICAL_PAIR,
-    ColorConfiguration,
     Configuration,
     EdgeColoring,
     Graph,
+    _schedule,
     build_coloring_covering,
     build_graph_covering,
     build_random_coloring,
     build_random_graph,
     check_extension_property,
     check_rich,
-    color_schedule,
     color_vertical_pairs,
     color_vertical_pairs_palette,
     coloring_demo,
@@ -35,7 +34,6 @@ from ramseybench.randomgraph import (
     graph_from_json,
     graph_to_json,
     noreverse_demo,
-    realize_color_configuration,
     realize_configuration,
 )
 from ramseybench.typecalc import parse_list_form
@@ -162,10 +160,10 @@ def test_vertical_pair_constant_matches_tied_pattern():
 
 def test_palette_two_schedule_matches_graph_schedule():
     graph_cfgs = list(islice(configuration_schedule(), 30))
-    color_cfgs = list(islice(color_schedule(2), 30))
-    for gc, cc in zip(graph_cfgs, color_cfgs):
-        assert gc.params == cc.params
-        mask = frozenset(i for i, c in enumerate(cc.colors) if c == 1)
+    color_cfgs = list(islice(_schedule(2), 30))
+    for gc, (params, colors) in zip(graph_cfgs, color_cfgs):
+        assert gc.params == params
+        mask = frozenset(i for i, c in enumerate(colors) if c == 1)
         assert mask == gc.targets
 
 
@@ -202,11 +200,16 @@ def test_edge_coloring_defaults_and_validation():
         ec.color(0, 0)
 
 
-def test_color_configuration_validation():
-    with pytest.raises(ValueError):
-        ColorConfiguration((0, 0), (1, 1))
-    with pytest.raises(ValueError):
-        ColorConfiguration((0,), (1, 2))  # length mismatch
+def test_colourings_compare_by_their_colours():
+    assert EdgeColoring(3, 2, {(0, 1): 1}) != EdgeColoring(3, 2, {})
+    assert EdgeColoring(3, 3, {(0, 1): 1}) != EdgeColoring(3, 3, {(0, 1): 2})
+    assert EdgeColoring(3, 2, {(0, 1): 1}) == EdgeColoring(3, 2, {(0, 1): 1})
+    assert hash(EdgeColoring(3, 2, {(0, 1): 1})) == hash(EdgeColoring(3, 2, {}))
+    g = Graph(3, {(0, 1)})
+    assert isinstance(g, EdgeColoring) and g.palette == 2
+    assert g != Graph(3, set())
+    assert g == Graph(3, frozenset({(0, 1)})) and hash(g) == hash(Graph(3, set()))
+    assert g.table == {(0, 1): 1} and g.masks == ((2, 2), (1, 1), (0, 0))
 
 
 @pytest.mark.parametrize("palette", [3, 4, 5])
@@ -289,7 +292,7 @@ def test_step_builds_match_walk_oracle(palette, steps):
 @pytest.mark.parametrize("palette", [2, 3])
 def test_schedules_match_the_filtered_full_schedule(palette):
     want = list(islice(full_schedule(palette), 3000))
-    assert [(c.params, c.colors) for c in islice(color_schedule(palette), 3000)] == want
+    assert list(islice(_schedule(palette), 3000)) == want
     if palette == 2:
         got = [(c.params, c.targets) for c in islice(configuration_schedule(), 3000)]
         assert got == [(ps, frozenset(i for i, c in enumerate(cs) if c)) for ps, cs in want]
@@ -340,15 +343,3 @@ def test_mask_checks_match_oracle(seed):
         for k in (0, 1):
             assert check_rich(vertices, g, k) == is_rich(adj, vertices, k)
 
-
-def test_realize_color_configuration_least_witness():
-    ec = EdgeColoring(5, 3, {(0, 2): 1, (1, 2): 2, (0, 3): 1, (1, 3): 1, (0, 4): 2})
-    assert realize_color_configuration(ec, ColorConfiguration((0, 1), (1, 1))) == 3
-    assert realize_color_configuration(ec, ColorConfiguration((0, 1), (1, 2))) == 2
-    assert realize_color_configuration(ec, ColorConfiguration((0,), (0,))) == 1
-    assert realize_color_configuration(ec, ColorConfiguration((0,), (2,))) == 4
-    assert realize_color_configuration(ec, ColorConfiguration((0,), (3,))) is None
-    assert realize_color_configuration(ec, ColorConfiguration((0,), (-1,))) is None
-    for params in ((5,), (-1,)):
-        with pytest.raises(ValueError):
-            realize_color_configuration(ec, ColorConfiguration(params, (0,)))
