@@ -323,18 +323,25 @@ def assert_search_matches_scan(coloring, tau, min_size):
     assert (result.color, type(result.color)) == (color, type(color))
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.data(), st.integers(min_value=0, max_value=12), st.sampled_from([2, 3]))
-def test_exact_search_matches_scan_on_hypothesis_colorings(data, size, n):
+def drawn_coloring(data, size, n, palette):
+    """A partial coloring of a seeded random ground from ``palette``
+    (UNCOLORED leaves a subset out), with a pattern drawn from those the
+    ground realizes; a pattern it lacks is vacuous."""
     ground = random_condition(random.Random(data.draw(st.integers(0, 10_000))), size)
     combos = list(combinations(ground.sorted_points, n))
-    colors = data.draw(st.lists(st.sampled_from(SEARCH_COLORS + [UNCOLORED]),
+    colors = data.draw(st.lists(st.sampled_from(palette),
                                 min_size=len(combos), max_size=len(combos)))
     table = {frozenset(c): color for c, color in zip(combos, colors) if color is not UNCOLORED}
     coloring = Coloring.from_table(ground, n, table, partial=True)
-    # prefer patterns the ground realizes; a pattern it lacks is vacuous
     tau = data.draw(st.sampled_from(list(classify_subsets(ground, n))
                                     or list(enumerate_ntypes(n))))
+    return coloring, tau
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(min_value=0, max_value=12), st.sampled_from([2, 3]))
+def test_exact_search_matches_scan_on_hypothesis_colorings(data, size, n):
+    coloring, tau = drawn_coloring(data, size, n, SEARCH_COLORS + [UNCOLORED])
     assert_search_matches_scan(coloring, tau, data.draw(st.integers(0, size + 1)))
 
 
@@ -402,15 +409,7 @@ def test_greedy_search_matches_scan_on_seeded_colorings(seed, n):
 @given(st.data(), st.integers(min_value=0, max_value=13), st.sampled_from([2, 3]),
        st.sampled_from([[0, 1], [0, 1, "a"], SEARCH_COLORS + [UNCOLORED]]))
 def test_greedy_search_matches_scan_on_hypothesis_colorings(data, size, n, palette):
-    ground = random_condition(random.Random(data.draw(st.integers(0, 10_000))), size)
-    combos = list(combinations(ground.sorted_points, n))
-    colors = data.draw(st.lists(st.sampled_from(palette),
-                                min_size=len(combos), max_size=len(combos)))
-    table = {frozenset(c): color for c, color in zip(combos, colors) if color is not UNCOLORED}
-    coloring = Coloring.from_table(ground, n, table, partial=True)
-    tau = data.draw(st.sampled_from(list(classify_subsets(ground, n))
-                                    or list(enumerate_ntypes(n))))
-    assert_greedy_matches_scan(coloring, tau)
+    assert_greedy_matches_scan(*drawn_coloring(data, size, n, palette))
 
 
 def test_floor_demo_exact_counts():
