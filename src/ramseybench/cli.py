@@ -76,11 +76,16 @@ def _read_json(path: str):
             raise ValueError(f"{path}: JSON document nested too deeply to read") from None
 
 
-def _load_condition(path: str) -> pointsets.FiniteCondition:
+def _condition_points(path: str) -> list[pointsets.Point]:
+    """A condition file's [x, y] pairs, bare or under "points"."""
     doc = _read_json(path)
     if isinstance(doc, dict) and "points" in doc:
         doc = doc["points"]
-    return pointsets.condition_from_json(doc)
+    return pointsets.points_from_json(doc)
+
+
+def _load_condition(path: str) -> pointsets.FiniteCondition:
+    return pointsets.FiniteCondition(frozenset(_condition_points(path)))
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -159,10 +164,7 @@ def _cmd_types_insert(args, limits):
 
 
 def _cmd_cond_check(args, limits):
-    doc = _read_json(args.infile)
-    if isinstance(doc, dict) and "points" in doc:
-        doc = doc["points"]
-    report = pointsets.check_condition(pointsets.points_from_json(doc))
+    report = pointsets.check_condition(_condition_points(args.infile))
     payload = {
         "ok": report.ok,
         "violations": [
@@ -231,12 +233,10 @@ def _load_coloring(args) -> homogeneity.Coloring:
 
 
 def _cmd_homog_check(args, limits):
+    # with --cond, the condition is the coloring's ground
     coloring = _load_coloring(args)
-    subset = (
-        _load_condition(args.cond) if args.cond else coloring.ground
-    )
     tau = typecalc.parse_list_form(args.type)
-    report = homogeneity.check_tau_homogeneous(subset, coloring, tau)
+    report = homogeneity.check_tau_homogeneous(coloring.ground, coloring, tau)
     return {
         "type": typecalc.list_form(tau),
         "homogeneous": report.homogeneous,

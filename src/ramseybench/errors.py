@@ -3,6 +3,7 @@ exhaustive work with the one check that enforces them, and the checks
 the JSON readers share to name the path of a malformed value."""
 
 import json
+from math import comb
 
 # The bound on each quantity an exhaustive routine counts before it starts;
 # check_work refuses a count above it.  Only "points" and "vertices" can be
@@ -59,6 +60,13 @@ def check_work(key: str, work: int, what: str, detail: str,
         bound = WORK_BOUNDS[key]
     if work > bound:
         raise LimitError(f"{what} refused: {detail}, the bound is {bound}")
+
+
+def check_subsets(m: int, n: int, what: str) -> None:
+    """Refuse visiting the n-subsets of m points one by one when there are
+    more than the "subsets" work bound."""
+    count = comb(m, n)
+    check_work("subsets", count, what, f"{m} points have {count} {n}-subsets")
 
 
 class NoRealizedTypeError(WorkbenchError):

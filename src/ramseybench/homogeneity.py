@@ -19,10 +19,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
+from operator import gt, lt
 
-from .errors import LexOrderError, _natural, _naturals, check_work
-from .pointsets import (FiniteCondition, Point, _keyed_subsets, _type_key,
-                        classify_subsets, points_from_json, realized_type)
+from .errors import LexOrderError, _natural, _naturals, check_subsets, check_work
+from .pointsets import (FiniteCondition, Point, _realizers, classify_subsets,
+                        points_from_json, realized_type)
 from .typecalc import NType, count_ntypes, enumerate_ntypes, list_form
 
 STABLE_1 = "stable-1"
@@ -91,9 +92,7 @@ def check_tau_homogeneous(subset, coloring: Coloring, tau: NType) -> TauReport:
     LimitError before any colour is read.
     """
     pts = _normalize_subset(subset, coloring.ground)
-    count = comb(len(pts), coloring.n)
-    check_work("subsets", count, "homogeneity check",
-               f"{len(pts)} points have {count} {coloring.n}-subsets")
+    check_subsets(len(pts), coloring.n, "homogeneity check")
     realizers = _tau_realizers(pts, coloring, tau)
     colors = {c for _, c in realizers if c is not None}
     return TauReport(
@@ -106,13 +105,12 @@ def check_tau_homogeneous(subset, coloring: Coloring, tau: NType) -> TauReport:
 
 def _tau_realizers(pts, coloring: Coloring, tau: NType) -> list[tuple[tuple[Point, ...], object]]:
     """(subset, color) per tau-realizer among y-sorted ground points pts, in
-    lexicographic y-sequence order: the subsets whose pair-code key is tau's."""
+    lexicographic y-sequence order."""
     if tau.n != coloring.n:
         raise ValueError(
             f"pattern size {tau.n} does not match coloring arity {coloring.n}"
         )
-    found = _keyed_subsets(pts, tau.n, _type_key(tau))
-    return [(combo, coloring.rule(combo)) for combo, _ in found]
+    return [(combo, coloring.rule(combo)) for combo in _realizers(pts, tau)]
 
 
 def _normalize_subset(subset, ground: FiniteCondition) -> tuple[Point, ...]:
@@ -134,9 +132,7 @@ def count_classes_met(subset, coloring: Coloring) -> int:
     "subsets" work bound raise LimitError before any colour is read.
     """
     pts = _normalize_subset(subset, coloring.ground)
-    count = comb(len(pts), coloring.n)
-    check_work("subsets", count, "class count",
-               f"{len(pts)} points have {count} {coloring.n}-subsets")
+    check_subsets(len(pts), coloring.n, "class count")
     colors = {coloring.rule(combo) for combo in combinations(pts, coloring.n)}
     return len(colors - {None})
 
@@ -173,9 +169,7 @@ def search_homogeneous(coloring: Coloring, tau: NType, min_size: int = 0,
     if mode == "exact":
         check_work("points", m, "exact search", f"the ground has {m} points", bound)
     else:
-        count = comb(m, coloring.n)
-        check_work("subsets", count, "greedy search",
-                   f"{m} points have {count} {coloring.n}-subsets")
+        check_subsets(m, coloring.n, "greedy search")
     realizers = _realizer_table(coloring, tau, ground_pts)
 
     if mode == "exact":
@@ -348,9 +342,9 @@ def stabilize_lex(rows, direction: str = "increasing") -> StabilizeReport:
     """Per-column stable values of a lexicographically monotone row sequence.
 
     Rows must be equal-width 0/1 vectors, lexicographically non-decreasing
-    (non-increasing for direction="decreasing", handled as the bitwise
-    mirror).  Returns the final stable vector and, per column, the least
-    row index from which that column is constant to the end.
+    (non-increasing for direction="decreasing").  Returns the final stable
+    vector and, per column, the least row index from which that column is
+    constant to the end.
     """
     table = [tuple(int(b) for b in row) for row in rows]
     if not table:
@@ -361,24 +355,12 @@ def stabilize_lex(rows, direction: str = "increasing") -> StabilizeReport:
             raise ValueError("rows must share a width")
         if any(b not in (0, 1) for b in r):
             raise ValueError("rows must be 0/1 vectors")
-    if direction == "decreasing":
-        for i in range(len(table) - 1):
-            if table[i] < table[i + 1]:
-                raise LexOrderError(i, table[i], table[i + 1])
-        flipped = [tuple(1 - b for b in r) for r in table]
-        inner = stabilize_lex(flipped, "increasing")
-        return StabilizeReport(
-            stable=tuple(1 - b for b in inner.stable),
-            positions=inner.positions,
-        )
-    if direction != "increasing":
+    if direction not in ("increasing", "decreasing"):
         raise ValueError(f"direction must be 'increasing' or 'decreasing', got {direction!r}")
-
+    out_of_order = gt if direction == "increasing" else lt
     for i in range(len(table) - 1):
-        if table[i] > table[i + 1]:
+        if out_of_order(table[i], table[i + 1]):
             raise LexOrderError(i, table[i], table[i + 1])
-    if width and any(table[i][0] > table[i + 1][0] for i in range(len(table) - 1)):
-        raise AssertionError("column 0 must be non-decreasing under lex order")
 
     stable = table[-1]
     positions = []

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 
-from .errors import NoRealizedTypeError, _natural, check_work
+from .errors import NoRealizedTypeError, _natural, check_subsets, check_work
 from .typecalc import NType, Symbol, _check_n, _symbol, count_ntypes, enumerate_ntypes
 
 CLAUSE_SECTIONS = "sections-disjoint"
@@ -164,27 +164,18 @@ def _pattern_of(pts) -> NType:
 
 
 def subset_realizes(subset, t: NType) -> bool:
-    """Clause-level check that a point set realizes the given pattern.
+    """Does a point set realize the given pattern?
 
-    Interprets each symbol by its point's coordinate and compares every
-    symbol pair against the pattern's order.  Kept free of the sorting
-    shortcut in realized_type so the two act as cross-checks.
+    The points must be distinct, exactly t.n of them, and form a valid
+    condition; the pair-code scan then decides.  Its symbol-by-symbol
+    reference is ``tests/oracles.py::subset_realizes_compare``.
     """
     pts = sorted({_as_point(p) for p in subset}, key=lambda p: p.y)
     if len(pts) != t.n:
         return False
     if not check_condition(pts).ok:
         return False
-    value = {}
-    for i, p in enumerate(pts, start=1):
-        value[Symbol("x", i)] = p.x
-        value[Symbol("y", i)] = p.y
-    syms = list(value)
-    for a in syms:
-        for b in syms:
-            if (value[a] <= value[b]) != t.leq(a, b):
-                return False
-    return True
+    return next(_realizers(pts, t), None) is not None
 
 
 # The pair code.  For y-sorted points p_1, ..., p_k of a valid condition,
@@ -241,14 +232,19 @@ def _keyed_subsets(pts, n: int, target: int | None = None):
     yield from walk((), 0, [0] * m, 0)
 
 
+def _realizers(pts, t: NType):
+    """The t-realizers among y-sorted points pts of a valid condition, in
+    lexicographic y-sequence order: the subsets whose key is t's."""
+    return (subset for subset, _ in _keyed_subsets(pts, t.n, _type_key(t)))
+
+
 def find_realizer(cond: FiniteCondition, t: NType):
     """Least subset of cond realizing t, by lexicographic y-sequence.
 
     Returns a tuple of points sorted by y, or None when no subset
     realizes t (in particular when t.n exceeds the condition size).
     """
-    found = _keyed_subsets(cond.sorted_points, t.n, _type_key(t))
-    return next((subset for subset, _ in found), None)
+    return next(_realizers(cond.sorted_points, t), None)
 
 
 def classify_subsets(cond: FiniteCondition, n: int) -> dict[NType, list[tuple[Point, ...]]]:
@@ -260,9 +256,7 @@ def classify_subsets(cond: FiniteCondition, n: int) -> dict[NType, list[tuple[Po
     work.
     """
     _check_n(n)
-    count = comb(len(cond), n)
-    check_work("subsets", count, "classification",
-               f"{len(cond)} points have {count} {n}-subsets")
+    check_subsets(len(cond), n, "classification")
     groups: dict[int, list[tuple[Point, ...]]] = {}
     for subset, key in _keyed_subsets(cond.sorted_points, n):
         group = groups.get(key)

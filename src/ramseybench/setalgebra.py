@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import _natural, _naturals
 
@@ -161,16 +162,9 @@ def column_of(expr: PlanarSet, x: int) -> FinCofin:
         return FinCofin.cofinite_except(range(x + 1))
     if isinstance(expr, Column):
         return expr.content if expr.x == x else EMPTY
-    if isinstance(expr, Union):
-        out = column_of(expr.args[0], x)
-        for a in expr.args[1:]:
-            out = out.union(column_of(a, x))
-        return out
-    if isinstance(expr, Intersection):
-        out = column_of(expr.args[0], x)
-        for a in expr.args[1:]:
-            out = out.intersection(column_of(a, x))
-        return out
+    if isinstance(expr, (Union, Intersection)):
+        fold = FinCofin.union if isinstance(expr, Union) else FinCofin.intersection
+        return reduce(fold, (column_of(a, x) for a in expr.args))
     if isinstance(expr, Complement):
         return column_of(expr.arg, x).complement()
     raise TypeError(f"not a planar set expression: {expr!r}")
@@ -206,20 +200,12 @@ def tail_analysis(expr: PlanarSet) -> TailForm:
         return TailForm(0, FULL, EMPTY)
     if isinstance(expr, Column):
         return TailForm(expr.x + 1, EMPTY, EMPTY)
-    if isinstance(expr, Union):
+    if isinstance(expr, (Union, Intersection)):
+        fold = FinCofin.union if isinstance(expr, Union) else FinCofin.intersection
         parts = [tail_analysis(a) for a in expr.args]
-        upper, lower = parts[0].upper, parts[0].lower
-        for p in parts[1:]:
-            upper = upper.union(p.upper)
-            lower = lower.union(p.lower)
-        return TailForm(max(p.horizon for p in parts), upper, lower)
-    if isinstance(expr, Intersection):
-        parts = [tail_analysis(a) for a in expr.args]
-        upper, lower = parts[0].upper, parts[0].lower
-        for p in parts[1:]:
-            upper = upper.intersection(p.upper)
-            lower = lower.intersection(p.lower)
-        return TailForm(max(p.horizon for p in parts), upper, lower)
+        return TailForm(max(p.horizon for p in parts),
+                        reduce(fold, (p.upper for p in parts)),
+                        reduce(fold, (p.lower for p in parts)))
     if isinstance(expr, Complement):
         inner = tail_analysis(expr.arg)
         return TailForm(inner.horizon, inner.upper.complement(),

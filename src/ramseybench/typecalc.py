@@ -64,6 +64,19 @@ def _expected_symbols(n: int) -> frozenset[Symbol]:
     )
 
 
+def _order_violations(n: int, before) -> list[str]:
+    """The breaks of "the y's increase strictly" and "each xi sits strictly
+    before yi" under the strict order ``before(a, b)``."""
+    violations = []
+    for i in range(1, n):
+        if not before(Symbol("y", i), Symbol("y", i + 1)):
+            violations.append(f"y symbols must increase strictly: y{i} vs y{i + 1}")
+    for i in range(1, n + 1):
+        if not before(Symbol("x", i), Symbol("y", i)):
+            violations.append(f"x{i} must sit strictly before y{i}")
+    return violations
+
+
 def _class_problems(n: int, classes) -> tuple[list[str], list[str]]:
     """Check a candidate class sequence.  Returns (malformed, violations)."""
     malformed: list[str] = []
@@ -101,12 +114,7 @@ def _class_problems(n: int, classes) -> tuple[list[str], list[str]]:
                 "equivalent symbols must both be x's: "
                 + "=".join(map(str, sorted(cls)))
             )
-    for i in range(1, n):
-        if position[Symbol("y", i)] >= position[Symbol("y", i + 1)]:
-            violations.append(f"y symbols must increase strictly: y{i} vs y{i + 1}")
-    for i in range(1, n + 1):
-        if position[Symbol("x", i)] >= position[Symbol("y", i)]:
-            violations.append(f"x{i} must sit strictly before y{i}")
+    violations += _order_violations(n, lambda a, b: position[a] < position[b])
     return [], violations
 
 
@@ -224,14 +232,8 @@ def validate_ntype(n: int, relation) -> TypeValidation:
                     violations.append(
                         f"equivalent symbols must both be x's: {a}={b}"
                     )
-    for i in range(1, n):
-        lo, hi = Symbol("y", i), Symbol("y", i + 1)
-        if (lo, hi) not in pairs or (hi, lo) in pairs:
-            violations.append(f"y symbols must increase strictly: y{i} vs y{i + 1}")
-    for i in range(1, n + 1):
-        xi, yi = Symbol("x", i), Symbol("y", i)
-        if (xi, yi) not in pairs or (yi, xi) in pairs:
-            violations.append(f"x{i} must sit strictly before y{i}")
+    violations += _order_violations(
+        n, lambda a, b: (a, b) in pairs and (b, a) not in pairs)
     return TypeValidation(not violations, (), tuple(violations))
 
 

@@ -23,7 +23,7 @@ from ramseybench.setalgebra import (
     Rect,
     Union,
 )
-from ramseybench.pointsets import FiniteCondition, Point
+from ramseybench.pointsets import FiniteCondition, Point, _as_point, check_condition
 from ramseybench.typecalc import NType, Symbol, count_ntypes, enumerate_ntypes, list_form
 
 
@@ -216,6 +216,30 @@ def signature_type(n: int, sig) -> NType:
         frozenset(Symbol("x", i) if i <= n else Symbol("y", i - n) for i in ids)
         for ids in sig
     ))
+
+
+def subset_realizes_compare(subset, t: NType) -> bool:
+    """Clause-level check that a point set realizes the given pattern.
+
+    Interprets each symbol by its point's coordinate and compares every
+    symbol pair against the pattern's order.  Kept free of the sorting
+    shortcut in realized_type so the two act as cross-checks.
+    """
+    pts = sorted({_as_point(p) for p in subset}, key=lambda p: p.y)
+    if len(pts) != t.n:
+        return False
+    if not check_condition(pts).ok:
+        return False
+    value = {}
+    for i, p in enumerate(pts, start=1):
+        value[Symbol("x", i)] = p.x
+        value[Symbol("y", i)] = p.y
+    syms = list(value)
+    for a in syms:
+        for b in syms:
+            if (value[a] <= value[b]) != t.leq(a, b):
+                return False
+    return True
 
 
 def find_realizer_scan(cond: FiniteCondition, t: NType):

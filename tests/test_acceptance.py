@@ -59,7 +59,7 @@ from ramseybench.typecalc import (
     parse_list_form,
 )
 
-from oracles import brute_force_ntypes
+from oracles import brute_force_ntypes, subset_realizes_compare
 
 
 @contextmanager
@@ -119,6 +119,9 @@ def test_criterion_03_realized_type_total_and_unique():
                 t = realized_type(subset)
                 assert t in valid[n]
                 matches = [u for u in all_types[n] if subset_realizes(subset, u)]
+                assert matches == [t]
+                matches = [u for u in all_types[n]
+                           if subset_realizes_compare(subset, u)]
                 assert matches == [t]
 
 

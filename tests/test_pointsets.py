@@ -111,9 +111,11 @@ def test_subset_realizes_agrees_with_realized_type():
         for combo in combinations(c.sorted_points, n):
             t = realized_type(combo)
             assert subset_realizes(combo, t)
+            assert oracles.subset_realizes_compare(combo, t)
             for other in all_types:
                 if other != t:
                     assert not subset_realizes(combo, other)
+                    assert not oracles.subset_realizes_compare(combo, other)
 
 
 @settings(max_examples=25, deadline=None)
