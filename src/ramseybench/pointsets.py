@@ -59,12 +59,19 @@ class ConditionReport:
 
 
 def check_condition(points) -> ConditionReport:
-    """Report every clause violation in a raw point set; never raises."""
+    """Report every clause violation in a raw point set; never raises.
+
+    Witnesses are the first points in (x, y) order: the first point on a
+    shared y against each later one, and for a value used as both an x
+    and a y, the first point with that x and the first with that y.
+    """
     pts = sorted({_as_point(p) for p in points})
     violations = []
+    by_x: dict[int, Point] = {}
     by_y: dict[int, Point] = {}
     for p in pts:
-        if p.y in by_y and by_y[p.y] != p:
+        by_x.setdefault(p.x, p)
+        if p.y in by_y:
             violations.append(
                 ClauseViolation(CLAUSE_SECTIONS, (by_y[p.y], p))
             )
@@ -73,12 +80,8 @@ def check_condition(points) -> ConditionReport:
     for p in pts:
         if p.x >= p.y:
             violations.append(ClauseViolation(CLAUSE_DIAGONAL, (p,)))
-    xs = {p.x for p in pts}
-    ys = {p.y for p in pts}
-    for v in sorted(xs & ys):
-        wx = next(p for p in pts if p.x == v)
-        wy = next(p for p in pts if p.y == v)
-        violations.append(ClauseViolation(CLAUSE_XY, (wx, wy)))
+    for v in sorted(by_x.keys() & by_y.keys()):
+        violations.append(ClauseViolation(CLAUSE_XY, (by_x[v], by_y[v])))
     return ConditionReport(not violations, tuple(violations))
 
 

@@ -23,7 +23,17 @@ from ramseybench.setalgebra import (
     Rect,
     Union,
 )
-from ramseybench.pointsets import FiniteCondition, Point, _as_point, check_condition
+from ramseybench.pointsets import (
+    CLAUSE_DIAGONAL,
+    CLAUSE_SECTIONS,
+    CLAUSE_XY,
+    ClauseViolation,
+    ConditionReport,
+    FiniteCondition,
+    Point,
+    _as_point,
+    check_condition,
+)
 from ramseybench.typecalc import NType, Symbol, count_ntypes, enumerate_ntypes, list_form
 
 
@@ -216,6 +226,31 @@ def signature_type(n: int, sig) -> NType:
         frozenset(Symbol("x", i) if i <= n else Symbol("y", i - n) for i in ids)
         for ids in sig
     ))
+
+
+def check_condition_scan(points) -> ConditionReport:
+    """Every clause violation of a raw point set, each xy-disjointness
+    witness found by rescanning all the points for its value."""
+    pts = sorted({_as_point(p) for p in points})
+    violations = []
+    by_y: dict[int, Point] = {}
+    for p in pts:
+        if p.y in by_y and by_y[p.y] != p:
+            violations.append(
+                ClauseViolation(CLAUSE_SECTIONS, (by_y[p.y], p))
+            )
+        else:
+            by_y[p.y] = p
+    for p in pts:
+        if p.x >= p.y:
+            violations.append(ClauseViolation(CLAUSE_DIAGONAL, (p,)))
+    xs = {p.x for p in pts}
+    ys = {p.y for p in pts}
+    for v in sorted(xs & ys):
+        wx = next(p for p in pts if p.x == v)
+        wy = next(p for p in pts if p.y == v)
+        violations.append(ClauseViolation(CLAUSE_XY, (wx, wy)))
+    return ConditionReport(not violations, tuple(violations))
 
 
 def subset_realizes_compare(subset, t: NType) -> bool:

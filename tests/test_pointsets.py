@@ -72,6 +72,41 @@ def test_violation_witnesses_are_reported():
     assert "sections-disjoint" in violation.describe()
 
 
+ALL_CLAUSES = {CLAUSE_SECTIONS, CLAUSE_DIAGONAL, CLAUSE_XY}
+
+
+def test_check_condition_matches_the_rescanning_oracle():
+    rng = random.Random(20261018)
+    met = set()
+    for _ in range(300):
+        pts = [(rng.randrange(12), rng.randrange(12)) for _ in range(rng.randint(0, 14))]
+        report = check_condition(pts)
+        assert report == oracles.check_condition_scan(pts)
+        met |= {v.clause for v in report.violations}
+    assert met == ALL_CLAUSES
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=12),
+       st.integers(0, 12), st.integers(0, 12), st.integers(0, 12))
+def test_check_condition_matches_the_oracle_on_every_break(pts, a, b, c):
+    # a shared y, then a point on the diagonal whose value is both an x and a y
+    pts = pts + [(a, 13 + b), (a + 1, 13 + b), (c, c)]
+    report = check_condition(pts)
+    assert {v.clause for v in report.violations} == ALL_CLAUSES
+    assert report == oracles.check_condition_scan(pts)
+
+
+def test_check_condition_is_linear_on_long_chains():
+    # (i, i + 1) makes every value but the ends both an x and a y
+    chain = [(i, i + 1) for i in range(20_000)]
+    start = time.perf_counter()
+    report = check_condition(chain)
+    assert time.perf_counter() - start < 1.0
+    assert len(report.violations) == 19_999
+    assert report.violations[0].witness == (Point(1, 2), Point(0, 1))
+
+
 def test_finite_condition_rejects_invalid_input():
     with pytest.raises(ValueError):
         cond((0, 3), (1, 3))
