@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import MissingLabelError, _natural, _naturals
 from .pointsets import FiniteCondition, Point
@@ -150,11 +151,14 @@ class OmegaTypePrefix:
     def __len__(self) -> int:
         return len(self.classes)
 
+    @cached_property
+    def _x_positions(self) -> dict[int, int]:
+        # validation leaves each x-index in exactly one class
+        return {i: pos for pos, cls in enumerate(self.classes)
+                if isinstance(cls, XClass) for i in cls.indices}
+
     def position_of_x(self, index: int):
-        for pos, cls in enumerate(self.classes):
-            if isinstance(cls, XClass) and index in cls.indices:
-                return pos
-        return None
+        return self._x_positions.get(index)
 
     def position_of_y(self, index: int):
         for pos, cls in enumerate(self.classes):
@@ -208,6 +212,12 @@ def assign_D(prefix: OmegaTypePrefix, s) -> str:
         raise ValueError(
             f"prefix has {len(prefix)} classes; no class at position {k}"
         )
+    return _demand(prefix, vals, k)
+
+
+def _demand(prefix: OmegaTypePrefix, vals: tuple[int, ...], k: int) -> str:
+    """assign_D's label at position k < len(prefix), after the checked
+    chain values vals[:k]."""
     cls = prefix.classes[k]
     if isinstance(cls, XClass):
         return "U"
@@ -258,9 +268,8 @@ def zchain_check(prefix: OmegaTypePrefix, z, za: ZAssignment) -> ChainReport:
         raise ValueError(
             f"chain of length {len(vals)} exceeds the {len(prefix)}-class prefix"
         )
-    for n in range(len(vals)):
-        label = assign_D(prefix, vals[:n])
-        if not za.lookup(label).contains(vals[n]):
+    for n, v in enumerate(vals):
+        if not za.lookup(_demand(prefix, vals, n)).contains(v):
             return ChainReport(False, n)
     return ChainReport(True, None)
 

@@ -14,6 +14,7 @@ small.
 
 from itertools import combinations, permutations, product
 
+from ramseybench.omegatypes import XClass
 from ramseybench.setalgebra import (
     AboveDiag,
     Column,
@@ -421,3 +422,40 @@ def greedy_search_scan(coloring, tau: NType):
             color = colors[0] if colors else None
     pts = tuple(sorted((ground[i] for i in keep), key=lambda p: p.y))
     return pts, color, len(removed)
+
+
+# ---------------------------------------------------------------- omega prefixes
+# The chain walk and the prefix realization as they ran before x positions
+# were recorded: every step rescans the classes for x's position.
+
+def x_position_scan(prefix, index: int):
+    """Position of the x-class holding index, or None."""
+    for pos, cls in enumerate(prefix.classes):
+        if isinstance(cls, XClass) and index in cls.indices:
+            return pos
+    return None
+
+
+def zchain_scan(prefix, z, za):
+    """(ok, failed_at) of the chain walk, one step at a time: step n demands
+    "U" at an x-class, else "V_v" for the value v the chain gave the class
+    of x_j before position n; a missing label raises MissingLabelError."""
+    vals = tuple(z)
+    for n in range(len(vals)):
+        cls = prefix.classes[n]
+        if isinstance(cls, XClass):
+            label = "U"
+        else:
+            label = f"V_{vals[:n][x_position_scan(prefix, cls.index)]}"
+        if not za.lookup(label).contains(vals[n]):
+            return False, n
+    return True, None
+
+
+def phi_scan(prefix, z) -> set:
+    """The points (value of x_j's class, value of y_j's class) of every
+    index with both classes in the prefix."""
+    return {Point(z[x_position_scan(prefix, cls.index)], z[pos])
+            for pos, cls in enumerate(prefix.classes)
+            if not isinstance(cls, XClass)
+            and x_position_scan(prefix, cls.index) is not None}

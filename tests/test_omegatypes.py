@@ -1,9 +1,11 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from ramseybench.errors import MissingLabelError
 from ramseybench.omegatypes import (
     OmegaTypePrefix,
@@ -196,6 +198,54 @@ def test_accepted_chains_land_inside_h(seed):
     if zchain_check(prefix, tuple(z), za).ok:
         for pt in cond:
             assert h_set_member(pt, za)
+
+
+def _seeded_walk(rng, prefix):
+    """A chain through prefix and an assignment to most of its labels."""
+    z, v = [], rng.randint(0, 20)
+    for _ in range(rng.randint(0, len(prefix))):
+        z.append(v)
+        v += rng.randint(1, 4)
+    labels = {"U"} | {f"V_{v}" for v in z}
+    za = ZAssignment({lab: random_fincofin(rng, 30) for lab in labels
+                      if rng.random() < 0.9})
+    return tuple(z), za
+
+
+def test_zchain_and_phi_match_the_per_step_oracles():
+    rng = random.Random(20261018)
+    outcomes = set()
+    for trial in range(400):
+        if trial % 4:
+            prefix = random_prefix(rng, rng.randint(1, 12))
+        else:
+            prefix = grid_prefix(rng.randint(1, 8))
+        z, za = _seeded_walk(rng, prefix)
+        try:
+            report = zchain_check(prefix, z, za)
+            got = (report.ok, report.failed_at)
+        except MissingLabelError as exc:
+            got = exc.label
+        try:
+            want = oracles.zchain_scan(prefix, z, za)
+        except MissingLabelError as exc:
+            want = exc.label
+        assert got == want
+        outcomes.add(type(got) if isinstance(got, str) else got[0])
+        full = tuple(range(0, 3 * len(prefix), 3))
+        assert set(phi_prefix(prefix, full)) == oracles.phi_scan(prefix, full)
+    assert outcomes == {True, False, str}
+
+
+def test_zchain_and_phi_are_linear_on_long_grid_prefixes():
+    g = grid_prefix(4_000)
+    z = tuple(range(len(g)))
+    za = ZAssignment({"U": FinCofin.cofinite_except(()),
+                      **{f"V_{v}": FinCofin.cofinite_except(()) for v in z}})
+    start = time.perf_counter()
+    assert zchain_check(g, z, za).ok
+    assert len(phi_prefix(g, z)) == 4_000
+    assert time.perf_counter() - start < 1.0
 
 
 def test_phi_injective_in_z_when_pairs_complete():
