@@ -40,6 +40,17 @@ WORK_BOUNDS = {
     "points": 24,
     # Vertices of a richness check, which tries every subset of them.
     "vertices": 12,
+    # Values built one by one: those a set-algebra section may read or copy
+    # (setalgebra._section_work) in column_of, summed over the sections
+    # verdict_set reads explicitly (sets column, sum and image), and the
+    # statuses extract_S_from_R emits, x_bound * z_bound.  On an Intel Xeon
+    # (Python 3.11) 10**6 take about 0.3 s in column_of(AboveDiag(), x),
+    # 0.5 s as 10**6 sections of a rectangle and 0.5 s as statuses; the
+    # CLI then writes about 80 MB of JSON for the statuses, about 9 s.
+    "values": 1_000_000,
+    # Conditions noreverse_demo draws and checks, each about 0.7 ms in
+    # process on the same host, so about 0.7 s at the bound.
+    "conditions": 1_000,
 }
 
 

@@ -408,10 +408,15 @@ def extract_S_from_R(grid: TernaryRelationGrid, cond: FiniteCondition,
 
     For each x and z, look at R(x, y, z) along the last ``window`` y's of
     cond's column at x: constant windows give "stable-0"/"stable-1",
-    mixed ones "unstable", short columns "insufficient-data".
+    mixed ones "unstable", short columns "insufficient-data".  Grids with
+    more (x, z) statuses than the "values" work bound raise LimitError
+    before any work.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
+    work = grid.x_bound * grid.z_bound
+    check_work("values", work, "extraction",
+               f"a {grid.x_bound} x {grid.z_bound} grid has {work} statuses")
     columns = cond.columns()
     for x, ys in columns.items():
         if x >= grid.x_bound or any(y >= grid.y_bound for y in ys):

@@ -32,7 +32,7 @@ import random
 from dataclasses import dataclass
 from functools import reduce
 
-from .errors import _natural, _naturals
+from .errors import _natural, _naturals, check_work
 
 
 @dataclass(frozen=True)
@@ -150,10 +150,46 @@ class Complement(PlanarSet):
     arg: PlanarSet
 
 
+def _section_work(expr: PlanarSet) -> tuple[int, int]:
+    """(fixed, diagonal) such that a section of expr at x reads or builds
+    at most fixed + diagonal * (x + 1) values.  A leaf's values (its points
+    or supports, or AboveDiag's x + 1) are copied once by each node from
+    the leaf up, so they count once per node on that path."""
+    fixed = diagonal = 0
+    stack = [(expr, 1)]
+    while stack:
+        e, depth = stack.pop()
+        fixed += 1
+        if isinstance(e, (Union, Intersection)):
+            stack.extend((a, depth + 1) for a in e.args)
+        elif isinstance(e, Complement):
+            stack.append((e.arg, depth + 1))
+        elif isinstance(e, AboveDiag):
+            diagonal += depth
+        elif isinstance(e, FinitePoints):
+            fixed += depth * len(e.points)
+        elif isinstance(e, Rect):
+            fixed += depth * (len(e.xs.support) + len(e.ys.support))
+        elif isinstance(e, Column):
+            fixed += depth * len(e.content.support)
+    return fixed, diagonal
+
+
 def column_of(expr: PlanarSet, x: int) -> FinCofin:
-    """Exact vertical section {y : (x, y) in expr} as a FinCofin set."""
+    """Exact vertical section {y : (x, y) in expr} as a FinCofin set.
+
+    A section that may take more values (``_section_work``) than the
+    "values" work bound raises LimitError before any work.
+    """
     if x < 0:
         raise ValueError(f"column index must be a natural, got {x}")
+    fixed, diagonal = _section_work(expr)
+    work = fixed + diagonal * (x + 1)
+    check_work("values", work, "column", f"the section at x={x} may take {work} values")
+    return _column(expr, x)
+
+
+def _column(expr: PlanarSet, x: int) -> FinCofin:
     if isinstance(expr, FinitePoints):
         return FinCofin.finite(y for (px, y) in expr.points if px == x)
     if isinstance(expr, Rect):
@@ -164,9 +200,9 @@ def column_of(expr: PlanarSet, x: int) -> FinCofin:
         return expr.content if expr.x == x else EMPTY
     if isinstance(expr, (Union, Intersection)):
         fold = FinCofin.union if isinstance(expr, Union) else FinCofin.intersection
-        return reduce(fold, (column_of(a, x) for a in expr.args))
+        return reduce(fold, (_column(a, x) for a in expr.args))
     if isinstance(expr, Complement):
-        return column_of(expr.arg, x).complement()
+        return _column(expr.arg, x).complement()
     raise TypeError(f"not a planar set expression: {expr!r}")
 
 
@@ -299,17 +335,25 @@ def verdict_set(expr: PlanarSet, seq: StandInSequence) -> FinCofin:
 
     Explicit evaluation below a cutoff covering the horizon, every
     exception index, and every principal point; beyond it the tail form
-    makes the verdict constant.
+    makes the verdict constant.  The sections below the cutoff, and a
+    scan of the exceptions for each, may take ``cutoff * (fixed +
+    exceptions) + diagonal * cutoff * (cutoff + 1) / 2`` values
+    (``_section_work``); more than the "values" work bound raise
+    LimitError before any section is read.
     """
     form = tail_analysis(expr)
     cutoff = _verdict_cutoff(form, seq)
+    fixed, diagonal = _section_work(expr)
+    work = cutoff * (fixed + len(seq.exceptions)) + diagonal * cutoff * (cutoff + 1) // 2
+    check_work("values", work, "verdict set",
+               f"{cutoff} sections may take {work} values")
     if isinstance(seq.default, Frechet):
         tail_true = form.upper.cofinite
     else:
         tail_true = form.lower.contains(seq.default.point)
     flips = frozenset(
         n for n in range(cutoff)
-        if seq.at(n).holds(column_of(expr, n)) != tail_true
+        if seq.at(n).holds(_column(expr, n)) != tail_true
     )
     return FinCofin(cofinite=tail_true, support=flips)
 

@@ -569,6 +569,23 @@ def refused_fast(argv):
     return doc
 
 
+@pytest.mark.parametrize("argv", [
+    ["sets", "sum", "--in", "diag.json", "--u", "frechet.json", "--seq", "far.json"],
+    ["sets", "image", "--in", "one.json", "--u", "frechet.json", "--seq", "far.json"],
+    ["sets", "column", "--in", "diag.json", "--x", "4000000"],
+    ["homog", "extract-s", "--in", "grid.json", "--cond", "empty.json"],
+    ["graph", "demo-noreverse", "--count", "1000000"],
+])
+def test_unbounded_requests_are_refused_fast(tmp_path, argv):
+    docs = {"diag.json": {"aboveDiag": True}, "frechet.json": {"frechet": True},
+            "far.json": {"default": {"principal": 1000000000}},
+            "one.json": {"finite": [1]}, "empty.json": [],
+            "grid.json": {"bounds": [100000, 1, 100000], "triples": []}}
+    for name, doc in docs.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    refused_fast([str(tmp_path / a) if a in docs else a for a in argv])
+
+
 def test_graph_check_past_its_bound_is_refused(files):
     # on the 30-vertex (8, 2) covering, k = 5 and m = 20 give more than
     # 10**6 configurations; k = 4 and m = 12 give 201,193

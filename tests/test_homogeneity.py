@@ -562,3 +562,19 @@ def test_coloring_csv_ingestion(tmp_path):
     coloring = coloring_from_csv(str(path))
     assert coloring.color_of([Point(0, 1), Point(0, 2)]) == "red"
     assert coloring.color_of([Point(0, 2), Point(3, 5)]) == "blue"
+
+
+def test_the_values_bound_counts_extracted_statuses(monkeypatch):
+    grid = TernaryRelationGrid(2, 1, 3, frozenset())
+    monkeypatch.setitem(WORK_BOUNDS, "values", 6)
+    assert len(extract_S_from_R(grid, EMPTY)) == 6
+    monkeypatch.setitem(WORK_BOUNDS, "values", 5)
+    with pytest.raises(LimitError, match="extraction refused: a 2 x 3 grid has "
+                                         "6 statuses, the bound is 5"):
+        extract_S_from_R(grid, EMPTY)
+
+
+def test_huge_grids_are_refused_before_any_status():
+    grid = TernaryRelationGrid(100_000, 1, 100_000, frozenset())
+    with pytest.raises(LimitError, match="10000000000 statuses"):
+        extract_S_from_R(grid, EMPTY)

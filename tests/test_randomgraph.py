@@ -236,6 +236,15 @@ def test_noreverse_demo_small_run():
     assert report.failures == ()
 
 
+def test_the_conditions_bound_caps_the_noreverse_demo(monkeypatch):
+    monkeypatch.setitem(WORK_BOUNDS, "conditions", 4)
+    assert noreverse_demo(count=4, seed=9).conditions == 4
+    monkeypatch.setitem(WORK_BOUNDS, "conditions", 3)
+    with pytest.raises(LimitError, match="noreverse demo refused: 4 conditions "
+                                         "were asked for, the bound is 3"):
+        noreverse_demo(count=4, seed=9)
+
+
 def test_noreverse_demo_is_seeded():
     a = noreverse_demo(count=4, seed=9)
     b = noreverse_demo(count=4, seed=9)

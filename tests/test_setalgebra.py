@@ -1,9 +1,11 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ramseybench.errors import WORK_BOUNDS, LimitError
 from ramseybench.setalgebra import (
     EMPTY,
     FULL,
@@ -267,3 +269,40 @@ def test_standin_and_sequence_json():
         standin_from_json({"frechet": False})
     with pytest.raises(ValueError):
         sequence_from_json({"exceptions": {}})
+
+
+def test_the_values_bound_counts_section_values(monkeypatch):
+    # AboveDiag at x holds x + 1 values plus its node: 10 at x = 8
+    monkeypatch.setitem(WORK_BOUNDS, "values", 10)
+    assert column_of(AboveDiag(), 8) == FinCofin.cofinite_except(range(9))
+    with pytest.raises(LimitError, match="column refused: the section at x=9 "
+                                         "may take 11 values, the bound is 10"):
+        column_of(AboveDiag(), 9)
+    # each node above a leaf copies its values once more: 2 + 2 * 4 at x = 3
+    assert column_of(Complement(AboveDiag()), 3) == FinCofin.finite(range(4))
+    with pytest.raises(LimitError, match="may take 12 values"):
+        column_of(Complement(AboveDiag()), 4)
+
+
+def test_the_values_bound_sums_the_sections_below_the_cutoff(monkeypatch):
+    # principal(3) puts the cutoff at 4: 4 nodes read plus 1 + 2 + 3 + 4 values
+    seq = StandInSequence(Principal(3))
+    monkeypatch.setitem(WORK_BOUNDS, "values", 14)
+    assert verdict_set(AboveDiag(), seq) == FinCofin.finite(range(3))
+    monkeypatch.setitem(WORK_BOUNDS, "values", 13)
+    with pytest.raises(LimitError, match="verdict set refused: 4 sections may "
+                                         "take 14 values, the bound is 13"):
+        verdict_set(AboveDiag(), seq)
+
+
+def test_far_sections_are_refused_before_any_is_read():
+    far = StandInSequence(Principal(10**9))
+    runs = (lambda: sum_membership(AboveDiag(), Frechet(), far),
+            lambda: sum_membership(Rect(FULL, FULL), Frechet(), far),
+            lambda: image_membership(FinCofin.finite({1}), Frechet(), far),
+            lambda: column_of(AboveDiag(), 4 * 10**6))
+    start = time.perf_counter()
+    for run in runs:
+        with pytest.raises(LimitError):
+            run()
+    assert time.perf_counter() - start < 1.0
