@@ -24,9 +24,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 from . import homogeneity, omegatypes, pointsets, randomgraph, setalgebra, typecalc
+from ._values import value
 from .errors import WorkbenchError, _natural, _naturals
 
 LIMITS_ENV = "NBT_WORKBENCH_LIMITS"
@@ -35,11 +35,11 @@ LIMITS_ENV = "NBT_WORKBENCH_LIMITS"
 _LIMIT_KEYS = ("rich", "search")
 
 
-@dataclass
+@value
 class CommandResult:
     status: str
     payload: dict
-    diagnostics: list = field(default_factory=list)
+    diagnostics: list
 
     @property
     def exit_code(self) -> int:

@@ -13,14 +13,13 @@ relation from a ternary one by reading trailing windows along columns.
 
 from __future__ import annotations
 
-import csv
 import json
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 from operator import gt, lt
 
+from ._values import field, value
 from .errors import LexOrderError, _natural, _naturals, check_subsets, check_work
 from .pointsets import (FiniteCondition, Point, _realizers, classify_subsets,
                         points_from_json, realized_type)
@@ -32,7 +31,7 @@ UNSTABLE = "unstable"
 NO_DATA = "insufficient-data"
 
 
-@dataclass(frozen=True)
+@value
 class Coloring:
     """A coloring of the n-subsets of a ground condition.
 
@@ -75,7 +74,7 @@ def realized_type_coloring(cond: FiniteCondition, n: int) -> Coloring:
     return Coloring.from_rule(cond, n, lambda pts: list_form(realized_type(pts)))
 
 
-@dataclass(frozen=True)
+@value
 class TauReport:
     homogeneous: bool
     color: object
@@ -137,7 +136,7 @@ def count_classes_met(subset, coloring: Coloring) -> int:
     return len(colors - {None})
 
 
-@dataclass(frozen=True)
+@value
 class SearchResult:
     points: tuple[Point, ...]
     color: object
@@ -305,7 +304,7 @@ def _mono(realizers, mask: int):
     return True, color
 
 
-@dataclass(frozen=True)
+@value
 class FloorReport:
     classes_met: int
     t_n: int
@@ -332,7 +331,7 @@ def weak_ramsey_floor_demo(cond: FiniteCondition, n: int) -> FloorReport:
     )
 
 
-@dataclass(frozen=True)
+@value
 class StabilizeReport:
     stable: tuple[int, ...]
     positions: tuple[int, ...]
@@ -372,7 +371,7 @@ def stabilize_lex(rows, direction: str = "increasing") -> StabilizeReport:
     return StabilizeReport(stable=stable, positions=tuple(positions))
 
 
-@dataclass(frozen=True)
+@value
 class TernaryRelationGrid:
     """Total 0/1 relation on [0,x_bound) x [0,y_bound) x [0,z_bound)."""
 
@@ -484,6 +483,8 @@ def coloring_from_csv(path: str, ground: FiniteCondition | None = None,
     number in plain digits, raises ValueError naming its row (the file's
     line) and, for a coordinate, its column, both counted from 1.
     """
+    import csv  # here, not at the top: only --csv calls need it
+
     table = {}
     pts: set[Point] = set()
     n = None

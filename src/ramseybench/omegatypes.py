@@ -24,15 +24,15 @@ value v.  ``zchain_check`` walks a chain through those demands, and
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
 
+from ._values import value
 from .errors import MissingLabelError, _natural, _naturals
 from .pointsets import FiniteCondition, Point
 from .setalgebra import FinCofin, fincofin_from_json, fincofin_to_json
 
 
-@dataclass(frozen=True)
+@value
 class YClass:
     index: int
 
@@ -41,7 +41,7 @@ class YClass:
             raise ValueError(f"y-index must be >= 1, got {self.index}")
 
 
-@dataclass(frozen=True)
+@value
 class XClass:
     indices: frozenset[int]
 
@@ -53,7 +53,7 @@ class XClass:
             raise ValueError(f"x-indices must be >= 1, got {sorted(self.indices)}")
 
 
-@dataclass(frozen=True)
+@value
 class PrefixReport:
     ok: bool
     malformed: tuple[str, ...]
@@ -132,7 +132,7 @@ def validate_prefix(classes) -> PrefixReport:
     return PrefixReport(not violations, (), tuple(violations), assumed)
 
 
-@dataclass(frozen=True)
+@value
 class OmegaTypePrefix:
     """A validated prefix.  Construction rejects malformed or out-of-order
     class sequences; the infinitary clauses stay assumptions."""
@@ -250,7 +250,7 @@ class ZAssignment:
         return isinstance(other, ZAssignment) and self._table == other._table
 
 
-@dataclass(frozen=True)
+@value
 class ChainReport:
     ok: bool
     failed_at: int | None

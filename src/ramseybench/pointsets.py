@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 
+from ._values import value
 from .errors import NoRealizedTypeError, _natural, check_subsets, check_work
 from .typecalc import NType, Symbol, _check_n, _symbol, count_ntypes, enumerate_ntypes
 
@@ -29,7 +29,7 @@ CLAUSE_DIAGONAL = "above-diagonal"
 CLAUSE_XY = "xy-disjoint"
 
 
-@dataclass(frozen=True, order=True)
+@value(order=True)
 class Point:
     x: int
     y: int
@@ -42,7 +42,7 @@ class Point:
         return f"({self.x},{self.y})"
 
 
-@dataclass(frozen=True)
+@value
 class ClauseViolation:
     clause: str
     witness: tuple[Point, ...]
@@ -52,7 +52,7 @@ class ClauseViolation:
         return f"{self.clause}: {pts}"
 
 
-@dataclass(frozen=True)
+@value
 class ConditionReport:
     ok: bool
     violations: tuple[ClauseViolation, ...]
@@ -92,7 +92,7 @@ def _as_point(p) -> Point:
     return Point(int(x), int(y))
 
 
-@dataclass(frozen=True)
+@value
 class FiniteCondition:
     """A validated finite condition.  Construction rejects bad point sets."""
 

@@ -37,11 +37,11 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, islice, permutations, product
 from math import perm
 
+from ._values import field, value
 from .errors import WORK_BOUNDS, _natural, check_work
 from .homogeneity import Coloring, check_tau_homogeneous, count_classes_met
 from .pointsets import FiniteCondition, Point
@@ -61,7 +61,7 @@ def _witnesses(rows, pool: int, params, colors) -> int:
     return pool
 
 
-@dataclass(frozen=True)
+@value
 class EdgeColoring:
     """Total symmetric edge coloring of vertices 0..vertex_count-1 by the
     colours 0..palette-1; ``table`` maps sorted pairs to colours, and
@@ -123,7 +123,7 @@ class Graph(EdgeColoring):
         return {u for u in range(self.vertex_count) if mask >> u & 1}
 
 
-@dataclass(frozen=True)
+@value
 class Configuration:
     """Parameters a_0..a_{l-1} plus the positions demanding adjacency."""
 
@@ -372,7 +372,7 @@ def build_coloring_covering(palette: int, max_vertex: int,
     return EdgeColoring(count, palette, table)
 
 
-@dataclass(frozen=True)
+@value
 class ColumnVerdict:
     column: int
     points: int
@@ -380,7 +380,7 @@ class ColumnVerdict:
     realizers: int
 
 
-@dataclass(frozen=True)
+@value
 class NoReverseReport:
     conditions: int
     columns_checked: int
@@ -459,7 +459,7 @@ def noreverse_demo(count: int = 50, seed: int = 0, column_low: int = 5,
     )
 
 
-@dataclass(frozen=True)
+@value
 class PaletteDemoReport:
     palette: int
     classes_met: int

@@ -29,13 +29,13 @@ set that is neither cofinite nor avoided simply fails membership.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import reduce
 
+from ._values import value
 from .errors import _natural, _naturals, check_work
 
 
-@dataclass(frozen=True)
+@value
 class FinCofin:
     """A finite or cofinite set of naturals.
 
@@ -98,7 +98,7 @@ class PlanarSet:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@value
 class FinitePoints(PlanarSet):
     points: frozenset[tuple[int, int]]
 
@@ -108,24 +108,24 @@ class FinitePoints(PlanarSet):
         )
 
 
-@dataclass(frozen=True)
+@value
 class Rect(PlanarSet):
     xs: FinCofin
     ys: FinCofin
 
 
-@dataclass(frozen=True)
+@value
 class AboveDiag(PlanarSet):
     """All (x, y) with y > x."""
 
 
-@dataclass(frozen=True)
+@value
 class Column(PlanarSet):
     x: int
     content: FinCofin
 
 
-@dataclass(frozen=True)
+@value
 class Union(PlanarSet):
     args: tuple[PlanarSet, ...]
 
@@ -135,7 +135,7 @@ class Union(PlanarSet):
             raise ValueError("union needs at least one argument")
 
 
-@dataclass(frozen=True)
+@value
 class Intersection(PlanarSet):
     args: tuple[PlanarSet, ...]
 
@@ -145,7 +145,7 @@ class Intersection(PlanarSet):
             raise ValueError("intersection needs at least one argument")
 
 
-@dataclass(frozen=True)
+@value
 class Complement(PlanarSet):
     arg: PlanarSet
 
@@ -206,7 +206,7 @@ def _column(expr: PlanarSet, x: int) -> FinCofin:
     raise TypeError(f"not a planar set expression: {expr!r}")
 
 
-@dataclass(frozen=True)
+@value
 class TailForm:
     """Sections beyond ``horizon``: (upper - [0,x]) | (lower & [0,x])."""
 
@@ -263,7 +263,7 @@ def in_fr2(expr: PlanarSet) -> bool:
 meets_all_fr2 = in_fr2
 
 
-@dataclass(frozen=True)
+@value
 class Frechet:
     """Stand-in for the cofinite filter."""
 
@@ -274,7 +274,7 @@ class Frechet:
         return "frechet"
 
 
-@dataclass(frozen=True)
+@value
 class Principal:
     """Stand-in for the principal ultrafilter at a point."""
 
@@ -294,7 +294,7 @@ class Principal:
 FilterStandIn = Frechet | Principal
 
 
-@dataclass(frozen=True)
+@value
 class StandInSequence:
     """An indexed family of stand-ins: a default plus finite exceptions."""
 

@@ -21,17 +21,17 @@ count of the same patterns, used as a cross-check.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, product
 from math import comb
 
+from ._values import value
 from .errors import _natural
 
 MAX_N = 6  # enumeration is exhaustive; counts explode well before this hurts
 
 
-@dataclass(frozen=True, order=True)
+@value(order=True)
 class Symbol:
     """One formal symbol, e.g. x3 or y1.  kind is "x" or "y", index >= 1."""
 
@@ -118,7 +118,7 @@ def _class_problems(n: int, classes) -> tuple[list[str], list[str]]:
     return [], violations
 
 
-@dataclass(frozen=True)
+@value
 class NType:
     """A validated n-pattern in canonical class-sequence form.
 
@@ -162,7 +162,7 @@ class NType:
         return list_form(self)
 
 
-@dataclass(frozen=True)
+@value
 class TypeValidation:
     """Outcome of validate_ntype: ok, or malformed input, or clause breaks."""
 

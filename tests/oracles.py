@@ -10,8 +10,12 @@ constructor; only the growth reference takes its visiting order from
 ``enumerate_ntypes``, whose output the enumeration tests check on their
 own.  Slow on purpose; keep n, condition sizes and expression depth
 small.
+
+The value classes are checked against the stdlib: ``dataclass_twin``
+builds the ``dataclasses`` class a value class stands for.
 """
 
+import dataclasses
 from itertools import combinations, permutations, product
 
 from ramseybench.omegatypes import XClass
@@ -459,3 +463,44 @@ def phi_scan(prefix, z) -> set:
             for pos, cls in enumerate(prefix.classes)
             if not isinstance(cls, XClass)
             and x_position_scan(prefix, cls.index) is not None}
+
+
+# ---------------------------------------------------------------- value classes
+# The package's value classes skip ``dataclasses`` for start-up time; each
+# must behave as the frozen dataclass written from the same class body.
+
+# What ``_values.value`` adds to a class, and the attribute descriptors
+# every class with instance dicts carries.
+_VALUE_MADE = frozenset({
+    "__init__", "__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__",
+    "__lt__", "__le__", "__gt__", "__ge__",
+    "__value_fields__", "__value_order__", "__dict__", "__weakref__",
+})
+
+
+def value_classes() -> list[type]:
+    """Every class the value decorator made in the six area modules and
+    ``cli``, found by the marker it leaves, in definition order."""
+    from ramseybench import cli, homogeneity, omegatypes, pointsets, randomgraph, setalgebra, typecalc
+
+    found = []
+    for module in (typecalc, pointsets, homogeneity, randomgraph, setalgebra, omegatypes, cli):
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and obj.__module__ == module.__name__
+                    and "__value_fields__" in vars(obj)):
+                found.append(obj)
+    return found
+
+
+def dataclass_twin(cls: type) -> type:
+    """The frozen stdlib dataclass with cls's name, bases, annotations,
+    methods and defaults, and its ``order`` and per-field ``compare`` and
+    ``hash``."""
+    namespace = {k: v for k, v in vars(cls).items() if k not in _VALUE_MADE}
+    for name, spec in cls.__value_fields__.items():
+        if not (spec.compare and spec.hash):
+            namespace[name] = dataclasses.field(compare=spec.compare,
+                                                hash=None if spec.hash else False)
+    twin = type(cls.__name__, cls.__bases__, namespace)
+    twin.__qualname__ = cls.__qualname__
+    return dataclasses.dataclass(frozen=True, order=cls.__value_order__)(twin)

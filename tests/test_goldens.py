@@ -21,11 +21,18 @@ calls whose colour majority ties pin the order of the realizer table.
 parser's own answers as the full parser tree gave them: ``--help`` at the
 top, per area and per action, unknown areas and actions, and missing or
 bad options.  Help text is laid out for 80 columns.
+
+The condition and graph goldens are also replayed on every other
+interpreter the package supports that is on ``PATH``; the usage goldens
+are not, as argparse lays help out differently across versions.
 """
 
 import hashlib
 import io
 import json
+import os
+import shutil
+import subprocess
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -33,6 +40,7 @@ import pytest
 
 from ramseybench import cli
 
+REPO = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).resolve().parent / "data"
 GOLDENS = json.loads((DATA / "graph_goldens.json").read_text())
 CONDITION_GOLDENS = json.loads((DATA / "condition_goldens.json").read_text())
@@ -111,3 +119,51 @@ def test_usage_output_matches_golden(entry, monkeypatch):
     assert code == entry["exit"]
     assert sha256(out.getvalue()) == entry["stdout_sha256"]
     assert sha256(err.getvalue()) == entry["stderr_sha256"]
+
+
+# Replays the condition and graph goldens in one process; prints the
+# interpreter's version and the argv of every call whose digest differs.
+REPLAY = """
+import hashlib, io, json, os, sys, tempfile
+from ramseybench import cli
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+bad, count = [], 0
+with tempfile.TemporaryDirectory() as tmp:
+    for name in ("condition_goldens.json", "graph_goldens.json"):
+        with open(os.path.join(sys.argv[1], name)) as fh:
+            entries = json.load(fh)
+        for entry in entries:
+            argv = list(entry["argv"])
+            if entry.get("cond") is not None:
+                path = os.path.join(tmp, "cond.json")
+                with open(path, "w") as fh:
+                    json.dump(entry["cond"], fh)
+                argv += ["--cond", path]
+            out, err = io.StringIO(), io.StringIO()
+            code = cli.run(argv, stdout=out, stderr=err).exit_code
+            count += 1
+            got = [code, sha256(out.getvalue()), sha256(err.getvalue())]
+            # graph goldens pin stdout alone
+            if got != [0, entry["stdout_sha256"], entry.get("stderr_sha256", got[2])]:
+                bad.append(entry["argv"])
+print(json.dumps({"version": sys.version.split()[0], "calls": count, "bad": bad}))
+"""
+
+
+@pytest.mark.parametrize("python", ["python3.10", "python3.12", "python3.13"])
+def test_goldens_hold_on_other_interpreters(python):
+    exe = shutil.which(python)
+    # a version manager's shim is on PATH even where it cannot start
+    if exe is None or subprocess.run([exe, "-c", "pass"], capture_output=True).returncode:
+        pytest.skip(f"{python} is absent or does not start")
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run([exe, "-c", REPLAY, str(DATA)], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["version"].startswith(python.removeprefix("python"))
+    assert report["calls"] == len(CONDITION_GOLDENS) + len(GOLDENS)
+    assert report["bad"] == []

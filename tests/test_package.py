@@ -1,12 +1,14 @@
 """The package surface: public names and lazily loaded area modules.
 
 ``import ramseybench`` registers the six area modules without running
-their bodies; a CLI call then runs only the bodies its area needs.  Each
-case starts a fresh interpreter so no earlier import hides a load.
+their bodies; a CLI call then runs only the bodies its area needs, and
+loads none of the stdlib modules in ``SLOW_STDLIB``.  Each case starts a
+fresh interpreter so no earlier import hides a load.
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +21,9 @@ REPO = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).resolve().parent / "data"
 PUBLIC_NAMES = json.loads((DATA / "public_names.json").read_text())
 LAYERS = ("typecalc", "pointsets", "homogeneity", "randomgraph", "setalgebra", "omegatypes")
+# Start-up cost no call needs: dataclasses, and the inspect, ast, dis and
+# tokenize it imports, cost 8-11 ms, and only --csv calls read CSV.
+SLOW_STDLIB = ("dataclasses", "inspect", "ast", "dis", "tokenize", "csv")
 
 PROBE = """
 import io, json, sys, types
@@ -30,8 +35,9 @@ def state():
 
 before = state()
 result = cli.run(json.loads(sys.argv[1]), stdout=io.StringIO(), stderr=io.StringIO())
-print(json.dumps({"before": before, "after": state(), "exit": result.exit_code}))
-""" % (LAYERS,)
+print(json.dumps({"before": before, "after": state(), "exit": result.exit_code,
+                  "stdlib": [n for n in %r if n in sys.modules]}))
+""" % (LAYERS, SLOW_STDLIB)
 
 
 def loads_after(argv):
@@ -60,6 +66,10 @@ def test_public_names_still_resolve():
     (["homog", "search", "--type", "x1<y1<x2<y2"],
      {"n": 2, "entries": [{"subset": [[0, 1], [2, 3]], "color": 0}]},
      {"homogeneity", "pointsets", "typecalc"}),
+    (["graph", "demo-coloring", "--palette", "3"], None,
+     {"randomgraph", "homogeneity", "pointsets", "typecalc"}),
+    (["omega", "validate"], {"classes": [{"x": [1, 2]}, {"y": 1}, {"y": 2}]},
+     {"omegatypes", "setalgebra", "pointsets", "typecalc"}),
 ])
 def test_a_call_loads_only_its_area(argv, doc, loaded, tmp_path):
     if doc is not None:
@@ -70,6 +80,7 @@ def test_a_call_loads_only_its_area(argv, doc, loaded, tmp_path):
     assert seen["exit"] == 0
     assert seen["before"] == dict.fromkeys(LAYERS, False)
     assert {n for n, done in seen["after"].items() if done} == loaded
+    assert seen["stdlib"] == []
 
 
 def test_only_errors_raises_limit_errors():
@@ -78,3 +89,13 @@ def test_only_errors_raises_limit_errors():
     src = REPO / "src" / "ramseybench"
     raising = {path.name for path in src.glob("*.py") if "LimitError(" in path.read_text()}
     assert raising == {"errors.py"}
+
+
+def test_no_code_is_generated_at_run_time():
+    # every CLI call imports these modules afresh, and .pyc files cache
+    # only source: code built with exec, eval or compile is compiled again
+    # on every start, as dataclasses and namedtuple do for each class
+    src = REPO / "src" / "ramseybench"
+    generated = re.compile(r"(?<![\w.])(exec|eval|compile)\(|\bnamedtuple\b"
+                           r"|^\s*(from|import) dataclasses\b", re.MULTILINE)
+    assert {path.name for path in src.glob("*.py") if generated.search(path.read_text())} == set()
