@@ -187,13 +187,10 @@ def _cmd_cond_realize(args, limits):
 
 def _cmd_cond_classify(args, limits):
     cond = _load_condition(args.infile)
-    index = pointsets.classify_subsets(cond, args.n)
-    by_type = {
-        form: len(subs)
-        for form, subs in sorted(
-            (typecalc.list_form(t), subs) for t, subs in index.items()
-        )
-    }
+    counts = pointsets._pattern_counts(cond, args.n)
+    by_type = dict(sorted(
+        (typecalc.list_form(t), count) for t, count in counts.items()
+    ))
     return {
         "n": args.n,
         "subsets": sum(by_type.values()),

@@ -9,21 +9,37 @@ from math import comb
 # check_work refuses a count above it.  Only "points" and "vertices" can be
 # set, through the CLI's NBT_WORKBENCH_LIMITS keys "search" and "rich".
 WORK_BOUNDS = {
-    # Steps of extend_with_realizers, as counted by _growth_work: a few
-    # seconds at most.  It admits n = 5 from the empty condition (4,763,712
-    # steps) and bases of up to 31 points at n = 5, 104 at n = 4 and 310 at
-    # n = 3; n = 6 (about 9 * 10**8 steps from empty) is refused.
+    # Key-sum steps: a few seconds at most.  Growth (extend_with_realizers)
+    # counts them with _growth_work; it admits n = 5 from the empty
+    # condition (4,763,712 steps) and bases of up to 31 points at n = 5, 104
+    # at n = 4 and 310 at n = 3; n = 6 (about 9 * 10**8 steps from empty) is
+    # refused.  The block count (cond classify, homog floor) counts its
+    # cross-block joins, distinct keys below times distinct keys of a
+    # block, each at most T(k): 11,530 on the n = 4 growth and 1,018,205 on
+    # the n = 5 growth, whose 795,121 actual joins take about 0.55 s
+    # (Python 3.11 on an Intel Xeon).  n = 6 on the n = 5 growth (9,677,070)
+    # is refused; every input of at most C(points, n) <= 10**6 n-subsets
+    # stays under 1.7 * 10**6.
     "steps": 5_000_000,
-    # Subsets visited one by one, counted as C(points, n) by classify_subsets,
-    # greedy search, count_classes_met and check_tau_homogeneous, and the
-    # configurations that check_extension_property tests.  Listing 10**6
-    # subsets takes about 1 s and 90 MB of peak memory (n = 3 on 183
-    # points: 0.97 s, 86 MB peak RSS; n = 4 on 72 points: 1.2 s, 104 MB;
-    # Python 3.11 on an Intel Xeon).  It admits n = 2 up to 1,414 points,
-    # n = 3 up to 182 and n = 4 up to 71; the 716-point n = 4 growth
-    # (1.09 * 10**10 subsets) is refused.  The extension check is slower
-    # per item (201,193 configurations on the 30-vertex (8, 2) covering in
-    # 0.9 s), so at the bound it takes about 5 s.
+    # Subsets visited: C(points, n), one by one, for classify_subsets, greedy
+    # search, count_classes_met and check_tau_homogeneous; for the block
+    # count (cond classify, homog floor), the subsets of the needed sizes
+    # inside each value-separated block, tallied without being built; and
+    # the configurations that check_extension_property tests.  Listing 10**6 subsets takes about 1 s
+    # and 90 MB of peak memory (n = 3 on 183 points: 0.97 s, 86 MB peak RSS;
+    # n = 4 on 72 points: 1.2 s, 104 MB; Python 3.11 on an Intel Xeon).  The
+    # block count tallies them without building them: a whole `cond
+    # classify` call on one block of 182 points at n = 3 takes 0.24 s, of
+    # 71 at n = 4 0.33 s and of 1,414 at n = 2 0.54 s, at 15, 15 and 23 MB
+    # peak RSS (1.17, 1.32 and 1.31 s, 83, 98 and 84 MB when listing).  It
+    # admits n = 2 up to 1,414 points, n = 3 up to 182 and n = 4 up to 71 in
+    # one block.  At the most points the listing admits for each n = 2..6,
+    # no split into blocks counts more than C(points, n) + 1, still inside
+    # the bound, so the block count admits whatever the listing admits.  The 716-point
+    # n = 4 growth has 2,685 in-block subsets and the 10,915-point n = 5
+    # growth 67,673.  The extension check is slower per item (201,193
+    # configurations on the 30-vertex (8, 2) covering in 0.9 s), so at the
+    # bound it takes about 5 s.
     "subsets": 1_000_000,
     # Configurations one witness-engine build may walk.  A configuration
     # costs a few big-int operations on masks as wide as the vertex count,

@@ -21,7 +21,7 @@ from operator import gt, lt
 
 from ._values import field, value
 from .errors import LexOrderError, _natural, _naturals, check_subsets, check_work
-from .pointsets import (FiniteCondition, Point, _realizers, classify_subsets,
+from .pointsets import (FiniteCondition, Point, _pattern_counts, _realizers,
                         points_from_json, realized_type)
 from .typecalc import NType, count_ntypes, enumerate_ntypes, list_form
 
@@ -316,13 +316,16 @@ def weak_ramsey_floor_demo(cond: FiniteCondition, n: int) -> FloorReport:
     """Count pattern classes met by cond's n-subsets against the full tally.
 
     The floor holds exactly when the pattern coloring meets all count_ntypes(n)
-    classes; any pattern absent from the classify index has no realizer
-    and is reported missing.
+    classes; any pattern absent from the per-pattern counts has no
+    realizer and is reported missing.  The counts come from the
+    value-separated blocks of cond, so growths far past the listing bound
+    of classify_subsets are answered.
     """
-    index = classify_subsets(cond, n)
-    missing = tuple(list_form(t) for t in enumerate_ntypes(n) if t not in index)
-    classes_met = len(index)
+    counts = _pattern_counts(cond, n)
+    classes_met = len(counts)
     t_n = count_ntypes(n)
+    missing = () if classes_met == t_n else tuple(
+        list_form(t) for t in enumerate_ntypes(n) if t not in counts)
     return FloorReport(
         classes_met=classes_met,
         t_n=t_n,

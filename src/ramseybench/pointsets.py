@@ -9,16 +9,20 @@ A finite condition is a set of points (x, y) over the naturals with
 Every n-element subset of a condition realizes exactly one n-pattern:
 sort by y, read the interleaving of the x's and y's.  This module checks
 the clauses, reads off realized patterns, hunts realizers, grows a
-condition until every pattern of a given size occurs, and classifies all
-subsets by their pattern.
+condition until every pattern of a given size occurs, classifies all
+subsets by their pattern, and counts them per pattern by value-separated
+blocks.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from functools import cached_property
+from collections import Counter
+from functools import cached_property, lru_cache
+from itertools import chain, product, repeat, starmap
 from math import comb
+from operator import add, lshift, mul, or_
 
 from ._values import value
 from .errors import NoRealizedTypeError, _natural, check_subsets, check_work
@@ -281,6 +285,7 @@ def _fresh_realizer(t: NType, base: int) -> list[Point]:
     ]
 
 
+@lru_cache(maxsize=None)
 def _lift(key: int, j: int, i: int) -> int:
     """The key bits of a j-subset with key ``key`` placed above i points
     whose values all lie below its own: each new column gets code 3
@@ -342,6 +347,151 @@ def extend_with_realizers(cond: FiniteCondition, n: int) -> FiniteCondition:
                     realized[k].update(low | lifted for low in realized[k - j])
         added.extend(batch)
     return cond.union(added) if added else cond
+
+
+# Counting by value-separated blocks.  Cut the y-sorted points of a
+# condition wherever every value before the cut lies below every value
+# after it.  A subset that meets several of these blocks has, on each
+# cross pair, code 3 (the higher x lies above the lower y), so its key is
+# its parts' keys joined by _lift, and the per-key counts of the n-subsets
+# follow from each block's own per-size key counts.
+
+def _value_blocks(pts) -> list[tuple[Point, ...]]:
+    """The maximal value-separated blocks of y-sorted points of a valid
+    condition, in order.  A cut after point i needs y_i below the smallest
+    x of all later points: a later point's x can reach back below an
+    earlier y, so comparing each x with the y's before it is not enough."""
+    blocks, end, low = [], len(pts), None
+    for i in range(len(pts) - 1, -1, -1):
+        if low is not None and pts[i].y < low:
+            blocks.append(pts[i + 1:end])
+            end = i + 1
+        low = pts[i].x if low is None else min(low, pts[i].x)
+    if end:
+        blocks.append(pts[:end])
+    blocks.reverse()
+    return blocks
+
+
+def _block_key_counts(pts, sizes: range) -> dict[int, Counter]:
+    """For each k in sizes, the count of each key among the k-subsets of
+    y-sorted pts.  The walk extends prefix keys as _keyed_subsets does but
+    builds no subsets: it tallies the last column of every candidate at
+    once, and extends a prefix only while the smallest size left can still
+    be reached."""
+    counts = {k: Counter() for k in sizes}
+    if not sizes:
+        return counts
+    top = sizes[-1]
+    xs = [p.x for p in pts]
+    # rows[k][b][d - b - 1] is the pair code of pts[b] below pts[d], placed
+    # where it sits in the key when pts[b] is point k of the subset
+    codes = [[(x >= p.x) + (x > p.x) + (x > p.y) for x in xs[b + 1:]]
+             for b, p in enumerate(pts)] if top > 1 else []
+    rows = [[list(map(lshift, row, repeat(k * (k + 3)))) for row in codes] if k else codes
+            for k in range(top - 1)]
+
+    def walk(k, key, cols, lo):
+        # cols[i] is column k of the key for candidate lo + i, at its bits
+        if k + 1 in counts:
+            counts[k + 1].update(map(or_, repeat(key), cols))
+        if k + 2 > top:
+            return
+        moved = list(map(lshift, cols, repeat(2 * k)))
+        row = rows[k]
+        if k + 2 == top:
+            # the children would only tally their columns: do it here
+            counts[top].update(chain.from_iterable(
+                map(or_, repeat(key | cols[i]), map(or_, moved[i + 1:], row[lo + i]))
+                for i in range(len(cols) - 1)))
+            return
+        need = max(sizes.start, k + 2) - k - 1
+        for i in range(len(cols) - need):
+            walk(k + 1, key | cols[i], list(map(or_, moved[i + 1:], row[lo + i])), lo + i + 1)
+
+    walk(0, 0, [0] * len(pts), 0)
+    return counts
+
+
+def _block_plan(pts, n: int):
+    """(block, sizes, joins) per value-separated block of y-sorted pts.
+    Sizes are those of the block's subsets to count: only sizes that can
+    still reach n with the points outside the block, so a single block
+    counts only its n-subsets.  Joins are the (k, j) that join its
+    j-subsets onto the (k - j)-subsets below it, by descending k, for the
+    k that can still reach n with the points above it."""
+    plan, below, m = [], 0, len(pts)
+    for block in _value_blocks(pts):
+        after = m - below - len(block)
+        sizes = range(max(1, n - below - after), min(n, len(block)) + 1)
+        joins = [(k, j) for k in range(min(n, below + len(block)), max(0, n - after - 1), -1)
+                 for j in sizes if j <= k and k - j <= below]
+        plan.append((block, sizes, joins))
+        below += len(block)
+    return plan
+
+
+def _pattern_counts(cond: FiniteCondition, n: int) -> dict[NType, int]:
+    """How many n-subsets of cond realize each pattern that occurs, in no
+    particular order, counted by value-separated blocks.
+
+    Before any work, the in-block subsets the block walks visit are
+    counted against the "subsets" work bound, and an upper bound on the
+    cross-block joins (distinct keys below times distinct keys of the
+    block, at most T(k) each) against the "steps" bound; more raises
+    LimitError.
+    """
+    _check_n(n)
+    pts = cond.sorted_points
+    plan = _block_plan(pts, n)
+    scanned = sum(comb(len(block), j) for block, sizes, _ in plan for j in sizes)
+    check_work("subsets", scanned, "classification",
+               f"{len(pts)} points have {scanned} in-block subsets to scan "
+               f"({len(plan)} value-separated blocks)")
+    t = [1] + [count_ntypes(k) for k in range(1, n + 1)]
+    distinct, steps = [1] + [0] * n, 0
+    for block, _, joins in plan:
+        for k, j in joins:
+            joined = distinct[k - j] * min(t[j], comb(len(block), j))
+            steps += joined
+            distinct[k] = min(t[k], distinct[k] + joined)
+    check_work("steps", steps, "classification",
+               f"joining {len(plan)} value-separated blocks for n={n} "
+               f"may take {steps} steps")
+    acc: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(n)]
+    for block, sizes, joins in plan:
+        own = _block_key_counts(block, sizes)
+        for k, j in joins:
+            into, lows, highs = acc[k], acc[k - j], own[j]
+            # distinct (low, high) pairs give distinct joined keys, so the
+            # counts are added to `into` at C speed
+            lifted = [_lift(key, j, k - j) for key in highs]
+            joined = list(starmap(or_, product(lows, lifted)))
+            into.update(zip(joined, map(add, map(into.get, joined, repeat(0)),
+                                        starmap(mul, product(lows.values(), highs.values())))))
+    return {_key_type(key, n): count for key, count in acc[n].items()}
+
+
+def _key_type(key: int, n: int) -> NType:
+    """The n-pattern whose realizers have this key: the inverse of
+    _type_key.  Code 3 against the first g points puts x_b in gap g, just
+    below y_(g+1); inside a gap the x's are ranked by how many x's of the
+    gap lie strictly below them, which codes 0 and 2 tell."""
+    gap, below = [0] * n, [0] * n
+    for b in range(1, n):
+        codes = [key >> b * (b - 1) + 2 * a & 3 for a in range(b)]
+        gap[b] = codes.count(3)
+        for a, code in enumerate(codes):
+            if gap[a] == gap[b]:
+                if code == 0:
+                    below[a] += 1
+                elif code == 2:
+                    below[b] += 1
+    levels: dict[tuple, list[Symbol]] = {}
+    for i in range(n):
+        levels.setdefault((gap[i], 0, below[i]), []).append(_symbol("x", i + 1))
+        levels[i, 1, 0] = [_symbol("y", i + 1)]
+    return NType._trusted(n, tuple(frozenset(levels[v]) for v in sorted(levels)))
 
 
 def random_condition(rng: random.Random, n_points: int, spread: int = 4) -> FiniteCondition:

@@ -301,6 +301,30 @@ def classify_scan(cond: FiniteCondition, n: int) -> dict:
     return index
 
 
+def value_separated_blocks(points) -> list[list[Point]]:
+    """Maximal runs of y-sorted points whose values all lie below every
+    value of the points after them, each cut tested against all later
+    points."""
+    points = sorted((_as_point(p) for p in points), key=lambda p: p.y)
+    blocks, start = [], 0
+    for k in range(1, len(points) + 1):
+        if k == len(points) or points[k - 1].y < min(p.x for p in points[k:]):
+            blocks.append(points[start:k])
+            start = k
+    return blocks
+
+
+def fans(*sizes) -> FiniteCondition:
+    """A condition of value-separated blocks of the given sizes, in order:
+    each block is a fan, all its x's below all its y's, so it is one
+    block."""
+    points, base = [], 0
+    for size in sizes:
+        points += [Point(base + i, base + size + i) for i in range(size)]
+        base += 2 * size
+    return FiniteCondition(frozenset(points))
+
+
 def extend_scan(cond: FiniteCondition, n: int) -> FiniteCondition:
     """Find-and-append growth: per pattern in enumeration order, scan for a
     realizer and, without one, append a fresh batch of points whose values

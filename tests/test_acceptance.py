@@ -126,8 +126,9 @@ def test_criterion_03_realized_type_total_and_unique():
 
 
 def test_criterion_04_floor_is_exact():
-    with criterion(4, "grown conditions meet exactly T(n) classes (n=2,3)"):
-        for n in (2, 3):
+    with criterion(4, "grown conditions meet exactly T(n) classes (n=2..5)",
+                   budget=10.0):
+        for n in (2, 3, 4, 5):
             cond = extend_with_realizers(FiniteCondition(frozenset()), n)
             report = weak_ramsey_floor_demo(cond, n)
             assert report.classes_met == report.t_n == count_ntypes(n)

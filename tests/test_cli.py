@@ -11,13 +11,14 @@ import re
 import subprocess
 import sys
 import time
+from math import comb
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
-from oracles import unsatisfied_configurations
+from oracles import fans, unsatisfied_configurations, value_separated_blocks
 
 from ramseybench import cli
 from ramseybench.pointsets import (
@@ -196,18 +197,6 @@ def test_cond_grow_out_persists_bare_condition(files):
     assert again["classes_met"] == 4
 
 
-def value_separated_blocks(points):
-    """Maximal runs of y-sorted points whose values all lie below every
-    value of the points after them."""
-    points = sorted(points, key=lambda p: p[1])
-    blocks, start = [], 0
-    for k in range(1, len(points) + 1):
-        if k == len(points) or points[k - 1][1] < min(p[0] for p in points[k:]):
-            blocks.append(points[start:k])
-            start = k
-    return blocks
-
-
 def realized_by_blocks(points, n):
     """List forms of the n-patterns a condition realizes: classify each
     value-separated block, then join the patterns of lower blocks with
@@ -218,7 +207,7 @@ def realized_by_blocks(points, n):
 
     realized = {0: {""}} | {k: set() for k in range(1, n + 1)}
     for block in value_separated_blocks(points):
-        block = FiniteCondition(frozenset(Point(x, y) for x, y in block))
+        block = FiniteCondition(frozenset(block))
         own = {j: {list_form(t) for t in classify_subsets(block, j)}
                for j in range(1, min(n, len(block)) + 1)}
         for k in range(n, 0, -1):
@@ -248,19 +237,79 @@ def test_cond_grow_past_its_bound_is_refused():
     assert doc["kind"] == "LimitError"
 
 
+def run_cli(argv):
+    """Run the CLI in a fresh interpreter; (exit code, stdout, stderr,
+    wall seconds including start-up)."""
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "ramseybench.cli", *argv],
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr, time.perf_counter() - start
+
+
+@pytest.fixture(scope="module")
+def grown4(files):
+    path = files["dir"] / "grown4_for_classify.json"
+    path.write_text(json.dumps(condition_to_json(
+        extend_with_realizers(FiniteCondition(frozenset()), 4))))
+    return path
+
+
+@pytest.mark.parametrize("action, schema", [(["cond", "classify"], "cond.classify"),
+                                            (["homog", "floor"], "homog.floor")])
+def test_classify_and_floor_answer_the_n4_growth(grown4, action, schema):
+    # the 716-point growth has 1.09 * 10**10 4-subsets in 179 blocks of at
+    # most four points; counting by blocks answers at once
+    code, out, err, wall = run_cli([*action, "--n", "4", "--cond", str(grown4)])
+    assert code == 0 and err == ""
+    assert wall < 2.0
+    payload = json.loads(out)
+    conforms(schema, payload)
+    assert payload["classes_met"] == payload["t_n"] == 236
+    if schema == "cond.classify":
+        assert payload["subsets"] == comb(716, 4) == sum(payload["by_type"].values())
+    else:
+        assert payload["floor_holds"] is True
+
+
 @pytest.mark.parametrize("action", [["cond", "classify"], ["homog", "floor"]])
 def test_classify_past_its_bound_is_refused(files, action):
-    grown = files["dir"] / "grown4_for_classify.json"
-    grown.write_text(json.dumps(condition_to_json(
-        extend_with_realizers(FiniteCondition(frozenset()), 4))))
+    # one block of 183 points: C(183, 3) = 1,004,731 in-block 3-subsets
+    path = files["dir"] / "fan183.json"
+    path.write_text(json.dumps(condition_to_json(fans(183))))
+    code, out, err, wall = run_cli([*action, "--n", "3", "--cond", str(path)])
+    assert wall < 2.0
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    conforms("error", doc)
+    assert doc["kind"] == "LimitError"
+    assert "183 points have 1004731 in-block subsets" in doc["error"]
+
+
+@pytest.mark.parametrize("action", [["cond", "classify"], ["homog", "floor"]])
+def test_many_blocks_at_n6_are_refused_by_the_steps_bound(files, action):
+    # 2,000 blocks of two points: few in-block subsets, but joining them for
+    # n = 6 may take more steps than the bound
+    path = files["dir"] / "fans2x2000.json"
+    path.write_text(json.dumps(condition_to_json(fans(*[2] * 2000))))
     start = time.perf_counter()
-    result, out, err = invoke([*action, "--n", "4", "--cond", str(grown)])
+    result, out, err = invoke([*action, "--n", "6", "--cond", str(path)])
     assert time.perf_counter() - start < 2.0
     assert result.exit_code == 1 and out == ""
     doc = json.loads(err)
     conforms("error", doc)
     assert doc["kind"] == "LimitError"
-    assert "716 points" in doc["error"]
+    assert "joining 2000 value-separated blocks for n=6" in doc["error"]
+
+
+def test_floor_holds_on_the_n5_growth(files):
+    # 10,915 points in 2,183 blocks, 1.29 * 10**18 5-subsets
+    path = files["dir"] / "grown5.json"
+    path.write_text(json.dumps(condition_to_json(
+        extend_with_realizers(FiniteCondition(frozenset()), 5))))
+    code, out, err, wall = run_cli(["homog", "floor", "--n", "5", "--cond", str(path)])
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"classes_met": 2752, "t_n": 2752, "floor_holds": True}
+    assert wall < 6.0
 
 
 @pytest.mark.parametrize("doc, path", [

@@ -432,6 +432,22 @@ def test_floor_demo_matches_rescanning_oracle(seed, size, n):
             report.missing) == oracles.floor_scan(c, n)
 
 
+@pytest.mark.parametrize("n, keep", [(3, 5), (3, 12), (4, 6), (4, 10)])
+def test_floor_demo_matches_the_listing_on_damaged_growths(n, keep):
+    # a growth with most of its value-separated blocks removed misses
+    # patterns; the floor must name exactly those absent from the listing
+    grown = extend_with_realizers(EMPTY, n)
+    blocks = oracles.value_separated_blocks(grown)
+    kept = random.Random(keep).sample(blocks, keep)
+    damaged = FiniteCondition(frozenset(p for block in kept for p in block))
+    listed = classify_subsets(damaged, n)
+    report = weak_ramsey_floor_demo(damaged, n)
+    assert report.classes_met == len(listed) < count_ntypes(n)
+    assert report.missing == tuple(
+        list_form(t) for t in enumerate_ntypes(n) if t not in listed)
+    assert not report.floor_holds
+
+
 def test_floor_demo_reports_missing_patterns():
     report = weak_ramsey_floor_demo(GROUND, 2)
     assert not report.floor_holds

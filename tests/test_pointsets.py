@@ -25,7 +25,9 @@ from ramseybench.pointsets import (
     realized_type,
     subset_realizes,
 )
-from ramseybench.pointsets import _keyed_subsets, _type_key
+from ramseybench import pointsets
+from ramseybench.pointsets import (_key_type, _keyed_subsets, _pattern_counts, _type_key,
+                                   _value_blocks)
 from ramseybench.typecalc import count_ntypes, enumerate_ntypes, list_form, parse_list_form
 
 EMPTY = FiniteCondition(frozenset())
@@ -330,3 +332,160 @@ def test_union_checks_validity():
         c.union([Point(2, 1)])  # reuses section value 1
     bigger = c.union([Point(2, 3)])
     assert len(bigger) == 2
+
+
+# ---------------------------------------------------------------- counting
+# _pattern_counts joins per-block key counts; classify_subsets and the
+# per-subset signature scan count every subset themselves.
+
+def stacked(*conds):
+    """The conditions placed one above another, each on values above every
+    value of the ones before it."""
+    points, base = [], 0
+    for c in conds:
+        points += [Point(p.x + base, p.y + base) for p in c]
+        base += max((p.y for p in c), default=-1) + 1
+    return FiniteCondition(frozenset(points))
+
+
+def one_block(c):
+    """c with a point whose x lies below and whose y lies above all of
+    c's values, which joins c into one value-separated block."""
+    return c.union([Point(0, max((p.y for p in c), default=0) + 1)])
+
+
+def without_blocks(c, rng, keep):
+    """c with all but ``keep`` of its value-separated blocks removed."""
+    blocks = oracles.value_separated_blocks(c)
+    kept = rng.sample(range(len(blocks)), keep)
+    return FiniteCondition(frozenset(p for i in kept for p in blocks[i]))
+
+
+def assert_counts_match_oracles(c, sizes):
+    for n in sizes:
+        counts = _pattern_counts(c, n)
+        assert sum(counts.values()) == comb(len(c), n)
+        assert counts == {t: len(subs) for t, subs in classify_subsets(c, n).items()}
+        if comb(len(c), n) <= 3000:
+            assert counts == {t: len(subs)
+                              for t, subs in oracles.classify_scan(c, n).items()}
+
+
+def test_key_type_inverts_type_key():
+    for n in range(1, 6):
+        for t in enumerate_ntypes(n):
+            back = _key_type(_type_key(t), n)
+            assert back == t and list_form(back) == list_form(t)
+
+
+def test_value_blocks_match_the_oracle_split():
+    grown = extend_with_realizers(EMPTY, 3)
+    blocks = _value_blocks(grown.sorted_points)
+    assert len(blocks) == 19
+    assert [list(b) for b in blocks] == oracles.value_separated_blocks(grown)
+    # x3 = 1 reaches back below y1 = 2, so no cut falls after (0, 2) even
+    # though x2 = 3 lies above it; (6, 7) is a block of its own
+    reach_back = cond((0, 2), (3, 4), (1, 5), (6, 7))
+    assert _value_blocks(reach_back.sorted_points) == [
+        (Point(0, 2), Point(3, 4), Point(1, 5)), (Point(6, 7),)]
+    assert [list(b) for b in _value_blocks(reach_back.sorted_points)] == \
+        oracles.value_separated_blocks(reach_back)
+    assert [len(b) for b in _value_blocks(oracles.fans(3, 1, 4).sorted_points)] == [3, 1, 4]
+    rng = random.Random(21)
+    for _ in range(50):
+        c = stacked(*(random_condition(rng, rng.randint(0, 8)) for _ in range(3)))
+        assert [list(b) for b in _value_blocks(c.sorted_points)] == \
+            oracles.value_separated_blocks(c)
+
+
+def test_counts_match_oracles_on_stacked_conditions():
+    rng = random.Random(31)
+    for _ in range(40):
+        c = stacked(*(random_condition(rng, rng.randint(0, 6))
+                      for _ in range(rng.randint(1, 4))))
+        assert_counts_match_oracles(c, (1, 2, 3, 4))
+
+
+def test_counts_match_oracles_on_single_blocks():
+    rng = random.Random(32)
+    for _ in range(20):
+        c = one_block(random_condition(rng, rng.randint(0, 11)))
+        assert len(_value_blocks(c.sorted_points)) == 1
+        assert_counts_match_oracles(c, (1, 2, 3, 4))
+    for c in SEEDED:
+        assert_counts_match_oracles(c, (1, 2, 3, 4))
+
+
+@pytest.mark.parametrize("n, keeps", [(3, (1, 4, 8, 13, 19)), (4, (2, 5, 9, 12))])
+def test_counts_match_oracles_on_growths_with_blocks_removed(n, keeps):
+    grown = extend_with_realizers(EMPTY, n)
+    rng = random.Random(n)
+    for keep in keeps:
+        damaged = without_blocks(grown, rng, keep)
+        assert len(_value_blocks(damaged.sorted_points)) == keep
+        assert_counts_match_oracles(damaged, range(1, n + 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(conditions(max_points=5), min_size=1, max_size=4))
+def test_counts_match_oracles_on_hypothesis_stacks(parts):
+    assert_counts_match_oracles(stacked(*parts), (1, 2, 3, 4))
+
+
+@settings(max_examples=30, deadline=None)
+@given(conditions(max_points=10))
+def test_counts_match_oracles_on_hypothesis_single_blocks(c):
+    c = one_block(c)
+    assert len(_value_blocks(c.sorted_points)) == 1
+    assert_counts_match_oracles(c, (1, 2, 3, 4))
+
+
+class Admitted(Exception):
+    pass
+
+
+def refuse_work(*args):
+    raise Admitted
+
+
+@pytest.mark.parametrize("n, m", [(2, 1414), (3, 182), (4, 71), (5, 43), (6, 32)])
+def test_counts_admit_every_input_that_listing_admits(monkeypatch, n, m):
+    # m is the most points whose n-subsets classify_subsets may list; every
+    # split of them into blocks passes both of the count's checks
+    assert comb(m, n) <= WORK_BOUNDS["subsets"] < comb(m + 1, n)
+    monkeypatch.setattr(pointsets, "_block_key_counts", refuse_work)
+    rng = random.Random(m)
+    splits = [[m], [m - 1, 1], [1, m - 1], [1] * m, [m // 2, m - m // 2]]
+    for _ in range(5):
+        cuts = sorted(rng.sample(range(1, m), rng.randint(1, m - 1)))
+        splits.append([b - a for a, b in zip([0] + cuts, cuts + [m])])
+    for split in splits:
+        with pytest.raises(Admitted):
+            _pattern_counts(oracles.fans(*split), n)
+
+
+@pytest.mark.parametrize("n, m", [(3, 182), (4, 71)])
+def test_counts_at_the_listing_bound(n, m):
+    counts = _pattern_counts(oracles.fans(m), n)
+    assert counts == {parse_list_form(
+        "<".join(f"x{i}" for i in range(1, n + 1)) + "<"
+        + "<".join(f"y{i}" for i in range(1, n + 1))): comb(m, n)}
+    c = one_block(random_condition(random.Random(m), m - 1))
+    assert sum(_pattern_counts(c, n).values()) == comb(m, n)
+
+
+def test_counts_name_patterns_without_enumerating_them(monkeypatch):
+    monkeypatch.setattr(pointsets, "enumerate_ntypes", refuse_work)
+    c = stacked(oracles.fans(4), random_condition(random.Random(6), 8))
+    counts = _pattern_counts(c, 6)
+    assert counts == {t: len(subs) for t, subs in classify_subsets(c, 6).items()}
+
+
+def test_counts_refuse_before_any_work(monkeypatch):
+    monkeypatch.setattr(pointsets, "_block_key_counts", refuse_work)
+    start = time.perf_counter()
+    with pytest.raises(LimitError, match="183 points have 1004731 in-block subsets"):
+        _pattern_counts(oracles.fans(183), 3)
+    with pytest.raises(LimitError, match="joining 2000 value-separated blocks for n=6"):
+        _pattern_counts(oracles.fans(*[2] * 2000), 6)
+    assert time.perf_counter() - start < 0.5
