@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 from operator import gt, lt
 
@@ -54,14 +54,31 @@ class Coloring:
     def from_table(cls, ground: FiniteCondition, n: int, table: dict,
                    partial: bool = False) -> "Coloring":
         """Table-backed coloring; totality is validated unless partial."""
-        keyed = {frozenset(k): v for k, v in table.items()}
+        return cls._from_keyed(ground, n, {frozenset(k): v for k, v in table.items()},
+                               partial)
+
+    @classmethod
+    def _from_keyed(cls, ground: FiniteCondition, n: int, keyed: dict,
+                    partial: bool, inside: bool = False) -> "Coloring":
+        """Coloring over a table keyed by frozensets of points.
+
+        Totality is counted: the keys that are n-subsets of the ground
+        against C(m, n); ``inside`` says every key is one, as when the
+        ground was read off the table.  Only a table that falls short is
+        scanned, in ``combinations`` order, for its first missing subset,
+        which then lies among the first ``have + 1`` combinations.
+        """
         if not partial:
-            for combo in combinations(ground.sorted_points, n):
-                if frozenset(combo) not in keyed:
-                    raise ValueError(
-                        "coloring table is not total: no color for "
-                        + ", ".join(map(str, combo))
-                    )
+            points = ground.points
+            have = len(keyed) if inside else sum(
+                1 for k in keyed if len(k) == n and k <= points)
+            if have != comb(len(points), n):
+                for combo in islice(combinations(ground.sorted_points, n), have + 1):
+                    if frozenset(combo) not in keyed:
+                        raise ValueError(
+                            "coloring table is not total: no color for "
+                            + ", ".join(map(str, combo))
+                        )
         return cls(ground, n, lambda pts: keyed.get(frozenset(pts)))
 
     @classmethod
@@ -456,7 +473,7 @@ def coloring_from_json(doc: dict, ground: FiniteCondition | None = None,
     if not isinstance(doc["entries"], list):
         raise ValueError(f"entries: expected a list, got {json.dumps(doc['entries'])}")
     table = {}
-    pts: set[Point] = set()
+    cache: dict[tuple[int, int], Point] = {}
     for i, entry in enumerate(doc["entries"]):
         where = f"entries[{i}]"
         if not isinstance(entry, dict):
@@ -464,7 +481,7 @@ def coloring_from_json(doc: dict, ground: FiniteCondition | None = None,
         for key in ("subset", "color"):
             if key not in entry:
                 raise KeyError(f"{where}.{key}")
-        subset = frozenset(points_from_json(entry["subset"], f"{where}.subset"))
+        subset = frozenset(_json_subset(entry["subset"], f"{where}.subset", cache))
         if len(subset) != n:
             raise ValueError(f"{where}.subset: not a {n}-set: {json.dumps(entry['subset'])}")
         color = entry["color"]
@@ -472,10 +489,39 @@ def coloring_from_json(doc: dict, ground: FiniteCondition | None = None,
             raise ValueError(f"{where}.color: expected a JSON scalar, "
                              f"got {json.dumps(color, default=repr)}")
         table[subset] = color
-        pts |= subset
-    if ground is None:
-        ground = FiniteCondition(frozenset(pts))
-    return Coloring.from_table(ground, n, table, partial=partial)
+    inside = ground is None
+    if inside:
+        ground = FiniteCondition(frozenset(cache.values()))
+    return Coloring._from_keyed(ground, n, table, partial, inside)
+
+
+def _json_subset(doc, where: str, cache: dict) -> list[Point]:
+    """The points of the subset document ``doc`` at JSON path ``where``,
+    one Point per coordinate pair across the calls that share ``cache``.
+
+    Pairs of plain non-negative ints are looked up by value; anything
+    else goes through ``points_from_json``, which names its path.  The
+    check is on the exact type: ``(True, 2) == (1, 2)``, so a key made
+    from any pair would let a boolean through.
+    """
+    if type(doc) is list:
+        out = []
+        for item in doc:
+            if type(item) is not list or len(item) != 2:
+                break
+            x, y = item
+            if type(x) is not int or type(y) is not int or x < 0 or y < 0:
+                break
+            p = cache.get((x, y))
+            if p is None:
+                p = cache[x, y] = Point(x, y)
+            out.append(p)
+        else:
+            return out
+    out = points_from_json(doc, where)
+    for p in out:
+        cache.setdefault((p.x, p.y), p)
+    return out
 
 
 def coloring_from_csv(path: str, ground: FiniteCondition | None = None,
@@ -489,7 +535,7 @@ def coloring_from_csv(path: str, ground: FiniteCondition | None = None,
     import csv  # here, not at the top: only --csv calls need it
 
     table = {}
-    pts: set[Point] = set()
+    cache: dict[tuple[str, str], Point] = {}  # raw text pair -> its point
     n = None
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -498,27 +544,31 @@ def coloring_from_csv(path: str, ground: FiniteCondition | None = None,
                 continue
             if len(row) % 2 != 1 or len(row) < 3:
                 raise ValueError(f"bad coloring row (want 2n coords + color): {row}")
-            for col, v in enumerate(row[:-1], 1):
-                if not (v.isascii() and v.isdigit()):
-                    raise ValueError(f"row {reader.line_num}, column {col}: "
-                                     f"expected a natural number, got {v!r}")
-            coords = [int(v) for v in row[:-1]]
+            cells = iter(row[:-1])
+            pts = []
+            for i, pair in enumerate(zip(cells, cells)):
+                p = cache.get(pair)
+                if p is None:
+                    for col, v in enumerate(pair, 2 * i + 1):
+                        if not (v.isascii() and v.isdigit()):
+                            raise ValueError(f"row {reader.line_num}, column {col}: "
+                                             f"expected a natural number, got {v!r}")
+                    p = cache[pair] = Point(int(pair[0]), int(pair[1]))
+                pts.append(p)
             if n is None:
-                n = len(coords) // 2
-            elif len(coords) != 2 * n:
+                n = len(pts)
+            elif len(pts) != n:
                 raise ValueError("coloring rows disagree on subset size")
-            subset = frozenset(
-                Point(coords[2 * i], coords[2 * i + 1]) for i in range(n)
-            )
+            subset = frozenset(pts)
             if len(subset) != n:
                 raise ValueError(f"row {reader.line_num}: not a {n}-set: {row[:-1]}")
             table[subset] = row[-1]
-            pts |= subset
     if n is None:
         raise ValueError("empty coloring file")
-    if ground is None:
-        ground = FiniteCondition(frozenset(pts))
-    return Coloring.from_table(ground, n, table, partial=partial)
+    inside = ground is None
+    if inside:
+        ground = FiniteCondition(frozenset(cache.values()))
+    return Coloring._from_keyed(ground, n, table, partial, inside)
 
 
 def grid_to_json(grid: TernaryRelationGrid) -> dict:

@@ -13,11 +13,19 @@ small.
 
 The value classes are checked against the stdlib: ``dataclass_twin``
 builds the ``dataclasses`` class a value class stands for.
+
+The coloring reader references share the path-naming point reader
+``points_from_json`` with the library, which its tests check on their
+own, but neither its point cache nor its totality count.
 """
 
+import csv
 import dataclasses
+import json
 from itertools import combinations, permutations, product
 
+from ramseybench.errors import _natural
+from ramseybench.homogeneity import Coloring
 from ramseybench.omegatypes import XClass
 from ramseybench.setalgebra import (
     AboveDiag,
@@ -38,6 +46,7 @@ from ramseybench.pointsets import (
     Point,
     _as_point,
     check_condition,
+    points_from_json,
 )
 from ramseybench.typecalc import NType, Symbol, count_ntypes, enumerate_ntypes, list_form
 
@@ -450,6 +459,97 @@ def greedy_search_scan(coloring, tau: NType):
             color = colors[0] if colors else None
     pts = tuple(sorted((ground[i] for i in keep), key=lambda p: p.y))
     return pts, color, len(removed)
+
+
+# ---------------------------------------------------------------- coloring readers
+# The readers as they ran before they kept one point per coordinate pair
+# and counted totality: every row builds validated points, the keys are
+# rebuilt, and totality is a membership scan over every n-subset.
+
+def _scanned_coloring(ground, n: int, table: dict, partial: bool):
+    keyed = {frozenset(k): v for k, v in table.items()}
+    if not partial:
+        for combo in combinations(ground.sorted_points, n):
+            if frozenset(combo) not in keyed:
+                raise ValueError("coloring table is not total: no color for "
+                                 + ", ".join(map(str, combo)))
+    return Coloring(ground, n, lambda pts: keyed.get(frozenset(pts)))
+
+
+def coloring_from_json_scan(doc, ground=None, partial: bool = False):
+    """``coloring_from_json`` by a point per subset item."""
+    if not isinstance(doc, dict) or "n" not in doc or "entries" not in doc:
+        raise ValueError("coloring document needs 'n' and 'entries'")
+    n = _natural(doc["n"], "n")
+    if not isinstance(doc["entries"], list):
+        raise ValueError(f"entries: expected a list, got {json.dumps(doc['entries'])}")
+    table = {}
+    pts = set()
+    for i, entry in enumerate(doc["entries"]):
+        where = f"entries[{i}]"
+        if not isinstance(entry, dict):
+            raise ValueError(f"{where}: expected an object, got {json.dumps(entry)}")
+        for key in ("subset", "color"):
+            if key not in entry:
+                raise KeyError(f"{where}.{key}")
+        subset = frozenset(points_from_json(entry["subset"], f"{where}.subset"))
+        if len(subset) != n:
+            raise ValueError(f"{where}.subset: not a {n}-set: {json.dumps(entry['subset'])}")
+        color = entry["color"]
+        if color is not None and not isinstance(color, (str, int, float)):
+            raise ValueError(f"{where}.color: expected a JSON scalar, "
+                             f"got {json.dumps(color, default=repr)}")
+        table[subset] = color
+        pts |= subset
+    if ground is None:
+        ground = FiniteCondition(frozenset(pts))
+    return _scanned_coloring(ground, n, table, partial)
+
+
+def coloring_from_csv_scan(path, ground=None, partial: bool = False):
+    """``coloring_from_csv`` by a point per coordinate pair of every row."""
+    table = {}
+    pts = set()
+    n = None
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            if not row:
+                continue
+            if len(row) % 2 != 1 or len(row) < 3:
+                raise ValueError(f"bad coloring row (want 2n coords + color): {row}")
+            for col, v in enumerate(row[:-1], 1):
+                if not (v.isascii() and v.isdigit()):
+                    raise ValueError(f"row {reader.line_num}, column {col}: "
+                                     f"expected a natural number, got {v!r}")
+            coords = [int(v) for v in row[:-1]]
+            if n is None:
+                n = len(coords) // 2
+            elif len(coords) != 2 * n:
+                raise ValueError("coloring rows disagree on subset size")
+            subset = frozenset(Point(coords[2 * i], coords[2 * i + 1]) for i in range(n))
+            if len(subset) != n:
+                raise ValueError(f"row {reader.line_num}: not a {n}-set: {row[:-1]}")
+            table[subset] = row[-1]
+            pts |= subset
+    if n is None:
+        raise ValueError("empty coloring file")
+    if ground is None:
+        ground = FiniteCondition(frozenset(pts))
+    return _scanned_coloring(ground, n, table, partial)
+
+
+def coloring_outcome(read, *args, **kwargs):
+    """What a reader makes of its input: (ground, n, the colour and its
+    type per n-subset of the ground in ``combinations`` order), or the
+    (type, message) of the ValueError or KeyError it raises."""
+    try:
+        coloring = read(*args, **kwargs)
+    except (ValueError, KeyError) as exc:
+        return type(exc), str(exc)
+    colors = [coloring.rule(combo)
+              for combo in combinations(coloring.ground.sorted_points, coloring.n)]
+    return coloring.ground, coloring.n, [(c, type(c)) for c in colors]
 
 
 # ---------------------------------------------------------------- omega prefixes

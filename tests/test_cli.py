@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import time
+from itertools import combinations
 from math import comb
 from pathlib import Path
 
@@ -18,9 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
+import oracles
 from oracles import fans, unsatisfied_configurations, value_separated_blocks
 
 from ramseybench import cli
+from ramseybench.homogeneity import coloring_from_csv, coloring_from_json
 from ramseybench.pointsets import (
     FiniteCondition,
     Point,
@@ -349,7 +352,8 @@ def test_malformed_condition_documents_are_domain_errors(files, doc, path, actio
 PAIR = [[0, 1], [0, 2]]
 
 
-@pytest.mark.parametrize("doc, path", [
+# (document, the start of the error message)
+BAD_COLORING_DOCS = [
     ([], "coloring document"),
     ({"entries": []}, "coloring document"),
     ({"n": True, "entries": []}, "n:"),
@@ -372,7 +376,27 @@ PAIR = [[0, 1], [0, 2]]
     ({"n": 2, "entries": [{"subset": [[0, 1], [0, 1]], "color": 0}]}, "entries[0].subset:"),
     ({"n": 2, "entries": [{"subset": PAIR, "color": [1]}]}, "entries[0].color:"),
     ({"n": 2, "entries": [{"subset": PAIR, "color": {"c": 1}}]}, "entries[0].color:"),
-])
+]
+# (file text, the start of the error message)
+BAD_COLORING_CSVS = [
+    ("0,1,0,2,0\n-3,1,0,2,0\n", "row 2, column 1:"),
+    ("0,1, 3,5,0\n", "row 1, column 3:"),
+    ("0,1,0,2 ,0\n", "row 1, column 4:"),
+    ("x,1,0,2,0\n", "row 1, column 1:"),
+    ("0,1.5,0,2,0\n", "row 1, column 2:"),
+    ("0,1,0,\u00b2,0\n", "row 1, column 4:"),
+    ("0,1,0,,0\n", "row 1, column 4:"),
+    ("0,1,0,2,0\n\n0,1,3,x,0\n", "row 3, column 4:"),
+    ("0,1,0,2,0\n0,1,0,1,0\n", "row 2: not a 2-set"),
+    ("0,1,0,2\n", "bad coloring row"),
+    ("0,1\n", "bad coloring row"),
+    ("0,1,0,2,0\n0,1,0,2,3,5,0\n", "coloring rows disagree on subset size"),
+    ("0,1,0,2,0\n0,1,0,2,3,x,0\n", "row 2, column 6:"),
+    ("\n\n", "empty coloring file"),
+]
+
+
+@pytest.mark.parametrize("doc, path", BAD_COLORING_DOCS)
 @pytest.mark.parametrize("action", [
     ["homog", "check", "--type", "x1=x2<y1<y2"],
     ["homog", "search", "--type", "x1=x2<y1<y2"],
@@ -389,21 +413,7 @@ def test_malformed_coloring_documents_are_domain_errors(files, doc, path, action
     assert payload["error"].startswith(path)
 
 
-@pytest.mark.parametrize("text, start", [
-    ("0,1,0,2,0\n-3,1,0,2,0\n", "row 2, column 1:"),
-    ("0,1, 3,5,0\n", "row 1, column 3:"),
-    ("0,1,0,2 ,0\n", "row 1, column 4:"),
-    ("x,1,0,2,0\n", "row 1, column 1:"),
-    ("0,1.5,0,2,0\n", "row 1, column 2:"),
-    ("0,1,0,\u00b2,0\n", "row 1, column 4:"),
-    ("0,1,0,,0\n", "row 1, column 4:"),
-    ("0,1,0,2,0\n\n0,1,3,x,0\n", "row 3, column 4:"),
-    ("0,1,0,2,0\n0,1,0,1,0\n", "row 2: not a 2-set"),
-    ("0,1,0,2\n", "bad coloring row"),
-    ("0,1\n", "bad coloring row"),
-    ("0,1,0,2,0\n0,1,0,2,3,5,0\n", "coloring rows disagree on subset size"),
-    ("\n\n", "empty coloring file"),
-])
+@pytest.mark.parametrize("text, start", BAD_COLORING_CSVS)
 @pytest.mark.parametrize("action", [
     ["homog", "check", "--type", "x1=x2<y1<y2"],
     ["homog", "search", "--type", "x1=x2<y1<y2"],
@@ -433,6 +443,64 @@ def test_coloring_entries_without_a_key_name_its_path(files, entry, key):
                        "kind": "KeyError"}
 
 
+@pytest.mark.parametrize("doc", [doc for doc, _ in BAD_COLORING_DOCS] + [
+    {"n": 2, "entries": [{"subset": PAIR, "color": 0}, entry]}
+    for entry in ({"subset": PAIR}, {"color": 0})])
+def test_malformed_coloring_documents_fail_as_the_scan_reader_fails(doc):
+    outcome = oracles.coloring_outcome(coloring_from_json, doc)
+    assert outcome[0] in (ValueError, KeyError)
+    assert outcome == oracles.coloring_outcome(oracles.coloring_from_json_scan, doc)
+
+
+@pytest.mark.parametrize("text", [text for text, _ in BAD_COLORING_CSVS])
+def test_malformed_coloring_csv_files_fail_as_the_scan_reader_fails(files, text):
+    cpath = files["dir"] / "bad_coloring.csv"
+    cpath.write_text(text, encoding="utf-8")
+    outcome = oracles.coloring_outcome(coloring_from_csv, str(cpath))
+    assert outcome[0] is ValueError
+    assert outcome == oracles.coloring_outcome(oracles.coloring_from_csv_scan, str(cpath))
+
+
+@pytest.fixture(scope="module")
+def column_files(tmp_path_factory):
+    """The 60-point column (0, y), y = 1..60, with its 34,220 3-subsets
+    coloured 0, as CSV (``--csv``) and as JSON (``--in``)."""
+    d = tmp_path_factory.mktemp("column")
+    combos = list(combinations(range(1, 61), 3))
+    paths = {"--csv": d / "column.csv", "--in": d / "column.json"}
+    paths["--csv"].write_text("".join(f"0,{a},0,{b},0,{c},0\n" for a, b, c in combos))
+    paths["--in"].write_text(json.dumps({"n": 3, "entries": [
+        {"subset": [[0, a], [0, b], [0, c]], "color": 0} for a, b, c in combos]}))
+    return paths
+
+
+@pytest.mark.parametrize("option", ["--csv", "--in"])
+def test_coloring_readers_build_each_point_once(column_files, option, monkeypatch):
+    built = []
+    init = Point.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    # the class stays Point, so isinstance checks and == still hold
+    monkeypatch.setattr(Point, "__init__", counted)
+    path = column_files[option]
+    coloring = (coloring_from_csv(str(path)) if option == "--csv"
+                else coloring_from_json(json.loads(path.read_text())))
+    assert len(built) == 60
+    assert coloring.ground == FiniteCondition(frozenset(Point(0, y) for y in range(1, 61)))
+    assert all(isinstance(p, Point) for p in coloring.ground)
+
+
+@pytest.mark.parametrize("option, color", [("--csv", "0"), ("--in", 0)])
+def test_homog_check_reads_the_60_point_column(column_files, option, color):
+    payload, _ = run_ok(["homog", "check", option, str(column_files[option]),
+                         "--type", "x1=x2=x3<y1<y2<y3"], "homog.check")
+    assert payload == {"type": "x1=x2=x3<y1<y2<y3", "homogeneous": True, "color": color,
+                       "realizers": 34_220, "vacuous": False}
+
+
 JSON_JUNK = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 12) | st.floats(allow_nan=False)
     | st.text(max_size=3),
@@ -458,6 +526,20 @@ def test_junk_coloring_documents_succeed_or_fail_with_the_error_payload(tmp_path
     else:
         assert result.exit_code == 1 and out == ""
         conforms("error", json.loads(err))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    JSON_JUNK,
+    st.fixed_dictionaries({"n": st.just(2) | JSON_JUNK, "entries": st.lists(
+        st.fixed_dictionaries({"subset": st.just(PAIR) | JSON_JUNK,
+                               "color": JSON_JUNK}), max_size=3)})))
+def test_junk_coloring_documents_read_as_the_scan_reader_reads_them(doc):
+    assert (oracles.coloring_outcome(coloring_from_json, doc, partial=True)
+            == oracles.coloring_outcome(oracles.coloring_from_json_scan, doc, partial=True))
+    assert (oracles.coloring_outcome(coloring_from_json, doc)
+            == oracles.coloring_outcome(oracles.coloring_from_json_scan, doc))
+
 
 def test_homog_floor_matches_documented_example(files):
     payload, err = run_ok(

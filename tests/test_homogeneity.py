@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -16,6 +17,7 @@ from ramseybench.homogeneity import (
     Coloring,
     TernaryRelationGrid,
     check_tau_homogeneous,
+    coloring_from_csv,
     coloring_from_json,
     count_classes_met,
     extract_S_from_R,
@@ -573,11 +575,138 @@ def test_coloring_json_round_trip_and_validation():
 def test_coloring_csv_ingestion(tmp_path):
     path = tmp_path / "c.csv"
     path.write_text("0,1,0,2,red\n0,1,3,5,blue\n0,2,3,5,blue\n")
-    from ramseybench.homogeneity import coloring_from_csv
-
     coloring = coloring_from_csv(str(path))
     assert coloring.color_of([Point(0, 1), Point(0, 2)]) == "red"
     assert coloring.color_of([Point(0, 2), Point(3, 5)]) == "blue"
+
+
+READER_COLORS = [0, 1, 1.0, True, "a", None]
+
+
+def reader_inputs(rng, size, n, full):
+    """A seeded coloring of a random ground's n-subsets as a JSON document
+    and as CSV text, plus a sub-condition of the ground to pass as a
+    ground.  Entries come in random order, with repeats, with the points
+    of each subset shuffled and, in the CSV, some coordinates zero-padded;
+    ``full`` lists every n-subset at least once."""
+    cond = random_condition(rng, size)
+    combos = list(combinations(cond.sorted_points, n))
+    picks = [] if not combos else [rng.choice(combos)
+                                   for _ in range(rng.randint(0, 2 * len(combos)))]
+    if full:
+        picks += combos
+    rng.shuffle(picks)
+    entries = [(rng.sample(combo, n), rng.choice(READER_COLORS)) for combo in picks]
+    doc = {"n": n, "entries": [{"subset": [[p.x, p.y] for p in pts], "color": c}
+                               for pts, c in entries]}
+    text = "".join(",".join(["0" * rng.choice([0, 0, 1, 2]) + str(v)
+                             for p in pts for v in (p.x, p.y)] + [str(c)]) + "\n"
+                   for pts, c in entries)
+    sub = FiniteCondition(frozenset(rng.sample(sorted(cond.points), rng.randint(0, size))))
+    return doc, text, sub
+
+
+def assert_readers_match_scan(tmp_path_factory, doc, text, sub):
+    path = str(tmp_path_factory.mktemp("readers") / "coloring.csv")
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    for ground in (None, sub):
+        for partial in (False, True):
+            assert (oracles.coloring_outcome(coloring_from_json, doc, ground, partial)
+                    == oracles.coloring_outcome(oracles.coloring_from_json_scan,
+                                                doc, ground, partial))
+            assert (oracles.coloring_outcome(coloring_from_csv, path, ground, partial)
+                    == oracles.coloring_outcome(oracles.coloring_from_csv_scan,
+                                                path, ground, partial))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("size", [0, 1, 5, 9, 14])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_coloring_readers_match_the_scan_readers_on_seeded_colorings(
+        tmp_path_factory, seed, size, n):
+    rng = random.Random(100 * size + 10 * n + seed)
+    assert_readers_match_scan(tmp_path_factory, *reader_inputs(rng, size, n, seed != 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 8), st.integers(0, 3), st.booleans())
+def test_coloring_readers_match_the_scan_readers_on_hypothesis_colorings(
+        tmp_path_factory, seed, size, n, full):
+    assert_readers_match_scan(tmp_path_factory,
+                              *reader_inputs(random.Random(seed), size, n, full))
+
+
+def test_a_cached_point_does_not_admit_a_boolean_or_a_float():
+    for bad, shown in ((True, "true"), (1.0, "1.0")):
+        doc = {"n": 2, "entries": [{"subset": [[1, 2], [1, 3]], "color": 0},
+                                   {"subset": [[1, 3], [bad, 2]], "color": 0}]}
+        with pytest.raises(ValueError) as exc:
+            coloring_from_json(doc)
+        assert str(exc.value) == (f"entries[1].subset[1][0]: expected a natural number, "
+                                  f"got {shown}")
+    # an int subclass leaves the cache to the path-naming reader, which takes it
+    doc = {"n": 2, "entries": [{"subset": [[0, 1], [0, 2]], "color": 0},
+                               {"subset": [[0, 2], [type("Nat", (int,), {})(0), 3]],
+                                "color": 0}]}
+    assert (oracles.coloring_outcome(coloring_from_json, doc, partial=True)
+            == oracles.coloring_outcome(oracles.coloring_from_json_scan, doc, partial=True))
+    assert len(coloring_from_json(doc, partial=True).ground) == 3
+
+
+def test_csv_coordinates_are_read_as_numbers(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_text("0,7,0,007,c\n")
+    with pytest.raises(ValueError) as exc:
+        coloring_from_csv(str(path))
+    assert str(exc.value) == "row 1: not a 2-set: ['0', '7', '0', '007']"
+    path.write_text("0,1,0,2,a\n0,01,0,3,b\n0,2,0,03,c\n")
+    coloring = coloring_from_csv(str(path))
+    assert coloring.ground == cond((0, 1), (0, 2), (0, 3))
+    assert coloring.color_of([(0, 1), (0, 3)]) == "b"
+
+
+def test_a_repeated_subset_keeps_its_last_colour(tmp_path):
+    entries = [([[0, 1], [0, 2]], "a"), ([[0, 2], [0, 1]], "b")]
+    doc = {"n": 2, "entries": [{"subset": s, "color": c} for s, c in entries]}
+    assert coloring_from_json(doc).color_of([(0, 1), (0, 2)]) == "b"
+    path = tmp_path / "c.csv"
+    path.write_text("0,1,0,2,a\n0,2,0,1,b\n")
+    assert coloring_from_csv(str(path)).color_of([(0, 1), (0, 2)]) == "b"
+
+
+def test_a_table_that_is_not_total_names_its_first_missing_subset(tmp_path):
+    # (0,1) (0,2) (0,3) (0,4): the table lacks {(0,1), (0,4)} and {(0,2), (0,3)}
+    pairs = [((0, 1), (0, 2)), ((0, 1), (0, 3)), ((0, 2), (0, 4)), ((0, 3), (0, 4))]
+    doc = {"n": 2, "entries": [{"subset": [list(a), list(b)], "color": 0} for a, b in pairs]}
+    path = tmp_path / "c.csv"
+    path.write_text("".join(f"{a[0]},{a[1]},{b[0]},{b[1]},0\n" for a, b in pairs))
+    message = "coloring table is not total: no color for (0,1), (0,4)"
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        coloring_from_json(doc)
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        coloring_from_csv(str(path))
+
+
+def test_entries_outside_the_ground_do_not_count_toward_totality(tmp_path):
+    ground = cond((0, 1), (0, 2), (0, 3))
+    # two of the ground's three pairs and one pair outside it
+    doc = {"n": 2, "entries": [{"subset": s, "color": 0} for s in
+                               ([[0, 1], [0, 2]], [[0, 2], [0, 3]], [[0, 1], [0, 4]])]}
+    message = re.escape("coloring table is not total: no color for (0,1), (0,3)") + "$"
+    with pytest.raises(ValueError, match=message):
+        coloring_from_json(doc, ground)
+    path = tmp_path / "c.csv"
+    path.write_text("0,1,0,2,0\n0,2,0,3,0\n0,1,0,4,0\n")
+    with pytest.raises(ValueError, match=message):
+        coloring_from_csv(str(path), ground)
+    # keys of the wrong size inside the ground do not count either
+    table = {(Point(0, 1), Point(0, 2)): 0, (Point(0, 2), Point(0, 3)): 0}
+    for wrong in ((Point(0, 1),), (Point(0, 1), Point(0, 2), Point(0, 3))):
+        with pytest.raises(ValueError, match=message):
+            Coloring.from_table(ground, 2, {**table, wrong: 0})
+    table[(Point(0, 3), Point(0, 1))] = 1
+    assert Coloring.from_table(ground, 2, table).color_of([(0, 1), (0, 3)]) == 1
 
 
 def test_the_values_bound_counts_extracted_statuses(monkeypatch):
