@@ -9,17 +9,24 @@ from math import comb
 # check_work refuses a count above it.  Only "points" and "vertices" can be
 # set, through the CLI's NBT_WORKBENCH_LIMITS keys "search" and "rich".
 WORK_BOUNDS = {
-    # Key-sum steps: a few seconds at most.  Growth (extend_with_realizers)
-    # counts them with _growth_work; it admits n = 5 from the empty
-    # condition (4,763,712 steps) and bases of up to 31 points at n = 5, 104
-    # at n = 4 and 310 at n = 3; n = 6 (about 9 * 10**8 steps from empty) is
-    # refused.  The block count (cond classify, homog floor) counts its
-    # cross-block joins, distinct keys below times distinct keys of a
-    # block, each at most T(k): 11,530 on the n = 4 growth and 1,018,205 on
-    # the n = 5 growth, whose 795,121 actual joins take about 0.55 s
-    # (Python 3.11 on an Intel Xeon).  n = 6 on the n = 5 growth (9,677,070)
-    # is refused; every input of at most C(points, n) <= 10**6 n-subsets
-    # stays under 1.7 * 10**6.
+    # Join steps: a few seconds at most.  Growth (extend_with_realizers) and
+    # the block count (cond classify, homog floor) both count them with
+    # pointsets._plan_work: cross-block joins, distinct keys below times
+    # distinct keys of a block, each at most T(k).  Growth adds its base's
+    # in-block subsets of every size <= n and, for at most one fresh batch
+    # per pattern, C(n, j) of its j-subsets joined to at most T(k - j)
+    # patterns below.  It admits n = 5 from the empty condition (4,763,712
+    # steps) and single blocks of up to 31 points at n = 5, 104 at n = 4,
+    # 310 at n = 3 and 3,161 at n = 2, as many as the subset-by-subset count
+    # it replaced, and every split of them into blocks; n = 6 (about 9 *
+    # 10**8 steps from empty) is refused.  Growing one block of 310 points
+    # at n = 3 takes 0.6-0.7 s in process, of 104 at n = 4 1.1-1.3 s and of
+    # 3,161 at n = 2 1.5-1.8 s (2.5-3.3, 3.4-3.9 and 2.5-3.2 s when every
+    # base subset was keyed one by one).  The block count's joins are 9,749
+    # on the n = 4 growth and 972,382 on the n = 5 growth, whose 795,121
+    # actual joins take about 0.55 s (Python 3.11 on an Intel Xeon).  n = 6
+    # on the n = 5 growth (9,631,248) is refused; every input of at most
+    # C(points, n) <= 10**6 n-subsets stays under 1.7 * 10**6.
     "steps": 5_000_000,
     # Subsets visited: C(points, n), one by one, for classify_subsets, greedy
     # search, count_classes_met and check_tau_homogeneous; for the block

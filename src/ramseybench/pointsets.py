@@ -297,17 +297,6 @@ def _lift(key: int, j: int, i: int) -> int:
     return out
 
 
-def _growth_work(m: int, n: int) -> int:
-    """Upper bound on the work of growing an m-point condition for n:
-    the base's subsets of size <= n, scanned once, plus the key sums of at
-    most one fresh batch per pattern, each joining at most C(n, j) of its
-    j-subsets to at most T(k - j) realized (k - j)-patterns below it."""
-    t = [1] + [count_ntypes(k) for k in range(1, n + 1)]
-    per_batch = sum(comb(n, j) * t[k - j]
-                    for k in range(1, n + 1) for j in range(1, k + 1))
-    return sum(comb(m, k) for k in range(1, n + 1)) + t[n] * per_batch
-
-
 def extend_with_realizers(cond: FiniteCondition, n: int) -> FiniteCondition:
     """Grow cond until every n-pattern has a realizer.
 
@@ -316,21 +305,35 @@ def extend_with_realizers(cond: FiniteCondition, n: int) -> FiniteCondition:
     fresh batch of points is appended with all values strictly above
     everything used so far.  The input is never mutated.
 
-    The base is scanned once for the keys of its subsets of each size
-    k <= n.  A fresh batch lies above everything before it, so a subset
-    that meets it is a subset of the points below followed by one of the
-    batch, and its key is the lower key plus the batch subset's key
-    lifted above it: the realized keys grow by these sums alone.  Growth
-    whose bound ``_growth_work`` exceeds the "steps" work bound raises
-    LimitError before any work.
+    The realized keys of each size k <= n are read as the block count
+    reads them: each value-separated block of the base tallies the keys of
+    its subsets of every size up to n, and the blocks are joined one by
+    one with _lift.  A fresh batch lies above everything before it, so it
+    is joined the same way, as more blocks.  Growth whose work exceeds the
+    "steps" work bound raises LimitError before any work: the base's
+    in-block subsets and joins (_plan_work), plus at most one batch per
+    pattern, each joining at most C(n, j) of its j-subsets to at most
+    T(k - j) realized (k - j)-patterns below it.
     """
     _check_n(n)
     base = cond.sorted_points
-    work = _growth_work(len(base), n)
+    # later batches sit above every block of the base, so no size is cut
+    plan = _block_plan(base, n, above=n)
+    types = [1] + [count_ntypes(k) for k in range(1, n + 1)]
+    work = sum(_plan_work(plan, n)) + types[n] * sum(
+        comb(n, j) * types[k - j] for k in range(1, n + 1) for j in range(1, k + 1))
     check_work("steps", work, "growth",
                f"growing {len(base)} points for n={n} may take {work} steps")
-    realized = [{0}] + [{key for _, key in _keyed_subsets(base, k)}
-                        for k in range(1, n + 1)]
+    realized = [{0}] + [set() for _ in range(n)]
+
+    def join(plan):
+        for block, sizes, joins in plan:
+            own = _block_key_counts(block, sizes)
+            for k, j in joins:
+                lifted = [_lift(key, j, k - j) for key in own[j]]
+                realized[k].update(starmap(or_, product(realized[k - j], lifted)))
+
+    join(plan)
     top = max((p.y for p in base), default=-1)
     added: list[Point] = []
     for t in enumerate_ntypes(n):
@@ -338,13 +341,7 @@ def extend_with_realizers(cond: FiniteCondition, n: int) -> FiniteCondition:
             continue
         batch = _fresh_realizer(t, top + 1)
         top += len(t.classes)
-        own = [{0}] + [{key for _, key in _keyed_subsets(batch, j)}
-                       for j in range(1, n + 1)]
-        for k in range(n, 0, -1):
-            for j in range(1, k + 1):
-                for key in own[j]:
-                    lifted = _lift(key, j, k - j)
-                    realized[k].update(low | lifted for low in realized[k - j])
+        join(_block_plan(batch, n, below=len(base) + len(added), above=n))
         added.extend(batch)
     return cond.union(added) if added else cond
 
@@ -384,12 +381,20 @@ def _block_key_counts(pts, sizes: range) -> dict[int, Counter]:
         return counts
     top = sizes[-1]
     xs = [p.x for p in pts]
-    # rows[k][b][d - b - 1] is the pair code of pts[b] below pts[d], placed
-    # where it sits in the key when pts[b] is point k of the subset
-    codes = [[(x >= p.x) + (x > p.x) + (x > p.y) for x in xs[b + 1:]]
-             for b, p in enumerate(pts)] if top > 1 else []
-    rows = [[list(map(lshift, row, repeat(k * (k + 3)))) for row in codes] if k else codes
-            for k in range(top - 1)]
+
+    def codes(b):
+        p = pts[b]
+        return [(x >= p.x) + (x > p.x) + (x > p.y) for x in xs[b + 1:]]
+
+    # rows[k](b)[d - b - 1] is the pair code of pts[b] below pts[d], placed
+    # where it sits in the key when pts[b] is point k of the subset.  Up to
+    # size 2 the walk reads each row once, so no table of rows is kept.
+    rows = [codes]
+    if top > 2:
+        table = list(map(codes, range(len(pts))))
+        rows = [table.__getitem__] + [
+            [list(map(lshift, row, repeat(k * (k + 3)))) for row in table].__getitem__
+            for k in range(1, top - 1)]
 
     def walk(k, key, cols, lo):
         # cols[i] is column k of the key for candidate lo + i, at its bits
@@ -402,27 +407,28 @@ def _block_key_counts(pts, sizes: range) -> dict[int, Counter]:
         if k + 2 == top:
             # the children would only tally their columns: do it here
             counts[top].update(chain.from_iterable(
-                map(or_, repeat(key | cols[i]), map(or_, moved[i + 1:], row[lo + i]))
+                map(or_, repeat(key | cols[i]), map(or_, moved[i + 1:], row(lo + i)))
                 for i in range(len(cols) - 1)))
             return
         need = max(sizes.start, k + 2) - k - 1
         for i in range(len(cols) - need):
-            walk(k + 1, key | cols[i], list(map(or_, moved[i + 1:], row[lo + i])), lo + i + 1)
+            walk(k + 1, key | cols[i], list(map(or_, moved[i + 1:], row(lo + i))), lo + i + 1)
 
     walk(0, 0, [0] * len(pts), 0)
     return counts
 
 
-def _block_plan(pts, n: int):
-    """(block, sizes, joins) per value-separated block of y-sorted pts.
-    Sizes are those of the block's subsets to count: only sizes that can
-    still reach n with the points outside the block, so a single block
-    counts only its n-subsets.  Joins are the (k, j) that join its
-    j-subsets onto the (k - j)-subsets below it, by descending k, for the
-    k that can still reach n with the points above it."""
-    plan, below, m = [], 0, len(pts)
+def _block_plan(pts, n: int, below: int = 0, above: int = 0):
+    """(block, sizes, joins) per value-separated block of y-sorted pts,
+    which lie above ``below`` points and below ``above`` more.  Sizes are
+    those of the block's subsets to count: only sizes that can still reach
+    n with the points outside the block, so a single block counts only its
+    n-subsets.  Joins are the (k, j) that join its j-subsets onto the
+    (k - j)-subsets below it, by descending k, for the k that can still
+    reach n with the points above it."""
+    plan, after = [], len(pts) + above
     for block in _value_blocks(pts):
-        after = m - below - len(block)
+        after -= len(block)
         sizes = range(max(1, n - below - after), min(n, len(block)) + 1)
         joins = [(k, j) for k in range(min(n, below + len(block)), max(0, n - after - 1), -1)
                  for j in sizes if j <= k and k - j <= below]
@@ -431,30 +437,40 @@ def _block_plan(pts, n: int):
     return plan
 
 
+def _plan_work(plan, n: int) -> tuple[int, int]:
+    """(in-block subsets, join steps) of a block plan, both upper bounds
+    counted without any work: the subsets the block walks visit, and the
+    joins of distinct keys below times distinct keys of a block, each at
+    most T(k).  A block's own k-subsets joined onto the empty subset below
+    (j = k) are counted once, as in-block subsets."""
+    types = [1] + [count_ntypes(k) for k in range(1, n + 1)]
+    distinct, scanned, steps = [1] + [0] * n, 0, 0
+    for block, sizes, joins in plan:
+        scanned += sum(comb(len(block), j) for j in sizes)
+        for k, j in joins:
+            joined = distinct[k - j] * min(types[j], comb(len(block), j))
+            steps += joined if j < k else 0
+            distinct[k] = min(types[k], distinct[k] + joined)
+    return scanned, steps
+
+
 def _pattern_counts(cond: FiniteCondition, n: int) -> dict[NType, int]:
     """How many n-subsets of cond realize each pattern that occurs, in no
     particular order, counted by value-separated blocks.
 
-    Before any work, the in-block subsets the block walks visit are
-    counted against the "subsets" work bound, and an upper bound on the
-    cross-block joins (distinct keys below times distinct keys of the
+    Before any work, _plan_work counts the in-block subsets the block
+    walks visit against the "subsets" work bound, and an upper bound on
+    the cross-block joins (distinct keys below times distinct keys of the
     block, at most T(k) each) against the "steps" bound; more raises
     LimitError.
     """
     _check_n(n)
     pts = cond.sorted_points
     plan = _block_plan(pts, n)
-    scanned = sum(comb(len(block), j) for block, sizes, _ in plan for j in sizes)
+    scanned, steps = _plan_work(plan, n)
     check_work("subsets", scanned, "classification",
                f"{len(pts)} points have {scanned} in-block subsets to scan "
                f"({len(plan)} value-separated blocks)")
-    t = [1] + [count_ntypes(k) for k in range(1, n + 1)]
-    distinct, steps = [1] + [0] * n, 0
-    for block, _, joins in plan:
-        for k, j in joins:
-            joined = distinct[k - j] * min(t[j], comb(len(block), j))
-            steps += joined
-            distinct[k] = min(t[k], distinct[k] + joined)
     check_work("steps", steps, "classification",
                f"joining {len(plan)} value-separated blocks for n={n} "
                f"may take {steps} steps")

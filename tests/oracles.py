@@ -6,10 +6,16 @@ defining clauses, planar membership is evaluated point by point, and
 graph witnesses are found by scanning every vertex against adjacency
 sets.  The condition scans read each subset's pattern from its sorted
 coordinate levels and build it through the validating ``NType``
-constructor; only the growth reference takes its visiting order from
+constructor; only the growth references take their visiting order from
 ``enumerate_ntypes``, whose output the enumeration tests check on their
 own.  Slow on purpose; keep n, condition sizes and expression depth
 small.
+
+One growth reference, ``extend_key_sums``, is the key-sum growth the
+library used before it read bases by value-separated blocks.  It reads
+subset keys through ``pointsets._keyed_subsets``, which the tests hold
+to ``realized_type``, and is itself held to ``extend_scan`` where that
+scan can reach; it exists because ``extend_scan`` cannot reach n >= 4.
 
 The value classes are checked against the stdlib: ``dataclass_twin``
 builds the ``dataclasses`` class a value class stands for.
@@ -45,6 +51,10 @@ from ramseybench.pointsets import (
     FiniteCondition,
     Point,
     _as_point,
+    _fresh_realizer,
+    _keyed_subsets,
+    _lift,
+    _type_key,
     check_condition,
     points_from_json,
 )
@@ -349,6 +359,32 @@ def extend_scan(cond: FiniteCondition, n: int) -> FiniteCondition:
             for i in range(1, t.n + 1)
         )
     return current
+
+
+def extend_key_sums(cond: FiniteCondition, n: int) -> FiniteCondition:
+    """The growth that summed keys before the base was read by blocks: the
+    base is scanned once per size k <= n for the keys of its k-subsets, and
+    each fresh batch adds the sums of a key below and a batch subset's key
+    lifted above it.  Same visiting order and batches as extend_scan, but
+    it reaches n = 5, where scanning for realizers does not; unbounded."""
+    realized = [{0}] + [{key for _, key in _keyed_subsets(cond.sorted_points, k)}
+                        for k in range(1, n + 1)]
+    top = max((p.y for p in cond), default=-1)
+    added: list[Point] = []
+    for t in enumerate_ntypes(n):
+        if _type_key(t) in realized[n]:
+            continue
+        batch = _fresh_realizer(t, top + 1)
+        top += len(t.classes)
+        own = [{0}] + [{key for _, key in _keyed_subsets(batch, j)}
+                       for j in range(1, n + 1)]
+        for k in range(n, 0, -1):
+            for j in range(1, k + 1):
+                for key in own[j]:
+                    lifted = _lift(key, j, k - j)
+                    realized[k].update(low | lifted for low in realized[k - j])
+        added.extend(batch)
+    return cond.union(added) if added else cond
 
 
 def floor_scan(cond: FiniteCondition, n: int):

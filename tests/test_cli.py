@@ -794,6 +794,15 @@ def test_graph_demos():
     assert payload["all_colors"]
 
 
+def test_graph_demo_noreverse_refuses_a_negative_count():
+    result, out, err = invoke(["graph", "demo-noreverse", "--count", "-1"])
+    assert result.exit_code == 1 and out == ""
+    doc = json.loads(err)
+    conforms("error", doc)
+    assert doc["kind"] == "ValueError"
+    assert doc["error"] == "count must be a natural number, got -1"
+
+
 # ------------------------------------------------------------------ sets
 
 def test_sets_column(files):

@@ -91,6 +91,16 @@ def test_only_errors_raises_limit_errors():
     assert raising == {"errors.py"}
 
 
+def test_only_pointsets_knows_the_key_format():
+    # the pair-code keys, their scans and the block count are read and
+    # written in pointsets alone; other modules ask it for patterns
+    src = REPO / "src" / "ramseybench"
+    private = re.compile(r"\b(_type_key|_key_type|_lift|_keyed_subsets"
+                         r"|_block_key_counts|_block_plan)\b")
+    assert {path.name for path in src.glob("*.py") if private.search(path.read_text())} \
+        == {"pointsets.py"}
+
+
 def test_no_code_is_generated_at_run_time():
     # every CLI call imports these modules afresh, and .pyc files cache
     # only source: code built with exec, eval or compile is compiled again

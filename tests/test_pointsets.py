@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -26,8 +27,8 @@ from ramseybench.pointsets import (
     subset_realizes,
 )
 from ramseybench import pointsets
-from ramseybench.pointsets import (_key_type, _keyed_subsets, _pattern_counts, _type_key,
-                                   _value_blocks)
+from ramseybench.pointsets import (_block_key_counts, _key_type, _keyed_subsets,
+                                   _pattern_counts, _type_key, _value_blocks)
 from ramseybench.typecalc import count_ntypes, enumerate_ntypes, list_form, parse_list_form
 
 EMPTY = FiniteCondition(frozenset())
@@ -307,7 +308,10 @@ def test_scans_match_signature_oracles(c):
 
 
 @settings(max_examples=40, deadline=None)
-@given(conditions(max_points=10), st.integers(1, 2))
+@given(st.one_of(conditions(max_points=10),
+                 st.lists(conditions(max_points=4), min_size=2, max_size=3)
+                 .map(lambda parts: stacked(*parts))),
+       st.integers(1, 2))
 def test_growth_matches_find_and_append_oracle(c, n):
     assert extend_with_realizers(c, n) == oracles.extend_scan(c, n)
 
@@ -315,6 +319,67 @@ def test_growth_matches_find_and_append_oracle(c, n):
 @pytest.mark.parametrize("base", [EMPTY, SEEDED[0]], ids=["empty", "seeded"])
 def test_growth_matches_find_and_append_oracle_at_three(base):
     assert extend_with_realizers(base, 3) == oracles.extend_scan(base, 3)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_growth_from_empty_matches_the_key_sum_oracle(n):
+    assert extend_with_realizers(EMPTY, n) == oracles.extend_key_sums(EMPTY, n)
+
+
+def growth_bases():
+    """(base, n) pairs: seeded single conditions, stacks of them (several
+    value-separated blocks) and growths with blocks removed."""
+    rng = random.Random(41)
+    for _ in range(20):
+        yield random_condition(rng, rng.randint(0, 14)), rng.randint(1, 4)
+    for _ in range(20):
+        yield stacked(*(random_condition(rng, rng.randint(0, 6))
+                        for _ in range(rng.randint(2, 4)))), rng.randint(1, 4)
+    grown = extend_with_realizers(EMPTY, 3)
+    for keep in (1, 4, 8, 13):
+        for n in (2, 3, 4):
+            yield without_blocks(grown, rng, keep), n
+
+
+def test_growth_matches_the_key_sum_oracle_on_bases():
+    for base, n in growth_bases():
+        assert extend_with_realizers(base, n) == oracles.extend_key_sums(base, n)
+
+
+def test_growth_adds_a_batch_of_several_value_separated_blocks():
+    # x1<y1<x2<y2 is the one 2-pattern this base misses, and its fresh
+    # realizer is two blocks, joined onto the base one after the other
+    base = cond((1, 2), (1, 3), (0, 4), (1, 5))
+    grown = extend_with_realizers(base, 2)
+    assert grown == base.union([Point(6, 7), Point(8, 9)])
+    assert _value_blocks(grown.sorted_points) == [
+        base.sorted_points, (Point(6, 7),), (Point(8, 9),)]
+    assert grown == oracles.extend_key_sums(base, 2) == oracles.extend_scan(base, 2)
+
+
+def key_sum_work(m, n):
+    """The count the key-sum growth bounded: the base's subsets of size
+    <= n, plus one batch per pattern, each joining at most C(n, j) of its
+    j-subsets to at most T(k - j) realized (k - j)-patterns below it."""
+    t = [1] + [count_ntypes(k) for k in range(1, n + 1)]
+    return sum(comb(m, k) for k in range(1, n + 1)) + t[n] * sum(
+        comb(n, j) * t[k - j] for k in range(1, n + 1) for j in range(1, k + 1))
+
+
+@pytest.mark.parametrize("n, m", [(2, 3161), (3, 310), (4, 104), (5, 31)])
+def test_growth_admits_every_base_the_key_sums_admitted(monkeypatch, n, m):
+    # m is the most points the key-sum growth admitted; every split of them
+    # into blocks is admitted, and one block of m + 1 points is refused,
+    # both before any work.  One block counts exactly what the key sums
+    # counted: its own subsets once each, and one batch per pattern.
+    assert key_sum_work(m, n) <= WORK_BOUNDS["steps"] < key_sum_work(m + 1, n)
+    monkeypatch.setattr(pointsets, "_block_key_counts", refuse_work)
+    for split in fan_splits(m):
+        with pytest.raises(Admitted):
+            extend_with_realizers(oracles.fans(*split), n)
+    with pytest.raises(LimitError, match=f"growing {m + 1} points for n={n} "
+                                         f"may take {key_sum_work(m + 1, n)} steps"):
+        extend_with_realizers(oracles.fans(m + 1), n)
 
 
 def test_growth_past_its_bound_is_refused_before_any_work():
@@ -359,6 +424,17 @@ def without_blocks(c, rng, keep):
     blocks = oracles.value_separated_blocks(c)
     kept = rng.sample(range(len(blocks)), keep)
     return FiniteCondition(frozenset(p for i in kept for p in blocks[i]))
+
+
+def fan_splits(m):
+    """Block sizes summing to m: one block, the extremes and five seeded
+    random splits."""
+    rng = random.Random(m)
+    splits = [[m], [m - 1, 1], [1, m - 1], [1] * m, [m // 2, m - m // 2]]
+    for _ in range(5):
+        cuts = sorted(rng.sample(range(1, m), rng.randint(1, m - 1)))
+        splits.append([b - a for a, b in zip([0] + cuts, cuts + [m])])
+    return splits
 
 
 def assert_counts_match_oracles(c, sizes):
@@ -454,14 +530,23 @@ def test_counts_admit_every_input_that_listing_admits(monkeypatch, n, m):
     # split of them into blocks passes both of the count's checks
     assert comb(m, n) <= WORK_BOUNDS["subsets"] < comb(m + 1, n)
     monkeypatch.setattr(pointsets, "_block_key_counts", refuse_work)
-    rng = random.Random(m)
-    splits = [[m], [m - 1, 1], [1, m - 1], [1] * m, [m // 2, m - m // 2]]
-    for _ in range(5):
-        cuts = sorted(rng.sample(range(1, m), rng.randint(1, m - 1)))
-        splits.append([b - a for a, b in zip([0] + cuts, cuts + [m])])
-    for split in splits:
+    for split in fan_splits(m):
         with pytest.raises(Admitted):
             _pattern_counts(oracles.fans(*split), n)
+
+
+def test_pair_keys_are_tallied_without_a_table_of_pair_codes():
+    # each pair code is read once when no size passes 2; a table of the
+    # C(500, 2) codes would hold about 1 MB of pointers alone
+    pts = oracles.fans(500).sorted_points
+    tracemalloc.start()
+    try:
+        counts = _block_key_counts(pts, range(1, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000
+    assert counts == {1: {0: 500}, 2: {_type_key(realized_type(oracles.fans(2))): comb(500, 2)}}
 
 
 @pytest.mark.parametrize("n, m", [(3, 182), (4, 71)])
