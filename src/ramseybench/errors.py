@@ -12,9 +12,9 @@ WORK_BOUNDS = {
     # Join steps: a few seconds at most.  Growth (extend_with_realizers) and
     # the block count (cond classify, homog floor) both count them with
     # pointsets._plan_work: cross-block joins, distinct keys below times
-    # distinct keys of a block, each at most T(k).  Growth adds its base's
-    # in-block subsets of every size <= n and, for at most one fresh batch
-    # per pattern, C(n, j) of its j-subsets joined to at most T(k - j)
+    # distinct keys of a block, each at most T(k).  For growth it adds the
+    # base's in-block subsets of every size <= n and, for at most one fresh
+    # batch per pattern, C(n, j) of its j-subsets joined to at most T(k - j)
     # patterns below.  It admits n = 5 from the empty condition (4,763,712
     # steps) and single blocks of up to 31 points at n = 5, 104 at n = 4,
     # 310 at n = 3 and 3,161 at n = 2, as many as the subset-by-subset count

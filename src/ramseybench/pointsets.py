@@ -310,18 +310,16 @@ def extend_with_realizers(cond: FiniteCondition, n: int) -> FiniteCondition:
     its subsets of every size up to n, and the blocks are joined one by
     one with _lift.  A fresh batch lies above everything before it, so it
     is joined the same way, as more blocks.  Growth whose work exceeds the
-    "steps" work bound raises LimitError before any work: the base's
-    in-block subsets and joins (_plan_work), plus at most one batch per
-    pattern, each joining at most C(n, j) of its j-subsets to at most
+    "steps" work bound raises LimitError before any work: _plan_work
+    counts the base's in-block subsets and joins, plus at most one batch
+    per pattern, each joining at most C(n, j) of its j-subsets to at most
     T(k - j) realized (k - j)-patterns below it.
     """
     _check_n(n)
     base = cond.sorted_points
     # later batches sit above every block of the base, so no size is cut
     plan = _block_plan(base, n, above=n)
-    types = [1] + [count_ntypes(k) for k in range(1, n + 1)]
-    work = sum(_plan_work(plan, n)) + types[n] * sum(
-        comb(n, j) * types[k - j] for k in range(1, n + 1) for j in range(1, k + 1))
+    work = sum(_plan_work(plan, n, batches=count_ntypes(n)))
     check_work("steps", work, "growth",
                f"growing {len(base)} points for n={n} may take {work} steps")
     realized = [{0}] + [set() for _ in range(n)]
@@ -382,19 +380,16 @@ def _block_key_counts(pts, sizes: range) -> dict[int, Counter]:
     top = sizes[-1]
     xs = [p.x for p in pts]
 
-    def codes(b):
+    def codes(b, shift=0):
         p = pts[b]
-        return [(x >= p.x) + (x > p.x) + (x > p.y) for x in xs[b + 1:]]
+        return [(x >= p.x) + (x > p.x) + (x > p.y) << shift for x in xs[b + 1:]]
 
     # rows[k](b)[d - b - 1] is the pair code of pts[b] below pts[d], placed
-    # where it sits in the key when pts[b] is point k of the subset.  Up to
-    # size 2 the walk reads each row once, so no table of rows is kept.
-    rows = [codes]
-    if top > 2:
-        table = list(map(codes, range(len(pts))))
-        rows = [table.__getitem__] + [
-            [list(map(lshift, row, repeat(k * (k + 3)))) for row in table].__getitem__
-            for k in range(1, top - 1)]
+    # where it sits in the key when pts[b] is point k of the subset.  The
+    # walk enters point 0 once, so row 0 is made when it is read; the rows
+    # of later points are read once per prefix, so they are kept.
+    rows = [codes] + [[codes(b, k * (k + 3)) for b in range(len(pts))].__getitem__
+                      for k in range(1, top - 1)]
 
     def walk(k, key, cols, lo):
         # cols[i] is column k of the key for candidate lo + i, at its bits
@@ -437,14 +432,17 @@ def _block_plan(pts, n: int, below: int = 0, above: int = 0):
     return plan
 
 
-def _plan_work(plan, n: int) -> tuple[int, int]:
+def _plan_work(plan, n: int, batches: int = 0) -> tuple[int, int]:
     """(in-block subsets, join steps) of a block plan, both upper bounds
     counted without any work: the subsets the block walks visit, and the
     joins of distinct keys below times distinct keys of a block, each at
     most T(k).  A block's own k-subsets joined onto the empty subset below
-    (j = k) are counted once, as in-block subsets."""
+    (j = k) are counted once, as in-block subsets.  Each of ``batches``
+    fresh batches of n points joined above the plan adds C(n, j) of its
+    j-subsets onto at most T(k - j) keys below, for every j <= k <= n."""
     types = [1] + [count_ntypes(k) for k in range(1, n + 1)]
-    distinct, scanned, steps = [1] + [0] * n, 0, 0
+    distinct, scanned, steps = [1] + [0] * n, 0, batches * sum(
+        comb(n, j) * types[k - j] for k in range(1, n + 1) for j in range(1, k + 1))
     for block, sizes, joins in plan:
         scanned += sum(comb(len(block), j) for j in sizes)
         for k, j in joins:

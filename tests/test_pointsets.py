@@ -549,6 +549,21 @@ def test_pair_keys_are_tallied_without_a_table_of_pair_codes():
     assert counts == {1: {0: 500}, 2: {_type_key(realized_type(oracles.fans(2))): comb(500, 2)}}
 
 
+def test_triple_keys_keep_only_the_shifted_table_of_pair_codes():
+    # the first point's row is read once, so only the second point's
+    # shifted rows are kept: C(120, 2) pointers, about 57 kB; an unshifted
+    # table next to it would double that
+    pts = oracles.fans(120).sorted_points
+    tracemalloc.start()
+    try:
+        counts = _block_key_counts(pts, range(3, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 120_000
+    assert counts == {3: {_type_key(realized_type(oracles.fans(3))): comb(120, 3)}}
+
+
 @pytest.mark.parametrize("n, m", [(3, 182), (4, 71)])
 def test_counts_at_the_listing_bound(n, m):
     assert _pattern_counts(oracles.fans(m), n) == {realized_type(oracles.fans(n)): comb(m, n)}
