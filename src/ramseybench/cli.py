@@ -126,8 +126,7 @@ def render_table(payload: dict) -> str:
 # each returns (payload, diagnostics, artifact-or-None)
 
 def _cmd_types_enum(args, limits):
-    types = typecalc.enumerate_ntypes(args.n)
-    forms = [typecalc.list_form(t) for t in types]
+    forms = typecalc._list_forms(args.n)
     return {"n": args.n, "count": len(forms), "types": forms}, [], None
 
 

@@ -397,11 +397,12 @@ def noreverse_demo(count: int = 50, seed: int = 0, column_low: int = 5,
     pairs by adjacency, and checks each column for homogeneity.  All of
     them must fail.  Candidate columns are seeded with two disjoint
     edges so the rich check rarely rejects; the check still decides.
-    A negative count raises ValueError, and a count above the
-    "conditions" work bound LimitError, before any work.
+    A count below 1 raises ValueError, since no column would be checked,
+    and a count above the "conditions" work bound LimitError, before any
+    work.
     """
-    if count < 0:
-        raise ValueError(f"count must be a natural number, got {count}")
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     check_work("conditions", count, "noreverse demo", f"{count} conditions were asked for")
     g = build_graph_covering(6, 2)
     rng = random.Random(seed)

@@ -9,13 +9,18 @@ x1..xn, y1..yn subject to three clauses:
   nonempty set of x's).
 
 Canonical form is the ordered tuple of equivalence classes.  Enumeration
-walks gap assignments: the n y's cut the line into n + 1 gaps, gap g
-being the stretch just before y_{g+1}; each xi must land in a gap g < i,
-and the x's sharing a gap carry a weak order (an ordered set partition).
-Weak orders are emitted in lexicographic order of their rank vectors,
-so the whole enumeration is lexicographic in (gap vector, rank vectors).
-Summing products of per-gap weak-order counts gives an enumeration-free
-count of the same patterns, used as a cross-check.
+walks gap assignments: the n y's cut the line into gaps, gap g being the
+stretch just before y_{g+1}; each xi must land in a gap g < i, and the
+x's sharing a gap carry a weak order (an ordered set partition).  For
+each gap's x's, a per-gap choice list holds every weak order followed by
+the y closing the gap, built once as classes or as list-form text; a
+pattern is one choice per gap, so one product over the gaps yields the
+NTypes (``enumerate_ntypes``) or their list forms (``_list_forms``)
+without building the other.  Weak orders come in lexicographic order of
+their rank vectors, so the whole enumeration is lexicographic in (gap
+vector, rank vectors).  Summing products of per-gap weak-order counts
+gives an enumeration-free count of the same patterns, used as a
+cross-check.
 """
 
 from __future__ import annotations
@@ -299,15 +304,17 @@ def _rank_vectors(k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def iter_weak_orders(items):
-    """Yield ordered set partitions of items in rank-vector lex order."""
-    items = tuple(items)
-    for vec in _rank_vectors(len(items)):
-        blocks = len(set(vec))
-        yield tuple(
-            frozenset(items[i] for i in range(len(items)) if vec[i] == r)
-            for r in range(blocks)
-        )
+@lru_cache(maxsize=None)
+def _weak_orders(k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Each weak order of k positions as its blocks of positions, least
+    block first, in the order of ``_rank_vectors(k)``."""
+    out = []
+    for vec in _rank_vectors(k):
+        blocks: list[list[int]] = [[] for _ in range(max(vec, default=-1) + 1)]
+        for pos, rank in enumerate(vec):
+            blocks[rank].append(pos)
+        out.append(tuple(map(tuple, blocks)))
+    return tuple(out)
 
 
 # Shared Symbols for the patterns this package builds itself, so they
@@ -320,27 +327,48 @@ def _gap_assignments(n: int):
     return product(*(range(i) for i in range(1, n + 1)))
 
 
+@lru_cache(maxsize=1024)
+def _gap_choices(members: tuple[int, ...], g: int, text: bool) -> tuple:
+    """Each weak order of the x's with the ascending indices ``members``,
+    then y_{g+1} closing gap g: as its tuple of classes, or with ``text``
+    as its list-form text.  Each distinct block is built once per gap;
+    the members ascend, so a tied block's text needs no sorting."""
+    orders = _weak_orders(len(members))
+    blocks = set(chain.from_iterable(orders))
+    if text:
+        names = [f"x{i}" for i in members]
+        part = {block: "=".join([names[p] for p in block]) for block in blocks}
+        closing = f"y{g + 1}"
+        return tuple("<".join([*map(part.__getitem__, order), closing]) for order in orders)
+    xs = [_symbol("x", i) for i in members]
+    part = {block: frozenset([xs[p] for p in block]) for block in blocks}
+    closing = frozenset({_symbol("y", g + 1)})
+    return tuple((*map(part.__getitem__, order), closing) for order in orders)
+
+
+def _gap_products(n: int, text: bool):
+    """Every n-pattern as one choice per gap 0..n-1, lexicographic in
+    (gap vector, per-gap rank vectors).  No x lands in gap n, the stretch
+    after yn, so it is left out."""
+    for assign in _gap_assignments(n):
+        gaps: list[list[int]] = [[] for _ in range(n)]
+        for i, g in enumerate(assign, 1):
+            gaps[g].append(i)
+        yield from product(*(_gap_choices(tuple(members), g, text)
+                             for g, members in enumerate(gaps)))
+
+
 def enumerate_ntypes(n: int) -> list[NType]:
     """All n-patterns, lexicographic in (gap vector, per-gap rank vectors)."""
     _check_n(n)
-    xs = [_symbol("x", i) for i in range(1, n + 1)]
-    out = []
-    for assign in _gap_assignments(n):
-        gaps: list[list[Symbol]] = [[] for _ in range(n + 1)]
-        for x, g in zip(xs, assign):
-            gaps[g].append(x)
-        per_gap = [_gap_classes(tuple(members), g, n) for g, members in enumerate(gaps)]
-        for choice in product(*per_gap):
-            out.append(NType._trusted(n, tuple(chain.from_iterable(choice))))
-    return out
+    return [NType._trusted(n, tuple(chain.from_iterable(choice)))
+            for choice in _gap_products(n, text=False)]
 
 
-@lru_cache(maxsize=1024)
-def _gap_classes(members: tuple, g: int, n: int) -> list[tuple]:
-    """Each weak order of a gap's x's as its blocks, then the y closing
-    the gap (none after the last); shared by every pattern using it."""
-    closing = (frozenset({_symbol("y", g + 1)}),) if g < n else ()
-    return [blocks + closing for blocks in iter_weak_orders(members)]
+def _list_forms(n: int) -> list[str]:
+    """``[list_form(t) for t in enumerate_ntypes(n)]`` without an NType."""
+    _check_n(n)
+    return ["<".join(choice) for choice in _gap_products(n, text=True)]
 
 
 def count_ntypes(n: int) -> int:

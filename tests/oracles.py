@@ -17,6 +17,10 @@ subset keys through ``pointsets._keyed_subsets``, which the tests hold
 to ``realized_type``, and is itself held to ``extend_scan`` where that
 scan can reach; it exists because ``extend_scan`` cannot reach n >= 4.
 
+One enumeration reference, ``enumerate_ntypes_scan``, is the pattern
+scan the library used before its per-gap choice lists; it takes its weak
+orders from the filtered rank vectors, not from the library.
+
 The value classes are checked against the stdlib: ``dataclass_twin``
 builds the ``dataclasses`` class a value class stands for.
 
@@ -28,7 +32,7 @@ own, but neither its point cache nor its totality count.
 import csv
 import dataclasses
 import json
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 
 from ramseybench.errors import _natural
 from ramseybench.homogeneity import Coloring
@@ -117,6 +121,35 @@ def rank_vectors_filter(k: int) -> list[tuple[int, ...]]:
         levels = sorted(set(vec))
         if levels == list(range(len(levels))):
             out.append(vec)
+    return out
+
+
+def enumerate_ntypes_scan(n: int) -> list[NType]:
+    """Every n-pattern in ``enumerate_ntypes``' documented order, by the
+    scan the library used before its per-gap choice lists: for each gap
+    assignment, each gap's weak orders are rebuilt as frozensets from the
+    filtered rank vectors, the y closing the gap appended (none after the
+    last gap), and the gaps combined with one product.  Patterns are
+    built unvalidated, as the library builds them; the validation tests
+    hold the library's patterns to the clauses."""
+    vectors = {}
+    out = []
+    for assign in product(*(range(i) for i in range(1, n + 1))):
+        gaps = [[] for _ in range(n + 1)]
+        for i, g in enumerate(assign, 1):
+            gaps[g].append(Symbol("x", i))
+        per_gap = []
+        for g, members in enumerate(gaps):
+            k = len(members)
+            if k not in vectors:
+                vectors[k] = rank_vectors_filter(k)
+            closing = (frozenset({Symbol("y", g + 1)}),) if g < n else ()
+            per_gap.append([
+                tuple(frozenset(members[i] for i in range(k) if vec[i] == r)
+                      for r in range(len(set(vec)))) + closing
+                for vec in vectors[k]])
+        for choice in product(*per_gap):
+            out.append(NType._trusted(n, tuple(chain.from_iterable(choice))))
     return out
 
 

@@ -800,7 +800,17 @@ def test_graph_demo_noreverse_refuses_a_negative_count():
     doc = json.loads(err)
     conforms("error", doc)
     assert doc["kind"] == "ValueError"
-    assert doc["error"] == "count must be a natural number, got -1"
+    assert doc["error"] == "count must be at least 1, got -1"
+
+
+def test_graph_demo_noreverse_refuses_a_count_of_zero():
+    # checking no column must not read as "all_nonhomogeneous": true
+    result, out, err = invoke(["graph", "demo-noreverse", "--count", "0"])
+    assert result.exit_code == 1 and out == ""
+    doc = json.loads(err)
+    conforms("error", doc)
+    assert doc["kind"] == "ValueError"
+    assert doc["error"] == "count must be at least 1, got 0"
 
 
 # ------------------------------------------------------------------ sets

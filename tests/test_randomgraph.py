@@ -246,10 +246,11 @@ def test_the_conditions_bound_caps_the_noreverse_demo(monkeypatch):
 
 
 def test_noreverse_demo_refuses_a_negative_count():
-    # a negative count used to check nothing and report every column failed
-    with pytest.raises(ValueError, match="count must be a natural number, got -1"):
+    # a count below 1 would check nothing and report every column failed
+    with pytest.raises(ValueError, match="count must be at least 1, got -1"):
         noreverse_demo(count=-1)
-    assert noreverse_demo(count=0).conditions == 0
+    with pytest.raises(ValueError, match="count must be at least 1, got 0"):
+        noreverse_demo(count=0)
 
 
 def test_noreverse_demo_is_seeded():

@@ -1,4 +1,6 @@
+import io
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -21,9 +23,15 @@ from ramseybench.typecalc import (
     restrict_to_initial,
     validate_ntype,
 )
-from ramseybench.typecalc import _class_problems, _rank_vectors
+from ramseybench import cli
+from ramseybench.typecalc import _class_problems, _gap_choices, _list_forms, _rank_vectors
 
-from oracles import brute_force_ntypes, rank_vectors_filter, weak_order_count
+from oracles import (
+    brute_force_ntypes,
+    enumerate_ntypes_scan,
+    rank_vectors_filter,
+    weak_order_count,
+)
 
 KNOWN_COUNTS = {1: 1, 2: 4, 3: 26, 4: 236, 5: 2752, 6: 39208}
 
@@ -73,6 +81,37 @@ def test_enumeration_equals_brute_force(n):
     assert set(got) == brute_force_ntypes(n)
 
 
+@pytest.mark.parametrize("n", range(1, MAX_N + 1))
+def test_enumeration_equals_the_scan_in_order(n):
+    got, want = enumerate_ntypes(n), enumerate_ntypes_scan(n)
+    assert got == want
+    assert [t.classes for t in got] == [t.classes for t in want]
+    assert _list_forms(n) == [list_form(t) for t in got]
+
+
+def test_types_enum_prints_list_forms_without_building_patterns(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("types enum built an NType")
+
+    monkeypatch.setattr(NType, "_trusted", refuse)
+    out = io.StringIO()
+    assert cli.run(["types", "enum", "--n", "6"], stdout=out, stderr=io.StringIO()).exit_code == 0
+    assert '"count": 39208' in out.getvalue()
+
+
+def test_list_forms_peak_memory():
+    # building the NTypes as well peaks at 28 MB; the forms alone hold about 3 MB
+    _gap_choices.cache_clear()
+    tracemalloc.start()
+    try:
+        forms = _list_forms(6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(forms) == KNOWN_COUNTS[6]
+    assert peak < 12_000_000, f"peak {peak / 1e6:.1f} MB"
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_enumerated_patterns_pass_validation(n):
     # enumeration skips the constructor's checks; run them here instead
@@ -86,7 +125,7 @@ def test_frozen_counts(n):
     assert count_ntypes(n) == KNOWN_COUNTS[n]
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, MAX_N + 1))
 def test_count_agrees_with_enumeration(n):
     assert count_ntypes(n) == len(enumerate_ntypes(n))
 
