@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from itertools import combinations, islice
-from math import comb
+from math import comb, isfinite
 from operator import gt, lt
 
 from ._values import field, value
@@ -102,6 +102,8 @@ class TauReport:
 def check_tau_homogeneous(subset, coloring: Coloring, tau: NType) -> TauReport:
     """Is the coloring constant on the tau-realizing n-subsets of subset?
 
+    Constant means ``_one_color``: every colour other than None equals
+    the first under ``==``, and that first colour is reported.
     Vacuously homogeneous (flagged, color None) when subset carries no
     colored realizer of tau.  The realizers are listed from the n-subsets
     of subset, so more of those than the "subsets" work bound raise
@@ -110,12 +112,12 @@ def check_tau_homogeneous(subset, coloring: Coloring, tau: NType) -> TauReport:
     pts = _normalize_subset(subset, coloring.ground)
     check_subsets(len(pts), coloring.n, "homogeneity check")
     realizers = _tau_realizers(pts, coloring, tau)
-    colors = {c for _, c in realizers if c is not None}
+    agree, first = _one_color(c for _, c in realizers)
     return TauReport(
-        homogeneous=len(colors) <= 1,
-        color=next(iter(colors)) if len(colors) == 1 else None,
+        homogeneous=agree,
+        color=first if agree else None,
         realizers=len(realizers),
-        vacuous=not colors,
+        vacuous=first is None,
     )
 
 
@@ -173,10 +175,13 @@ def search_homogeneous(coloring: Coloring, tau: NType, min_size: int = 0,
     (``_max_homogeneous``); it refuses grounds larger than ``bound`` (None:
     the "points" work bound) before any work.  Its ``subsets_checked`` is
     the number of subsets a scan by descending size, each size in
-    lexicographic order, checks up to and including the answer.  Greedy mode removes the most conflicted
-    point until homogeneous, re-adds what it can, and makes no optimality
-    claim; it refuses grounds with more n-subsets than the "subsets" work
-    bound before any work.
+    lexicographic order, checks up to and including the answer.  Greedy
+    mode (``_greedy``) removes the most conflicted point until
+    homogeneous, re-adds what it can, and makes no optimality claim; it
+    refuses grounds with more n-subsets than the "subsets" work bound
+    before any work.  Both modes judge colours by ``_one_color``, and the
+    first coloured realizer inside the answer, in table order, names its
+    colour.
     """
     if mode not in ("exact", "greedy"):
         raise ValueError(f"mode must be 'exact' or 'greedy', got {mode!r}")
@@ -187,59 +192,32 @@ def search_homogeneous(coloring: Coloring, tau: NType, min_size: int = 0,
     else:
         check_subsets(m, coloring.n, "greedy search")
     realizers = _realizer_table(coloring, tau, ground_pts)
-
     if mode == "exact":
         mask = _max_homogeneous(realizers, m)
-        combo = [i for i in range(m) if mask >> i & 1]
-        # the first coloured realizer in table order names the colour,
-        # as the scan reported it (1, 1.0 and True are equal colours)
-        _, color = _mono(realizers, mask)
-        return SearchResult(
-            points=tuple(sorted((ground_pts[i] for i in combo), key=lambda p: p.y)),
-            color=color,
-            size=len(combo),
-            met_min_size=len(combo) >= min_size,
-            exact=True,
-            stats={"mode": "exact", "subsets_checked": _scan_count(m, combo)},
-        )
-
-    keep = set(range(m))
-    removed: list[int] = []
-    # the coloured realizers inside keep, in table order
-    live = [(sub, c) for sub, c in realizers if c is not None]
-    while True:
-        colors = Counter(c for _, c in live)
-        if len(colors) <= 1:
-            # the first colour seen names it, as _mono reports it
-            color = next(iter(colors), None)
-            break
-        majority = colors.most_common(1)[0][0]
-        counts = [0] * m
-        for sub, c in live:
-            if c != majority:
-                while sub:
-                    low = sub & -sub
-                    counts[low.bit_length() - 1] += 1
-                    sub ^= low
-        worst = max(keep, key=lambda i: (counts[i], -i))
-        keep.discard(worst)
-        removed.append(worst)
-        live = [(sub, c) for sub, c in live if not sub >> worst & 1]
-    for i in sorted(removed):
-        trial = _mask(keep | {i})
-        ok, color_try = _mono(realizers, trial)
-        if ok:
-            keep.add(i)
-            color = color_try
-    pts = tuple(sorted((ground_pts[i] for i in keep), key=lambda p: p.y))
+    else:
+        mask, removed = _greedy(realizers, m)
+    combo = [i for i in range(m) if mask >> i & 1]
+    _, color = _one_color(c for sub, c in realizers if sub & mask == sub)
     return SearchResult(
-        points=pts,
+        points=tuple(sorted((ground_pts[i] for i in combo), key=lambda p: p.y)),
         color=color,
-        size=len(pts),
-        met_min_size=len(pts) >= min_size,
-        exact=False,
-        stats={"mode": "greedy", "removed": len(removed)},
+        size=len(combo),
+        met_min_size=len(combo) >= min_size,
+        exact=mode == "exact",
+        stats=({"mode": "exact", "subsets_checked": _scan_count(m, combo)}
+               if mode == "exact" else {"mode": "greedy", "removed": removed}),
     )
+
+
+def _one_color(colors) -> tuple[bool, object]:
+    """(agree, first): whether the colours other than None all equal the
+    first of them under ``==``, and that first colour (None if there is
+    none).  It is the one homogeneity rule of check and both searches:
+    1, 1.0 and True agree, and a NaN agrees with no colour, itself
+    included."""
+    rest = iter(colors)
+    first = next((c for c in rest if c is not None), None)
+    return all(c is None or c == first for c in rest), first
 
 
 def _max_homogeneous(realizers, m: int) -> int:
@@ -266,6 +244,8 @@ def _max_homogeneous(realizers, m: int) -> int:
         if size > best_size:
             best_mask, best_size = mask, size
         while j < m and size + m - j > best_size:
+            # _one_color's test, inlined one colour at a time: a call per
+            # node made the search 1.6 to 3 times slower at m = 24
             c = color
             for rest, rc in buckets[j]:
                 if rest & mask == rest:
@@ -279,6 +259,35 @@ def _max_homogeneous(realizers, m: int) -> int:
                 break
             j += 1
     return best_mask
+
+
+def _greedy(realizers, m: int) -> tuple[int, int]:
+    """(bitmask, removals) of greedy search: drop the point in the most
+    realizers off the majority colour (ties: the lowest index; a majority
+    tie goes to the colour seen first) until the rest is homogeneous, then
+    re-add the dropped points in ascending order wherever it stays so."""
+    keep = (1 << m) - 1
+    removed: list[int] = []
+    # the coloured realizers inside keep, in table order
+    live = [(sub, c) for sub, c in realizers if c is not None]
+    while not _one_color(c for _, c in live)[0]:
+        majority = Counter(c for _, c in live).most_common(1)[0][0]
+        counts = [0] * m
+        for sub, c in live:
+            if c != majority:
+                while sub:
+                    low = sub & -sub
+                    counts[low.bit_length() - 1] += 1
+                    sub ^= low
+        worst = max((i for i in range(m) if keep >> i & 1), key=lambda i: (counts[i], -i))
+        keep ^= 1 << worst
+        removed.append(worst)
+        live = [(sub, c) for sub, c in live if not sub >> worst & 1]
+    for i in sorted(removed):
+        trial = keep | 1 << i
+        if _one_color(c for sub, c in realizers if sub & trial == sub)[0]:
+            keep = trial
+    return keep, len(removed)
 
 
 def _scan_count(m: int, combo) -> int:
@@ -308,17 +317,6 @@ def _mask(indices) -> int:
     for i in indices:
         mask |= 1 << i
     return mask
-
-
-def _mono(realizers, mask: int):
-    color = None
-    for sub, c in realizers:
-        if sub & mask == sub and c is not None:
-            if color is None:
-                color = c
-            elif c != color:
-                return False, None
-    return True, color
 
 
 @value
@@ -463,8 +461,9 @@ def coloring_from_json(doc: dict, ground: FiniteCondition | None = None,
                        partial: bool = False) -> Coloring:
     """Ingest {"n": ..., "entries": [{"subset": [[x,y],...], "color": ...}]}.
 
-    Colors are JSON scalars.  Malformed input raises ValueError naming its
-    JSON path, e.g. ``entries[0].subset[1][0]``; a missing key raises
+    Colors are finite JSON scalars.  Malformed input, a NaN or infinite
+    colour included, raises ValueError naming its JSON path, e.g.
+    ``entries[0].subset[1][0]`` or ``entries[1].color``; a missing key raises
     KeyError naming its path, e.g. ``entries[0].color``.
     """
     if not isinstance(doc, dict) or "n" not in doc or "entries" not in doc:
@@ -485,8 +484,9 @@ def coloring_from_json(doc: dict, ground: FiniteCondition | None = None,
         if len(subset) != n:
             raise ValueError(f"{where}.subset: not a {n}-set: {json.dumps(entry['subset'])}")
         color = entry["color"]
-        if color is not None and not isinstance(color, (str, int, float)):
-            raise ValueError(f"{where}.color: expected a JSON scalar, "
+        if not (color is None or isinstance(color, (str, int))
+                or isinstance(color, float) and isfinite(color)):
+            raise ValueError(f"{where}.color: expected a finite JSON scalar, "
                              f"got {json.dumps(color, default=repr)}")
         table[subset] = color
     inside = ground is None

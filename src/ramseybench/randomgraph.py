@@ -388,18 +388,17 @@ class NoReverseReport:
     failures: tuple[ColumnVerdict, ...]
 
 
-def noreverse_demo(count: int = 50, seed: int = 0, column_low: int = 5,
-                   column_high: int = 8, max_columns: int = 2) -> NoReverseReport:
+def noreverse_demo(count: int = 50, seed: int = 0) -> NoReverseReport:
     """Adjacency coloring is never constant on a rich column.
 
-    Builds the schedule graph, draws ``count`` conditions whose columns
-    are rich vertex sets (k = 1, verified by check_rich), colors tied
-    pairs by adjacency, and checks each column for homogeneity.  All of
-    them must fail.  Candidate columns are seeded with two disjoint
-    edges so the rich check rarely rejects; the check still decides.
-    A count below 1 raises ValueError, since no column would be checked,
-    and a count above the "conditions" work bound LimitError, before any
-    work.
+    Builds the schedule graph, draws ``count`` conditions of one or two
+    columns of 5 to 8 points each, the columns rich vertex sets (k = 1,
+    verified by check_rich), colors tied pairs by adjacency, and checks
+    each column for homogeneity.  All of them must fail.  Candidate
+    columns are seeded with two disjoint edges so the rich check rarely
+    rejects; the check still decides.  A count below 1 raises
+    ValueError, since no column would be checked, and a count above the
+    "conditions" work bound LimitError, before any work.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
@@ -412,18 +411,15 @@ def noreverse_demo(count: int = 50, seed: int = 0, column_low: int = 5,
     verdicts: list[ColumnVerdict] = []
     conditions = 0
     while conditions < count:
-        n_cols = rng.randint(1, max_columns)
+        n_cols = rng.randint(1, 2)
         taken: set[int] = set()
         column_sets: list[list[int]] = []
         for _ in range(n_cols):
             free = [v for v in pool if v not in taken]
             pairs = [e for e in edge_pool if not (set(e) & taken)]
+            disjoint = [(e1, e2) for e1 in pairs for e2 in pairs if not set(e1) & set(e2)]
             for _ in range(200):
-                size = rng.randint(column_low, column_high)
-                disjoint = [
-                    (e1, e2) for e1 in pairs for e2 in pairs
-                    if not set(e1) & set(e2)
-                ]
+                size = rng.randint(5, 8)
                 if not disjoint or len(free) < size:
                     break
                 e1, e2 = rng.choice(disjoint)

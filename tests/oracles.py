@@ -33,6 +33,7 @@ import csv
 import dataclasses
 import json
 from itertools import chain, combinations, permutations, product
+from math import isfinite
 
 from ramseybench.errors import _natural
 from ramseybench.homogeneity import Coloring
@@ -565,8 +566,9 @@ def coloring_from_json_scan(doc, ground=None, partial: bool = False):
         if len(subset) != n:
             raise ValueError(f"{where}.subset: not a {n}-set: {json.dumps(entry['subset'])}")
         color = entry["color"]
-        if color is not None and not isinstance(color, (str, int, float)):
-            raise ValueError(f"{where}.color: expected a JSON scalar, "
+        if not (color is None or isinstance(color, (str, int))
+                or isinstance(color, float) and isfinite(color)):
+            raise ValueError(f"{where}.color: expected a finite JSON scalar, "
                              f"got {json.dumps(color, default=repr)}")
         table[subset] = color
         pts |= subset

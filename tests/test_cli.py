@@ -44,8 +44,13 @@ def invoke(argv):
     return result, out.getvalue(), err.getvalue()
 
 
-def payload_of(stdout_text):
-    return json.loads(stdout_text)
+def _not_json(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def payload_of(text):
+    """A payload the CLI wrote, read as strict JSON: NaN and Infinity fail."""
+    return json.loads(text, parse_constant=_not_json)
 
 
 def conforms(def_name, payload):
@@ -193,7 +198,7 @@ def test_cond_grow_out_persists_bare_condition(files):
     payload, _ = run_ok(
         ["cond", "grow", "--n", "2", "--out", str(out)], "cond.grow")
     assert payload["before"] == 0 and payload["after"] == payload["added"]
-    on_disk = json.loads(out.read_text())
+    on_disk = payload_of(out.read_text())
     assert on_disk == payload["condition"]
     # the artifact must feed straight back in
     again, _ = run_ok(["cond", "classify", "--in", str(out), "--n", "2"])
@@ -235,7 +240,7 @@ def test_cond_grow_past_its_bound_is_refused():
     result, out, err = invoke(["cond", "grow", "--n", "6"])
     assert time.perf_counter() - start < 2.0
     assert result.exit_code == 1 and out == ""
-    doc = json.loads(err)
+    doc = payload_of(err)
     conforms("error", doc)
     assert doc["kind"] == "LimitError"
 
@@ -265,7 +270,7 @@ def test_classify_and_floor_answer_the_n4_growth(grown4, action, schema):
     code, out, err, wall = run_cli([*action, "--n", "4", "--cond", str(grown4)])
     assert code == 0 and err == ""
     assert wall < 2.0
-    payload = json.loads(out)
+    payload = payload_of(out)
     conforms(schema, payload)
     assert payload["classes_met"] == payload["t_n"] == 236
     if schema == "cond.classify":
@@ -282,7 +287,7 @@ def test_classify_past_its_bound_is_refused(files, action):
     code, out, err, wall = run_cli([*action, "--n", "3", "--cond", str(path)])
     assert wall < 2.0
     assert code == 1 and out == ""
-    doc = json.loads(err)
+    doc = payload_of(err)
     conforms("error", doc)
     assert doc["kind"] == "LimitError"
     assert "183 points have 1004731 in-block subsets" in doc["error"]
@@ -298,7 +303,7 @@ def test_many_blocks_at_n6_are_refused_by_the_steps_bound(files, action):
     result, out, err = invoke([*action, "--n", "6", "--cond", str(path)])
     assert time.perf_counter() - start < 2.0
     assert result.exit_code == 1 and out == ""
-    doc = json.loads(err)
+    doc = payload_of(err)
     conforms("error", doc)
     assert doc["kind"] == "LimitError"
     assert "joining 2000 value-separated blocks for n=6" in doc["error"]
@@ -311,7 +316,7 @@ def test_floor_holds_on_the_n5_growth(files):
         extend_with_realizers(FiniteCondition(frozenset()), 5))))
     code, out, err, wall = run_cli(["homog", "floor", "--n", "5", "--cond", str(path)])
     assert code == 0 and err == ""
-    assert json.loads(out) == {"classes_met": 2752, "t_n": 2752, "floor_holds": True}
+    assert payload_of(out) == {"classes_met": 2752, "t_n": 2752, "floor_holds": True}
     assert wall < 6.0
 
 
@@ -341,7 +346,7 @@ def test_malformed_condition_documents_are_domain_errors(files, doc, path, actio
     cpath.write_text(json.dumps(doc))
     result, out, err = invoke([*action, "--in", str(cpath)])
     assert result.exit_code == 1 and out == ""
-    payload = json.loads(err)
+    payload = payload_of(err)
     conforms("error", payload)
     assert payload["kind"] == "ValueError"
     assert path in payload["error"]
@@ -407,10 +412,32 @@ def test_malformed_coloring_documents_are_domain_errors(files, doc, path, action
     cpath.write_text(json.dumps(doc))
     result, out, err = invoke([*action, "--in", str(cpath)])
     assert result.exit_code == 1 and out == ""
-    payload = json.loads(err)
+    payload = payload_of(err)
     conforms("error", payload)
     assert payload["kind"] == "ValueError"
     assert payload["error"].startswith(path)
+
+
+@pytest.mark.parametrize("text, shown", [("NaN", "NaN"), ("Infinity", "Infinity"),
+                                         ("-Infinity", "-Infinity"), ("1e400", "Infinity")])
+@pytest.mark.parametrize("action", [
+    ["homog", "check", "--type", "x1=x2<y1<y2"],
+    ["homog", "search", "--type", "x1=x2<y1<y2"],
+    ["homog", "search", "--type", "x1=x2<y1<y2", "--mode", "greedy"],
+])
+def test_a_colour_that_is_not_finite_is_a_domain_error(files, text, shown, action):
+    # Python's json reads these; were they taken, the payload would print
+    # them back as colours that are not JSON
+    cpath = files["dir"] / "nonfinite_coloring.json"
+    cpath.write_text('{"n": 2, "entries": [{"subset": [[0, 1], [0, 2]], "color": 0}, '
+                     '{"subset": [[0, 1], [0, 3]], "color": %s}, '
+                     '{"subset": [[0, 2], [0, 3]], "color": 0}]}' % text)
+    result, out, err = invoke([*action, "--in", str(cpath)])
+    assert result.exit_code == 1 and out == ""
+    payload = payload_of(err)
+    conforms("error", payload)
+    assert payload == {"error": f"entries[1].color: expected a finite JSON scalar, got {shown}",
+                       "kind": "ValueError"}
 
 
 @pytest.mark.parametrize("text, start", BAD_COLORING_CSVS)
@@ -424,7 +451,7 @@ def test_malformed_coloring_csv_files_are_domain_errors(files, text, start, acti
     cpath.write_text(text, encoding="utf-8")
     result, out, err = invoke([*action, "--csv", str(cpath)])
     assert result.exit_code == 1 and out == ""
-    payload = json.loads(err)
+    payload = payload_of(err)
     conforms("error", payload)
     assert payload["kind"] == "ValueError"
     assert payload["error"].startswith(start)
@@ -437,7 +464,7 @@ def test_coloring_entries_without_a_key_name_its_path(files, entry, key):
     cpath.write_text(json.dumps({"n": 2, "entries": [{"subset": PAIR, "color": 0}, entry]}))
     result, out, err = invoke(["homog", "check", "--in", str(cpath), "--type", "x1<y1<x2<y2"])
     assert result.exit_code == 1 and out == ""
-    payload = json.loads(err)
+    payload = payload_of(err)
     conforms("error", payload)
     assert payload == {"error": f"missing key 'entries[1].{key}' in input document",
                        "kind": "KeyError"}
@@ -522,10 +549,10 @@ def test_junk_coloring_documents_succeed_or_fail_with_the_error_payload(tmp_path
     cpath.write_text(json.dumps(doc))
     result, out, err = invoke(["homog", action, "--in", str(cpath), "--type", "x1=x2<y1<y2"])
     if result.exit_code == 0:
-        conforms(f"homog.{action}", json.loads(out))
+        conforms(f"homog.{action}", payload_of(out))
     else:
         assert result.exit_code == 1 and out == ""
-        conforms("error", json.loads(err))
+        conforms("error", payload_of(err))
 
 
 @settings(max_examples=100, deadline=None)
@@ -589,7 +616,7 @@ def test_homog_pattern_size_must_match_coloring_arity(files, action):
     result, out, err = invoke([*action, "--in", str(files["coloring"]),
                                "--type", "x1<y1<x2<y2<x3<y3"])
     assert result.exit_code == 1 and out == ""
-    payload = json.loads(err)
+    payload = payload_of(err)
     conforms("error", payload)
     assert payload == {"error": "pattern size 3 does not match coloring arity 2",
                        "kind": "ValueError"}
@@ -601,7 +628,7 @@ def test_homog_search_respects_limit_env(files, monkeypatch):
         ["homog", "search", "--in", str(files["coloring"]),
          "--type", "x1=x2<y1<y2", "--mode", "exact"])
     assert result.exit_code == 1
-    assert json.loads(err)["kind"] == "LimitError"
+    assert payload_of(err)["kind"] == "LimitError"
     assert out == ""
 
 
@@ -612,7 +639,7 @@ def test_invalid_limits_env_is_a_domain_error(raw, monkeypatch):
     monkeypatch.setenv(cli.LIMITS_ENV, raw)
     result, out, err = invoke(["types", "count", "--n", "2"])
     assert result.exit_code == 1
-    assert json.loads(err)["kind"] == "ValueError"
+    assert payload_of(err)["kind"] == "ValueError"
 
 
 def test_homog_stabilize(files):
@@ -642,7 +669,7 @@ def test_graph_build_check_rich(files):
          "--out", str(gpath)],
         "graph.build")
     assert payload["vertices"] >= 3
-    doc = json.loads(gpath.read_text())
+    doc = payload_of(gpath.read_text())
     assert "edges" in doc and "payload" not in doc
 
     payload, _ = run_ok(
@@ -660,7 +687,7 @@ def test_graph_build_steps_conflicts_with_cover(files):
     result, out, err = invoke(
         ["graph", "build", "--steps", "3", "--cover-vertices", "2"])
     assert result.exit_code == 1
-    assert "not both" in json.loads(err)["error"]
+    assert "not both" in payload_of(err)["error"]
 
 
 def test_graph_build_refuses_oversized_covering_fast():
@@ -669,7 +696,7 @@ def test_graph_build_refuses_oversized_covering_fast():
         ["graph", "build", "--cover-vertices", "9", "--cover-params", "9"])
     assert time.perf_counter() - start < 1.0
     assert result.exit_code == 1 and out == ""
-    doc = json.loads(err)
+    doc = payload_of(err)
     conforms("error", doc)
     assert doc["kind"] == "LimitError"
 
@@ -694,7 +721,7 @@ def refused_fast(argv):
     result, out, err = invoke(argv)
     assert time.perf_counter() - start < 1.0
     assert result.exit_code == 1 and out == ""
-    doc = json.loads(err)
+    doc = payload_of(err)
     conforms("error", doc)
     assert doc["kind"] == "LimitError"
     return doc
@@ -778,7 +805,7 @@ def test_malformed_graph_documents_are_domain_errors(files, doc, path, action):
     gpath.write_text(json.dumps(doc))
     result, out, err = invoke([*action, "--in", str(gpath)])
     assert result.exit_code == 1 and out == ""
-    payload = json.loads(err)
+    payload = payload_of(err)
     conforms("error", payload)
     assert payload["kind"] == "ValueError"
     assert path in payload["error"]
@@ -797,7 +824,7 @@ def test_graph_demos():
 def test_graph_demo_noreverse_refuses_a_negative_count():
     result, out, err = invoke(["graph", "demo-noreverse", "--count", "-1"])
     assert result.exit_code == 1 and out == ""
-    doc = json.loads(err)
+    doc = payload_of(err)
     conforms("error", doc)
     assert doc["kind"] == "ValueError"
     assert doc["error"] == "count must be at least 1, got -1"
@@ -807,7 +834,7 @@ def test_graph_demo_noreverse_refuses_a_count_of_zero():
     # checking no column must not read as "all_nonhomogeneous": true
     result, out, err = invoke(["graph", "demo-noreverse", "--count", "0"])
     assert result.exit_code == 1 and out == ""
-    doc = json.loads(err)
+    doc = payload_of(err)
     conforms("error", doc)
     assert doc["kind"] == "ValueError"
     assert doc["error"] == "count must be at least 1, got 0"
@@ -889,7 +916,7 @@ def test_omega_zchain_missing_label_is_a_domain_error(files):
         ["omega", "zchain", "--in", str(files["prefix"]), "--z", "11,15,20",
          "--za", str(files["za"])])
     assert result.exit_code == 1
-    assert json.loads(err)["kind"] == "MissingLabelError"
+    assert payload_of(err)["kind"] == "MissingLabelError"
 
 
 def test_omega_hmember(files):
@@ -1006,7 +1033,7 @@ def _reader_argv(files, action, option, bad):
 def test_reader_actions_succeed_on_the_valid_files(files, action):
     result, out, err = invoke(_reader_argv(files, action, None, None))
     assert result.exit_code == 0, err
-    conforms(action.replace(" ", "."), json.loads(out))
+    conforms(action.replace(" ", "."), payload_of(out))
 
 
 @pytest.mark.parametrize("action, option, doc, start", [
@@ -1017,7 +1044,7 @@ def test_malformed_documents_name_their_path(files, action, option, doc, start):
     bad.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     result, out, err = invoke(_reader_argv(files, action, option, bad))
     assert result.exit_code == 1 and out == ""
-    payload = json.loads(err)
+    payload = payload_of(err)
     conforms("error", payload)
     assert payload["kind"] == "ValueError"
     assert payload["error"].startswith(f"{bad}: " if start is FILE else start)
@@ -1043,10 +1070,10 @@ def test_junk_reader_documents_succeed_or_fail_with_the_error_payload(
     bad.write_text(json.dumps(doc))
     result, out, err = invoke(_reader_argv(files, action, option, bad))
     if result.exit_code == 0:
-        conforms(action.replace(" ", "."), json.loads(out))
+        conforms(action.replace(" ", "."), payload_of(out))
     else:
         assert result.exit_code == 1 and out == ""
-        conforms("error", json.loads(err))
+        conforms("error", payload_of(err))
 
 
 # ------------------------------------------------------------------ envelope
@@ -1063,7 +1090,7 @@ def test_usage_error_exits_2():
 def test_missing_file_is_a_domain_error():
     result, out, err = invoke(["cond", "check", "--in", "/nonexistent/x.json"])
     assert result.exit_code == 1
-    doc = json.loads(err)
+    doc = payload_of(err)
     conforms("error", doc)
     assert doc["kind"] == "FileNotFoundError"
     assert out == ""
@@ -1072,7 +1099,7 @@ def test_missing_file_is_a_domain_error():
 def test_bad_list_form_is_a_domain_error():
     result, out, err = invoke(["types", "extend", "--type", "x1<<y1"])
     assert result.exit_code == 1
-    assert json.loads(err)["kind"] == "ValueError"
+    assert payload_of(err)["kind"] == "ValueError"
 
 
 def test_table_format_flattens_dotted_paths(files):
@@ -1093,7 +1120,7 @@ def test_table_format_flattens_dotted_paths(files):
 def test_out_persists_payload_by_default(files):
     target = files["dir"] / "count.json"
     run_ok(["types", "count", "--n", "3", "--out", str(target)])
-    assert json.loads(target.read_text()) == {"t": 26}
+    assert payload_of(target.read_text()) == {"t": 26}
 
 
 def test_console_entry_point_roundtrip(files):
@@ -1101,7 +1128,7 @@ def test_console_entry_point_roundtrip(files):
         [sys.executable, "-m", "ramseybench.cli", "types", "count", "--n", "2"],
         capture_output=True, text=True)
     assert proc.returncode == 0
-    assert json.loads(proc.stdout) == {"t": 4}
+    assert payload_of(proc.stdout) == {"t": 4}
     proc = subprocess.run(
         [sys.executable, "-m", "ramseybench.cli", "cond", "check",
          "--in", "/nonexistent/y.json"],

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 from itertools import combinations
@@ -414,6 +415,27 @@ def test_greedy_search_matches_scan_on_hypothesis_colorings(data, size, n, palet
     assert_greedy_matches_scan(*drawn_coloring(data, size, n, palette))
 
 
+NAN = float("nan")  # one object: a set or a Counter takes it as one colour, == does not
+
+
+@pytest.mark.parametrize("seed, palette", enumerate(
+    [[1, 1.0, True], ["a", "b"], [None, 1], [NAN], [NAN, 1]]))
+def test_check_exact_and_greedy_share_one_colour_rule(seed, palette):
+    # the whole ground is homogeneous exactly when exact search keeps every
+    # point and greedy search removes none
+    rng = random.Random(seed)
+    for _ in range(80):
+        n = rng.choice([2, 3])
+        ground = random_condition(rng, rng.randint(3, 9))
+        combos = combinations(ground.sorted_points, n)
+        coloring = Coloring.from_table(ground, n, {c: rng.choice(palette) for c in combos})
+        tau = rng.choice(sorted(classify_subsets(ground, n), key=list_form))
+        homogeneous = check_tau_homogeneous(ground, coloring, tau).homogeneous
+        assert (search_homogeneous(coloring, tau).size == len(ground)) == homogeneous
+        greedy = search_homogeneous(coloring, tau, mode="greedy")
+        assert (greedy.stats["removed"] == 0) == homogeneous
+
+
 def test_floor_demo_exact_counts():
     for n in (2, 3):
         grown = extend_with_realizers(EMPTY, n)
@@ -652,6 +674,16 @@ def test_a_cached_point_does_not_admit_a_boolean_or_a_float():
     assert (oracles.coloring_outcome(coloring_from_json, doc, partial=True)
             == oracles.coloring_outcome(oracles.coloring_from_json_scan, doc, partial=True))
     assert len(coloring_from_json(doc, partial=True).ground) == 3
+
+
+@pytest.mark.parametrize("text, shown", [("NaN", "NaN"), ("-Infinity", "-Infinity"),
+                                         ("1e400", "Infinity")])
+def test_a_colour_that_is_not_finite_is_refused_at_its_path(text, shown):
+    doc = json.loads('{"n": 2, "entries": [{"subset": [[0, 1], [0, 2]], "color": 0}, '
+                     '{"subset": [[0, 1], [0, 3]], "color": %s}]}' % text)
+    message = f"entries[1].color: expected a finite JSON scalar, got {shown}"
+    for read in (coloring_from_json, oracles.coloring_from_json_scan):
+        assert oracles.coloring_outcome(read, doc, partial=True) == (ValueError, message)
 
 
 def test_csv_coordinates_are_read_as_numbers(tmp_path):
