@@ -8,10 +8,13 @@ and ``--out <path>``; file inputs arrive via ``--in <path>`` (with
 Output discipline: stdout carries the payload, one JSON document or its
 table flattening; diagnostics go to stderr; the exit code is 0 for a
 completed command, 1 for a domain error (bad data, refused search,
-missing label), 2 for a usage error (argparse).  ``--out`` persists the
-payload, except for the artifact producers ``cond grow`` and ``graph
-build`` which persist the bare condition/graph document so the file can
-be fed back through ``--in``.
+missing label, a file that cannot be read or written), 2 for a usage
+error (argparse).  ``--out`` persists the payload, except for the
+artifact producers ``cond grow`` and ``graph build`` which persist the
+bare condition/graph document so the file can be fed back through
+``--in``; the file is written before anything goes to stdout.  When
+stdout's reader goes away, ``main`` exits 1 with the ``error`` payload
+on stderr.
 
 The exact-search and richness bounds (``errors.WORK_BOUNDS``) can be set
 only through the environment variable ``NBT_WORKBENCH_LIMITS``, a JSON
@@ -21,6 +24,7 @@ object such as ``{"search": 18, "rich": 14}``.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -678,17 +682,13 @@ def run(argv, stdout=None, stderr=None) -> CommandResult:
     try:
         limits = _limits()
         payload, diagnostics, artifact = args.func(args, limits)
+        if args.out:
+            with open(args.out, "w") as fh:
+                json.dump(artifact if artifact is not None else payload, fh, indent=2)
+                fh.write("\n")
         result = CommandResult("ok", payload, diagnostics)
     except (WorkbenchError, ValueError, OSError, KeyError) as exc:
-        message = str(exc) or type(exc).__name__
-        if isinstance(exc, KeyError):
-            message = f"missing key {message} in input document"
-        result = CommandResult(
-            "error",
-            {"error": message, "kind": type(exc).__name__},
-            [],
-        )
-        artifact = None
+        result = CommandResult("error", _error_payload(exc), [])
 
     for line in result.diagnostics:
         print(line, file=stderr)
@@ -697,18 +697,33 @@ def run(argv, stdout=None, stderr=None) -> CommandResult:
             print(render_table(result.payload), file=stdout)
         else:
             print(json.dumps(result.payload, indent=2), file=stdout)
-        if args.out:
-            doc = artifact if artifact is not None else result.payload
-            with open(args.out, "w") as fh:
-                json.dump(doc, fh, indent=2)
-                fh.write("\n")
     else:
         print(json.dumps(result.payload, indent=2), file=stderr)
     return result
 
 
+def _error_payload(exc: Exception) -> dict:
+    """The schema ``error`` payload for an exception."""
+    message = str(exc) or type(exc).__name__
+    if isinstance(exc, KeyError):
+        message = f"missing key {message} in input document"
+    return {"error": message, "kind": type(exc).__name__}
+
+
 def main() -> None:
-    sys.exit(run(sys.argv[1:]).exit_code)
+    # Start-up objects are never garbage: frozen, no collection walks them, those at exit included.
+    gc.freeze()
+    try:
+        try:
+            code = run(sys.argv[1:]).exit_code
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # stdout's reader is gone: send the rest, and the flush at exit, to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(json.dumps(_error_payload(exc), indent=2), file=sys.stderr)
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ Payload shapes are validated against schemas/cli_payloads.json.
 
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 import oracles
+from helpers import child_env
 from oracles import fans, unsatisfied_configurations, value_separated_blocks
 
 from ramseybench import cli
@@ -250,7 +252,7 @@ def run_cli(argv):
     wall seconds including start-up)."""
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "ramseybench.cli", *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=child_env())
     return proc.returncode, proc.stdout, proc.stderr, time.perf_counter() - start
 
 
@@ -1123,14 +1125,53 @@ def test_out_persists_payload_by_default(files):
     assert payload_of(target.read_text()) == {"t": 26}
 
 
+@pytest.mark.parametrize("name, kind", [("missing/count.json", "FileNotFoundError"),
+                                        (".", "IsADirectoryError")])
+def test_out_that_cannot_be_written_is_a_domain_error(tmp_path, name, kind):
+    # the file is written before anything goes to stdout
+    result, out, err = invoke(["types", "count", "--n", "1", "--out", str(tmp_path / name)])
+    assert result.exit_code == 1 and out == ""
+    doc = payload_of(err)
+    conforms("error", doc)
+    assert doc["kind"] == kind
+
+
+SMALL, LARGE = ["types", "count", "--n", "1"], ["types", "enum", "--n", "6"]
+
+
+@pytest.mark.parametrize("argv, buffered", [
+    (SMALL, True), (SMALL, False), (LARGE, True), (LARGE, False), (["--help"], True),
+], ids=["small-buffered", "small-unbuffered", "large-buffered", "large-unbuffered", "help"])
+def test_stdout_reader_gone_exits_with_the_error_payload(argv, buffered):
+    # the read end is closed before the child starts, so its first write
+    # or its final flush fails (argparse drops a failed write of its help
+    # itself, so only a buffered help reaches the flush)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        proc = subprocess.run([sys.executable, "-m", "ramseybench.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    doc = payload_of(proc.stderr)
+    conforms("error", doc)
+    assert doc["kind"] == "BrokenPipeError"
+
+
 def test_console_entry_point_roundtrip(files):
     proc = subprocess.run(
         [sys.executable, "-m", "ramseybench.cli", "types", "count", "--n", "2"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert payload_of(proc.stdout) == {"t": 4}
     proc = subprocess.run(
         [sys.executable, "-m", "ramseybench.cli", "cond", "check",
          "--in", "/nonexistent/y.json"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=child_env())
     assert proc.returncode == 1 and proc.stdout == ""

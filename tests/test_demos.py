@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from helpers import child_env
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
@@ -16,7 +17,8 @@ def test_demo_directory_is_populated():
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(script):
     proc = subprocess.run(
-        [sys.executable, str(script)], capture_output=True, text=True, timeout=60
+        [sys.executable, str(script)], capture_output=True, text=True, timeout=60,
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()

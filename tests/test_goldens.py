@@ -30,17 +30,16 @@ are not, as argparse lays help out differently across versions.
 import hashlib
 import io
 import json
-import os
 import shutil
 import subprocess
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from helpers import child_env
 
 from ramseybench import cli
 
-REPO = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).resolve().parent / "data"
 GOLDENS = json.loads((DATA / "graph_goldens.json").read_text())
 CONDITION_GOLDENS = json.loads((DATA / "condition_goldens.json").read_text())
@@ -159,9 +158,8 @@ def test_goldens_hold_on_other_interpreters(python):
     # a version manager's shim is on PATH even where it cannot start
     if exe is None or subprocess.run([exe, "-c", "pass"], capture_output=True).returncode:
         pytest.skip(f"{python} is absent or does not start")
-    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
     proc = subprocess.run([exe, "-c", REPLAY, str(DATA)], capture_output=True,
-                          text=True, env=env, timeout=300)
+                          text=True, env=child_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["version"].startswith(python.removeprefix("python"))

@@ -1,21 +1,26 @@
-"""The package surface: public names and lazily loaded area modules.
+"""The package surface: public names, lazily loaded area modules and the
+collector policy.
 
 ``import ramseybench`` registers the six area modules without running
 their bodies; a CLI call then runs only the bodies its area needs, and
 loads none of the stdlib modules in ``SLOW_STDLIB``.  Each case starts a
-fresh interpreter so no earlier import hides a load.
+fresh interpreter so no earlier import hides a load.  The console entry
+freezes the start-up heap; ``cli.run`` leaves the collector as it finds it.
 """
 
+import gc
+import io
 import json
-import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from helpers import child_env
 
 import ramseybench
+from ramseybench import cli
 
 REPO = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).resolve().parent / "data"
@@ -41,9 +46,8 @@ print(json.dumps({"before": before, "after": state(), "exit": result.exit_code,
 
 
 def loads_after(argv):
-    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
     proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps(argv)],
-                          capture_output=True, text=True, env=env, check=True)
+                          capture_output=True, text=True, env=child_env(), check=True)
     return json.loads(proc.stdout)
 
 
@@ -81,6 +85,39 @@ def test_a_call_loads_only_its_area(argv, doc, loaded, tmp_path):
     assert seen["before"] == dict.fromkeys(LAYERS, False)
     assert {n for n, done in seen["after"].items() if done} == loaded
     assert seen["stdlib"] == []
+
+
+ENTRY = """
+import atexit, gc, json, sys
+atexit.register(lambda: print(json.dumps([gc.get_freeze_count(), gc.isenabled()]),
+                              file=sys.stderr))
+from ramseybench.cli import main
+main()
+"""
+
+
+def test_console_entry_freezes_the_start_up_heap():
+    proc = subprocess.run([sys.executable, "-c", ENTRY, "types", "count", "--n", "1"],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    frozen, enabled = json.loads(proc.stderr)
+    assert frozen > 0 and enabled
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["types", "count", "--n", "1"], 0),
+    (["cond", "check", "--in", "/nonexistent/y.json"], 1),
+    (["types", "count", "--n", "one"], 2),
+], ids=["ok", "domain-error", "usage-error"])
+def test_run_leaves_the_collector_alone(argv, code, capsys):
+    # capsys takes the usage message argparse writes to sys.stderr
+    before = (gc.get_freeze_count(), gc.isenabled(), gc.get_threshold())
+    try:
+        exit_code = cli.run(argv, stdout=io.StringIO(), stderr=io.StringIO()).exit_code
+    except SystemExit as exc:
+        exit_code = exc.code
+    assert exit_code == code
+    assert (gc.get_freeze_count(), gc.isenabled(), gc.get_threshold()) == before
 
 
 def test_only_errors_raises_limit_errors():
