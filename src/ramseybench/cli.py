@@ -24,6 +24,7 @@ object such as ``{"search": 18, "rich": 14}``.
 from __future__ import annotations
 
 import argparse
+import atexit
 import gc
 import json
 import os
@@ -448,222 +449,187 @@ def _cmd_omega_hmember(args, limits):
 
 
 # ---------------------------------------------------------------- parser
+# The command tree is one table: area -> (help, actions), each action a
+# (name, help, handler, arguments) row, in the order the help lists them.
+# An argument adds itself to its action's parser.
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--format", choices=("json", "table"), default="json",
-                        help="payload rendering (default json)")
-    parser.add_argument("--out", metavar="PATH", default=None,
-                        help="persist the result to a JSON file")
-
-
-def _add_in(parser, required=True, cond_alias=False, help="input JSON file"):
-    parser.add_argument("--in", dest="infile", metavar="PATH",
-                        required=False, help=help)
-    if cond_alias:
-        parser.add_argument("--cond", dest="infile", metavar="PATH",
-                            help="alias of --in")
-    parser.set_defaults(_in_required=required)
+def _arg(*flags, **kwargs):
+    return lambda parser: parser.add_argument(*flags, **kwargs)
 
 
-def _types_actions(actions):
-    p = actions.add_parser("enum", help="list all patterns of a size")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_types_enum)
-
-    p = actions.add_parser("count", help="number of patterns of a size")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_types_count)
-
-    for name, fn, hlp in (
-        ("extend", _cmd_types_extend, "append a new pair strictly last"),
-        ("insert", _cmd_types_insert, "tie a new pair into a 2-pattern"),
-    ):
-        p = actions.add_parser(name, help=hlp)
-        p.add_argument("--type", default=None,
-                       help="pattern in list form, e.g. 'x1<y1<x2<y2'")
-        _add_in(p, required=False, help="pattern JSON file")
-        p.set_defaults(func=fn)
+def _in(help, required=True, cond_alias=False):
+    """``--in``, with ``--cond`` as its alias where asked.  A required
+    ``--in`` is checked by ``run()``, so either spelling satisfies it."""
+    def add(parser):
+        parser.add_argument("--in", dest="infile", metavar="PATH", help=help)
+        if cond_alias:
+            parser.add_argument("--cond", dest="infile", metavar="PATH",
+                                help="alias of --in")
+        parser.set_defaults(_in_required=required)
+    return add
 
 
-def _cond_actions(actions):
-    p = actions.add_parser("check", help="validate the three condition clauses")
-    _add_in(p, cond_alias=True, help="condition JSON file ([[x,y],...])")
-    p.set_defaults(func=_cmd_cond_check)
-
-    p = actions.add_parser("realize", help="least subset realizing a pattern")
-    _add_in(p, cond_alias=True, help="condition JSON file")
-    p.add_argument("--type", required=True, help="pattern in list form")
-    p.set_defaults(func=_cmd_cond_realize)
-
-    p = actions.add_parser("classify", help="tally n-subsets by realized pattern")
-    _add_in(p, cond_alias=True, help="condition JSON file")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_cond_classify)
-
-    p = actions.add_parser("grow", help="extend until every n-pattern is realized")
-    _add_in(p, required=False, cond_alias=True,
-            help="starting condition (default empty)")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_cond_grow)
-
-
-def _homog_actions(actions):
-    p = actions.add_parser("check", help="is a set homogeneous for one pattern")
-    _add_in(p, required=False, help="coloring JSON file")
-    p.add_argument("--csv", default=None, help="coloring CSV file")
-    p.add_argument("--cond", default=None,
-                   help="condition JSON file (default: the coloring's ground)")
-    p.add_argument("--type", required=True, help="pattern in list form")
-    p.add_argument("--partial", action="store_true",
-                   help="accept colorings that skip some subsets")
-    p.set_defaults(func=_cmd_homog_check)
-
-    p = actions.add_parser("search", help="find a homogeneous subset")
-    _add_in(p, required=False, help="coloring JSON file")
-    p.add_argument("--csv", default=None, help="coloring CSV file")
-    p.add_argument("--cond", default=None,
-                   help="ground condition JSON file (optional)")
-    p.add_argument("--type", required=True, help="pattern in list form")
-    p.add_argument("--mode", choices=("exact", "greedy"), default="exact")
-    p.add_argument("--min-size", type=int, default=0)
-    p.add_argument("--partial", action="store_true")
-    p.set_defaults(func=_cmd_homog_search)
-
-    p = actions.add_parser("floor", help="pattern classes met vs the full tally")
-    _add_in(p, cond_alias=True, help="condition JSON file")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_homog_floor)
-
-    p = actions.add_parser("stabilize", help="stable bits of lex-monotone rows")
-    _add_in(p, help="JSON list of equal-width 0/1 rows")
-    p.add_argument("--direction", choices=("increasing", "decreasing"),
-                   default="increasing")
-    p.set_defaults(func=_cmd_homog_stabilize)
-
-    p = actions.add_parser("extract-s", help="stable binary relation from a grid")
-    _add_in(p, help="ternary grid JSON file")
-    p.add_argument("--cond", required=True, help="condition JSON file")
-    p.add_argument("--window", type=int, default=3)
-    p.set_defaults(func=_cmd_homog_extract_s)
-
-
-def _graph_actions(actions):
-    p = actions.add_parser("build", help="run the construction schedule")
-    p.add_argument("--steps", type=int, default=None,
-                   help="number of schedule entries to process")
-    p.add_argument("--cover-vertices", type=int, default=None,
-                   help="process all configurations inside this many vertices")
-    p.add_argument("--cover-params", type=int, default=2,
-                   help="parameter-count cap for --cover-vertices (default 2)")
-    p.set_defaults(func=_cmd_graph_build)
-
-    p = actions.add_parser("check", help="verify the extension property")
-    _add_in(p, help="graph JSON file")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.set_defaults(func=_cmd_graph_check)
-
-    p = actions.add_parser("rich", help="does a vertex set contain a rich core")
-    _add_in(p, help="graph JSON file")
-    p.add_argument("--vertices", required=True,
-                   help="comma-separated vertex list, e.g. 0,2,5")
-    p.add_argument("--k", type=int, default=1)
-    p.set_defaults(func=_cmd_graph_rich)
-
-    p = actions.add_parser("demo-noreverse",
-                        help="adjacency coloring is never constant on rich columns")
-    p.add_argument("--count", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_graph_demo_noreverse)
-
-    p = actions.add_parser("demo-coloring",
-                        help="one column meets every color of a palette")
-    p.add_argument("--palette", type=int, required=True)
-    p.add_argument("--max-vertex", type=int, default=4)
-    p.set_defaults(func=_cmd_graph_demo_coloring)
-
-
-def _sets_actions(actions):
-    p = actions.add_parser("column", help="exact vertical section")
-    _add_in(p, help="planar set expression JSON file")
-    p.add_argument("--x", type=int, required=True)
-    p.set_defaults(func=_cmd_sets_column)
-
-    for name, fn, hlp in (
-        ("tail", _cmd_sets_tail, "horizon and eventual section shape"),
-        ("fr2", _cmd_sets_fr2, "cofinitely many cofinite sections?"),
-        ("meets", _cmd_sets_meets, "infinitely many infinite sections?"),
-    ):
-        p = actions.add_parser(name, help=hlp)
-        _add_in(p, help="planar set expression JSON file")
-        p.set_defaults(func=fn)
-
-    p = actions.add_parser("sum", help="membership in an indexed filter sum")
-    _add_in(p, help="planar set expression JSON file")
-    p.add_argument("--u", required=True, help="index stand-in JSON file")
-    p.add_argument("--seq", required=True, help="stand-in sequence JSON file")
-    p.set_defaults(func=_cmd_sets_sum)
-
-    p = actions.add_parser("image", help="membership in the sum's first projection")
-    _add_in(p, help="finite/cofinite set JSON file")
-    p.add_argument("--u", required=True, help="index stand-in JSON file")
-    p.add_argument("--seq", required=True, help="stand-in sequence JSON file")
-    p.set_defaults(func=_cmd_sets_image)
-
-
-def _omega_actions(actions):
-    p = actions.add_parser("validate", help="judge a candidate prefix")
-    _add_in(p, help="prefix JSON file")
-    p.set_defaults(func=_cmd_omega_validate)
-
-    p = actions.add_parser("phi", help="realize a prefix as a condition")
-    _add_in(p, help="prefix JSON file")
-    p.add_argument("--z", required=True, help="comma-separated increasing values")
-    p.set_defaults(func=_cmd_omega_phi)
-
-    p = actions.add_parser("assignd", help="label demanded after a chain fragment")
-    _add_in(p, help="prefix JSON file")
-    p.add_argument("--s", default="", help="comma-separated values so far")
-    p.set_defaults(func=_cmd_omega_assignd)
-
-    p = actions.add_parser("zchain", help="walk a chain through its demanded sets")
-    _add_in(p, help="prefix JSON file")
-    p.add_argument("--z", required=True, help="comma-separated increasing values")
-    p.add_argument("--za", required=True, help="label assignment JSON file")
-    p.set_defaults(func=_cmd_omega_zchain)
-
-    p = actions.add_parser("hmember", help="point membership in the carved set")
-    p.add_argument("--za", required=True, help="label assignment JSON file")
-    p.add_argument("--point", required=True, help="x,y")
-    p.set_defaults(func=_cmd_omega_hmember)
-
-
-# (area, help, adds its actions) in the order the top-level help lists them
-_AREAS = (
-    ("types", "pattern enumeration and extension", _types_actions),
-    ("cond", "finite planar conditions", _cond_actions),
-    ("homog", "colorings and homogeneity", _homog_actions),
-    ("graph", "deterministic extension-rich graphs", _graph_actions),
-    ("sets", "planar set algebra and filter sums", _sets_actions),
-    ("omega", "prefixes of infinite patterns", _omega_actions),
+_COMMON = (
+    _arg("--format", choices=("json", "table"), default="json",
+         help="payload rendering (default json)"),
+    _arg("--out", metavar="PATH", default=None,
+         help="persist the result to a JSON file"),
 )
+_N = _arg("--n", type=int, required=True)
+_TYPE = _arg("--type", required=True, help="pattern in list form")
+_PATTERN = (_arg("--type", default=None,
+                 help="pattern in list form, e.g. 'x1<y1<x2<y2'"),
+            _in("pattern JSON file", required=False))
+_CONDITION = _in("condition JSON file", cond_alias=True)
+_COLORING = (_in("coloring JSON file", required=False),
+             _arg("--csv", default=None, help="coloring CSV file"))
+_GRAPH = _in("graph JSON file")
+_EXPR = _in("planar set expression JSON file")
+_STANDINS = (_arg("--u", required=True, help="index stand-in JSON file"),
+             _arg("--seq", required=True, help="stand-in sequence JSON file"))
+_PREFIX = _in("prefix JSON file")
+_Z = _arg("--z", required=True, help="comma-separated increasing values")
+_ZA = _arg("--za", required=True, help="label assignment JSON file")
+
+_AREAS = {
+    "types": ("pattern enumeration and extension", (
+        ("enum", "list all patterns of a size", _cmd_types_enum, (_N,)),
+        ("count", "number of patterns of a size", _cmd_types_count, (_N,)),
+        ("extend", "append a new pair strictly last", _cmd_types_extend, _PATTERN),
+        ("insert", "tie a new pair into a 2-pattern", _cmd_types_insert, _PATTERN),
+    )),
+    "cond": ("finite planar conditions", (
+        ("check", "validate the three condition clauses", _cmd_cond_check,
+         (_in("condition JSON file ([[x,y],...])", cond_alias=True),)),
+        ("realize", "least subset realizing a pattern", _cmd_cond_realize,
+         (_CONDITION, _TYPE)),
+        ("classify", "tally n-subsets by realized pattern", _cmd_cond_classify,
+         (_CONDITION, _N)),
+        ("grow", "extend until every n-pattern is realized", _cmd_cond_grow,
+         (_in("starting condition (default empty)", required=False, cond_alias=True),
+          _N)),
+    )),
+    "homog": ("colorings and homogeneity", (
+        ("check", "is a set homogeneous for one pattern", _cmd_homog_check, (
+            *_COLORING,
+            _arg("--cond", default=None,
+                 help="condition JSON file (default: the coloring's ground)"),
+            _TYPE,
+            _arg("--partial", action="store_true",
+                 help="accept colorings that skip some subsets"),
+        )),
+        ("search", "find a homogeneous subset", _cmd_homog_search, (
+            *_COLORING,
+            _arg("--cond", default=None, help="ground condition JSON file (optional)"),
+            _TYPE,
+            _arg("--mode", choices=("exact", "greedy"), default="exact"),
+            _arg("--min-size", type=int, default=0),
+            _arg("--partial", action="store_true"),
+        )),
+        ("floor", "pattern classes met vs the full tally", _cmd_homog_floor,
+         (_CONDITION, _N)),
+        ("stabilize", "stable bits of lex-monotone rows", _cmd_homog_stabilize, (
+            _in("JSON list of equal-width 0/1 rows"),
+            _arg("--direction", choices=("increasing", "decreasing"),
+                 default="increasing"),
+        )),
+        ("extract-s", "stable binary relation from a grid", _cmd_homog_extract_s, (
+            _in("ternary grid JSON file"),
+            _arg("--cond", required=True, help="condition JSON file"),
+            _arg("--window", type=int, default=3),
+        )),
+    )),
+    "graph": ("deterministic extension-rich graphs", (
+        ("build", "run the construction schedule", _cmd_graph_build, (
+            _arg("--steps", type=int, default=None,
+                 help="number of schedule entries to process"),
+            _arg("--cover-vertices", type=int, default=None,
+                 help="process all configurations inside this many vertices"),
+            _arg("--cover-params", type=int, default=2,
+                 help="parameter-count cap for --cover-vertices (default 2)"),
+        )),
+        ("check", "verify the extension property", _cmd_graph_check, (
+            _GRAPH,
+            _arg("--k", type=int, required=True),
+            _arg("--m", type=int, required=True),
+        )),
+        ("rich", "does a vertex set contain a rich core", _cmd_graph_rich, (
+            _GRAPH,
+            _arg("--vertices", required=True,
+                 help="comma-separated vertex list, e.g. 0,2,5"),
+            _arg("--k", type=int, default=1),
+        )),
+        ("demo-noreverse", "adjacency coloring is never constant on rich columns",
+         _cmd_graph_demo_noreverse, (
+             _arg("--count", type=int, default=50),
+             _arg("--seed", type=int, default=0),
+         )),
+        ("demo-coloring", "one column meets every color of a palette",
+         _cmd_graph_demo_coloring, (
+             _arg("--palette", type=int, required=True),
+             _arg("--max-vertex", type=int, default=4),
+         )),
+    )),
+    "sets": ("planar set algebra and filter sums", (
+        ("column", "exact vertical section", _cmd_sets_column,
+         (_EXPR, _arg("--x", type=int, required=True))),
+        ("tail", "horizon and eventual section shape", _cmd_sets_tail, (_EXPR,)),
+        ("fr2", "cofinitely many cofinite sections?", _cmd_sets_fr2, (_EXPR,)),
+        ("meets", "infinitely many infinite sections?", _cmd_sets_meets, (_EXPR,)),
+        ("sum", "membership in an indexed filter sum", _cmd_sets_sum,
+         (_EXPR, *_STANDINS)),
+        ("image", "membership in the sum's first projection", _cmd_sets_image,
+         (_in("finite/cofinite set JSON file"), *_STANDINS)),
+    )),
+    "omega": ("prefixes of infinite patterns", (
+        ("validate", "judge a candidate prefix", _cmd_omega_validate, (_PREFIX,)),
+        ("phi", "realize a prefix as a condition", _cmd_omega_phi, (_PREFIX, _Z)),
+        ("assignd", "label demanded after a chain fragment", _cmd_omega_assignd,
+         (_PREFIX, _arg("--s", default="", help="comma-separated values so far"))),
+        ("zchain", "walk a chain through its demanded sets", _cmd_omega_zchain,
+         (_PREFIX, _Z, _ZA)),
+        ("hmember", "point membership in the carved set", _cmd_omega_hmember,
+         (_ZA, _arg("--point", required=True, help="x,y"))),
+    )),
+}
 
 
-def build_parser(area=None) -> argparse.ArgumentParser:
-    """The command parser.  Every area is registered with its help; only
-    ``area``'s actions are added, or every area's when ``area`` is None."""
+def _names(argv) -> tuple:
+    """The area and the action whose parsers ``argv`` needs.  The top level
+    takes no option with a value, so its first positional argument is the
+    area argparse descends into.  The action is named only when argv[0] is
+    that area and argv[1] one of its actions: then no other parser can
+    answer, not even with help or an error."""
+    area = next((a for a in argv if not a.startswith("-")), None)
+    if argv[:1] == [area] and len(argv) > 1:
+        for name, *_ in _AREAS.get(area, ("", ()))[1]:
+            if name == argv[1]:
+                return area, name
+    return area, None
+
+
+def build_parser(area=None, action=None) -> argparse.ArgumentParser:
+    """The command parser.  With ``action``, only ``area`` with only that
+    action; otherwise every area with its help, and the actions of
+    ``area`` only, or of every area when ``area`` is None."""
     parser = argparse.ArgumentParser(
         prog="ramseybench",
         description="workbench for finite pattern combinatorics on the plane",
     )
     areas = parser.add_subparsers(dest="area", required=True, metavar="AREA")
-    for name, hlp, add_actions in _AREAS:
+    for name, (hlp, actions) in _AREAS.items():
+        if action is not None and name != area:
+            continue
         sub = areas.add_parser(name, help=hlp)
-        if area in (None, name):
-            actions = sub.add_subparsers(dest="action", required=True, metavar="ACTION")
-            add_actions(actions)
-            for action in actions.choices.values():
-                _add_common(action)
+        if area not in (None, name):
+            continue
+        subs = sub.add_subparsers(dest="action", required=True, metavar="ACTION")
+        for act, act_hlp, handler, arguments in actions:
+            if action in (None, act):
+                p = subs.add_parser(act, help=act_hlp)
+                for add in (*arguments, *_COMMON):
+                    add(p)
+                p.set_defaults(func=handler)
     return parser
 
 
@@ -671,9 +637,7 @@ def run(argv, stdout=None, stderr=None) -> CommandResult:
     """Parse, dispatch, print.  Raises SystemExit(2) on usage errors."""
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    # The top level takes no option with a value, so its first positional
-    # argument is the area argparse will descend into.
-    parser = build_parser(next((a for a in argv if not a.startswith("-")), None))
+    parser = build_parser(*_names(argv))
     args = parser.parse_args(argv)
 
     if getattr(args, "_in_required", False) and not getattr(args, "infile", None):
@@ -711,6 +675,8 @@ def _error_payload(exc: Exception) -> dict:
 
 
 def main() -> None:
+    """The ``ramseybench`` console entry.  It owns the process, so it alone
+    sets the collector and exit policy; ``run()`` leaves both alone."""
     # Start-up objects are never garbage: frozen, no collection walks them, those at exit included.
     gc.freeze()
     try:
@@ -723,7 +689,13 @@ def main() -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(json.dumps(_error_payload(exc), indent=2), file=sys.stderr)
         code = 1
-    sys.exit(code)
+    # The payload is out and run() left no file open: run the atexit hooks
+    # and flush as a normal exit would, but skip the interpreter teardown,
+    # which only frees what the process is about to give back.
+    atexit._run_exitfuncs()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -409,7 +409,12 @@ def _block_key_counts(pts, sizes: range) -> dict[int, Counter]:
         for i in range(len(cols) - need):
             walk(k + 1, key | cols[i], list(map(or_, moved[i + 1:], row(lo + i))), lo + i + 1)
 
-    walk(0, 0, [0] * len(pts), 0)
+    try:
+        walk(0, 0, [0] * len(pts), 0)
+    finally:
+        # walk holds itself through its cell, and with it counts and rows:
+        # break that cycle so reference counting frees them
+        del walk
     return counts
 
 

@@ -1,10 +1,12 @@
 """End-to-end checks of the command-line front end.
 
-Commands run in-process through ``cli.run`` with captured streams; one
-test drives the installed console entry point through a subprocess.
-Payload shapes are validated against schemas/cli_payloads.json.
+Commands run in-process through ``cli.run`` with captured streams; the
+console-entry tests start the entry point in a subprocess, as the
+installed script does.  Payload shapes are validated against
+schemas/cli_payloads.json.
 """
 
+import argparse
 import io
 import json
 import os
@@ -12,6 +14,7 @@ import re
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -1175,3 +1178,173 @@ def test_console_entry_point_roundtrip(files):
          "--in", "/nonexistent/y.json"],
         capture_output=True, text=True, env=child_env())
     assert proc.returncode == 1 and proc.stdout == ""
+
+
+# ------------------------------------------------------------------ parser
+
+class _Options:
+    """Reads the options an action's table row adds: the required ones and
+    ``--in``."""
+
+    def __init__(self):
+        self.flags = []
+
+    def add_argument(self, *flags, **kwargs):
+        if kwargs.get("required") or flags[0] == "--in":
+            self.flags.append(flags[0])
+
+    def set_defaults(self, **kwargs):
+        pass
+
+
+VALUES = {"--n": "1", "--type": "x1<y1", "--palette": "2", "--k": "1", "--m": "1",
+          "--x": "0", "--vertices": "0", "--z": "1", "--point": "1,2"}
+
+
+def action_argv(area, action, arguments):
+    """A call of the action with every required option and ``--in`` given;
+    files are missing, so most calls stop at their first read."""
+    options = _Options()
+    for add in arguments:
+        add(options)
+    argv = [area, action]
+    for flag in options.flags:
+        argv += [flag, VALUES.get(flag, "/nonexistent/input.json")]
+    return argv
+
+
+ACTION_CALLS = [action_argv(area, action, arguments)
+                for area, (_, actions) in cli._AREAS.items()
+                for action, _, _, arguments in actions]
+EDGE_CALLS = [
+    [], ["--help"], ["-h", "sets"], ["types"], ["homog", "--help"], ["homog", "-h", "search"],
+    ["homog", "search", "--help"], ["types", "count", "--n", "1", "-h"],
+    ["types", "count", "--n", "2", "--form", "table"], ["types", "count", "--n=3"],
+    ["--bogus", "types", "count", "--n", "1"], ["types", "--bogus", "count", "--n", "1"],
+    ["types", "count", "--bogus", "--n", "1"], ["types", "count", "--n", "1", "--bogus"],
+    ["types", "count", "--n", "x"], ["types", "count", "--", "--n"],
+    ["cond", "check"], ["cond", "check", "--format", "table"], ["cond", "grow", "--n", "2", "--cond"],
+    ["homog", "search", "--type", "x1<y1", "--mode", "best"],
+    ["nope"], ["nope", "count"], ["homog", "nope"], ["homog", "nope", "--help"],
+]
+
+
+def answer(argv, monkeypatch, full=False):
+    """Exit code, stdout, stderr and parsed Namespace of ``cli.run(argv)``
+    with the parser built for argv, or with the full tree; and how many
+    ``ArgumentParser``s were built."""
+    build, built, parsed = cli.build_parser, [], []
+    init, parse = argparse.ArgumentParser.__init__, argparse.ArgumentParser.parse_args
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def recorded(self, *args, **kwargs):
+        parsed.append(parse(self, *args, **kwargs))
+        return parsed[-1]
+
+    out, err = io.StringIO(), io.StringIO()
+    with monkeypatch.context() as patch, redirect_stdout(out), redirect_stderr(err):
+        patch.setattr(argparse.ArgumentParser, "__init__", counted)
+        patch.setattr(argparse.ArgumentParser, "parse_args", recorded)
+        if full:
+            patch.setattr(cli, "build_parser", lambda *names: build())
+        try:
+            code = cli.run(argv).exit_code
+        except SystemExit as exc:
+            code = exc.code
+    return (code, out.getvalue(), err.getvalue(), parsed), len(built)
+
+
+@pytest.mark.parametrize("argv", ACTION_CALLS + EDGE_CALLS,
+                         ids=lambda argv: " ".join(argv) or "(none)")
+def test_the_parser_built_for_a_call_answers_as_the_full_tree(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    got, parsers = answer(argv, monkeypatch)
+    assert got == answer(argv, monkeypatch, full=True)[0]
+    if argv in ACTION_CALLS:
+        assert parsers == 3
+
+
+# ------------------------------------------------------------------ console entry
+# The entry leaves through os._exit once the payload is out, so these start
+# it as the installed script does and compare what reaches the streams.
+
+CONSOLE = [sys.executable, "-c", "import sys; from ramseybench.cli import main; sys.exit(main())"]
+
+
+def entry_env() -> dict:
+    """A child environment with stdout block-buffered, as for a user."""
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def in_process(argv):
+    """Exit code, stdout and stderr of cli.run(argv), usage errors included."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.run(argv).exit_code
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("sink", ["pipe", "file"])
+def test_console_entry_delivers_a_large_payload_whole(sink, tmp_path):
+    code, expected, _ = in_process(LARGE)
+    assert code == 0 and len(expected) > 1_500_000
+    if sink == "pipe":
+        proc = subprocess.run([*CONSOLE, *LARGE], capture_output=True, env=entry_env())
+        got = proc.stdout
+    else:
+        with open(tmp_path / "stdout", "wb") as fh:
+            proc = subprocess.run([*CONSOLE, *LARGE], stdout=fh, stderr=subprocess.PIPE,
+                                  env=entry_env())
+        got = (tmp_path / "stdout").read_bytes()
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert got == expected.encode()
+
+
+def test_console_entry_writes_out_whole(tmp_path):
+    proc = subprocess.run([*CONSOLE, *LARGE, "--out", str(tmp_path / "entry.json")],
+                          capture_output=True, env=entry_env())
+    assert proc.returncode == 0
+    in_process([*LARGE, "--out", str(tmp_path / "run.json")])
+    assert (tmp_path / "entry.json").read_bytes() == (tmp_path / "run.json").read_bytes()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["types", "count", "--n", "2"], 0),
+    (["homog", "floor", "--cond", "{cond2}", "--n", "3"], 0),
+    (["cond", "check", "--in", "/nonexistent/y.json"], 1),
+    (["types", "extend", "--type", "x1<<y1"], 1),
+    (["types", "count", "--n", "x"], 2),
+    (["cond", "check"], 2),
+], ids=["ok", "ok-with-diagnostics", "missing-file", "bad-pattern", "bad-option", "missing-in"])
+def test_console_entry_answers_as_run_does(argv, code, files, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [arg.format(**files) for arg in argv]
+    proc = subprocess.run([*CONSOLE, *argv], capture_output=True, text=True, env=entry_env())
+    assert (proc.returncode, proc.stdout, proc.stderr) == in_process(argv)
+    assert proc.returncode == code
+    if code == 1:
+        conforms("error", payload_of(proc.stderr))
+
+
+@pytest.mark.parametrize("launch", [CONSOLE, [sys.executable, "-m", "ramseybench.cli"]],
+                         ids=["console", "module"])
+@pytest.mark.parametrize("argv, code", [
+    (["types", "count", "--n", "1"], 0),
+    (["cond", "check", "--in", "/nonexistent/y.json"], 1),
+    (["types", "count", "--n", "x"], 2),
+], ids=["ok", "domain-error", "usage-error"])
+def test_console_entry_skips_teardown_once_the_payload_is_out(launch, argv, code):
+    # python -v reports each module it cleans up while the interpreter
+    # finalizes; usage errors and --help still leave through SystemExit
+    proc = subprocess.run([launch[0], "-v", *launch[1:], *argv], capture_output=True,
+                          text=True, env=entry_env())
+    assert proc.returncode == code
+    assert ("\n# cleanup[" in proc.stderr) == (code == 2)

@@ -20,7 +20,10 @@ calls whose colour majority ties pin the order of the realizer table.
 ``data/usage_goldens.json`` pins exit code, stdout and stderr of the
 parser's own answers as the full parser tree gave them: ``--help`` at the
 top, per area and per action, unknown areas and actions, and missing or
-bad options.  Help text is laid out for 80 columns.
+bad options.  Help text is laid out for 80 columns.  A call now builds
+only the parsers its argv needs, so every entry still pins the full
+tree's answer; a subset is also replayed through the console entry in a
+subprocess, where the parser choice and the exit path meet users.
 
 The condition and graph goldens are also replayed on every other
 interpreter the package supports that is on ``PATH``; the usage goldens
@@ -32,6 +35,7 @@ import io
 import json
 import shutil
 import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -118,6 +122,23 @@ def test_usage_output_matches_golden(entry, monkeypatch):
     assert code == entry["exit"]
     assert sha256(out.getvalue()) == entry["stdout_sha256"]
     assert sha256(err.getvalue()) == entry["stderr_sha256"]
+
+
+CONSOLE_USAGE = (["--help"], ["homog", "--help"], ["homog", "search", "--help"], ["nope"],
+                 ["homog", "nope"], ["types", "count"], ["cond", "check"],
+                 ["--bogus", "types", "count", "--n", "1"])
+
+
+@pytest.mark.parametrize("entry", [e for e in USAGE_GOLDENS if e["argv"] in CONSOLE_USAGE],
+                         ids=lambda e: " ".join(e["argv"]))
+def test_usage_output_matches_golden_through_the_console_entry(entry):
+    env = {**child_env(), "COLUMNS": "80"}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from ramseybench.cli import main; sys.exit(main())",
+         *entry["argv"]], capture_output=True, text=True, env=env)
+    assert proc.returncode == entry["exit"]
+    assert sha256(proc.stdout) == entry["stdout_sha256"]
+    assert sha256(proc.stderr) == entry["stderr_sha256"]
 
 
 # Replays the condition and graph goldens in one process; prints the

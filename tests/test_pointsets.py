@@ -1,6 +1,9 @@
+import gc
 import random
 import time
 import tracemalloc
+import types
+from collections import Counter
 from itertools import combinations
 from math import comb
 
@@ -356,6 +359,25 @@ def test_growth_adds_a_batch_of_several_value_separated_blocks():
         base.sorted_points, (Point(6, 7),), (Point(8, 9),)]
     assert grown == oracles.extend_key_sums(base, 2) == oracles.extend_scan(base, 2)
 
+
+def test_growth_leaves_no_cycles_for_the_collector():
+    # growth's tallies are freed by reference counting alone, so they do
+    # not outlive a call made with the collector off
+    gc.collect()
+    enabled, flags, start = gc.isenabled(), gc.get_debug(), len(gc.garbage)
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        extend_with_realizers(EMPTY, 4)
+        gc.collect()
+        kept = [o for o in gc.garbage[start:] if isinstance(o, Counter)
+                or isinstance(o, types.FunctionType) and o.__name__ == "walk"]
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[start:]
+        if enabled:
+            gc.enable()
+    assert kept == []
 
 def key_sum_work(m, n):
     """The count the key-sum growth bounded: the base's subsets of size
