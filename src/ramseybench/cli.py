@@ -16,6 +16,16 @@ bare condition/graph document so the file can be fed back through
 stdout's reader goes away, ``main`` exits 1 with the ``error`` payload
 on stderr.
 
+The exit: ``run()`` returns the result and never exits; a usage error or
+``--help`` raises argparse's ``SystemExit``.  The console entry ``main``
+owns the process: it freezes the start-up heap, and once the payload is
+out it runs the ``atexit`` hooks, flushes stdout and stderr and leaves
+with ``os._exit``, so the interpreter does not free its modules and
+heap on the way out.  Usage errors and ``--help`` still leave through
+``SystemExit``.  A call builds only the parsers its argv names: the top
+level, ``argv[0]``'s area and, when ``argv[1]`` is one of its actions,
+that action alone.
+
 The exact-search and richness bounds (``errors.WORK_BOUNDS``) can be set
 only through the environment variable ``NBT_WORKBENCH_LIMITS``, a JSON
 object such as ``{"search": 18, "rich": 14}``.
@@ -601,10 +611,9 @@ def _names(argv) -> tuple:
     that area and argv[1] one of its actions: then no other parser can
     answer, not even with help or an error."""
     area = next((a for a in argv if not a.startswith("-")), None)
-    if argv[:1] == [area] and len(argv) > 1:
-        for name, *_ in _AREAS.get(area, ("", ()))[1]:
-            if name == argv[1]:
-                return area, name
+    if argv[:1] == [area] and area in _AREAS and len(argv) > 1:
+        if any(row[0] == argv[1] for row in _AREAS[area][1]):
+            return area, argv[1]
     return area, None
 
 
