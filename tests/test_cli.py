@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 import oracles
-from helpers import child_env
+from helpers import CONSOLE, child_env
 from oracles import fans, unsatisfied_configurations, value_separated_blocks
 
 from ramseybench import cli
@@ -1152,7 +1152,6 @@ def test_stdout_reader_gone_exits_with_the_error_payload(argv, buffered):
     read_end, write_end = os.pipe()
     os.close(read_end)
     env = child_env()
-    env.pop("PYTHONUNBUFFERED", None)
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
     try:
@@ -1178,6 +1177,17 @@ def test_console_entry_point_roundtrip(files):
          "--in", "/nonexistent/y.json"],
         capture_output=True, text=True, env=child_env())
     assert proc.returncode == 1 and proc.stdout == ""
+
+
+def in_process(argv):
+    """Exit code, stdout and stderr of cli.run(argv), usage errors included."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.run(argv).exit_code
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 # ------------------------------------------------------------------ parser
@@ -1244,17 +1254,12 @@ def answer(argv, monkeypatch, full=False):
         parsed.append(parse(self, *args, **kwargs))
         return parsed[-1]
 
-    out, err = io.StringIO(), io.StringIO()
-    with monkeypatch.context() as patch, redirect_stdout(out), redirect_stderr(err):
+    with monkeypatch.context() as patch:
         patch.setattr(argparse.ArgumentParser, "__init__", counted)
         patch.setattr(argparse.ArgumentParser, "parse_args", recorded)
         if full:
             patch.setattr(cli, "build_parser", lambda *names: build())
-        try:
-            code = cli.run(argv).exit_code
-        except SystemExit as exc:
-            code = exc.code
-    return (code, out.getvalue(), err.getvalue(), parsed), len(built)
+        return (*in_process(argv), parsed), len(built)
 
 
 @pytest.mark.parametrize("argv", ACTION_CALLS + EDGE_CALLS,
@@ -1271,38 +1276,17 @@ def test_the_parser_built_for_a_call_answers_as_the_full_tree(argv, monkeypatch)
 # The entry leaves through os._exit once the payload is out, so these start
 # it as the installed script does and compare what reaches the streams.
 
-CONSOLE = [sys.executable, "-c", "import sys; from ramseybench.cli import main; sys.exit(main())"]
-
-
-def entry_env() -> dict:
-    """A child environment with stdout block-buffered, as for a user."""
-    env = child_env()
-    env.pop("PYTHONUNBUFFERED", None)
-    return env
-
-
-def in_process(argv):
-    """Exit code, stdout and stderr of cli.run(argv), usage errors included."""
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = cli.run(argv).exit_code
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
-
-
 @pytest.mark.parametrize("sink", ["pipe", "file"])
 def test_console_entry_delivers_a_large_payload_whole(sink, tmp_path):
     code, expected, _ = in_process(LARGE)
     assert code == 0 and len(expected) > 1_500_000
     if sink == "pipe":
-        proc = subprocess.run([*CONSOLE, *LARGE], capture_output=True, env=entry_env())
+        proc = subprocess.run([*CONSOLE, *LARGE], capture_output=True, env=child_env())
         got = proc.stdout
     else:
         with open(tmp_path / "stdout", "wb") as fh:
             proc = subprocess.run([*CONSOLE, *LARGE], stdout=fh, stderr=subprocess.PIPE,
-                                  env=entry_env())
+                                  env=child_env())
         got = (tmp_path / "stdout").read_bytes()
     assert proc.returncode == 0 and proc.stderr == b""
     assert got == expected.encode()
@@ -1310,7 +1294,7 @@ def test_console_entry_delivers_a_large_payload_whole(sink, tmp_path):
 
 def test_console_entry_writes_out_whole(tmp_path):
     proc = subprocess.run([*CONSOLE, *LARGE, "--out", str(tmp_path / "entry.json")],
-                          capture_output=True, env=entry_env())
+                          capture_output=True, env=child_env())
     assert proc.returncode == 0
     in_process([*LARGE, "--out", str(tmp_path / "run.json")])
     assert (tmp_path / "entry.json").read_bytes() == (tmp_path / "run.json").read_bytes()
@@ -1327,7 +1311,7 @@ def test_console_entry_writes_out_whole(tmp_path):
 def test_console_entry_answers_as_run_does(argv, code, files, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     argv = [arg.format(**files) for arg in argv]
-    proc = subprocess.run([*CONSOLE, *argv], capture_output=True, text=True, env=entry_env())
+    proc = subprocess.run([*CONSOLE, *argv], capture_output=True, text=True, env=child_env())
     assert (proc.returncode, proc.stdout, proc.stderr) == in_process(argv)
     assert proc.returncode == code
     if code == 1:
@@ -1345,6 +1329,6 @@ def test_console_entry_skips_teardown_once_the_payload_is_out(launch, argv, code
     # python -v reports each module it cleans up while the interpreter
     # finalizes; usage errors and --help still leave through SystemExit
     proc = subprocess.run([launch[0], "-v", *launch[1:], *argv], capture_output=True,
-                          text=True, env=entry_env())
+                          text=True, env=child_env())
     assert proc.returncode == code
     assert ("\n# cleanup[" in proc.stderr) == (code == 2)

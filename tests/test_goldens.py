@@ -35,12 +35,11 @@ import io
 import json
 import shutil
 import subprocess
-import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from helpers import child_env
+from helpers import CONSOLE, child_env
 
 from ramseybench import cli
 
@@ -133,9 +132,7 @@ CONSOLE_USAGE = (["--help"], ["homog", "--help"], ["homog", "search", "--help"],
                          ids=lambda e: " ".join(e["argv"]))
 def test_usage_output_matches_golden_through_the_console_entry(entry):
     env = {**child_env(), "COLUMNS": "80"}
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from ramseybench.cli import main; sys.exit(main())",
-         *entry["argv"]], capture_output=True, text=True, env=env)
+    proc = subprocess.run([*CONSOLE, *entry["argv"]], capture_output=True, text=True, env=env)
     assert proc.returncode == entry["exit"]
     assert sha256(proc.stdout) == entry["stdout_sha256"]
     assert sha256(proc.stderr) == entry["stderr_sha256"]
