@@ -22,9 +22,9 @@ owns the process: it freezes the start-up heap, and once the payload is
 out it runs the ``atexit`` hooks, flushes stdout and stderr and leaves
 with ``os._exit``, so the interpreter does not free its modules and
 heap on the way out.  Usage errors and ``--help`` still leave through
-``SystemExit``.  A call builds only the parsers its argv names: the top
-level, ``argv[0]``'s area and, when ``argv[1]`` is one of its actions,
-that action alone.
+``SystemExit``.  An action call (``argv[0]`` an area, ``argv[1]`` one of
+its actions) builds only the top level, that area and that action; any
+other argv builds the full tree.
 
 The exact-search and richness bounds (``errors.WORK_BOUNDS``) can be set
 only through the environment variable ``NBT_WORKBENCH_LIMITS``, a JSON
@@ -605,22 +605,19 @@ _AREAS = {
 
 
 def _names(argv) -> tuple:
-    """The area and the action whose parsers ``argv`` needs.  The top level
-    takes no option with a value, so its first positional argument is the
-    area argparse descends into.  The action is named only when argv[0] is
-    that area and argv[1] one of its actions: then no other parser can
-    answer, not even with help or an error."""
-    area = next((a for a in argv if not a.startswith("-")), None)
-    if argv[:1] == [area] and area in _AREAS and len(argv) > 1:
-        if any(row[0] == argv[1] for row in _AREAS[area][1]):
-            return area, argv[1]
-    return area, None
+    """``(area, action)`` when argv[0] is an area and argv[1] one of its
+    actions, else ``(None, None)``.  The top level takes no option with a
+    value, so such a call reaches that action's parser and no other parser
+    can answer it, not even with help or an error."""
+    if len(argv) > 1 and argv[0] in _AREAS:
+        if any(row[0] == argv[1] for row in _AREAS[argv[0]][1]):
+            return argv[0], argv[1]
+    return None, None
 
 
 def build_parser(area=None, action=None) -> argparse.ArgumentParser:
-    """The command parser.  With ``action``, only ``area`` with only that
-    action; otherwise every area with its help, and the actions of
-    ``area`` only, or of every area when ``area`` is None."""
+    """The command parser: the full tree, or with ``action`` only the top
+    level, ``area`` and that one action."""
     parser = argparse.ArgumentParser(
         prog="ramseybench",
         description="workbench for finite pattern combinatorics on the plane",
@@ -630,15 +627,14 @@ def build_parser(area=None, action=None) -> argparse.ArgumentParser:
         if action is not None and name != area:
             continue
         sub = areas.add_parser(name, help=hlp)
-        if area not in (None, name):
-            continue
         subs = sub.add_subparsers(dest="action", required=True, metavar="ACTION")
         for act, act_hlp, handler, arguments in actions:
-            if action in (None, act):
-                p = subs.add_parser(act, help=act_hlp)
-                for add in (*arguments, *_COMMON):
-                    add(p)
-                p.set_defaults(func=handler)
+            if action is not None and act != action:
+                continue
+            p = subs.add_parser(act, help=act_hlp)
+            for add in (*arguments, *_COMMON):
+                add(p)
+            p.set_defaults(func=handler)
     return parser
 
 
@@ -686,7 +682,7 @@ def _error_payload(exc: Exception) -> dict:
 def main() -> None:
     """The ``ramseybench`` console entry.  It owns the process, so it alone
     sets the collector and exit policy; ``run()`` leaves both alone."""
-    # Start-up objects are never garbage: frozen, no collection walks them, those at exit included.
+    # Start-up objects are never garbage: frozen, the collections during the call skip them.
     gc.freeze()
     try:
         try:
