@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from itertools import combinations, islice
+from itertools import combinations, islice, starmap
 from math import comb, isfinite
 from operator import gt, lt
 
@@ -103,7 +103,8 @@ def check_tau_homogeneous(subset, coloring: Coloring, tau: NType) -> TauReport:
     """Is the coloring constant on the tau-realizing n-subsets of subset?
 
     Constant means ``_one_color``: every colour other than None equals
-    the first under ``==``, and that first colour is reported.
+    the first under ``==``, and the colour of the first coloured realizer
+    in lexicographic y-sequence order is reported.
     Vacuously homogeneous (flagged, color None) when subset carries no
     colored realizer of tau.  The realizers are listed from the n-subsets
     of subset, so more of those than the "subsets" work bound raise
@@ -111,24 +112,30 @@ def check_tau_homogeneous(subset, coloring: Coloring, tau: NType) -> TauReport:
     """
     pts = _normalize_subset(subset, coloring.ground)
     check_subsets(len(pts), coloring.n, "homogeneity check")
-    realizers = _tau_realizers(pts, coloring, tau)
-    agree, first = _one_color(c for _, c in realizers)
+    rows = _realizer_rows(coloring, tau, pts)
+    agree, first = _one_color(c for _, c in rows)
     return TauReport(
         homogeneous=agree,
         color=first if agree else None,
-        realizers=len(realizers),
+        realizers=len(rows),
         vacuous=first is None,
     )
 
 
-def _tau_realizers(pts, coloring: Coloring, tau: NType) -> list[tuple[tuple[Point, ...], object]]:
-    """(subset, color) per tau-realizer among y-sorted ground points pts, in
-    lexicographic y-sequence order."""
+def _realizer_rows(coloring: Coloring, tau: NType, pts) -> list[tuple[int, object]]:
+    """(mask, colour) per tau-realizer among the y-sorted ground points pts,
+    in lexicographic y-sequence order: bit i of the mask stands for the i-th
+    point of the (x, y)-sorted ground, and the colour is the rule's on the
+    realizer's y-sorted points.  The walk yields each realizer as (bit,
+    point) labels, which zip splits, so no point is hashed per row."""
     if tau.n != coloring.n:
         raise ValueError(
             f"pattern size {tau.n} does not match coloring arity {coloring.n}"
         )
-    return [(combo, coloring.rule(combo)) for combo in _realizers(pts, tau)]
+    bit = {p: 1 << i for i, p in enumerate(sorted(coloring.ground.points))}
+    rule = coloring.rule
+    return [(sum(bits), rule(combo)) for bits, combo
+            in starmap(zip, _realizers(pts, tau, [(bit[p], p) for p in pts]))]
 
 
 def _normalize_subset(subset, ground: FiniteCondition) -> tuple[Point, ...]:
@@ -191,13 +198,16 @@ def search_homogeneous(coloring: Coloring, tau: NType, min_size: int = 0,
         check_work("points", m, "exact search", f"the ground has {m} points", bound)
     else:
         check_subsets(m, coloring.n, "greedy search")
-    realizers = _realizer_table(coloring, tau, ground_pts)
+    rows = _realizer_rows(coloring, tau, coloring.ground.sorted_points)
+    # table order (by index tuples; greedy breaks ties by it): for masks of
+    # n bits each, their bit strings read from bit 0 up, in descending order
+    rows.sort(key=lambda row: f"{row[0]:b}"[::-1], reverse=True)
     if mode == "exact":
-        mask = _max_homogeneous(realizers, m)
+        mask = _max_homogeneous(rows, m)
     else:
-        mask, removed = _greedy(realizers, m)
+        mask, removed = _greedy(rows, m)
     combo = [i for i in range(m) if mask >> i & 1]
-    _, color = _one_color(c for sub, c in realizers if sub & mask == sub)
+    _, color = _one_color(c for sub, c in rows if sub & mask == sub)
     return SearchResult(
         points=tuple(sorted((ground_pts[i] for i in combo), key=lambda p: p.y)),
         color=color,
@@ -300,23 +310,6 @@ def _scan_count(m: int, combo) -> int:
         count += sum(comb(m - 1 - v, k - 1 - j) for v in range(prev + 1, c))
         prev = c
     return count
-
-
-def _realizer_table(coloring: Coloring, tau: NType, ground_pts) -> list[tuple[int, object]]:
-    """(bitmask over ground_pts, color) per tau-realizer of the ground, in
-    lexicographic order of the index tuples, by which greedy breaks ties."""
-    index = {p: i for i, p in enumerate(ground_pts)}
-    rows = [(sorted(index[p] for p in combo), c)
-            for combo, c in _tau_realizers(coloring.ground.sorted_points, coloring, tau)]
-    rows.sort(key=lambda row: row[0])
-    return [(_mask(combo), c) for combo, c in rows]
-
-
-def _mask(indices) -> int:
-    mask = 0
-    for i in indices:
-        mask |= 1 << i
-    return mask
 
 
 @value

@@ -22,7 +22,7 @@ from collections import Counter
 from functools import cached_property, lru_cache
 from itertools import chain, product, repeat, starmap
 from math import comb
-from operator import add, lshift, mul, or_
+from operator import add, itemgetter, lshift, mul, or_
 
 from ._values import value
 from .errors import NoRealizedTypeError, _natural, check_subsets, check_work
@@ -209,40 +209,46 @@ def _type_key(t: NType) -> int:
     return key
 
 
-def _keyed_subsets(pts, n: int, target: int | None = None):
+def _keyed_subsets(pts, n: int, target: int | None = None, labels=None):
     """Yield (subset, key) for the n-subsets of y-sorted pts, in
     lexicographic y-sequence order; with a target key, only the subsets
-    having it, skipping every prefix whose key already differs."""
+    having it, skipping every prefix whose key already differs.  A subset
+    is the tuple of the entries of ``labels``, a sequence parallel to pts
+    (default pts itself), at its points' positions."""
     m = len(pts)
     if not 1 <= n <= m:
         return
     xs = [p.x for p in pts]
+    labels = pts if labels is None else labels
 
     def walk(prefix, key, cols, lo):
         # cols[c - lo] is column k of the key for candidate c >= lo
         k = len(prefix)
         shift = k * (k - 1)
         want = None if target is None else target >> shift & ((1 << 2 * k) - 1)
+        if k == n - 1:
+            for b, col in enumerate(cols, lo):
+                if want is None or col == want:
+                    yield prefix + (labels[b],), key | col << shift
+            return
         for b in range(lo, m - n + k + 1):
             col = cols[b - lo]
             if want is not None and col != want:
                 continue
             p = pts[b]
-            if k == n - 1:
-                yield prefix + (p,), key | col << shift
-            else:
-                xb, yb, up = p.x, p.y, 2 * k
-                child = [u | ((x >= xb) + (x > xb) + (x > yb)) << up
-                         for u, x in zip(cols[b - lo + 1:], xs[b + 1:])]
-                yield from walk(prefix + (p,), key | col << shift, child, b + 1)
+            xb, yb, up = p.x, p.y, 2 * k
+            child = [u | ((x >= xb) + (x > xb) + (x > yb)) << up
+                     for u, x in zip(cols[b - lo + 1:], xs[b + 1:])]
+            yield from walk(prefix + (labels[b],), key | col << shift, child, b + 1)
 
     yield from walk((), 0, [0] * m, 0)
 
 
-def _realizers(pts, t: NType):
+def _realizers(pts, t: NType, labels=None):
     """The t-realizers among y-sorted points pts of a valid condition, in
-    lexicographic y-sequence order: the subsets whose key is t's."""
-    return (subset for subset, _ in _keyed_subsets(pts, t.n, _type_key(t)))
+    lexicographic y-sequence order: the subsets whose key is t's, made of
+    ``labels`` as in ``_keyed_subsets``."""
+    return map(itemgetter(0), _keyed_subsets(pts, t.n, _type_key(t), labels))
 
 
 def find_realizer(cond: FiniteCondition, t: NType):

@@ -452,7 +452,9 @@ def tau_realizer_table(coloring, tau: NType) -> list:
 
 def tau_check_scan(subset, coloring, tau: NType):
     """(homogeneous, color, realizers, vacuous) over the tau-realizers
-    among the points of subset."""
+    among the points of subset; the colour is that of the first coloured
+    realizer in lexicographic y-sequence order, since a set keeps the
+    first of its equal members (1, 1.0 and True among them)."""
     pts = sorted(set(subset), key=lambda p: p.y)
     target = type_signature(tau)
     realizers = [combo for combo in combinations(pts, tau.n)

@@ -280,22 +280,38 @@ def test_search_greedy_agrees_with_exact_often_enough_to_matter():
 def random_coloring(rng, size, n):
     """A seeded partial coloring: colors of mixed types, some subsets None."""
     ground = random_condition(rng, size)
-    palette = [None, 0, 1, "1", "red"]
+    palette = [None, 0, 1, 1.0, True, "1", "red"]
     table = {frozenset(combo): rng.choice(palette)
              for combo in combinations(ground.sorted_points, n)}
     return Coloring.from_rule(ground, n, lambda pts: table[frozenset(pts)])
 
 
+def typed(rows):
+    # 1, 1.0 and True are one colour but print differently
+    return [(mask, c, type(c)) for mask, c in rows]
+
+
 def assert_tables_match_oracle(coloring, rng):
     part = rng.sample(coloring.ground.sorted_points, len(coloring.ground) // 2)
+    ground = sorted(coloring.ground.points)
+    index = {p: i for i, p in enumerate(ground)}
     for tau in enumerate_ntypes(coloring.n):
-        ground_pts = tuple(sorted(coloring.ground.points))
-        table = homogeneity._realizer_table(coloring, tau, ground_pts)
-        assert table == oracles.tau_realizer_table(coloring, tau)
+        oracle = oracles.tau_realizer_table(coloring, tau)
+        # search reads the ground's rows in table order, by index tuples
+        rows = homogeneity._realizer_rows(coloring, tau, coloring.ground.sorted_points)
+        table = sorted(rows, key=lambda row: [i for i in range(len(ground)) if row[0] >> i & 1])
+        assert typed(table) == typed(oracle)
+        colored = dict(oracle)
         for subset in (coloring.ground, part):
+            # check reads its subset's rows in walk order, the y-sequences'
+            pts = tuple(sorted(subset, key=lambda p: p.y))
+            masks = (sum(1 << index[p] for p in combo) for combo in combinations(pts, tau.n))
+            walk = [(mask, colored[mask]) for mask in masks if mask in colored]
+            assert typed(homogeneity._realizer_rows(coloring, tau, pts)) == typed(walk)
             report = check_tau_homogeneous(subset, coloring, tau)
-            assert (report.homogeneous, report.color, report.realizers,
-                    report.vacuous) == oracles.tau_check_scan(subset, coloring, tau)
+            homogeneous, color, realizers, vacuous = oracles.tau_check_scan(subset, coloring, tau)
+            assert (report.homogeneous, report.color, type(report.color), report.realizers,
+                    report.vacuous) == (homogeneous, color, type(color), realizers, vacuous)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -303,6 +319,20 @@ def assert_tables_match_oracle(coloring, rng):
 def test_realizer_tables_match_per_subset_oracle(seed, n):
     rng = random.Random(seed)
     assert_tables_match_oracle(random_coloring(rng, rng.randint(n, 12), n), rng)
+
+
+def test_check_and_search_name_their_colours_in_their_own_orders():
+    # both pairs realize x1<x2<y1<y2.  By y-sequence (6,16),(10,27) comes
+    # first; by index tuple over the (x, y)-sorted ground (2,18),(10,27)
+    ground = cond((2, 18), (6, 16), (10, 27))
+    tau = parse_list_form("x1<x2<y1<y2")
+    first = oracles.find_realizer_scan(ground, tau)
+    assert first == (Point(6, 16), Point(10, 27))
+    coloring = Coloring.from_rule(ground, 2, lambda pts: 1.0 if pts == first else 1)
+    report = check_tau_homogeneous(ground, coloring, tau)
+    assert report.homogeneous and (report.color, type(report.color)) == (1.0, float)
+    result = search_homogeneous(coloring, tau)
+    assert result.size == 3 and (result.color, type(result.color)) == (1, int)
 
 
 @settings(max_examples=30, deadline=None)

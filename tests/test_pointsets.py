@@ -262,9 +262,14 @@ def test_pair_code_keys_agree_with_realized_type():
     rng = random.Random(5)
     for _ in range(60):
         c = random_condition(rng, rng.randint(2, 7))
+        pts = c.sorted_points
         for n in (1, 2, 3):
-            for subset, key in _keyed_subsets(c.sorted_points, n):
+            by_point = list(_keyed_subsets(pts, n))
+            for subset, key in by_point:
                 assert key == _type_key(realized_type(subset))
+            # labelled by position, the walk yields the same subsets and keys
+            assert list(_keyed_subsets(pts, n, labels=range(len(pts)))) == [
+                (tuple(pts.index(p) for p in subset), key) for subset, key in by_point]
     for n in range(1, 5):
         assert len({_type_key(t) for t in enumerate_ntypes(n)}) == count_ntypes(n)
 
