@@ -18,11 +18,10 @@ on stderr.
 
 The exit: ``run()`` returns the result and never exits; a usage error or
 ``--help`` raises argparse's ``SystemExit``.  The console entry ``main``
-owns the process: it freezes the start-up heap, and once the payload is
-out it runs the ``atexit`` hooks, flushes stdout and stderr and leaves
-with ``os._exit``, so the interpreter does not free its modules and
-heap on the way out.  Usage errors and ``--help`` still leave through
-``SystemExit``.  An action call (``argv[0]`` an area, ``argv[1]`` one of
+owns the process: once the payload is out it runs the ``atexit`` hooks,
+flushes stdout and stderr and leaves with ``os._exit``, so the
+interpreter does not free its modules and heap on the way out.  Usage
+errors and ``--help`` still leave through ``SystemExit``.  An action call (``argv[0]`` an area, ``argv[1]`` one of
 its actions) builds only the top level, that area and that action; any
 other argv builds the full tree.
 
@@ -35,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import atexit
-import gc
 import json
 import os
 import sys
@@ -467,13 +465,20 @@ def _arg(*flags, **kwargs):
     return lambda parser: parser.add_argument(*flags, **kwargs)
 
 
+def _path(text: str) -> str:
+    """The ``type`` of every path option: an empty path is a usage error."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a path, got an empty string")
+    return text
+
+
 def _in(help, required=True, cond_alias=False):
     """``--in``, with ``--cond`` as its alias where asked.  A required
     ``--in`` is checked by ``run()``, so either spelling satisfies it."""
     def add(parser):
-        parser.add_argument("--in", dest="infile", metavar="PATH", help=help)
+        parser.add_argument("--in", dest="infile", metavar="PATH", type=_path, help=help)
         if cond_alias:
-            parser.add_argument("--cond", dest="infile", metavar="PATH",
+            parser.add_argument("--cond", dest="infile", metavar="PATH", type=_path,
                                 help="alias of --in")
         parser.set_defaults(_in_required=required)
     return add
@@ -482,7 +487,7 @@ def _in(help, required=True, cond_alias=False):
 _COMMON = (
     _arg("--format", choices=("json", "table"), default="json",
          help="payload rendering (default json)"),
-    _arg("--out", metavar="PATH", default=None,
+    _arg("--out", metavar="PATH", type=_path, default=None,
          help="persist the result to a JSON file"),
 )
 _N = _arg("--n", type=int, required=True)
@@ -492,14 +497,14 @@ _PATTERN = (_arg("--type", default=None,
             _in("pattern JSON file", required=False))
 _CONDITION = _in("condition JSON file", cond_alias=True)
 _COLORING = (_in("coloring JSON file", required=False),
-             _arg("--csv", default=None, help="coloring CSV file"))
+             _arg("--csv", type=_path, default=None, help="coloring CSV file"))
 _GRAPH = _in("graph JSON file")
 _EXPR = _in("planar set expression JSON file")
-_STANDINS = (_arg("--u", required=True, help="index stand-in JSON file"),
-             _arg("--seq", required=True, help="stand-in sequence JSON file"))
+_STANDINS = (_arg("--u", type=_path, required=True, help="index stand-in JSON file"),
+             _arg("--seq", type=_path, required=True, help="stand-in sequence JSON file"))
 _PREFIX = _in("prefix JSON file")
 _Z = _arg("--z", required=True, help="comma-separated increasing values")
-_ZA = _arg("--za", required=True, help="label assignment JSON file")
+_ZA = _arg("--za", type=_path, required=True, help="label assignment JSON file")
 
 _AREAS = {
     "types": ("pattern enumeration and extension", (
@@ -522,7 +527,7 @@ _AREAS = {
     "homog": ("colorings and homogeneity", (
         ("check", "is a set homogeneous for one pattern", _cmd_homog_check, (
             *_COLORING,
-            _arg("--cond", default=None,
+            _arg("--cond", type=_path, default=None,
                  help="condition JSON file (default: the coloring's ground)"),
             _TYPE,
             _arg("--partial", action="store_true",
@@ -530,7 +535,8 @@ _AREAS = {
         )),
         ("search", "find a homogeneous subset", _cmd_homog_search, (
             *_COLORING,
-            _arg("--cond", default=None, help="ground condition JSON file (optional)"),
+            _arg("--cond", type=_path, default=None,
+                 help="ground condition JSON file (optional)"),
             _TYPE,
             _arg("--mode", choices=("exact", "greedy"), default="exact"),
             _arg("--min-size", type=int, default=0),
@@ -545,7 +551,7 @@ _AREAS = {
         )),
         ("extract-s", "stable binary relation from a grid", _cmd_homog_extract_s, (
             _in("ternary grid JSON file"),
-            _arg("--cond", required=True, help="condition JSON file"),
+            _arg("--cond", type=_path, required=True, help="condition JSON file"),
             _arg("--window", type=int, default=3),
         )),
     )),
@@ -681,9 +687,7 @@ def _error_payload(exc: Exception) -> dict:
 
 def main() -> None:
     """The ``ramseybench`` console entry.  It owns the process, so it alone
-    sets the collector and exit policy; ``run()`` leaves both alone."""
-    # Start-up objects are never garbage: frozen, the collections during the call skip them.
-    gc.freeze()
+    sets the exit policy; ``run()`` never exits."""
     try:
         try:
             code = run(sys.argv[1:]).exit_code

@@ -1092,6 +1092,32 @@ def test_usage_error_exits_2():
     assert exc.value.code == 2
 
 
+NO_FILE = "/nonexistent/input.json"
+
+
+@pytest.mark.parametrize("argv", [
+    ["cond", "grow", "--n", "2", "--in", ""],
+    ["cond", "grow", "--n", "2", "--cond", ""],
+    ["cond", "check", "--in", ""],
+    ["homog", "check", "--type", "x1<y1", "--in", ""],
+    ["homog", "check", "--type", "x1<y1", "--csv", ""],
+    ["homog", "check", "--type", "x1<y1", "--in", NO_FILE, "--cond", ""],
+    ["homog", "search", "--type", "x1<y1", "--in", NO_FILE, "--cond", ""],
+    ["homog", "extract-s", "--in", NO_FILE, "--cond", ""],
+    ["types", "count", "--n", "1", "--out", ""],
+    ["sets", "sum", "--in", NO_FILE, "--u", "", "--seq", NO_FILE],
+    ["sets", "image", "--in", NO_FILE, "--u", NO_FILE, "--seq", ""],
+    ["omega", "hmember", "--za", "", "--point", "1,2"],
+], ids=lambda argv: " ".join(argv[:2] + [argv[argv.index("") - 1]]))
+def test_an_empty_path_is_a_usage_error_naming_its_option(argv):
+    option = argv[argv.index("") - 1]
+    code, out, err = in_process(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: ") and err.count("error:") == 1
+    assert err.endswith(f"ramseybench {argv[0]} {argv[1]}: error: argument {option}: "
+                        "expected a path, got an empty string\n")
+
+
 def test_missing_file_is_a_domain_error():
     result, out, err = invoke(["cond", "check", "--in", "/nonexistent/x.json"])
     assert result.exit_code == 1

@@ -4,8 +4,8 @@ collector policy.
 ``import ramseybench`` registers the six area modules without running
 their bodies; a CLI call then runs only the bodies its area needs, and
 loads none of the stdlib modules in ``SLOW_STDLIB``.  Each case starts a
-fresh interpreter so no earlier import hides a load.  The console entry
-freezes the start-up heap; ``cli.run`` leaves the collector as it finds it.
+fresh interpreter so no earlier import hides a load.  ``cli.run`` leaves
+the collector as it finds it.
 """
 
 import gc
@@ -85,23 +85,6 @@ def test_a_call_loads_only_its_area(argv, doc, loaded, tmp_path):
     assert seen["before"] == dict.fromkeys(LAYERS, False)
     assert {n for n, done in seen["after"].items() if done} == loaded
     assert seen["stdlib"] == []
-
-
-ENTRY = """
-import atexit, gc, json, sys
-atexit.register(lambda: print(json.dumps([gc.get_freeze_count(), gc.isenabled()]),
-                              file=sys.stderr))
-from ramseybench.cli import main
-main()
-"""
-
-
-def test_console_entry_freezes_the_start_up_heap():
-    proc = subprocess.run([sys.executable, "-c", ENTRY, "types", "count", "--n", "1"],
-                          capture_output=True, text=True, env=child_env())
-    assert proc.returncode == 0, proc.stderr
-    frozen, enabled = json.loads(proc.stderr)
-    assert frozen > 0 and enabled
 
 
 @pytest.mark.parametrize("argv, code", [
