@@ -22,7 +22,7 @@ from collections import Counter
 from functools import cached_property, lru_cache
 from itertools import chain, product, repeat, starmap
 from math import comb
-from operator import add, itemgetter, lshift, mul, or_
+from operator import add, lshift, mul, or_
 
 from ._values import value
 from .errors import NoRealizedTypeError, _natural, check_subsets, check_work
@@ -226,20 +226,18 @@ def _keyed_subsets(pts, n: int, target: int | None = None, labels=None):
         k = len(prefix)
         shift = k * (k - 1)
         want = None if target is None else target >> shift & ((1 << 2 * k) - 1)
-        if k == n - 1:
-            for b, col in enumerate(cols, lo):
-                if want is None or col == want:
-                    yield prefix + (labels[b],), key | col << shift
-            return
         for b in range(lo, m - n + k + 1):
             col = cols[b - lo]
             if want is not None and col != want:
                 continue
-            p = pts[b]
-            xb, yb, up = p.x, p.y, 2 * k
-            child = [u | ((x >= xb) + (x > xb) + (x > yb)) << up
-                     for u, x in zip(cols[b - lo + 1:], xs[b + 1:])]
-            yield from walk(prefix + (labels[b],), key | col << shift, child, b + 1)
+            if k == n - 1:
+                yield prefix + (labels[b],), key | col << shift
+            else:
+                p = pts[b]
+                xb, yb, up = p.x, p.y, 2 * k
+                child = [u | ((x >= xb) + (x > xb) + (x > yb)) << up
+                         for u, x in zip(cols[b - lo + 1:], xs[b + 1:])]
+                yield from walk(prefix + (labels[b],), key | col << shift, child, b + 1)
 
     yield from walk((), 0, [0] * m, 0)
 
@@ -248,7 +246,7 @@ def _realizers(pts, t: NType, labels=None):
     """The t-realizers among y-sorted points pts of a valid condition, in
     lexicographic y-sequence order: the subsets whose key is t's, made of
     ``labels`` as in ``_keyed_subsets``."""
-    return map(itemgetter(0), _keyed_subsets(pts, t.n, _type_key(t), labels))
+    return (subset for subset, _ in _keyed_subsets(pts, t.n, _type_key(t), labels))
 
 
 def find_realizer(cond: FiniteCondition, t: NType):
