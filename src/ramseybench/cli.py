@@ -9,7 +9,7 @@ Output discipline: stdout carries the payload, one JSON document or its
 table flattening; diagnostics go to stderr; the exit code is 0 for a
 completed command, 1 for a domain error (bad data, refused search,
 missing label, a file that cannot be read or written), 2 for a usage
-error (argparse).  ``--out`` persists the payload, except for the
+error (argparse; an empty path option is one).  ``--out`` persists the payload, except for the
 artifact producers ``cond grow`` and ``graph build`` which persist the
 bare condition/graph document so the file can be fed back through
 ``--in``; the file is written before anything goes to stdout.  When
@@ -21,9 +21,10 @@ The exit: ``run()`` returns the result and never exits; a usage error or
 owns the process: once the payload is out it runs the ``atexit`` hooks,
 flushes stdout and stderr and leaves with ``os._exit``, so the
 interpreter does not free its modules and heap on the way out.  Usage
-errors and ``--help`` still leave through ``SystemExit``.  An action call (``argv[0]`` an area, ``argv[1]`` one of
-its actions) builds only the top level, that area and that action; any
-other argv builds the full tree.
+errors and ``--help`` still leave through ``SystemExit``.  An action
+call (``argv[0]`` an area, ``argv[1]`` one of its actions) builds only
+the top level, that area and that action; any other argv builds the
+full tree.
 
 The exact-search and richness bounds (``errors.WORK_BOUNDS``) can be set
 only through the environment variable ``NBT_WORKBENCH_LIMITS``, a JSON

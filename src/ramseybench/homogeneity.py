@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from itertools import combinations, islice, starmap
+from itertools import combinations, islice
 from math import comb, isfinite
 from operator import gt, lt
 
@@ -126,16 +126,17 @@ def _realizer_rows(coloring: Coloring, tau: NType, pts) -> list[tuple[int, objec
     """(mask, colour) per tau-realizer among the y-sorted ground points pts,
     in lexicographic y-sequence order: bit i of the mask stands for the i-th
     point of the (x, y)-sorted ground, and the colour is the rule's on the
-    realizer's y-sorted points.  The walk yields each realizer as (bit,
-    point) labels, which zip splits, so no point is hashed per row."""
+    realizer's y-sorted points.  The walk labels each point (bit, point),
+    so a realizer comes as its bits and points interleaved and no point is
+    hashed per row."""
     if tau.n != coloring.n:
         raise ValueError(
             f"pattern size {tau.n} does not match coloring arity {coloring.n}"
         )
     bit = {p: 1 << i for i, p in enumerate(sorted(coloring.ground.points))}
     rule = coloring.rule
-    return [(sum(bits), rule(combo)) for bits, combo
-            in starmap(zip, _realizers(pts, tau, [(bit[p], p) for p in pts]))]
+    return [(sum(labelled[::2]), rule(labelled[1::2]))
+            for labelled in _realizers(pts, tau, [(bit[p], p) for p in pts])]
 
 
 def _normalize_subset(subset, ground: FiniteCondition) -> tuple[Point, ...]:

@@ -213,17 +213,16 @@ def _keyed_subsets(pts, n: int, target: int | None = None, labels=None):
     """Yield (subset, key) for the n-subsets of y-sorted pts, in
     lexicographic y-sequence order; with a target key, only the subsets
     having it, skipping every prefix whose key already differs.  A subset
-    is the tuple of the entries of ``labels``, a sequence parallel to pts
-    (default pts itself), at its points' positions."""
+    is the concatenation of its points' entries in ``labels``, a sequence
+    of tuples parallel to pts (default ``(p,)`` for each point p)."""
     m = len(pts)
     if not 1 <= n <= m:
         return
     xs = [p.x for p in pts]
-    labels = pts if labels is None else labels
+    labels = [(p,) for p in pts] if labels is None else labels
 
-    def walk(prefix, key, cols, lo):
+    def walk(prefix, key, cols, lo, k):
         # cols[c - lo] is column k of the key for candidate c >= lo
-        k = len(prefix)
         shift = k * (k - 1)
         want = None if target is None else target >> shift & ((1 << 2 * k) - 1)
         for b in range(lo, m - n + k + 1):
@@ -231,15 +230,15 @@ def _keyed_subsets(pts, n: int, target: int | None = None, labels=None):
             if want is not None and col != want:
                 continue
             if k == n - 1:
-                yield prefix + (labels[b],), key | col << shift
+                yield prefix + labels[b], key | col << shift
             else:
                 p = pts[b]
                 xb, yb, up = p.x, p.y, 2 * k
                 child = [u | ((x >= xb) + (x > xb) + (x > yb)) << up
                          for u, x in zip(cols[b - lo + 1:], xs[b + 1:])]
-                yield from walk(prefix + (labels[b],), key | col << shift, child, b + 1)
+                yield from walk(prefix + labels[b], key | col << shift, child, b + 1, k + 1)
 
-    yield from walk((), 0, [0] * m, 0)
+    yield from walk((), 0, [0] * m, 0, 0)
 
 
 def _realizers(pts, t: NType, labels=None):

@@ -268,7 +268,7 @@ def test_pair_code_keys_agree_with_realized_type():
             for subset, key in by_point:
                 assert key == _type_key(realized_type(subset))
             # labelled by position, the walk yields the same subsets and keys
-            assert list(_keyed_subsets(pts, n, labels=range(len(pts)))) == [
+            assert list(_keyed_subsets(pts, n, labels=[(i,) for i in range(len(pts))])) == [
                 (tuple(pts.index(p) for p in subset), key) for subset, key in by_point]
     for n in range(1, 5):
         assert len({_type_key(t) for t in enumerate_ntypes(n)}) == count_ntypes(n)
