@@ -21,10 +21,14 @@ The exit: ``run()`` returns the result and never exits; a usage error or
 owns the process: once the payload is out it runs the ``atexit`` hooks,
 flushes stdout and stderr and leaves with ``os._exit``, so the
 interpreter does not free its modules and heap on the way out.  Usage
-errors and ``--help`` still leave through ``SystemExit``.  An action
-call (``argv[0]`` an area, ``argv[1]`` one of its actions) builds only
-the top level, that area and that action; any other argv builds the
-full tree.
+errors and ``--help`` still leave through ``SystemExit``.
+
+Reading argv: ``_read_call`` reads a plain action call (``argv[0]`` an
+area, ``argv[1]`` one of its actions, then exact flags of that action,
+each with one value that does not start with ``-`` unless it is a
+``store_true`` flag) straight from the command table, and only argv it
+cannot read builds the argparse tree, which answers help, usage errors
+and every other spelling.  ``argparse`` is imported only then.
 
 The exact-search and richness bounds (``errors.WORK_BOUNDS``) can be set
 only through the environment variable ``NBT_WORKBENCH_LIMITS``, a JSON
@@ -33,11 +37,11 @@ object such as ``{"search": 18, "rich": 14}``.
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from . import homogeneity, omegatypes, pointsets, randomgraph, setalgebra, typecalc
 from ._values import value
@@ -85,6 +89,8 @@ def _read_json(path: str):
     with open(path) as fh:
         try:
             return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from None
         except RecursionError:
             # json's decoder recurses once per nesting level
             raise ValueError(f"{path}: JSON document nested too deeply to read") from None
@@ -102,11 +108,17 @@ def _load_condition(path: str) -> pointsets.FiniteCondition:
     return pointsets.FiniteCondition(frozenset(_condition_points(path)))
 
 
-def _int_list(text: str) -> tuple[int, ...]:
+def _int_list(text: str, option: str, size: int | None = None) -> tuple[int, ...]:
+    """The integers of a comma-separated option; errors name the option."""
     text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(part) for part in text.split(","))
+    try:
+        values = tuple(int(part) for part in text.split(",")) if text else ()
+    except ValueError as exc:
+        raise ValueError(f"{option}: {exc}") from None
+    if size is not None and len(values) != size:
+        raise ValueError(f"{option}: expected {size} comma-separated integers, "
+                         f"got {len(values)}")
+    return values
 
 
 def _points_json(points) -> list:
@@ -345,7 +357,7 @@ def _cmd_graph_check(args, limits):
 
 def _cmd_graph_rich(args, limits):
     g = randomgraph.graph_from_json(_read_json(args.infile))
-    vertices = _int_list(args.vertices)
+    vertices = _int_list(args.vertices, "--vertices")
     rich = randomgraph.check_rich(vertices, g, k=args.k, bound=limits.get("rich"))
     return {"vertices": sorted(set(vertices)), "k": args.k, "rich": rich}, [], None
 
@@ -434,25 +446,25 @@ def _cmd_omega_validate(args, limits):
 
 
 def _cmd_omega_phi(args, limits):
-    cond = omegatypes.phi_prefix(_load_prefix(args), _int_list(args.z))
+    cond = omegatypes.phi_prefix(_load_prefix(args), _int_list(args.z, "--z"))
     return {"points": pointsets.condition_to_json(cond)}, [], None
 
 
 def _cmd_omega_assignd(args, limits):
-    label = omegatypes.assign_D(_load_prefix(args), _int_list(args.s))
+    label = omegatypes.assign_D(_load_prefix(args), _int_list(args.s, "--s"))
     return {"label": label}, [], None
 
 
 def _cmd_omega_zchain(args, limits):
     prefix = _load_prefix(args)
     za = omegatypes.zassignment_from_json(_read_json(args.za))
-    report = omegatypes.zchain_check(prefix, _int_list(args.z), za)
+    report = omegatypes.zchain_check(prefix, _int_list(args.z, "--z"), za)
     return {"ok": report.ok, "failed_at": report.failed_at}, [], None
 
 
 def _cmd_omega_hmember(args, limits):
     za = omegatypes.zassignment_from_json(_read_json(args.za))
-    x, y = _int_list(args.point)
+    x, y = _int_list(args.point, "--point", size=2)
     member = omegatypes.h_set_member(pointsets.Point(x, y), za)
     return {"member": member}, [], None
 
@@ -469,6 +481,7 @@ def _arg(*flags, **kwargs):
 def _path(text: str) -> str:
     """The ``type`` of every path option: an empty path is a usage error."""
     if not text:
+        import argparse
         raise argparse.ArgumentTypeError("expected a path, got an empty string")
     return text
 
@@ -611,33 +624,108 @@ _AREAS = {
 }
 
 
-def _names(argv) -> tuple:
-    """``(area, action)`` when argv[0] is an area and argv[1] one of its
-    actions, else ``(None, None)``.  The top level takes no option with a
-    value, so such a call reaches that action's parser and no other parser
-    can answer it, not even with help or an error."""
-    if len(argv) > 1 and argv[0] in _AREAS:
-        if any(row[0] == argv[1] for row in _AREAS[argv[0]][1]):
-            return argv[0], argv[1]
-    return None, None
+class _Row:
+    """Records what an action's table row adds, as ``_read_call`` needs it:
+    each ``add_argument`` call and the ``set_defaults`` keys."""
+
+    def __init__(self):
+        self.arguments = []
+        self.defaults = {}
+
+    def add_argument(self, *flags, **kwargs):
+        self.arguments.append((flags, kwargs))
+
+    def set_defaults(self, **kwargs):
+        self.defaults.update(kwargs)
 
 
-def build_parser(area=None, action=None) -> argparse.ArgumentParser:
-    """The command parser: the full tree, or with ``action`` only the top
-    level, ``area`` and that one action."""
+# The add_argument keywords _read_call reads; a row with any other keyword
+# (nargs, const, an action other than store_true, ...) goes to argparse.
+_READ_KEYWORDS = frozenset(("dest", "metavar", "help", "type", "choices", "default",
+                            "required", "action"))
+
+
+def _lacks_in(args) -> bool:
+    return getattr(args, "_in_required", False) and not getattr(args, "infile", None)
+
+
+def _read_call(argv):
+    """The namespace the argparse tree gives a plain action call, or None.
+
+    A plain call is an area, one of its actions, then exact flags of that
+    action: a ``store_true`` flag alone, any other with one value that does
+    not start with ``-``; of repeated flags the last wins.  Values pass the
+    option's own ``type`` and ``choices``, every required option is given
+    and a required ``--in`` is present.  For any other argv, help and every
+    usage error included, the answer is None and the tree answers."""
+    if len(argv) < 2 or argv[0] not in _AREAS:
+        return None
+    for action, _, handler, arguments in _AREAS[argv[0]][1]:
+        if action == argv[1]:
+            break
+    else:
+        return None
+    row = _Row()
+    for add in (*arguments, *_COMMON):
+        add(row)
+    row.set_defaults(func=handler)
+
+    values = {"area": argv[0], "action": argv[1]}
+    options, required = {}, set()
+    for flags, kwargs in row.arguments:
+        switch = "action" in kwargs
+        if (not kwargs.keys() <= _READ_KEYWORDS
+                or switch and kwargs["action"] != "store_true"
+                or not all(flag.startswith("--") for flag in flags)
+                or isinstance(kwargs.get("default"), str) and "type" in kwargs):
+            return None
+        dest = kwargs.get("dest")
+        if dest is None:
+            dest = flags[0].lstrip("-").replace("-", "_")
+        options.update(dict.fromkeys(flags, (flags, dest, switch, kwargs)))
+        if kwargs.get("required"):
+            required.add(flags)
+        values.setdefault(dest, kwargs.get("default", False if switch else None))
+    if row.defaults.keys() & values.keys():
+        return None
+
+    tokens = iter(argv[2:])
+    for flag in tokens:
+        if flag not in options:
+            return None
+        flags, dest, switch, kwargs = options[flag]
+        required.discard(flags)
+        if switch:
+            values[dest] = True
+            continue
+        text = next(tokens, None)
+        if text is None or text.startswith("-"):
+            return None
+        try:
+            value = (kwargs.get("type") or str)(text)
+        except Exception:
+            # the tree calls the same type: argparse makes the error a usage
+            # error, or lets it out
+            return None
+        if kwargs.get("choices") is not None and value not in kwargs["choices"]:
+            return None
+        values[dest] = value
+    args = SimpleNamespace(**values, **row.defaults)
+    return None if required or _lacks_in(args) else args
+
+
+def build_parser():
+    """The full argparse command tree."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="ramseybench",
         description="workbench for finite pattern combinatorics on the plane",
     )
     areas = parser.add_subparsers(dest="area", required=True, metavar="AREA")
     for name, (hlp, actions) in _AREAS.items():
-        if action is not None and name != area:
-            continue
         sub = areas.add_parser(name, help=hlp)
         subs = sub.add_subparsers(dest="action", required=True, metavar="ACTION")
         for act, act_hlp, handler, arguments in actions:
-            if action is not None and act != action:
-                continue
             p = subs.add_parser(act, help=act_hlp)
             for add in (*arguments, *_COMMON):
                 add(p)
@@ -649,11 +737,12 @@ def run(argv, stdout=None, stderr=None) -> CommandResult:
     """Parse, dispatch, print.  Raises SystemExit(2) on usage errors."""
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = build_parser(*_names(argv))
-    args = parser.parse_args(argv)
-
-    if getattr(args, "_in_required", False) and not getattr(args, "infile", None):
-        parser.error(f"{args.area} {args.action}: --in is required")
+    args = _read_call(argv)
+    if args is None:
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if _lacks_in(args):
+            parser.error(f"{args.area} {args.action}: --in is required")
 
     try:
         limits = _limits()

@@ -10,6 +10,7 @@ import argparse
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -1055,6 +1056,45 @@ def test_malformed_documents_name_their_path(files, action, option, doc, start):
     assert payload["error"].startswith(f"{bad}: " if start is FILE else start)
 
 
+@pytest.mark.parametrize("option", ["--in", "--u", "--seq"])
+def test_a_file_that_is_not_json_is_named_in_the_error(files, option):
+    bad = files["dir"] / "not-json.json"
+    bad.write_text("[1,\n")
+    result, out, err = invoke(_reader_argv(files, "sets sum", option, bad))
+    assert result.exit_code == 1 and out == ""
+    payload = payload_of(err)
+    conforms("error", payload)
+    assert payload == {"error": f"{bad}: Expecting value: line 2 column 1 (char 4)",
+                       "kind": "JSONDecodeError"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["omega", "hmember", "--za", "za", "--point", "1"],
+     "--point: expected 2 comma-separated integers, got 1"),
+    (["omega", "hmember", "--za", "za", "--point", "1,2,3"],
+     "--point: expected 2 comma-separated integers, got 3"),
+    (["omega", "hmember", "--za", "za", "--point", "1,x"],
+     "--point: invalid literal for int() with base 10: 'x'"),
+    (["omega", "phi", "--in", "prefix", "--z", "0,,2"],
+     "--z: invalid literal for int() with base 10: ''"),
+    (["omega", "zchain", "--in", "prefix", "--za", "za", "--z", "a"],
+     "--z: invalid literal for int() with base 10: 'a'"),
+    (["omega", "assignd", "--in", "prefix", "--s", "7,y"],
+     "--s: invalid literal for int() with base 10: 'y'"),
+    (["graph", "rich", "--in", "graph.json", "--vertices", "0;1"],
+     "--vertices: invalid literal for int() with base 10: '0;1'"),
+], ids=lambda v: " ".join(v[:2] + v[-2:]) if isinstance(v, list) else None)
+def test_a_bad_comma_list_names_its_option(files, argv, message):
+    graph = files["dir"] / "graph.json"
+    graph.write_text(json.dumps({"vertices": 2, "edges": [[0, 1]]}))
+    argv = [str(graph) if arg == "graph.json" else str(files.get(arg, arg)) for arg in argv]
+    result, out, err = invoke(argv)
+    assert result.exit_code == 1 and out == ""
+    payload = payload_of(err)
+    conforms("error", payload)
+    assert payload == {"error": message, "kind": "ValueError"}
+
+
 READER_JUNK = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 12) | st.floats(allow_nan=False)
     | st.text(max_size=3) | st.sampled_from(["union", "intersection", "complement"]),
@@ -1218,19 +1258,12 @@ def in_process(argv):
 
 # ------------------------------------------------------------------ parser
 
-class _Options:
-    """Reads the options an action's table row adds: the required ones and
-    ``--in``."""
-
-    def __init__(self):
-        self.flags = []
-
-    def add_argument(self, *flags, **kwargs):
-        if kwargs.get("required") or flags[0] == "--in":
-            self.flags.append(flags[0])
-
-    def set_defaults(self, **kwargs):
-        pass
+def table_row(arguments):
+    """What an action's table row adds, recorded as ``cli._read_call`` sees it."""
+    row = cli._Row()
+    for add in arguments:
+        add(row)
+    return row
 
 
 VALUES = {"--n": "1", "--type": "x1<y1", "--palette": "2", "--k": "1", "--m": "1",
@@ -1240,18 +1273,16 @@ VALUES = {"--n": "1", "--type": "x1<y1", "--palette": "2", "--k": "1", "--m": "1
 def action_argv(area, action, arguments):
     """A call of the action with every required option and ``--in`` given;
     files are missing, so most calls stop at their first read."""
-    options = _Options()
-    for add in arguments:
-        add(options)
     argv = [area, action]
-    for flag in options.flags:
-        argv += [flag, VALUES.get(flag, "/nonexistent/input.json")]
+    for flags, kwargs in table_row(arguments).arguments:
+        if kwargs.get("required") or flags[0] == "--in":
+            argv += [flags[0], VALUES.get(flags[0], NO_FILE)]
     return argv
 
 
-ACTION_CALLS = [action_argv(area, action, arguments)
-                for area, (_, actions) in cli._AREAS.items()
-                for action, _, _, arguments in actions]
+ACTIONS = [(area, action, arguments) for area, (_, actions) in cli._AREAS.items()
+           for action, _, _, arguments in actions]
+ACTION_CALLS = [action_argv(*row) for row in ACTIONS]
 EDGE_CALLS = [
     [], ["--help"], ["-h", "sets"], ["types"], ["homog", "--help"], ["homog", "-h", "search"],
     ["homog", "search", "--help"], ["types", "count", "--n", "1", "-h"],
@@ -1264,38 +1295,122 @@ EDGE_CALLS = [
     ["nope"], ["nope", "count"], ["homog", "nope"], ["homog", "nope", "--help"],
 ]
 
+# Tokens for drawn calls: each action's own flags (with --format and --out),
+# values that some options take and others refuse, and tokens only argparse
+# reads or refuses: '=' spellings, abbreviations, '--', help, a stray
+# positional and flags of other actions.
+OWN_FLAGS = {(area, action): [flag for flags, _ in
+                              table_row((*arguments, *cli._COMMON)).arguments
+                              for flag in flags]
+             for area, action, arguments in ACTIONS}
+ALL_FLAGS = sorted({flag for flags in OWN_FLAGS.values() for flag in flags})
+OPTION_VALUES = sorted({*VALUES.values(), "0", "2", "1,x", "json", "table", "exact",
+                        "greedy", "decreasing", NO_FILE, "", "-1", "x"})
+HOSTILE = ["", "-1", "--", "--n=3", "--format=table", "--cov", "--form", "--in", "-h",
+           "--help", "stray"]
+
+
+def foreign_flags(call):
+    return [flag for flag in ALL_FLAGS if flag not in OWN_FLAGS[tuple(call)]]
+
+
+def drawn_call(rng, base):
+    """``base`` with its option pairs, some dropped, shuffled among up to
+    four drawn items: an own flag with a value, an own flag alone, a
+    hostile token or another action's flag."""
+    own = OWN_FLAGS[tuple(base[:2])]
+    items = [base[i:i + 2] for i in range(2, len(base), 2)]
+    for _ in range(rng.randrange(5)):
+        pick = rng.random()
+        if pick < 0.6:
+            items.append([rng.choice(own), rng.choice(OPTION_VALUES)])
+        elif pick < 0.75:
+            items.append([rng.choice(own)])
+        elif pick < 0.95:
+            items.append([rng.choice(HOSTILE)])
+        else:
+            items.append([rng.choice(foreign_flags(base[:2]))])
+    if rng.random() < 0.2:
+        del items[:rng.randrange(len(items) + 1)]
+    rng.shuffle(items)
+    return base[:2] + [token for item in items for token in item]
+
+
+FULL_TREE = cli.build_parser()
+
+
+def tree_reads(argv):
+    """``vars()`` of the full argparse tree's namespace for argv, or None
+    where argparse exits, ``run()``'s required ``--in`` check included."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            args = FULL_TREE.parse_args(argv)
+        except SystemExit:
+            return None
+    return None if cli._lacks_in(args) else vars(args)
+
+
+def read_as_the_tree_reads(argv):
+    """Whether ``_read_call`` read argv; what it reads, the tree reads the same."""
+    read = cli._read_call(argv)
+    assert read is None or vars(read) == tree_reads(argv), argv
+    return read is not None
+
+
+def test_the_reader_reads_every_action_call_as_the_tree_does():
+    assert all(read_as_the_tree_reads(argv) for argv in ACTION_CALLS)
+    assert not any(read_as_the_tree_reads(argv) for argv in EDGE_CALLS)
+    rng = random.Random(19)
+    read = [read_as_the_tree_reads(drawn_call(rng, base))
+            for base in ACTION_CALLS for _ in range(80)]
+    # both sides of the split are drawn often
+    assert sum(read) > 100 and read.count(False) > 100
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.sampled_from(ACTION_CALLS), st.randoms(use_true_random=False))
+def test_the_reader_reads_drawn_calls_as_the_tree_does(base, rng):
+    read_as_the_tree_reads(drawn_call(rng, base))
+
 
 def answer(argv, monkeypatch, full=False):
-    """Exit code, stdout, stderr and parsed Namespace of ``cli.run(argv)``
-    with the parser built for argv, or with the full tree; and how many
-    ``ArgumentParser``s were built."""
-    build, built, parsed = cli.build_parser, [], []
+    """Exit code, stdout and stderr of ``cli.run(argv)`` and the namespace its
+    handler got, read by ``_read_call`` or, with ``full``, by the argparse
+    tree; and how many ``ArgumentParser``s were built."""
+    read, built, parsed = cli._read_call, [], []
     init, parse = argparse.ArgumentParser.__init__, argparse.ArgumentParser.parse_args
+
+    def reader(argv):
+        args = None if full else read(argv)
+        if args is not None:
+            parsed.append(vars(args))
+        return args
 
     def counted(self, *args, **kwargs):
         built.append(self)
         init(self, *args, **kwargs)
 
     def recorded(self, *args, **kwargs):
-        parsed.append(parse(self, *args, **kwargs))
-        return parsed[-1]
+        args = parse(self, *args, **kwargs)
+        parsed.append(vars(args))
+        return args
 
     with monkeypatch.context() as patch:
+        patch.setattr(cli, "_read_call", reader)
         patch.setattr(argparse.ArgumentParser, "__init__", counted)
         patch.setattr(argparse.ArgumentParser, "parse_args", recorded)
-        if full:
-            patch.setattr(cli, "build_parser", lambda *names: build())
         return (*in_process(argv), parsed), len(built)
 
 
 @pytest.mark.parametrize("argv", ACTION_CALLS + EDGE_CALLS,
                          ids=lambda argv: " ".join(argv) or "(none)")
 def test_the_parser_built_for_a_call_answers_as_the_full_tree(argv, monkeypatch):
+    # an action call is read from the table and builds no parser; the rest
+    # build the full tree
     monkeypatch.setenv("COLUMNS", "80")
     got, parsers = answer(argv, monkeypatch)
     assert got == answer(argv, monkeypatch, full=True)[0]
-    if argv in ACTION_CALLS:
-        assert parsers == 3
+    assert (parsers == 0) == (argv in ACTION_CALLS)
 
 
 # ------------------------------------------------------------------ console entry

@@ -20,10 +20,11 @@ calls whose colour majority ties pin the order of the realizer table.
 ``data/usage_goldens.json`` pins exit code, stdout and stderr of the
 parser's own answers as the full parser tree gave them: ``--help`` at the
 top, per area and per action, unknown areas and actions, and missing or
-bad options.  Help text is laid out for 80 columns.  A call now builds
-only the parsers its argv needs, so every entry still pins the full
-tree's answer; a subset is also replayed through the console entry in a
-subprocess, where the parser choice and the exit path meet users.
+bad options.  Help text is laid out for 80 columns.  Every entry is an
+answer of the full argparse tree, which ``cli.run`` builds for any argv
+its table reader does not read; a subset is also replayed through the
+console entry in a subprocess, where that split and the exit path meet
+users.
 
 The condition and graph goldens are also replayed on every other
 interpreter the package supports that is on ``PATH``; the usage goldens

@@ -3,7 +3,9 @@ collector policy.
 
 ``import ramseybench`` registers the six area modules without running
 their bodies; a CLI call then runs only the bodies its area needs, and
-loads none of the stdlib modules in ``SLOW_STDLIB``.  Each case starts a
+loads none of the stdlib modules in ``SLOW_STDLIB``: a plain action call
+is read from the command table, and only help and usage errors load
+argparse.  Each case starts a
 fresh interpreter so no earlier import hides a load.  ``cli.run`` leaves
 the collector as it finds it.
 """
@@ -28,10 +30,12 @@ PUBLIC_NAMES = json.loads((DATA / "public_names.json").read_text())
 LAYERS = ("typecalc", "pointsets", "homogeneity", "randomgraph", "setalgebra", "omegatypes")
 # Start-up cost no call needs: dataclasses, and the inspect, ast, dis and
 # tokenize it imports, cost 8-11 ms, and only --csv calls read CSV.
-SLOW_STDLIB = ("dataclasses", "inspect", "ast", "dis", "tokenize", "csv")
+# argparse with its gettext and locale costs about 2.4 ms of a call.
+SLOW_STDLIB = ("dataclasses", "inspect", "ast", "dis", "tokenize", "csv",
+               "argparse", "gettext", "locale")
 
 PROBE = """
-import io, json, sys, types
+import contextlib, io, json, sys, types
 import ramseybench.cli as cli
 
 def state():
@@ -39,8 +43,12 @@ def state():
     return {n: None if m is None else type(m) is types.ModuleType for n, m in mods.items()}
 
 before = state()
-result = cli.run(json.loads(sys.argv[1]), stdout=io.StringIO(), stderr=io.StringIO())
-print(json.dumps({"before": before, "after": state(), "exit": result.exit_code,
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        code = cli.run(json.loads(sys.argv[1])).exit_code
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps({"before": before, "after": state(), "exit": code,
                   "stdlib": [n for n in %r if n in sys.modules]}))
 """ % (LAYERS, SLOW_STDLIB)
 
@@ -74,6 +82,7 @@ def test_public_names_still_resolve():
      {"randomgraph", "homogeneity", "pointsets", "typecalc"}),
     (["omega", "validate"], {"classes": [{"x": [1, 2]}, {"y": 1}, {"y": 2}]},
      {"omegatypes", "setalgebra", "pointsets", "typecalc"}),
+    (["cond", "check"], [[0, 1], [2, 3]], {"pointsets", "typecalc"}),
 ])
 def test_a_call_loads_only_its_area(argv, doc, loaded, tmp_path):
     if doc is not None:
@@ -85,6 +94,16 @@ def test_a_call_loads_only_its_area(argv, doc, loaded, tmp_path):
     assert seen["before"] == dict.fromkeys(LAYERS, False)
     assert {n for n, done in seen["after"].items() if done} == loaded
     assert seen["stdlib"] == []
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0), (["types", "count", "--n", "1", "-h"], 0), (["types", "count"], 2),
+    (["types", "count", "--n=1"], 0),
+], ids=["help", "action-help", "usage-error", "other-spelling"])
+def test_help_and_usage_errors_load_argparse(argv, code):
+    seen = loads_after(argv)
+    assert seen["exit"] == code
+    assert {"argparse", "gettext"} <= set(seen["stdlib"])
 
 
 @pytest.mark.parametrize("argv, code", [
