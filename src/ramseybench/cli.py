@@ -356,8 +356,8 @@ def _cmd_graph_check(args, limits):
 
 
 def _cmd_graph_rich(args, limits):
-    g = randomgraph.graph_from_json(_read_json(args.infile))
     vertices = _int_list(args.vertices, "--vertices")
+    g = randomgraph.graph_from_json(_read_json(args.infile))
     rich = randomgraph.check_rich(vertices, g, k=args.k, bound=limits.get("rich"))
     return {"vertices": sorted(set(vertices)), "k": args.k, "rich": rich}, [], None
 
@@ -446,25 +446,28 @@ def _cmd_omega_validate(args, limits):
 
 
 def _cmd_omega_phi(args, limits):
-    cond = omegatypes.phi_prefix(_load_prefix(args), _int_list(args.z, "--z"))
+    z = _int_list(args.z, "--z")
+    cond = omegatypes.phi_prefix(_load_prefix(args), z)
     return {"points": pointsets.condition_to_json(cond)}, [], None
 
 
 def _cmd_omega_assignd(args, limits):
-    label = omegatypes.assign_D(_load_prefix(args), _int_list(args.s, "--s"))
+    s = _int_list(args.s, "--s")
+    label = omegatypes.assign_D(_load_prefix(args), s)
     return {"label": label}, [], None
 
 
 def _cmd_omega_zchain(args, limits):
+    z = _int_list(args.z, "--z")
     prefix = _load_prefix(args)
     za = omegatypes.zassignment_from_json(_read_json(args.za))
-    report = omegatypes.zchain_check(prefix, _int_list(args.z, "--z"), za)
+    report = omegatypes.zchain_check(prefix, z, za)
     return {"ok": report.ok, "failed_at": report.failed_at}, [], None
 
 
 def _cmd_omega_hmember(args, limits):
-    za = omegatypes.zassignment_from_json(_read_json(args.za))
     x, y = _int_list(args.point, "--point", size=2)
+    za = omegatypes.zassignment_from_json(_read_json(args.za))
     member = omegatypes.h_set_member(pointsets.Point(x, y), za)
     return {"member": member}, [], None
 

@@ -303,8 +303,6 @@ def check_extension_property(g: Graph, k: int, m: int) -> list[Configuration]:
 
 
 def _internally_extends(rows, inner: tuple[int, ...], k: int) -> bool:
-    if not inner:
-        return False
     pool = sum(1 << v for v in inner)
     for count in range(0, k + 1):
         for params in permutations(inner, count):
@@ -318,6 +316,8 @@ def check_rich(subset, g: Graph, k: int = 1, bound: int | None = None) -> bool:
     """Does some subset of ``subset`` satisfy the k-extension property with
     all witnesses inside itself?  Exhaustive; refuses sets above ``bound``
     (None: the "vertices" work bound)."""
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     vertices = tuple(sorted(set(subset)))
     for v in vertices:
         if not 0 <= v < g.vertex_count:

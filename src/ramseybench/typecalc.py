@@ -69,19 +69,6 @@ def _expected_symbols(n: int) -> frozenset[Symbol]:
     )
 
 
-def _order_violations(n: int, before) -> list[str]:
-    """The breaks of "the y's increase strictly" and "each xi sits strictly
-    before yi" under the strict order ``before(a, b)``."""
-    violations = []
-    for i in range(1, n):
-        if not before(Symbol("y", i), Symbol("y", i + 1)):
-            violations.append(f"y symbols must increase strictly: y{i} vs y{i + 1}")
-    for i in range(1, n + 1):
-        if not before(Symbol("x", i), Symbol("y", i)):
-            violations.append(f"x{i} must sit strictly before y{i}")
-    return violations
-
-
 def _class_problems(n: int, classes) -> tuple[list[str], list[str]]:
     """Check a candidate class sequence.  Returns (malformed, violations)."""
     malformed: list[str] = []
@@ -119,7 +106,12 @@ def _class_problems(n: int, classes) -> tuple[list[str], list[str]]:
                 "equivalent symbols must both be x's: "
                 + "=".join(map(str, sorted(cls)))
             )
-    violations += _order_violations(n, lambda a, b: position[a] < position[b])
+    for i in range(1, n):
+        if position[Symbol("y", i)] >= position[Symbol("y", i + 1)]:
+            violations.append(f"y symbols must increase strictly: y{i} vs y{i + 1}")
+    for i in range(1, n + 1):
+        if position[Symbol("x", i)] >= position[Symbol("y", i)]:
+            violations.append(f"x{i} must sit strictly before y{i}")
     return [], violations
 
 
@@ -192,14 +184,24 @@ def validate_ntype(n: int, relation) -> TypeValidation:
     """Check a binary relation (pairs (a, b) meaning a <= b) against the clauses.
 
     Malformed input (wrong symbol population) is reported separately from
-    clause violations; in the malformed case no clause is judged.
+    clause violations; in the malformed case no clause is judged.  Breaks
+    of the pre-order (reflexive, total, transitive) come next, and the
+    pattern clauses are judged, by ``_class_problems``, only on a total
+    pre-order, whose classes name each tie that holds a y once.
     """
+    return _relation_classes(n, relation)[0]
+
+
+def _relation_classes(n: int, relation) -> tuple[TypeValidation, tuple]:
+    """``validate_ntype``'s report and, when the relation is a total
+    pre-order, its classes least first, each ranked by the number of
+    symbols strictly below it (else no classes)."""
     if n < 1:
-        return TypeValidation(False, ("n must be >= 1",), ())
+        return TypeValidation(False, ("n must be >= 1",), ()), ()
     try:
         pairs = _as_pair_set(relation)
     except (ValueError, TypeError) as exc:
-        return TypeValidation(False, (str(exc),), ())
+        return TypeValidation(False, (str(exc),), ()), ()
 
     mentioned = {s for p in pairs for s in p}
     expected = _expected_symbols(n)
@@ -214,7 +216,7 @@ def validate_ntype(n: int, relation) -> TypeValidation:
             + ", ".join(map(str, sorted(missing)))
         )
     if malformed:
-        return TypeValidation(False, tuple(malformed), ())
+        return TypeValidation(False, tuple(malformed), ()), ()
 
     syms = sorted(expected)
     violations = []
@@ -230,34 +232,26 @@ def validate_ntype(n: int, relation) -> TypeValidation:
             if (b, c) in pairs and (a, c) not in pairs:
                 violations.append(f"not transitive: {a}<={b}<={c} but not {a}<={c}")
                 break
-    for a in syms:
-        for b in syms:
-            if a < b and (a, b) in pairs and (b, a) in pairs:
-                if a.kind == "y" or b.kind == "y":
-                    violations.append(
-                        f"equivalent symbols must both be x's: {a}={b}"
-                    )
-    violations += _order_violations(
-        n, lambda a, b: (a, b) in pairs and (b, a) not in pairs)
-    return TypeValidation(not violations, (), tuple(violations))
+    if violations:
+        return TypeValidation(False, (), tuple(violations)), ()
+
+    ranked: dict[int, set[Symbol]] = {}
+    for s in syms:
+        below = sum(1 for t in syms if (t, s) in pairs and (s, t) not in pairs)
+        ranked.setdefault(below, set()).add(s)
+    classes = tuple(frozenset(ranked[k]) for k in sorted(ranked))
+    _, violations = _class_problems(n, classes)
+    return TypeValidation(not violations, (), tuple(violations)), classes
 
 
 def ntype_from_relation(n: int, relation) -> NType:
     """Build the canonical NType from a valid pre-order relation."""
-    report = validate_ntype(n, relation)
+    report, classes = _relation_classes(n, relation)
     if not report.ok:
         raise ValueError(
             "invalid pattern: " + "; ".join(report.malformed + report.violations)
         )
-    pairs = _as_pair_set(relation)
-    syms = sorted(_expected_symbols(n))
-    below = {s: sum(1 for t in syms if (t, s) in pairs and (s, t) not in pairs)
-             for s in syms}
-    classes: dict[int, set[Symbol]] = {}
-    for s in syms:
-        classes.setdefault(below[s], set()).add(s)
-    ordered = tuple(frozenset(classes[k]) for k in sorted(classes))
-    return NType(n, ordered)
+    return NType._trusted(n, classes)
 
 
 def _check_n(n: int):

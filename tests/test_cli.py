@@ -1095,6 +1095,40 @@ def test_a_bad_comma_list_names_its_option(files, argv, message):
     assert payload == {"error": message, "kind": "ValueError"}
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["graph", "rich", "--in", "nope.json", "--vertices", "0;1"],
+     "--vertices: invalid literal for int() with base 10: '0;1'"),
+    (["omega", "phi", "--in", "nope.json", "--z", "1,x"],
+     "--z: invalid literal for int() with base 10: 'x'"),
+    (["omega", "zchain", "--in", "nope.json", "--z", "1,x", "--za", "za"],
+     "--z: invalid literal for int() with base 10: 'x'"),
+    (["omega", "hmember", "--za", "nope.json", "--point", "1"],
+     "--point: expected 2 comma-separated integers, got 1"),
+    (["omega", "assignd", "--in", "nope.json", "--s", "1,x"],
+     "--s: invalid literal for int() with base 10: 'x'"),
+], ids=lambda v: " ".join(v[:2]) if isinstance(v, list) else None)
+def test_a_bad_comma_list_is_named_before_any_file_is_read(files, argv, message):
+    missing = files["dir"] / "nope.json"
+    assert not missing.exists()
+    argv = [str(missing) if arg == "nope.json" else str(files.get(arg, arg)) for arg in argv]
+    result, out, err = invoke(argv)
+    assert result.exit_code == 1 and out == ""
+    payload = payload_of(err)
+    conforms("error", payload)
+    assert payload == {"error": message, "kind": "ValueError"}
+
+
+@pytest.mark.parametrize("action, extra", [("check", ["--m", "1"]), ("rich", ["--vertices", "0"])])
+def test_graph_check_and_rich_refuse_a_negative_k_alike(files, action, extra):
+    gpath = files["dir"] / "negative-k.json"
+    gpath.write_text(json.dumps({"vertices": 2, "edges": [[0, 1]]}))
+    result, out, err = invoke(["graph", action, "--in", str(gpath), "--k", "-1", *extra])
+    assert result.exit_code == 1 and out == ""
+    payload = payload_of(err)
+    conforms("error", payload)
+    assert payload == {"error": "k must be >= 0, got -1", "kind": "ValueError"}
+
+
 READER_JUNK = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 12) | st.floats(allow_nan=False)
     | st.text(max_size=3) | st.sampled_from(["union", "intersection", "complement"]),

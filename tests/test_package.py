@@ -11,6 +11,7 @@ the collector as it finds it.
 """
 
 import gc
+import inspect
 import io
 import json
 import re
@@ -128,6 +129,18 @@ def test_only_errors_raises_limit_errors():
     src = REPO / "src" / "ramseybench"
     raising = {path.name for path in src.glob("*.py") if "LimitError(" in path.read_text()}
     assert raising == {"errors.py"}
+
+
+def test_pattern_clauses_are_stated_once():
+    # classes and relations are both judged by typecalc._class_problems
+    from ramseybench.typecalc import _class_problems
+    src = REPO / "src" / "ramseybench"
+    texts = [path.read_text() for path in src.glob("*.py")]
+    body = inspect.getsource(_class_problems)
+    for clause in ("equivalent symbols must both be x's", "y symbols must increase strictly",
+                   "must sit strictly before"):
+        assert sum(text.count(clause) for text in texts) == 1, clause
+        assert clause in body, clause
 
 
 def test_only_pointsets_knows_the_key_format():

@@ -128,6 +128,13 @@ def test_check_rich_examples():
         check_rich([99], g, k=1)
 
 
+def test_check_rich_refuses_a_negative_k_before_any_work():
+    # as check_extension_property does; the set is too large for the
+    # bound and names no vertex, yet the k is named first
+    with pytest.raises(ValueError, match=r"^k must be >= 0, got -1$"):
+        check_rich(range(100, 200), Graph(1, frozenset()), k=-1)
+
+
 def test_graph_json_round_trip():
     g = build_random_graph(12)
     assert graph_from_json(graph_to_json(g)) == g

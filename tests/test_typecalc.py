@@ -10,6 +10,7 @@ from ramseybench.typecalc import (
     MAX_N,
     NType,
     Symbol,
+    TypeValidation,
     append_extension,
     count_ntypes,
     enumerate_ntypes,
@@ -177,6 +178,61 @@ def test_validate_flags_each_clause():
     # wrong symbol population is malformed, not a violation
     report = validate_ntype(2, {("x1", "x1")})
     assert not report.ok and report.malformed and not report.violations
+
+
+def _total_preorders(n):
+    """Every total pre-order of the 2n symbols as (list form, relation),
+    one per rank vector of a weak order on them."""
+    syms = sorted(Symbol(kind, i) for kind in "xy" for i in range(1, n + 1))
+    for ranks in rank_vectors_filter(2 * n):
+        levels = [sorted(s for s, r in zip(syms, ranks) if r == level)
+                  for level in range(max(ranks) + 1)]
+        form = "<".join("=".join(map(str, level)) for level in levels)
+        yield form, {(str(a), str(b)) for a, ra in zip(syms, ranks)
+                     for b, rb in zip(syms, ranks) if ra <= rb}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_relation_route_on_every_total_preorder(n):
+    # a total pre-order is an n-pattern exactly when its list form is
+    # enumerated, and then the relation builds that very pattern
+    patterns = set(_list_forms(n))
+    seen = 0
+    for form, relation in _total_preorders(n):
+        seen += 1
+        report = validate_ntype(n, relation)
+        assert report.ok == (form in patterns), form
+        assert not report.malformed
+        if report.ok:
+            assert list_form(ntype_from_relation(n, relation)) == form
+        else:
+            with pytest.raises(ValueError):
+                ntype_from_relation(n, relation)
+    assert seen == {1: 3, 2: 75, 3: 4683}[n]
+
+
+@pytest.mark.parametrize("ranks, dropped, violation", [
+    ({"x1": 0, "x2": 0, "y1": 1, "y2": 2}, ("y2", "y2"), "not reflexive at y2"),
+    ({"x1": 0, "x2": 0, "y1": 1, "y2": 2}, ("y1", "y2"), "not total: y1 vs y2 incomparable"),
+    ({"x1": 0, "x2": 1, "y1": 1, "y2": 1}, ("y1", "x2"),
+     "not transitive: y1<=y2<=x2 but not y1<=x2"),
+])
+def test_each_preorder_break_is_reported_alone(ranks, dropped, violation):
+    # a relation that is no total pre-order gets its pre-order breaks and
+    # no pattern clause, not even the tie of y's the third one holds
+    relation = {(a, b) for a in ranks for b in ranks if ranks[a] <= ranks[b]}
+    relation.discard(dropped)
+    report = validate_ntype(2, relation)
+    assert report == TypeValidation(False, (), (violation,))
+
+
+def test_a_tie_holding_a_y_is_named_once_per_class():
+    syms = ["x1", "x2", "y1", "y2"]
+    report = validate_ntype(2, {(a, b) for a in syms for b in syms})
+    assert report.violations == ("equivalent symbols must both be x's: x1=x2=y1=y2",
+                                 "y symbols must increase strictly: y1 vs y2",
+                                 "x1 must sit strictly before y1",
+                                 "x2 must sit strictly before y2")
 
 
 def test_ntype_constructor_rejects_garbage():
