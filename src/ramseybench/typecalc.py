@@ -185,9 +185,10 @@ def validate_ntype(n: int, relation) -> TypeValidation:
 
     Malformed input (wrong symbol population) is reported separately from
     clause violations; in the malformed case no clause is judged.  Breaks
-    of the pre-order (reflexive, total, transitive) come next, and the
-    pattern clauses are judged, by ``_class_problems``, only on a total
-    pre-order, whose classes name each tie that holds a y once.
+    of the pre-order (reflexive, total, transitive) come next.  Only a
+    total pre-order is read into its classes and judged against the
+    clauses by ``_class_problems``, so a tie that holds a y is named once
+    per class.
     """
     return _relation_classes(n, relation)[0]
 
