@@ -30,6 +30,12 @@ each with one value that does not start with ``-`` unless it is a
 cannot read builds the argparse tree, which answers help, usage errors
 and every other spelling.  ``argparse`` is imported only then.
 
+JSON in and out: input files are read as UTF-8 (RFC 8259), whatever the
+locale, and every document is read and written through ``_jsonio``, on
+the C module ``_json``, byte for byte as ``json`` would.  Only a call
+that fails to read a document imports the ``json`` package, for the
+error it raises.
+
 The exact-search and richness bounds (``errors.WORK_BOUNDS``) can be set
 only through the environment variable ``NBT_WORKBENCH_LIMITS``, a JSON
 object such as ``{"search": 18, "rich": 14}``.
@@ -38,12 +44,11 @@ object such as ``{"search": 18, "rich": 14}``.
 from __future__ import annotations
 
 import atexit
-import json
 import os
 import sys
 from types import SimpleNamespace
 
-from . import homogeneity, omegatypes, pointsets, randomgraph, setalgebra, typecalc
+from . import _jsonio, homogeneity, omegatypes, pointsets, randomgraph, setalgebra, typecalc
 from ._values import value
 from .errors import WorkbenchError, _natural, _naturals
 
@@ -71,8 +76,8 @@ def _limits() -> dict:
     if not raw:
         return limits
     try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+        doc = _jsonio.loads(raw)
+    except _jsonio.JSONDecodeError as exc:
         raise ValueError(f"{LIMITS_ENV} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"{LIMITS_ENV} must be a JSON object")
@@ -86,14 +91,10 @@ def _limits() -> dict:
 
 
 def _read_json(path: str):
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from None
-        except RecursionError:
-            # json's decoder recurses once per nesting level
-            raise ValueError(f"{path}: JSON document nested too deeply to read") from None
+    """The JSON document in the UTF-8 file ``path``; errors name the path."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    return _jsonio.loads(text, path)
 
 
 def _condition_points(path: str) -> list[pointsets.Point]:
@@ -145,7 +146,7 @@ def _flatten(value, path=""):
 def render_table(payload: dict) -> str:
     rows = _flatten(payload)
     width = max(len(p) for p, _ in rows)
-    return "\n".join(f"{p.ljust(width)}  {json.dumps(v)}" for p, v in rows)
+    return "\n".join(f"{p.ljust(width)}  {_jsonio.dumps(v)}" for p, v in rows)
 
 
 # ---------------------------------------------------------------- handlers
@@ -752,7 +753,7 @@ def run(argv, stdout=None, stderr=None) -> CommandResult:
         payload, diagnostics, artifact = args.func(args, limits)
         if args.out:
             with open(args.out, "w") as fh:
-                json.dump(artifact if artifact is not None else payload, fh, indent=2)
+                fh.write(_jsonio.dumps_indented(artifact if artifact is not None else payload))
                 fh.write("\n")
         result = CommandResult("ok", payload, diagnostics)
     except (WorkbenchError, ValueError, OSError, KeyError) as exc:
@@ -764,9 +765,9 @@ def run(argv, stdout=None, stderr=None) -> CommandResult:
         if args.format == "table":
             print(render_table(result.payload), file=stdout)
         else:
-            print(json.dumps(result.payload, indent=2), file=stdout)
+            print(_jsonio.dumps_indented(result.payload), file=stdout)
     else:
-        print(json.dumps(result.payload, indent=2), file=stderr)
+        print(_jsonio.dumps_indented(result.payload), file=stderr)
     return result
 
 
@@ -789,7 +790,7 @@ def main() -> None:
     except BrokenPipeError as exc:
         # stdout's reader is gone: send the rest, and the flush at exit, to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(json.dumps(_error_payload(exc), indent=2), file=sys.stderr)
+        print(_jsonio.dumps_indented(_error_payload(exc)), file=sys.stderr)
         code = 1
     # The payload is out and run() left no file open: run the atexit hooks
     # and flush as a normal exit would, but skip the interpreter teardown,

@@ -13,12 +13,12 @@ relation from a ternary one by reading trailing windows along columns.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from itertools import combinations, islice
 from math import comb, isfinite
 from operator import gt, lt
 
+from . import _jsonio
 from ._values import field, value
 from .errors import LexOrderError, _natural, _naturals, check_subsets, check_work
 from .pointsets import (FiniteCondition, Point, _pattern_counts, _realizers,
@@ -464,24 +464,24 @@ def coloring_from_json(doc: dict, ground: FiniteCondition | None = None,
         raise ValueError("coloring document needs 'n' and 'entries'")
     n = _natural(doc["n"], "n")
     if not isinstance(doc["entries"], list):
-        raise ValueError(f"entries: expected a list, got {json.dumps(doc['entries'])}")
+        raise ValueError(f"entries: expected a list, got {_jsonio.dumps(doc['entries'])}")
     table = {}
     cache: dict[tuple[int, int], Point] = {}
     for i, entry in enumerate(doc["entries"]):
         where = f"entries[{i}]"
         if not isinstance(entry, dict):
-            raise ValueError(f"{where}: expected an object, got {json.dumps(entry)}")
+            raise ValueError(f"{where}: expected an object, got {_jsonio.dumps(entry)}")
         for key in ("subset", "color"):
             if key not in entry:
                 raise KeyError(f"{where}.{key}")
         subset = frozenset(_json_subset(entry["subset"], f"{where}.subset", cache))
         if len(subset) != n:
-            raise ValueError(f"{where}.subset: not a {n}-set: {json.dumps(entry['subset'])}")
+            raise ValueError(f"{where}.subset: not a {n}-set: {_jsonio.dumps(entry['subset'])}")
         color = entry["color"]
         if not (color is None or isinstance(color, (str, int))
                 or isinstance(color, float) and isfinite(color)):
             raise ValueError(f"{where}.color: expected a finite JSON scalar, "
-                             f"got {json.dumps(color, default=repr)}")
+                             f"got {_jsonio.dumps(color, default=repr)}")
         table[subset] = color
     inside = ground is None
     if inside:
@@ -520,19 +520,19 @@ def _json_subset(doc, where: str, cache: dict) -> list[Point]:
 
 def coloring_from_csv(path: str, ground: FiniteCondition | None = None,
                       partial: bool = False) -> Coloring:
-    """Ingest CSV rows x1,y1,...,xn,yn,color (no header).
+    """Ingest CSV rows x1,y1,...,xn,yn,color (no header) from a UTF-8 file.
 
     A row that repeats a point, or a coordinate that is not a natural
     number in plain digits, raises ValueError naming its row (the file's
     line) and, for a coordinate, its column, both counted from 1.
     """
-    import csv  # here, not at the top: only --csv calls need it
+    import _csv  # csv.reader is _csv.reader; here, as only --csv calls need it
 
     table = {}
     cache: dict[tuple[str, str], Point] = {}  # raw text pair -> its point
     n = None
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = _csv.reader(fh)
         for row in reader:
             if not row:
                 continue
@@ -580,7 +580,7 @@ def grid_from_json(doc: dict) -> TernaryRelationGrid:
     bounds = _naturals(doc["bounds"], "bounds", 3)
     if not isinstance(doc["triples"], list):
         raise ValueError(f"triples: expected a list of [x, y, z] triples, "
-                         f"got {json.dumps(doc['triples'])}")
+                         f"got {_jsonio.dumps(doc['triples'])}")
     triples = frozenset(tuple(_naturals(t, f"triples[{i}]", 3))
                         for i, t in enumerate(doc["triples"]))
     return TernaryRelationGrid(*bounds, triples)

@@ -16,7 +16,6 @@ blocks.
 
 from __future__ import annotations
 
-import json
 import random
 from collections import Counter
 from functools import cached_property, lru_cache
@@ -24,6 +23,7 @@ from itertools import chain, product, repeat, starmap
 from math import comb
 from operator import add, lshift, mul, or_
 
+from . import _jsonio
 from ._values import value
 from .errors import NoRealizedTypeError, _natural, check_subsets, check_work
 from .typecalc import NType, Symbol, _check_n, _symbol, count_ntypes, enumerate_ntypes
@@ -556,7 +556,7 @@ def points_from_json(doc, where: str = "") -> list[Point]:
     out = []
     for i, item in enumerate(doc):
         if not isinstance(item, list) or len(item) != 2:
-            raise ValueError(f"{where}[{i}]: expected an [x, y] pair, got {json.dumps(item)}")
+            raise ValueError(f"{where}[{i}]: expected an [x, y] pair, got {_jsonio.dumps(item)}")
         out.append(Point(*(_natural(v, f"{where}[{i}][{j}]") for j, v in enumerate(item))))
     return out
 

@@ -35,12 +35,12 @@ inside itself.  That check is exhaustive and bounded.
 
 from __future__ import annotations
 
-import json
 import random
 from functools import cached_property
 from itertools import combinations, islice, permutations, product
 from math import perm
 
+from . import _jsonio
 from ._values import field, value
 from .errors import WORK_BOUNDS, _natural, check_work
 from .homogeneity import Coloring, check_tau_homogeneous, count_classes_met
@@ -496,7 +496,7 @@ def graph_from_json(doc: dict) -> Graph:
     edges = set()
     for i, edge in enumerate(doc["edges"]):
         if not isinstance(edge, list) or len(edge) != 2:
-            raise ValueError(f"edges[{i}]: expected a pair of vertices, got {json.dumps(edge)}")
+            raise ValueError(f"edges[{i}]: expected a pair of vertices, got {_jsonio.dumps(edge)}")
         u, v = (_natural(x, f"edges[{i}][{j}]") for j, x in enumerate(edge))
         if u == v or max(u, v) >= count:
             raise ValueError(f"edges[{i}]: bad edge {[u, v]} on {count} vertices")

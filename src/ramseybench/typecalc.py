@@ -25,11 +25,11 @@ cross-check.
 
 from __future__ import annotations
 
-import json
 from functools import cached_property, lru_cache
 from itertools import chain, product
 from math import comb
 
+from . import _jsonio
 from ._values import value
 from .errors import _natural
 
@@ -483,11 +483,11 @@ def ntype_from_json(doc: dict) -> NType:
     n = _natural(doc["n"], "n")
     if not isinstance(doc["classes"], list):
         raise ValueError(f"classes: expected a list of symbol lists, "
-                         f"got {json.dumps(doc['classes'])}")
+                         f"got {_jsonio.dumps(doc['classes'])}")
     classes = []
     for i, cls in enumerate(doc["classes"]):
         if not isinstance(cls, list):
-            raise ValueError(f"classes[{i}]: expected a list of symbols, got {json.dumps(cls)}")
+            raise ValueError(f"classes[{i}]: expected a list of symbols, got {_jsonio.dumps(cls)}")
         symbols = []
         for j, name in enumerate(cls):
             try:

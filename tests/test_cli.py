@@ -640,12 +640,29 @@ def test_homog_search_respects_limit_env(files, monkeypatch):
 
 @pytest.mark.parametrize("raw", ["{not json", '{"search": -1}', '{"walk": 5}',
                                  '{"search": 2.5}', "[3]", '{"search": true}',
-                                 '{"rich": false}'])
+                                 '{"rich": false}',
+                                 pytest.param("[" * 30_000 + "]" * 30_000, id="nested-30000")])
 def test_invalid_limits_env_is_a_domain_error(raw, monkeypatch):
     monkeypatch.setenv(cli.LIMITS_ENV, raw)
     result, out, err = invoke(["types", "count", "--n", "2"])
     assert result.exit_code == 1
     assert payload_of(err)["kind"] == "ValueError"
+
+
+@pytest.mark.parametrize("option, text", [
+    ("--in", '{"n": 2, "entries": [{"subset": [[0, 1], [2, 3]], "color": "\u00e9"}]}'),
+    ("--csv", "0,1,2,3,\u00e9\n"),
+])
+def test_input_files_are_utf8_in_any_locale(option, text, tmp_path):
+    # JSON is UTF-8 (RFC 8259): an ASCII locale must not change a verdict
+    path = tmp_path / "coloring"
+    path.write_bytes(text.encode("utf-8"))
+    env = {**child_env(), "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    proc = subprocess.run([*CONSOLE, "homog", "check", option, str(path),
+                           "--type", "x1<y1<x2<y2"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert '"color": "\\u00e9"' in proc.stdout
+    assert payload_of(proc.stdout)["color"] == "\u00e9"
 
 
 def test_homog_stabilize(files):

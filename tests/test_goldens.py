@@ -34,13 +34,12 @@ are not, as argparse lays help out differently across versions.
 import hashlib
 import io
 import json
-import shutil
 import subprocess
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from helpers import CONSOLE, child_env
+from helpers import CONSOLE, OTHER_PYTHONS, child_env, other_python
 
 from ramseybench import cli
 
@@ -171,12 +170,9 @@ print(json.dumps({"version": sys.version.split()[0], "calls": count, "bad": bad}
 """
 
 
-@pytest.mark.parametrize("python", ["python3.10", "python3.12", "python3.13"])
+@pytest.mark.parametrize("python", OTHER_PYTHONS)
 def test_goldens_hold_on_other_interpreters(python):
-    exe = shutil.which(python)
-    # a version manager's shim is on PATH even where it cannot start
-    if exe is None or subprocess.run([exe, "-c", "pass"], capture_output=True).returncode:
-        pytest.skip(f"{python} is absent or does not start")
+    exe = other_python(python)
     proc = subprocess.run([exe, "-c", REPLAY, str(DATA)], capture_output=True,
                           text=True, env=child_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr

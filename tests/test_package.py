@@ -5,9 +5,10 @@ collector policy.
 their bodies; a CLI call then runs only the bodies its area needs, and
 loads none of the stdlib modules in ``SLOW_STDLIB``: a plain action call
 is read from the command table, and only help and usage errors load
-argparse.  Each case starts a
-fresh interpreter so no earlier import hides a load.  ``cli.run`` leaves
-the collector as it finds it.
+argparse; JSON is read and written through ``_json``, CSV through
+``_csv``.  Each case starts a fresh interpreter so no earlier import
+hides a load, and the probe reads ``sys.modules`` before its own
+imports.  ``cli.run`` leaves the collector as it finds it.
 """
 
 import gc
@@ -30,13 +31,15 @@ DATA = Path(__file__).resolve().parent / "data"
 PUBLIC_NAMES = json.loads((DATA / "public_names.json").read_text())
 LAYERS = ("typecalc", "pointsets", "homogeneity", "randomgraph", "setalgebra", "omegatypes")
 # Start-up cost no call needs: dataclasses, and the inspect, ast, dis and
-# tokenize it imports, cost 8-11 ms, and only --csv calls read CSV.
-# argparse with its gettext and locale costs about 2.4 ms of a call.
+# tokenize it imports, cost 8-11 ms; argparse with its gettext and locale
+# about 2.4 ms of a call, and the json package about 1.0 ms.  csv is a
+# wrapper around _csv, whose reader --csv calls use directly.
+JSON_PACKAGE = ("json", "json.decoder", "json.encoder", "json.scanner")
 SLOW_STDLIB = ("dataclasses", "inspect", "ast", "dis", "tokenize", "csv",
-               "argparse", "gettext", "locale")
+               "argparse", "gettext", "locale", *JSON_PACKAGE)
 
 PROBE = """
-import contextlib, io, json, sys, types
+import contextlib, io, sys, types
 import ramseybench.cli as cli
 
 def state():
@@ -46,16 +49,17 @@ def state():
 before = state()
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     try:
-        code = cli.run(json.loads(sys.argv[1])).exit_code
+        code = cli.run(sys.argv[1:]).exit_code
     except SystemExit as exc:
         code = exc.code
-print(json.dumps({"before": before, "after": state(), "exit": code,
-                  "stdlib": [n for n in %r if n in sys.modules]}))
+after, stdlib = state(), [n for n in %r if n in sys.modules]
+import json
+print(json.dumps({"before": before, "after": after, "exit": code, "stdlib": stdlib}))
 """ % (LAYERS, SLOW_STDLIB)
 
 
 def loads_after(argv):
-    proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps(argv)],
+    proc = subprocess.run([sys.executable, "-c", PROBE, *argv],
                           capture_output=True, text=True, env=child_env(), check=True)
     return json.loads(proc.stdout)
 
@@ -84,9 +88,16 @@ def test_public_names_still_resolve():
     (["omega", "validate"], {"classes": [{"x": [1, 2]}, {"y": 1}, {"y": 2}]},
      {"omegatypes", "setalgebra", "pointsets", "typecalc"}),
     (["cond", "check"], [[0, 1], [2, 3]], {"pointsets", "typecalc"}),
+    (["homog", "check", "--type", "x1<y1<x2<y2"], "0,1,2,3,red\n",
+     {"homogeneity", "pointsets", "typecalc"}),
 ])
 def test_a_call_loads_only_its_area(argv, doc, loaded, tmp_path):
-    if doc is not None:
+    # a str document is a coloring CSV, passed as --csv
+    if isinstance(doc, str):
+        path = tmp_path / "input.csv"
+        path.write_text(doc)
+        argv = [*argv, "--csv", str(path)]
+    elif doc is not None:
         path = tmp_path / "input.json"
         path.write_text(json.dumps(doc))
         argv = [*argv, "--in", str(path)]
@@ -94,6 +105,23 @@ def test_a_call_loads_only_its_area(argv, doc, loaded, tmp_path):
     assert seen["exit"] == 0
     assert seen["before"] == dict.fromkeys(LAYERS, False)
     assert {n for n, done in seen["after"].items() if done} == loaded
+    assert seen["stdlib"] == []
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["cond", "check", "--in", "/nonexistent/y.json"], None),
+    (["homog", "stabilize"], [[0, 1], [0, 2]]),
+    (["types", "extend"], {"n": -1, "classes": []}),
+], ids=["missing-file", "bad-bit", "bad-natural"])
+def test_a_domain_error_loads_no_json(argv, doc, tmp_path):
+    # the error payload is written, and the library's messages quote the
+    # offending value, through the same codec
+    if doc is not None:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        argv = [*argv, "--in", str(path)]
+    seen = loads_after(argv)
+    assert seen["exit"] == 1
     assert seen["stdlib"] == []
 
 
