@@ -135,64 +135,41 @@ def _scalar_text(obj) -> str:
     _unserializable(obj)
 
 
-def _key_text(key) -> str:
-    """A dict key as ``json`` writes it: a string, or a scalar's text."""
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (int, float)):
-        return _scalar_text(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {key.__class__.__name__}")
-
-
-# The text of each exact scalar type, looked up once per item; subclasses
-# and containers are not in it and go through _indented.
-_TEXT = {str: _encode_str, int: int.__repr__, float: _float_text,
-         bool: {True: "true", False: "false"}.__getitem__,
-         type(None): {None: "null"}.__getitem__}
-
-
-def _indented(obj, newline: str, out: list) -> None:
-    """Append the texts of ``obj`` at the depth that ``newline`` (a line
-    break and that depth's indent) marks."""
+def _indented(obj, head: str, newline: str, out: list) -> None:
+    """Append ``head`` and then the text of ``obj`` at the depth that
+    ``newline`` (a line break and that depth's indent) marks."""
     if isinstance(obj, (list, tuple)):
         if not obj:
-            out.append("[]")
+            out.append(head + "[]")
             return
         inner = newline + "  "
-        sep = "[" + inner
+        sep = head + "[" + inner
         for item in obj:
-            text = _TEXT.get(type(item))
-            if text is None:
-                out.append(sep)
-                _indented(item, inner, out)
-            else:
-                out.append(sep + text(item))
+            _indented(item, sep, inner, out)
             sep = "," + inner
         out.append(newline + "]")
     elif isinstance(obj, dict):
         if not obj:
-            out.append("{}")
+            out.append(head + "{}")
             return
         inner = newline + "  "
-        sep = "{" + inner
+        sep = head + "{" + inner
         for key, item in obj.items():
-            head = sep + _encode_str(key if type(key) is str else _key_text(key)) + ": "
-            text = _TEXT.get(type(item))
-            if text is None:
-                out.append(head)
-                _indented(item, inner, out)
-            else:
-                out.append(head + text(item))
+            try:
+                name = _encode_str(key if isinstance(key, str) else _scalar_text(key))
+            except TypeError:
+                raise TypeError(f"keys must be str, int, float, bool or None, "
+                                f"not {key.__class__.__name__}") from None
+            _indented(item, sep + name + ": ", inner, out)
             sep = "," + inner
         out.append(newline + "}")
     else:
-        out.append(_scalar_text(obj))
+        out.append(head + _scalar_text(obj))
 
 
 def dumps_indented(obj) -> str:
     """``json.dumps(obj, indent=2)``: ASCII, two-space indent, ``","`` and
     ``": "`` separators.  What JSON cannot hold raises TypeError."""
     out = []
-    _indented(obj, "\n", out)
+    _indented(obj, "", "\n", out)
     return "".join(out)

@@ -72,8 +72,8 @@ WORK_BOUNDS = {
     # 0.5 s as 10**6 sections of a rectangle and 0.5 s as statuses.  The
     # CLI then writes 80 MB of JSON for the statuses: `homog extract-s` on a
     # 1000 x 1000 x 1000 grid with no triples and an empty condition, stdout
-    # to a file, takes 2.0 s in all and peaks at 0.76 GB RSS (subprocess
-    # wall time and VmHWM, two runs each).
+    # to a file, takes 2.5 s in all and peaks at 0.63 GiB RSS (subprocess
+    # wall time and the child's ru_maxrss from wait4, three runs each).
     "values": 1_000_000,
     # Conditions noreverse_demo draws and checks, each about 0.7 ms in
     # process on the same host, so about 0.7 s at the bound.
