@@ -17,6 +17,14 @@ produced them.  Its ``colorings`` are stored once, as a JSON document
 index, and its ``cond``, when present, is passed as ``--cond``.  Greedy
 calls whose colour majority ties pin the order of the realizer table.
 
+``data/sets_goldens.json`` pins the stdout of seeded ``sets sum``,
+``sets image`` and ``sets column`` calls as the set algebra answered them
+when every verdict section below a cutoff covering each principal point
+was read explicitly.  An entry's ``in``, ``u`` and ``seq`` documents are
+passed as the options of the same names; about a tenth of the sums and
+images take a principal default in the thousands, and about half carry
+exception indices.
+
 ``data/usage_goldens.json`` pins exit code, stdout and stderr of the
 parser's own answers as the full parser tree gave them: ``--help`` at the
 top, per area and per action, unknown areas and actions, and missing or
@@ -47,6 +55,7 @@ DATA = Path(__file__).resolve().parent / "data"
 GOLDENS = json.loads((DATA / "graph_goldens.json").read_text())
 CONDITION_GOLDENS = json.loads((DATA / "condition_goldens.json").read_text())
 HOMOG_GOLDENS = json.loads((DATA / "homog_goldens.json").read_text())
+SETS_GOLDENS = json.loads((DATA / "sets_goldens.json").read_text())
 USAGE_GOLDENS = json.loads((DATA / "usage_goldens.json").read_text())
 
 
@@ -107,6 +116,19 @@ def test_homog_output_matches_golden(entry, tmp_path):
     out, err = run(argv)
     assert sha256(out) == entry["stdout_sha256"]
     assert sha256(err) == entry["stderr_sha256"]
+
+
+@pytest.mark.parametrize("entry", [pytest.param(e, id=" ".join(e["argv"]) + f" #{i}")
+                                   for i, e in enumerate(SETS_GOLDENS)])
+def test_sets_output_matches_golden(entry, tmp_path):
+    argv = list(entry["argv"])
+    for flag in ("in", "u", "seq"):
+        if flag in entry:
+            path = tmp_path / f"{flag}.json"
+            path.write_text(json.dumps(entry[flag]))
+            argv += [f"--{flag}", str(path)]
+    out, _ = run(argv)
+    assert sha256(out) == entry["stdout_sha256"]
 
 
 @pytest.mark.parametrize("entry", USAGE_GOLDENS, ids=lambda e: " ".join(e["argv"]) or "(none)")
