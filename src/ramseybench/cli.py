@@ -387,7 +387,20 @@ def _cmd_graph_demo_coloring(args, limits):
 
 
 def _load_expr(args) -> setalgebra.PlanarSet:
-    return setalgebra.planar_set_from_json(_read_json(args.infile))
+    doc = _read_json(args.infile)
+    # The reader and the evaluators recurse once per nesting level, but the
+    # evaluators build a few more frames at the leaves: the reader gets 50
+    # frames less room, so every expression it reads can be evaluated.
+    # Where the scanner takes deeper documents than the interpreter's limit
+    # (Python 3.13), a deeper expression is refused here.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit - 50)
+    try:
+        return setalgebra.planar_set_from_json(doc)
+    except RecursionError:
+        raise ValueError(f"{args.infile}: expression nested too deeply to read") from None
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def _cmd_sets_column(args, limits):

@@ -65,11 +65,14 @@ WORK_BOUNDS = {
     # Vertices of a richness check, which tries every subset of them.
     "vertices": 12,
     # Values built one by one: those a set-algebra section may read or copy
-    # (setalgebra._section_work) in column_of, summed over the sections
-    # verdict_set reads explicitly (sets column, sum and image), and the
-    # statuses extract_S_from_R emits, x_bound * z_bound.  On an Intel Xeon
-    # (Python 3.11) 10**6 take about 0.3 s in column_of(AboveDiag(), x),
-    # 0.5 s as 10**6 sections of a rectangle and 0.5 s as statuses.  The
+    # (setalgebra._section_work) in column_of; in verdict_set, the same
+    # summed over the sections it reads explicitly, below the horizon and
+    # the last exception index, plus one per tail verdict it lists (sets
+    # column, sum and image); and the statuses extract_S_from_R emits,
+    # x_bound * z_bound.  On an Intel Xeon (Python 3.11) 10**6 take about
+    # 0.13 s in column_of(AboveDiag(), x), 0.15 s as the 499,999 sections of
+    # a rectangle below an exception index, 0.14 s as the 10**6 listed
+    # verdicts of AboveDiag under principal(10**6) and 0.5 s as statuses.  The
     # CLI then writes 80 MB of JSON for the statuses: `homog extract-s` on a
     # 1000 x 1000 x 1000 grid with no triples and an empty condition, stdout
     # to a file, takes 2.5 s in all and peaks at 0.63 GiB RSS (subprocess

@@ -21,15 +21,16 @@ cofinite filter and the meets-everything property alike.
 
 Filter stand-ins (the cofinite filter, principal ultrafilters) evaluate
 indexed sums: the verdict set {n : section at n lies in V_n} is itself
-FinCofin, computed explicitly below a cutoff and by the tail form above
-it.  Note the cofinite filter is a filter, not an ultrafilter: a verdict
-set that is neither cofinite nor avoided simply fails membership.
+FinCofin.  Sections are read explicitly only below the horizon and the
+exception indices; every later verdict comes from the tail form, so a
+principal point, however far, costs no section.  Note the cofinite
+filter is a filter, not an ultrafilter: a verdict set that is neither
+cofinite nor avoided simply fails membership.
 """
 
 from __future__ import annotations
 
 import random
-from functools import reduce
 
 from ._values import value
 from .errors import _natural, _naturals, check_work
@@ -200,7 +201,11 @@ def _column(expr: PlanarSet, x: int) -> FinCofin:
         return expr.content if expr.x == x else EMPTY
     if isinstance(expr, (Union, Intersection)):
         fold = FinCofin.union if isinstance(expr, Union) else FinCofin.intersection
-        return reduce(fold, (_column(a, x) for a in expr.args))
+        # a loop, not reduce over a generator: one frame per nesting level
+        section = _column(expr.args[0], x)
+        for a in expr.args[1:]:
+            section = fold(section, _column(a, x))
+        return section
     if isinstance(expr, Complement):
         return _column(expr.arg, x).complement()
     raise TypeError(f"not a planar set expression: {expr!r}")
@@ -238,10 +243,14 @@ def tail_analysis(expr: PlanarSet) -> TailForm:
         return TailForm(expr.x + 1, EMPTY, EMPTY)
     if isinstance(expr, (Union, Intersection)):
         fold = FinCofin.union if isinstance(expr, Union) else FinCofin.intersection
-        parts = [tail_analysis(a) for a in expr.args]
-        return TailForm(max(p.horizon for p in parts),
-                        reduce(fold, (p.upper for p in parts)),
-                        reduce(fold, (p.lower for p in parts)))
+        # a loop, not a comprehension: one frame per nesting level
+        form = tail_analysis(expr.args[0])
+        horizon, upper, lower = form.horizon, form.upper, form.lower
+        for a in expr.args[1:]:
+            form = tail_analysis(a)
+            horizon = max(horizon, form.horizon)
+            upper, lower = fold(upper, form.upper), fold(lower, form.lower)
+        return TailForm(horizon, upper, lower)
     if isinstance(expr, Complement):
         inner = tail_analysis(expr.arg)
         return TailForm(inner.horizon, inner.upper.complement(),
@@ -319,43 +328,37 @@ class StandInSequence:
         return self.default
 
 
-def _verdict_cutoff(form: TailForm, seq: StandInSequence) -> int:
-    cutoff = form.horizon
-    for i, _ in seq.exceptions:
-        cutoff = max(cutoff, i + 1)
-    standins = [seq.default] + [s for _, s in seq.exceptions]
-    for s in standins:
-        if isinstance(s, Principal):
-            cutoff = max(cutoff, s.point + 1)
-    return cutoff
-
-
 def verdict_set(expr: PlanarSet, seq: StandInSequence) -> FinCofin:
     """The set {n : section of expr at n lies in seq's n-th stand-in}.
 
-    Explicit evaluation below a cutoff covering the horizon, every
-    exception index, and every principal point; beyond it the tail form
-    makes the verdict constant.  The sections below the cutoff, and a
-    scan of the exceptions for each, may take ``cutoff * (fixed +
-    exceptions) + diagonal * cutoff * (cutoff + 1) / 2`` values
-    (``_section_work``); more than the "values" work bound raise
+    Sections are read explicitly below a cutoff, the larger of the
+    horizon and one past the last exception index; from the cutoff on,
+    the default stand-in judges the tail form.  For the cofinite filter
+    that verdict is upper's character.  For a principal stand-in at q it
+    is ``q in upper`` for n < q and ``q in lower`` from q on, so the
+    indices in [cutoff, q) are all flips when the two differ, and none
+    otherwise.  The explicit sections, and a scan of the exceptions for
+    each, may take ``cutoff * (fixed + exceptions) + diagonal * cutoff *
+    (cutoff + 1) / 2`` values (``_section_work``), and the run of flips
+    one value per index; more than the "values" work bound in all raise
     LimitError before any section is read.
     """
     form = tail_analysis(expr)
-    cutoff = _verdict_cutoff(form, seq)
-    fixed, diagonal = _section_work(expr)
-    work = cutoff * (fixed + len(seq.exceptions)) + diagonal * cutoff * (cutoff + 1) // 2
-    check_work("values", work, "verdict set",
-               f"{cutoff} sections may take {work} values")
+    cutoff = max(form.horizon, seq.exceptions[-1][0] + 1 if seq.exceptions else 0)
     if isinstance(seq.default, Frechet):
-        tail_true = form.upper.cofinite
+        tail_true, run = form.upper.cofinite, 0
     else:
-        tail_true = form.lower.contains(seq.default.point)
-    flips = frozenset(
-        n for n in range(cutoff)
-        if seq.at(n).holds(_column(expr, n)) != tail_true
-    )
-    return FinCofin(cofinite=tail_true, support=flips)
+        q = seq.default.point
+        tail_true = form.lower.contains(q)
+        run = max(q - cutoff, 0) if form.upper.contains(q) != tail_true else 0
+    fixed, diagonal = _section_work(expr)
+    work = (cutoff * (fixed + len(seq.exceptions))
+            + diagonal * cutoff * (cutoff + 1) // 2 + run)
+    check_work("values", work, "verdict set",
+               f"{cutoff} sections and {run} tail verdicts may take {work} values")
+    flips = [n for n in range(cutoff) if seq.at(n).holds(_column(expr, n)) != tail_true]
+    flips.extend(range(cutoff, cutoff + run))
+    return FinCofin(cofinite=tail_true, support=frozenset(flips))
 
 
 def sum_membership(expr: PlanarSet, u: FilterStandIn, seq: StandInSequence) -> bool:

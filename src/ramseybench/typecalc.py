@@ -26,7 +26,7 @@ cross-check.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import chain, product
+from itertools import chain, islice, product
 from math import comb
 
 from . import _jsonio
@@ -34,6 +34,7 @@ from ._values import value
 from .errors import _natural
 
 MAX_N = 6  # enumeration is exhaustive; counts explode well before this hurts
+_MISSING_NAMED = 20  # missing symbols a message names before it counts the rest
 
 
 @value(order=True)
@@ -82,16 +83,22 @@ def _class_problems(n: int, classes) -> tuple[list[str], list[str]]:
                 malformed.append(f"not a symbol: {sym!r}")
             else:
                 seen.append(sym)
-    expected = _expected_symbols(n)
-    if len(seen) != len(set(seen)):
-        dupes = sorted({s for s in seen if seen.count(s) > 1})
-        malformed.append("symbols repeated: " + ", ".join(map(str, dupes)))
-    stray = set(seen) - expected
+    distinct, dupes = set(), set()
+    for sym in seen:
+        (dupes if sym in distinct else distinct).add(sym)
+    if dupes:
+        malformed.append("symbols repeated: " + ", ".join(map(str, sorted(dupes))))
+    stray = sorted(s for s in distinct if s.index > n)
     if stray:
-        malformed.append("dangling indices: " + ", ".join(map(str, sorted(stray))))
-    missing = expected - set(seen)
+        malformed.append("dangling indices: " + ", ".join(map(str, stray)))
+    # n comes from the input: the work follows the symbols given, not n
+    missing = 2 * n - (len(distinct) - len(stray))
     if missing and not malformed:
-        malformed.append("symbols missing: " + ", ".join(map(str, sorted(missing))))
+        expected = (Symbol(kind, i) for kind in ("x", "y") for i in range(1, n + 1))
+        names = [str(s) for s in islice((s for s in expected if s not in distinct),
+                                        _MISSING_NAMED)]
+        rest = f" and {missing - len(names)} more" if missing > len(names) else ""
+        malformed.append("symbols missing: " + ", ".join(names) + rest)
     if malformed:
         return malformed, []
 

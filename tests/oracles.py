@@ -17,6 +17,12 @@ subset keys through ``pointsets._keyed_subsets``, which the tests hold
 to ``realized_type``, and is itself held to ``extend_scan`` where that
 scan can reach; it exists because ``extend_scan`` cannot reach n >= 4.
 
+One verdict reference, ``verdict_set_scan``, is the route ``verdict_set``
+took before it read tail verdicts off the tail form: it builds every
+section up to past each principal point through ``_column`` and takes
+only the verdict beyond them all from ``tail_analysis``, both of which
+their own tests hold to ``point_in``.
+
 One enumeration reference, ``enumerate_ntypes_scan``, is the pattern
 scan the library used before its per-gap choice lists; it takes its weak
 orders from the filtered rank vectors, not from the library.
@@ -42,10 +48,15 @@ from ramseybench.setalgebra import (
     AboveDiag,
     Column,
     Complement,
+    FinCofin,
     FinitePoints,
+    Frechet,
     Intersection,
+    Principal,
     Rect,
     Union,
+    _column,
+    tail_analysis,
 )
 from ramseybench.pointsets import (
     CLAUSE_DIAGONAL,
@@ -111,6 +122,31 @@ def point_in(expr, x: int, y: int) -> bool:
     if isinstance(expr, Complement):
         return not point_in(expr.arg, x, y)
     raise TypeError(f"unknown expression node: {expr!r}")
+
+
+def verdict_set_scan(expr, seq) -> FinCofin:
+    """The verdict set as it was computed before tail verdicts were read
+    off the tail form: every section below a cutoff that covers the
+    horizon, each exception index and each principal point is built by
+    ``_column`` and judged, with no work bound; past the cutoff the verdict
+    is constant.  ``_column`` and ``tail_analysis`` are held to
+    ``point_in`` by their own tests."""
+    form = tail_analysis(expr)
+    cutoff = form.horizon
+    for i, _ in seq.exceptions:
+        cutoff = max(cutoff, i + 1)
+    for s in [seq.default] + [s for _, s in seq.exceptions]:
+        if isinstance(s, Principal):
+            cutoff = max(cutoff, s.point + 1)
+    if isinstance(seq.default, Frechet):
+        tail_true = form.upper.cofinite
+    else:
+        tail_true = form.lower.contains(seq.default.point)
+    flips = frozenset(
+        n for n in range(cutoff)
+        if seq.at(n).holds(_column(expr, n)) != tail_true
+    )
+    return FinCofin(cofinite=tail_true, support=flips)
 
 
 def rank_vectors_filter(k: int) -> list[tuple[int, ...]]:

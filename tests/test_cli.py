@@ -764,7 +764,42 @@ def test_unbounded_requests_are_refused_fast(tmp_path, argv):
             "grid.json": {"bounds": [100000, 1, 100000], "triples": []}}
     for name, doc in docs.items():
         (tmp_path / name).write_text(json.dumps(doc))
-    refused_fast([str(tmp_path / a) if a in docs else a for a in argv])
+    argv = [str(tmp_path / a) if a in docs else a for a in argv]
+    if argv[:2] == ["sets", "image"]:
+        # the image of {1} reads two sections and takes the rest from the
+        # tail form, so the far principal point is answered, not refused
+        start = time.perf_counter()
+        payload, _ = run_ok(argv, "sets.image")
+        assert time.perf_counter() - start < 1.0
+        assert payload == {"member": False}
+        return
+    refused_fast(argv)
+
+
+@pytest.mark.parametrize("action", ["extend", "insert"])
+@pytest.mark.parametrize("n", [10**6, 10**9])
+def test_a_large_n_with_few_symbols_is_refused_fast(tmp_path, action, n):
+    # the work follows the symbols in the document, not the n it names
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"n": n, "classes": [["x1"], ["y1"]]}))
+    start = time.perf_counter()
+    result, out, err = invoke(["types", action, "--in", str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 1 and out == "" and len(err.encode()) < 1024
+    doc = payload_of(err)
+    conforms("error", doc)
+    names = ", ".join([f"x{i}" for i in range(2, 22)])
+    assert doc["error"] == f"invalid pattern: symbols missing: {names} and {2 * n - 22} more"
+
+
+def test_repeated_symbols_are_named_in_time_linear_in_them(tmp_path):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"n": 1, "classes": [["x1"]] * 20_000 + [["y1"]]}))
+    start = time.perf_counter()
+    result, _, err = invoke(["types", "extend", "--in", str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 1
+    assert payload_of(err)["error"] == "invalid pattern: symbols repeated: x1"
 
 
 def test_graph_check_past_its_bound_is_refused(files):

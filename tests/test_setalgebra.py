@@ -1,8 +1,12 @@
+import json
 import random
+import subprocess
+import sys
 import time
 
 import pytest
 from hypothesis import given, settings
+from helpers import OTHER_PYTHONS, REPO, child_env, other_python
 from hypothesis import strategies as st
 
 from ramseybench.errors import WORK_BOUNDS, LimitError
@@ -20,6 +24,7 @@ from ramseybench.setalgebra import (
     Rect,
     StandInSequence,
     Union,
+    _section_work,
     column_of,
     fincofin_from_json,
     fincofin_to_json,
@@ -38,7 +43,8 @@ from ramseybench.setalgebra import (
     verdict_set,
 )
 
-from oracles import point_in
+from oracles import point_in, verdict_set_scan
+from set_cases import verdict_mismatches
 
 
 # ---------------------------------------------------------------- FinCofin
@@ -285,24 +291,109 @@ def test_the_values_bound_counts_section_values(monkeypatch):
 
 
 def test_the_values_bound_sums_the_sections_below_the_cutoff(monkeypatch):
-    # principal(3) puts the cutoff at 4: 4 nodes read plus 1 + 2 + 3 + 4 values
+    # principal(3) past AboveDiag's horizon 0: no section is read, and the
+    # tail verdicts at 0, 1 and 2 (3 in upper, not in lower) are listed
     seq = StandInSequence(Principal(3))
-    monkeypatch.setitem(WORK_BOUNDS, "values", 14)
+    monkeypatch.setitem(WORK_BOUNDS, "values", 3)
     assert verdict_set(AboveDiag(), seq) == FinCofin.finite(range(3))
-    monkeypatch.setitem(WORK_BOUNDS, "values", 13)
-    with pytest.raises(LimitError, match="verdict set refused: 4 sections may "
-                                         "take 14 values, the bound is 13"):
+    monkeypatch.setitem(WORK_BOUNDS, "values", 2)
+    with pytest.raises(LimitError, match="verdict set refused: 0 sections and 3 tail "
+                                         "verdicts may take 3 values, the bound is 2"):
+        verdict_set(AboveDiag(), seq)
+    # an exception at 3 puts the cutoff at 4: 4 * (1 node + 1 exception)
+    # plus 1 + 2 + 3 + 4 values, and no listed tail verdict
+    seq = StandInSequence(Frechet(), ((3, Principal(1)),))
+    monkeypatch.setitem(WORK_BOUNDS, "values", 18)
+    assert verdict_set(AboveDiag(), seq) == FinCofin.cofinite_except({3})
+    monkeypatch.setitem(WORK_BOUNDS, "values", 17)
+    with pytest.raises(LimitError, match="verdict set refused: 4 sections and 0 tail "
+                                         "verdicts may take 18 values, the bound is 17"):
         verdict_set(AboveDiag(), seq)
 
 
 def test_far_sections_are_refused_before_any_is_read():
+    # AboveDiag's verdict set under principal(10**9) lists 10**9 indices
     far = StandInSequence(Principal(10**9))
     runs = (lambda: sum_membership(AboveDiag(), Frechet(), far),
-            lambda: sum_membership(Rect(FULL, FULL), Frechet(), far),
-            lambda: image_membership(FinCofin.finite({1}), Frechet(), far),
             lambda: column_of(AboveDiag(), 4 * 10**6))
     start = time.perf_counter()
     for run in runs:
         with pytest.raises(LimitError):
             run()
     assert time.perf_counter() - start < 1.0
+
+
+def test_far_principal_points_are_answered_from_the_tail_form():
+    far = StandInSequence(Principal(10**9))
+    start = time.perf_counter()
+    assert verdict_set(Rect(FULL, FULL), far) == FULL
+    assert sum_membership(Rect(FULL, FULL), Frechet(), far)
+    # the image of {1} reads the sections at 0 and 1, below the horizon
+    assert verdict_set(Rect(FinCofin.finite({1}), FULL), far) == FinCofin.finite({1})
+    assert not image_membership(FinCofin.finite({1}), Frechet(), far)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_verdict_set_matches_the_explicit_route_on_seeded_cases():
+    assert verdict_mismatches(2015, 600) == []
+
+
+def _seeded_expr(seed):
+    rng = random.Random(seed)
+    expr = random_planar_set(rng, rng.randrange(6))
+    # the explicit route reads about q sections of up to q values each on a
+    # diagonal leaf, so q stays small there
+    return rng, expr, tail_analysis(expr).horizon, 200 if _section_work(expr)[1] else 3000
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000), st.integers(min_value=0, max_value=3000))
+def test_principal_defaults_past_the_horizon_match_the_explicit_route(seed, offset):
+    _, expr, horizon, reach = _seeded_expr(seed)
+    seq = StandInSequence(Principal(horizon + offset % reach))
+    assert verdict_set(expr, seq) == verdict_set_scan(expr, seq)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000),
+       st.lists(st.tuples(st.integers(min_value=0, max_value=40),
+                          st.one_of(st.none(), st.integers(min_value=0, max_value=60))),
+                max_size=4, unique_by=lambda kv: kv[0]),
+       st.integers(min_value=0, max_value=3000))
+def test_exception_indices_match_the_explicit_route(seed, raw, point):
+    rng, expr, _, reach = _seeded_expr(seed)
+    exceptions = tuple((i, Frechet() if q is None else Principal(q)) for i, q in raw)
+    default = Frechet() if rng.random() < 0.3 else Principal(point % reach)
+    seq = StandInSequence(default, exceptions)
+    assert verdict_set(expr, seq) == verdict_set_scan(expr, seq)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000),
+       st.lists(st.integers(min_value=0, max_value=40), max_size=3, unique=True))
+def test_frechet_defaults_match_the_explicit_route(seed, indices):
+    rng, expr, _, _ = _seeded_expr(seed)
+    exceptions = tuple((i, Principal(rng.randrange(60))) for i in indices)
+    seq = StandInSequence(Frechet(), exceptions)
+    assert verdict_set(expr, seq) == verdict_set_scan(expr, seq)
+
+
+@pytest.mark.parametrize("python", OTHER_PYTHONS)
+def test_set_cases_hold_on_other_interpreters(python):
+    exe = other_python(python)
+    proc = subprocess.run([exe, str(REPO / "tests" / "set_cases.py"), "2015", "200"],
+                          capture_output=True, text=True, env=child_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["version"].startswith(python.removeprefix("python"))
+    assert (report["verdicts"], report["bad"], report["failures"]) == (200, [], [])
+
+
+def test_the_deepest_chains_read_are_answered():
+    # run in a child, so the chains meet the stack depth of a console call
+    proc = subprocess.run([sys.executable, str(REPO / "tests" / "set_cases.py"), "2015", "0"],
+                          capture_output=True, text=True, env=child_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["failures"] == []
+    assert min(report["chains"].values()) > 300
