@@ -149,6 +149,25 @@ def verdict_set_scan(expr, seq) -> FinCofin:
     return FinCofin(cofinite=tail_true, support=flips)
 
 
+def population_problems_scan(n: int, classes) -> list[str]:
+    """The symbol-population reports of ``typecalc._class_problems`` as
+    they read when every expected symbol was built, every missing one
+    named and repeats were counted symbol by symbol."""
+    seen = [s for cls in classes for s in cls]
+    expected = {Symbol(k, i) for k in "xy" for i in range(1, n + 1)}
+    malformed = []
+    if len(seen) != len(set(seen)):
+        dupes = sorted({s for s in seen if seen.count(s) > 1})
+        malformed.append("symbols repeated: " + ", ".join(map(str, dupes)))
+    stray = set(seen) - expected
+    if stray:
+        malformed.append("dangling indices: " + ", ".join(map(str, sorted(stray))))
+    missing = expected - set(seen)
+    if missing and not malformed:
+        malformed.append("symbols missing: " + ", ".join(map(str, sorted(missing))))
+    return malformed
+
+
 def rank_vectors_filter(k: int) -> list[tuple[int, ...]]:
     """Rank vectors of the weak orders on k positions, lexicographically:
     every vector of ``product(range(k), repeat=k)`` whose values form an

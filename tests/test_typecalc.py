@@ -30,6 +30,7 @@ from ramseybench.typecalc import _class_problems, _gap_choices, _list_forms, _ra
 from oracles import (
     brute_force_ntypes,
     enumerate_ntypes_scan,
+    population_problems_scan,
     rank_vectors_filter,
     weak_order_count,
 )
@@ -121,24 +122,6 @@ def test_enumerated_patterns_pass_validation(n):
         assert _class_problems(n, t.classes) == ([], [])
 
 
-def _population_message(n, classes):
-    """The malformed-population report as it read when every expected
-    symbol was built and every missing one named."""
-    seen = [s for cls in classes for s in cls]
-    expected = {Symbol(k, i) for k in "xy" for i in range(1, n + 1)}
-    malformed = []
-    if len(seen) != len(set(seen)):
-        dupes = sorted({s for s in seen if seen.count(s) > 1})
-        malformed.append("symbols repeated: " + ", ".join(map(str, dupes)))
-    stray = set(seen) - expected
-    if stray:
-        malformed.append("dangling indices: " + ", ".join(map(str, sorted(stray))))
-    missing = expected - set(seen)
-    if missing and not malformed:
-        malformed.append("symbols missing: " + ", ".join(map(str, sorted(missing))))
-    return malformed
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=1, max_value=14), st.data())
 def test_population_messages_name_at_most_twenty_missing_symbols(n, data):
@@ -146,13 +129,11 @@ def test_population_messages_name_at_most_twenty_missing_symbols(n, data):
     seen = data.draw(st.lists(st.sampled_from(pool), max_size=2 * n + 2))
     classes = [frozenset([s]) for s in seen]
     malformed, _ = _class_problems(n, classes)
-    want = _population_message(n, classes)
+    want = population_problems_scan(n, classes)
     missing = 2 * n - len({s for s in seen if s.index <= n})
-    if not want[:1] or not want[0].startswith("symbols missing") or missing <= 20:
-        assert malformed == want
-    else:
-        names = want[0].split(", ")
-        assert malformed == [", ".join(names[:20]) + f" and {missing - 20} more"]
+    if want and want[0].startswith("symbols missing") and missing > 20:
+        want = [", ".join(want[0].split(", ")[:20]) + f" and {missing - 20} more"]
+    assert malformed == want
 
 
 @pytest.mark.parametrize("n", KNOWN_COUNTS)
