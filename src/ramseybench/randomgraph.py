@@ -290,26 +290,20 @@ def check_extension_property(g: Graph, k: int, m: int) -> list[Configuration]:
         work += term
     check_work("subsets", work, "extension check",
                f"k={k} on {m} vertices gives at least {work} configurations")
-    rows = g.masks
     everyone = (1 << g.vertex_count) - 1
-    unsatisfied = []
-    for count in range(0, k + 1):
-        for params in permutations(range(m), count):
+    return [Configuration(params, _targets(colors))
+            for params, colors in _unwitnessed(g.masks, everyone, range(m), k)]
+
+
+def _unwitnessed(rows, pool: int, vertices, k: int):
+    """Each graph configuration on at most k of ``vertices`` that no vertex
+    of ``pool`` witnesses, as (params, colours): by parameter count, then
+    parameters, then colours little-endian."""
+    for count in range(k + 1):
+        for params in permutations(vertices, count):
             for digits in product((0, 1), repeat=count):
-                colors = digits[::-1]
-                if not _witnesses(rows, everyone, params, colors):
-                    unsatisfied.append(Configuration(params, _targets(colors)))
-    return unsatisfied
-
-
-def _internally_extends(rows, inner: tuple[int, ...], k: int) -> bool:
-    pool = sum(1 << v for v in inner)
-    for count in range(0, k + 1):
-        for params in permutations(inner, count):
-            for colors in product((0, 1), repeat=count):
-                if not _witnesses(rows, pool, params, colors):
-                    return False
-    return True
+                if not _witnesses(rows, pool, params, digits[::-1]):
+                    yield params, digits[::-1]
 
 
 def check_rich(subset, g: Graph, k: int = 1, bound: int | None = None) -> bool:
@@ -327,7 +321,8 @@ def check_rich(subset, g: Graph, k: int = 1, bound: int | None = None) -> bool:
     rows = g.masks
     for size in range(1, len(vertices) + 1):
         for inner in combinations(vertices, size):
-            if _internally_extends(rows, inner, k):
+            pool = sum(1 << v for v in inner)
+            if next(_unwitnessed(rows, pool, inner, k), None) is None:
                 return True
     return False
 

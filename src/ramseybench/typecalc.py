@@ -1,7 +1,9 @@
 """Order patterns on pair symbols: validation, enumeration, counting, transforms.
 
 An n-pattern (``NType``) is a linear pre-order on the 2n formal symbols
-x1..xn, y1..yn subject to three clauses:
+x1..xn, y1..yn subject to three clauses, judged by ``_class_problems``
+alone on the classes that every reader (constructor, list form, JSON,
+relation) hands it as given:
 
 * the y's increase strictly: y1 < y2 < ... < yn;
 * each xi sits strictly before its partner yi;
@@ -64,12 +66,6 @@ class Symbol:
         return cls(kind, int(digits))
 
 
-def _expected_symbols(n: int) -> frozenset[Symbol]:
-    return frozenset(
-        Symbol(kind, i) for kind in ("x", "y") for i in range(1, n + 1)
-    )
-
-
 def _class_problems(n: int, classes) -> tuple[list[str], list[str]]:
     """Check a candidate class sequence.  Returns (malformed, violations)."""
     malformed: list[str] = []
@@ -127,8 +123,8 @@ class NType:
     """A validated n-pattern in canonical class-sequence form.
 
     ``classes`` is the ordered tuple of equivalence classes, least first;
-    each class is a frozenset of Symbols.  Construction validates, so an
-    NType in hand is always well formed.
+    construction judges them as given, repeats included, and only then
+    freezes each into a frozenset of Symbols, so an NType is well formed.
     """
 
     n: int
@@ -137,11 +133,11 @@ class NType:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        classes = tuple(frozenset(c) for c in self.classes)
-        object.__setattr__(self, "classes", classes)
+        classes = tuple(self.classes)
         malformed, violations = _class_problems(self.n, classes)
         if malformed or violations:
             raise ValueError("invalid pattern: " + "; ".join(malformed + violations))
+        object.__setattr__(self, "classes", tuple(map(frozenset, classes)))
 
     @classmethod
     def _trusted(cls, n: int, classes: tuple) -> "NType":
@@ -190,12 +186,12 @@ def _as_pair_set(relation) -> set[tuple[Symbol, Symbol]]:
 def validate_ntype(n: int, relation) -> TypeValidation:
     """Check a binary relation (pairs (a, b) meaning a <= b) against the clauses.
 
-    Malformed input (wrong symbol population) is reported separately from
-    clause violations; in the malformed case no clause is judged.  Breaks
-    of the pre-order (reflexive, total, transitive) come next.  Only a
-    total pre-order is read into its classes and judged against the
-    clauses by ``_class_problems``, so a tie that holds a y is named once
-    per class.
+    Malformed input (a population of mentioned symbols that
+    ``_class_problems`` refuses) is reported apart from clause violations,
+    and then no clause is judged.  Breaks of the pre-order (reflexive,
+    total, transitive) come next.  Only a total pre-order is read into its
+    classes and judged against the clauses by ``_class_problems``, so a
+    tie that holds a y is named once per class.
     """
     return _relation_classes(n, relation)[0]
 
@@ -212,21 +208,12 @@ def _relation_classes(n: int, relation) -> tuple[TypeValidation, tuple]:
         return TypeValidation(False, (str(exc),), ()), ()
 
     mentioned = {s for p in pairs for s in p}
-    expected = _expected_symbols(n)
-    malformed = []
-    stray = mentioned - expected
-    if stray:
-        malformed.append("dangling indices: " + ", ".join(map(str, sorted(stray))))
-    missing = expected - mentioned
-    if missing:
-        malformed.append(
-            f"symbol count != {2 * n}: missing "
-            + ", ".join(map(str, sorted(missing)))
-        )
+    # one class per symbol, so only the population counts; repr orders non-Symbols too
+    malformed, _ = _class_problems(n, [[s] for s in sorted(mentioned, key=repr)])
     if malformed:
         return TypeValidation(False, tuple(malformed), ()), ()
 
-    syms = sorted(expected)
+    syms = sorted(mentioned)
     violations = []
     for s in syms:
         if (s, s) not in pairs:
@@ -235,7 +222,7 @@ def _relation_classes(n: int, relation) -> tuple[TypeValidation, tuple]:
         for b in syms:
             if a < b and (a, b) not in pairs and (b, a) not in pairs:
                 violations.append(f"not total: {a} vs {b} incomparable")
-    for a, b in pairs:
+    for a, b in sorted(pairs):
         for c in syms:
             if (b, c) in pairs and (a, c) not in pairs:
                 violations.append(f"not transitive: {a}<={b}<={c} but not {a}<={c}")
@@ -408,26 +395,14 @@ def _class_form(cls: frozenset) -> str:
 
 
 def parse_list_form(text: str) -> NType:
-    """Parse a list form back into a validated NType."""
-    segments = [seg for seg in text.strip().split("<")]
+    """Split a list form on '<' and '=' and build the NType of half its
+    symbol count from the classes as given; only an empty class is refused
+    before the constructor judges them."""
+    segments = text.strip().split("<")
     if any(not seg.strip() for seg in segments):
         raise ValueError(f"malformed list form {text!r}: empty class")
-    classes = []
-    count = 0
-    for seg in segments:
-        names = [name for name in seg.split("=")]
-        syms = frozenset(Symbol.parse(name) for name in names)
-        if len(syms) != len(names):
-            raise ValueError(f"malformed list form {text!r}: repeated symbol in class")
-        if len(syms) > 1 and any(s.kind == "y" for s in syms):
-            raise ValueError(
-                f"malformed list form {text!r}: '=' may only join x symbols"
-            )
-        classes.append(syms)
-        count += len(syms)
-    if count % 2:
-        raise ValueError(f"malformed list form {text!r}: odd symbol count")
-    return NType(count // 2, tuple(classes))
+    classes = [[Symbol.parse(name) for name in seg.split("=")] for seg in segments]
+    return NType(sum(map(len, classes)) // 2, tuple(classes))
 
 
 def append_extension(t: NType) -> NType:
@@ -501,5 +476,5 @@ def ntype_from_json(doc: dict) -> NType:
                 symbols.append(Symbol.parse(name))
             except ValueError as exc:
                 raise ValueError(f"classes[{i}][{j}]: {exc}") from None
-        classes.append(frozenset(symbols))
+        classes.append(symbols)
     return NType(n, tuple(classes))

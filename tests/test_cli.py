@@ -802,6 +802,34 @@ def test_repeated_symbols_are_named_in_time_linear_in_them(tmp_path):
     assert payload_of(err)["error"] == "invalid pattern: symbols repeated: x1"
 
 
+@pytest.mark.parametrize("action, doc, name", [
+    ("extend", {"n": 1, "classes": [["x1", "x1"], ["y1"]]}, "x1"),
+    ("insert", {"n": 2, "classes": [["x1", "x2", "x2"], ["y1"], ["y2"]]}, "x2"),
+])
+def test_a_repeat_inside_one_class_is_refused(tmp_path, action, doc, name):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc))
+    result, out, err = invoke(["types", action, "--in", str(path)])
+    assert result.exit_code == 1 and out == ""
+    payload = payload_of(err)
+    conforms("error", payload)
+    assert payload["error"] == f"invalid pattern: symbols repeated: {name}"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x1=y1<y2<x2", "equivalent symbols must both be x's: x1=y1; "
+                    "x1 must sit strictly before y1; x2 must sit strictly before y2"),
+    ("x1<y1<x2", "dangling indices: x2"),
+    ("x1=x1<y1", "symbols repeated: x1"),
+])
+def test_malformed_list_forms_get_the_judges_message(text, message):
+    result, out, err = invoke(["types", "extend", "--type", text])
+    assert result.exit_code == 1 and out == ""
+    payload = payload_of(err)
+    conforms("error", payload)
+    assert (payload["kind"], payload["error"]) == ("ValueError", "invalid pattern: " + message)
+
+
 def test_graph_check_past_its_bound_is_refused(files):
     # on the 30-vertex (8, 2) covering, k = 5 and m = 20 give more than
     # 10**6 configurations; k = 4 and m = 12 give 201,193

@@ -1,5 +1,8 @@
 import io
 import random
+import subprocess
+import sys
+import time
 import tracemalloc
 
 import pytest
@@ -27,6 +30,7 @@ from ramseybench.typecalc import (
 from ramseybench import cli
 from ramseybench.typecalc import _class_problems, _gap_choices, _list_forms, _rank_vectors
 
+from helpers import child_env
 from oracles import (
     brute_force_ntypes,
     enumerate_ntypes_scan,
@@ -363,3 +367,119 @@ def test_enumeration_is_deterministic():
     assert [list_form(t) for t in enumerate_ntypes(3)] == [
         list_form(t) for t in enumerate_ntypes(3)
     ]
+
+
+def _draw_classes(rnd, n_max=4):
+    """A sequence of nonempty symbol lists with at least two symbols: half
+    the time a valid pattern's classes, mutated or not, else symbols drawn
+    at random from x1..x5, y1..y5."""
+    if rnd.random() < 0.5:
+        ts = enumerate_ntypes(rnd.randint(1, n_max))
+        classes = [sorted(cls) for cls in ts[rnd.randrange(len(ts))].classes]
+        for _ in range(rnd.choice([0, 0, 1, 2])):
+            i = rnd.randrange(len(classes))
+            move = rnd.choice(["swap", "merge", "repeat", "drop", "rename"])
+            if move == "swap":
+                j = rnd.randrange(len(classes))
+                classes[i], classes[j] = classes[j], classes[i]
+            elif move == "merge" and i + 1 < len(classes):
+                classes[i:i + 2] = [classes[i] + classes[i + 1]]
+            elif move == "repeat":
+                classes[rnd.randrange(len(classes))].append(rnd.choice(classes[i]))
+            elif move == "drop" and len(classes) > 2:
+                del classes[i]
+            elif move == "rename":
+                j = rnd.randrange(len(classes[i]))
+                classes[i][j] = Symbol(rnd.choice("xy"), rnd.randint(1, n_max + 1))
+    else:
+        pool = [Symbol(k, i) for k in "xy" for i in range(1, n_max + 2)]
+        classes = [[rnd.choice(pool) for _ in range(rnd.choice([1, 1, 1, 2, 3]))]
+                   for _ in range(rnd.randint(1, 2 * n_max + 1))]
+    if sum(map(len, classes)) < 2:
+        classes.append([Symbol("y", 1)])
+    return classes
+
+
+def _outcome(build):
+    """The pattern ``build()`` returns, or the text after ``invalid pattern: ``."""
+    try:
+        return build()
+    except ValueError as exc:
+        head, _, rest = str(exc).partition("invalid pattern: ")
+        assert head == "" and rest, str(exc)
+        return rest
+
+
+def _readers_agree(classes):
+    n = sum(map(len, classes)) // 2
+    text = "<".join("=".join(map(str, cls)) for cls in classes)
+    doc = {"n": n, "classes": [[str(s) for s in cls] for cls in classes]}
+    got = _outcome(lambda: parse_list_form(text))
+    assert _outcome(lambda: ntype_from_json(doc)) == got, text
+    assert _outcome(lambda: NType(n, tuple(classes))) == got, text
+    population = population_problems_scan(n, classes)
+    if population:
+        assert got == "; ".join(population), text
+    syms = [s for cls in classes for s in cls]
+    if len(syms) == len(set(syms)):
+        # no symbol repeats, so the classes are a total pre-order of their symbols
+        rank = {s: pos for pos, cls in enumerate(classes) for s in cls}
+        relation = {(a, b) for a in syms for b in syms if rank[a] <= rank[b]}
+        assert _outcome(lambda: ntype_from_relation(n, relation)) == got, text
+    return got
+
+
+def test_every_reader_hands_its_classes_to_one_judge_seeded():
+    rnd = random.Random(23)
+    outcomes = [_readers_agree(_draw_classes(rnd)) for _ in range(600)]
+    valid = sum(isinstance(o, NType) for o in outcomes)
+    assert 100 < valid < 500  # both sides of the judge are drawn
+    # with n half the symbol count, a missing symbol comes with a repeat or a stray
+    for start in ("symbols repeated", "dangling indices",
+                  "equivalent symbols must both be x's", "y symbols must increase",
+                  "must sit strictly before"):
+        assert any(isinstance(o, str) and start in o for o in outcomes), start
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_every_reader_hands_its_classes_to_one_judge(rnd):
+    _readers_agree(_draw_classes(rnd))
+
+
+def test_a_repeat_inside_one_class_is_refused_by_every_reader():
+    doc = {"n": 1, "classes": [["x1", "x1"], ["y1"]]}
+    for build in (lambda: ntype_from_json(doc),
+                  lambda: NType(1, ([Symbol("x", 1)] * 2, [Symbol("y", 1)]))):
+        with pytest.raises(ValueError, match="^invalid pattern: symbols repeated: x1$"):
+            build()
+
+
+@pytest.mark.parametrize("n", [10**5, 10**9])
+def test_relation_population_work_follows_the_symbols_given(n):
+    start = time.perf_counter()
+    report = validate_ntype(n, [("x1", "x1")])
+    with pytest.raises(ValueError) as exc:
+        ntype_from_relation(n, [("x1", "x1")])
+    assert time.perf_counter() - start < 1.0
+    names = ", ".join(f"x{i}" for i in range(2, 22))
+    message = f"symbols missing: {names} and {2 * n - 21} more"
+    assert report == TypeValidation(False, (message,), ())
+    assert str(exc.value) == "invalid pattern: " + message
+    assert len(message.encode()) < 1024
+
+
+def test_relation_reports_do_not_depend_on_the_hash_seed():
+    code = ("from ramseybench.typecalc import validate_ntype\n"
+            "ranks = {'x1': 0, 'x2': 1, 'y1': 1, 'y2': 1}\n"
+            "rel = {(a, b) for a in ranks for b in ranks if ranks[a] <= ranks[b]}\n"
+            "rel -= {('y1', 'x2'), ('x2', 'y2')}\n"
+            "print(validate_ntype(2, rel).violations)\n")
+    reports = set()
+    for seed in range(4):
+        env = {**child_env(), "PYTHONHASHSEED": str(seed)}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, check=True)
+        reports.add(proc.stdout)
+    assert len(reports) == 1, reports
+    assert reports.pop().count("not transitive") == 2
