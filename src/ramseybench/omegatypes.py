@@ -8,7 +8,8 @@ are infinite, there are infinitely many of them, the class order has
 type omega) cannot be judged on a prefix; validation records them as
 assumed and flags every x-class as a stub.  Deliberately, nothing more
 is enforced: in particular y-indices need not be consecutive, although
-prefixes cut from full patterns would have them so.
+prefixes cut from full patterns would have them so.  One judge walks
+the classes once for ``validate_prefix`` and the constructor alike.
 
 ``phi_prefix`` realizes a prefix as a planar condition by assigning one
 strictly increasing value per class; each index j with both x_j and y_j
@@ -26,6 +27,7 @@ from __future__ import annotations
 import random
 from functools import cached_property
 
+from . import _jsonio
 from ._values import value
 from .errors import MissingLabelError, _natural, _naturals
 from .pointsets import FiniteCondition, Point
@@ -72,7 +74,8 @@ def _coerce_classes(classes):
     """Classes as given, or read from JSON entries; a malformed entry
     raises ValueError naming its path, e.g. ``classes[0].x``."""
     if not isinstance(classes, (list, tuple)):
-        raise ValueError(f"classes: expected a list of class entries, got {classes!r}")
+        raise ValueError("classes: expected a list of class entries, "
+                         f"got {_jsonio.dumps(classes, default=repr)}")
     out = []
     for i, cls in enumerate(classes):
         if isinstance(cls, (YClass, XClass)):
@@ -82,54 +85,50 @@ def _coerce_classes(classes):
         elif isinstance(cls, dict) and set(cls) == {"x"}:
             out.append(XClass(frozenset(_naturals(cls["x"], f"classes[{i}].x"))))
         else:
-            raise ValueError(f"classes[{i}]: bad class entry: {cls!r}")
+            raise ValueError(f"classes[{i}]: bad class entry: {_jsonio.dumps(cls, default=repr)}")
     return tuple(out)
 
 
+def _judge(seq) -> PrefixReport:
+    """The report on coerced classes, in one walk: repeats make a prefix
+    malformed; only one without them reports y-order and housing breaks."""
+    malformed: list[str] = []
+    violations: list[str] = []
+    housed: set[int] = set()
+    seen_y: set[int] = set()
+    last_y = 0
+    for cls in seq:
+        if isinstance(cls, XClass):
+            dup = cls.indices & housed
+            if dup:
+                malformed.append("x-indices repeated across classes: "
+                                 + ", ".join(map(str, sorted(dup))))
+            housed |= cls.indices
+            continue
+        if cls.index in seen_y:
+            malformed.append(f"y-index repeated: {cls.index}")
+        seen_y.add(cls.index)
+        if cls.index <= last_y:
+            violations.append(f"y-indices must increase strictly: "
+                              f"y{cls.index} after y{last_y}")
+        if cls.index not in housed:
+            violations.append(f"y{cls.index} present without x{cls.index} "
+                              "in an earlier class")
+        last_y = max(last_y, cls.index)
+    if malformed:
+        return PrefixReport(False, tuple(malformed), (), ())
+    assumed = ASSUMED_CLAUSES if housed else ASSUMED_CLAUSES[1:]
+    return PrefixReport(not violations, (), tuple(violations), assumed)
+
+
 def validate_prefix(classes) -> PrefixReport:
-    """Judge a candidate class sequence; never raises on content problems."""
+    """Judge a candidate class sequence; never raises on content problems.
+    The constructor of ``OmegaTypePrefix`` refuses by the same judge."""
     try:
         seq = _coerce_classes(classes)
     except (ValueError, TypeError) as exc:
         return PrefixReport(False, (str(exc),), (), ())
-
-    malformed: list[str] = []
-    seen_x: set[int] = set()
-    seen_y: set[int] = set()
-    for cls in seq:
-        if isinstance(cls, XClass):
-            dup = cls.indices & seen_x
-            if dup:
-                malformed.append(
-                    "x-indices repeated across classes: "
-                    + ", ".join(map(str, sorted(dup)))
-                )
-            seen_x |= cls.indices
-        else:
-            if cls.index in seen_y:
-                malformed.append(f"y-index repeated: {cls.index}")
-            seen_y.add(cls.index)
-    if malformed:
-        return PrefixReport(False, tuple(malformed), (), ())
-
-    violations: list[str] = []
-    housed: set[int] = set()
-    last_y = 0
-    for cls in seq:
-        if isinstance(cls, XClass):
-            housed |= cls.indices
-            continue
-        if cls.index <= last_y:
-            violations.append(
-                f"y-indices must increase strictly: y{cls.index} after y{last_y}"
-            )
-        if cls.index not in housed:
-            violations.append(
-                f"y{cls.index} present without x{cls.index} in an earlier class"
-            )
-        last_y = max(last_y, cls.index)
-    assumed = ASSUMED_CLAUSES if any(isinstance(c, XClass) for c in seq) else ASSUMED_CLAUSES[1:]
-    return PrefixReport(not violations, (), tuple(violations), assumed)
+    return _judge(seq)
 
 
 @value
@@ -142,7 +141,7 @@ class OmegaTypePrefix:
     def __post_init__(self):
         seq = _coerce_classes(self.classes)
         object.__setattr__(self, "classes", seq)
-        report = validate_prefix(seq)
+        report = _judge(seq)
         if not report.ok:
             raise ValueError(
                 "invalid prefix: " + "; ".join(report.malformed + report.violations)
@@ -188,15 +187,10 @@ def phi_prefix(prefix: OmegaTypePrefix, z) -> FiniteCondition:
         raise ValueError(
             f"need one value per class: {len(prefix)} classes, {len(vals)} values"
         )
-    points = []
-    for pos, cls in enumerate(prefix.classes):
-        if not isinstance(cls, YClass):
-            continue
-        xpos = prefix.position_of_x(cls.index)
-        if xpos is None:
-            continue
-        points.append(Point(vals[xpos], vals[pos]))
-    return FiniteCondition(frozenset(points))
+    # a judged prefix houses every y's x in an earlier class
+    return FiniteCondition(frozenset(
+        Point(vals[prefix.position_of_x(cls.index)], vals[pos])
+        for pos, cls in enumerate(prefix.classes) if isinstance(cls, YClass)))
 
 
 def assign_D(prefix: OmegaTypePrefix, s) -> str:
@@ -221,12 +215,8 @@ def _demand(prefix: OmegaTypePrefix, vals: tuple[int, ...], k: int) -> str:
     cls = prefix.classes[k]
     if isinstance(cls, XClass):
         return "U"
-    xpos = prefix.position_of_x(cls.index)
-    if xpos is None or xpos >= k:
-        raise ValueError(
-            f"x{cls.index} has no valued class before position {k}"
-        )
-    return f"V_{vals[xpos]}"
+    # a judged prefix houses every y's x in an earlier class, so it is valued
+    return f"V_{vals[prefix.position_of_x(cls.index)]}"
 
 
 class ZAssignment:
@@ -352,7 +342,7 @@ def prefix_to_json(prefix: OmegaTypePrefix) -> dict:
 def prefix_from_json(doc: dict) -> OmegaTypePrefix:
     if not isinstance(doc, dict) or "classes" not in doc:
         raise ValueError("prefix document needs 'classes'")
-    return OmegaTypePrefix(_coerce_classes(doc["classes"]))
+    return OmegaTypePrefix(doc["classes"])
 
 
 def zassignment_from_json(doc: dict) -> ZAssignment:

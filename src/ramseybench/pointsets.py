@@ -278,14 +278,9 @@ def classify_subsets(cond: FiniteCondition, n: int) -> dict[NType, list[tuple[Po
 
 def _fresh_realizer(t: NType, base: int) -> list[Point]:
     """Points realizing t using fresh values base, base+1, ..."""
-    value: dict[Symbol, int] = {}
-    for offset, cls in enumerate(t.classes):
-        for sym in cls:
-            value[sym] = base + offset
-    return [
-        Point(value[Symbol("x", i)], value[Symbol("y", i)])
-        for i in range(1, t.n + 1)
-    ]
+    r = t.rank
+    return [Point(base + r[_symbol("x", i)], base + r[_symbol("y", i)])
+            for i in range(1, t.n + 1)]
 
 
 @lru_cache(maxsize=None)

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import random
 
+from . import _jsonio
 from ._values import value
 from .errors import _natural, _naturals, check_work
 
@@ -421,12 +422,14 @@ def _at(where: str, key: str) -> str:
 
 
 def _bad(where: str, what: str, doc) -> ValueError:
-    return ValueError(f"{where + ': ' if where else ''}bad {what} document: {doc!r}")
+    return ValueError(f"{where + ': ' if where else ''}bad {what} document: "
+                      f"{_jsonio.dumps(doc, default=repr)}")
 
 
 def _fields(doc, where: str, keys: tuple[str, ...]) -> dict:
     if not isinstance(doc, dict) or not all(k in doc for k in keys):
-        raise ValueError(f"{where}: expected an object with keys {', '.join(keys)}, got {doc!r}")
+        raise ValueError(f"{where}: expected an object with keys {', '.join(keys)}, "
+                         f"got {_jsonio.dumps(doc, default=repr)}")
     return doc
 
 
@@ -466,7 +469,7 @@ def planar_set_from_json(doc: dict, where: str = "") -> PlanarSet:
         op = doc["op"]
         raw, at = doc.get("args", []), _at(where, "args")
         if not isinstance(raw, list):
-            raise ValueError(f"{at}: expected a list, got {raw!r}")
+            raise ValueError(f"{at}: expected a list, got {_jsonio.dumps(raw, default=repr)}")
         # a loop, not a comprehension: one frame per nesting level
         args = []
         for i, arg in enumerate(raw):
@@ -477,13 +480,15 @@ def planar_set_from_json(doc: dict, where: str = "") -> PlanarSet:
             return Intersection(tuple(args))
         if op == "complement":
             if len(args) != 1:
-                raise ValueError("complement takes exactly one argument")
+                raise ValueError(f"{at}: complement takes exactly one argument")
             return Complement(args[0])
-        raise ValueError(f"unknown operator {op!r}")
+        raise ValueError(f"{_at(where, 'op')}: unknown operator "
+                         f"{_jsonio.dumps(op, default=repr)}")
     if "points" in doc:
         raw, at = doc["points"], _at(where, "points")
         if not isinstance(raw, list):
-            raise ValueError(f"{at}: expected a list of [x, y] pairs, got {raw!r}")
+            raise ValueError(f"{at}: expected a list of [x, y] pairs, "
+                             f"got {_jsonio.dumps(raw, default=repr)}")
         return FinitePoints(frozenset(tuple(_naturals(p, f"{at}[{i}]", 2))
                                       for i, p in enumerate(raw)))
     if "rect" in doc:
@@ -518,7 +523,8 @@ def sequence_from_json(doc: dict) -> StandInSequence:
         raise ValueError("stand-in sequence document needs 'default'")
     raw = doc.get("exceptions", {})
     if not isinstance(raw, dict):
-        raise ValueError(f"exceptions: expected an object from indices to stand-ins, got {raw!r}")
+        raise ValueError("exceptions: expected an object from indices to stand-ins, "
+                         f"got {_jsonio.dumps(raw, default=repr)}")
     exceptions = []
     for key, value in raw.items():
         where = f"exceptions.{key}"

@@ -396,13 +396,13 @@ def _class_form(cls: frozenset) -> str:
 
 def parse_list_form(text: str) -> NType:
     """Split a list form on '<' and '=' and build the NType of half its
-    symbol count from the classes as given; only an empty class is refused
-    before the constructor judges them."""
+    symbol count (at least 1) from the classes as given; only an empty
+    class is refused before the constructor judges them."""
     segments = text.strip().split("<")
     if any(not seg.strip() for seg in segments):
         raise ValueError(f"malformed list form {text!r}: empty class")
     classes = [[Symbol.parse(name) for name in seg.split("=")] for seg in segments]
-    return NType(sum(map(len, classes)) // 2, tuple(classes))
+    return NType(max(1, sum(map(len, classes)) // 2), tuple(classes))
 
 
 def append_extension(t: NType) -> NType:

@@ -43,7 +43,7 @@ from math import isfinite
 
 from ramseybench.errors import _natural
 from ramseybench.homogeneity import Coloring
-from ramseybench.omegatypes import XClass
+from ramseybench.omegatypes import ASSUMED_CLAUSES, XClass
 from ramseybench.setalgebra import (
     AboveDiag,
     Column,
@@ -716,6 +716,38 @@ def phi_scan(prefix, z) -> set:
             if not isinstance(cls, XClass)
             and x_position_scan(prefix, cls.index) is not None}
 
+
+
+def judge_prefix_two_passes(seq) -> tuple:
+    """(ok, malformed, violations, assumed) of coerced prefix classes as
+    they were judged in two walks: the repeats first, and the y-order and
+    housing only when there are none."""
+    malformed, seen_x, seen_y = [], set(), set()
+    for cls in seq:
+        if isinstance(cls, XClass):
+            dup = cls.indices & seen_x
+            if dup:
+                malformed.append("x-indices repeated across classes: "
+                                 + ", ".join(map(str, sorted(dup))))
+            seen_x |= cls.indices
+        else:
+            if cls.index in seen_y:
+                malformed.append(f"y-index repeated: {cls.index}")
+            seen_y.add(cls.index)
+    if malformed:
+        return False, tuple(malformed), (), ()
+    violations, housed, last_y = [], set(), 0
+    for cls in seq:
+        if isinstance(cls, XClass):
+            housed |= cls.indices
+            continue
+        if cls.index <= last_y:
+            violations.append(f"y-indices must increase strictly: y{cls.index} after y{last_y}")
+        if cls.index not in housed:
+            violations.append(f"y{cls.index} present without x{cls.index} in an earlier class")
+        last_y = max(last_y, cls.index)
+    assumed = ASSUMED_CLAUSES if any(isinstance(c, XClass) for c in seq) else ASSUMED_CLAUSES[1:]
+    return not violations, (), tuple(violations), assumed
 
 # ---------------------------------------------------------------- value classes
 # The package's value classes skip ``dataclasses`` for start-up time; each

@@ -821,6 +821,8 @@ def test_a_repeat_inside_one_class_is_refused(tmp_path, action, doc, name):
                     "x1 must sit strictly before y1; x2 must sit strictly before y2"),
     ("x1<y1<x2", "dangling indices: x2"),
     ("x1=x1<y1", "symbols repeated: x1"),
+    ("x1", "symbols missing: y1"),
+    ("y1", "symbols missing: x1"),
 ])
 def test_malformed_list_forms_get_the_judges_message(text, message):
     result, out, err = invoke(["types", "extend", "--type", text])
@@ -1104,6 +1106,14 @@ MALFORMED = [
     (("homog stabilize",), "--in", [[0.7, 1]], "[0][0]:"),
     (("homog stabilize",), "--in", [[0, 1], [True, False]], "[1][0]:"),
     (("homog stabilize",), "--in", [[0, 1], [0, 2]], "[1][1]:"),
+    (EXPRESSION_READERS, "--in", {"op": "xor"}, 'op: unknown operator "xor"'),
+    (EXPRESSION_READERS, "--in", {"op": "union", "args": [{"aboveDiag": True}, {"op": "xor"}]},
+     'args[1].op: unknown operator "xor"'),
+    (EXPRESSION_READERS, "--in",
+     {"op": "complement", "args": [{"aboveDiag": True}, {"aboveDiag": True}]},
+     "args: complement takes exactly one argument"),
+    (EXPRESSION_READERS, "--in", {"op": "union", "args": [{"op": "complement", "args": []}]},
+     "args[0].args: complement takes exactly one argument"),
 ]
 
 
@@ -1134,6 +1144,72 @@ def test_malformed_documents_name_their_path(files, action, option, doc, start):
     conforms("error", payload)
     assert payload["kind"] == "ValueError"
     assert payload["error"].startswith(f"{bad}: " if start is FILE else start)
+
+
+# (action, option, document, the error up to the quoted value, that value)
+QUOTED = [
+    ("sets fr2", "--in", {"op": "union", "args": {"a": True}},
+     "args: expected a list, got ", {"a": True}),
+    ("sets tail", "--in", {"op": None}, "op: unknown operator ", None),
+    ("sets column", "--in", {"points": {"p": [1, 2]}},
+     "points: expected a list of [x, y] pairs, got ", {"p": [1, 2]}),
+    ("sets meets", "--in", {"rect": ["x", "y"]},
+     "rect: expected an object with keys x, y, got ", ["x", "y"]),
+    ("sets fr2", "--in", {"op": "union", "args": [{"circle": "\u00e9"}]},
+     "args[0]: bad planar set document: ", {"circle": "\u00e9"}),
+    ("sets sum", "--seq", {"default": {"frechet": True}, "exceptions": [None]},
+     "exceptions: expected an object from indices to stand-ins, got ", [None]),
+    ("omega phi", "--in", {"classes": [{"x": [1]}, {"z": None}]},
+     "classes[1]: bad class entry: ", {"z": None}),
+    ("omega assignd", "--in", {"classes": {"x": [1]}},
+     "classes: expected a list of class entries, got ", {"x": [1]}),
+]
+
+
+@pytest.mark.parametrize("action, option, doc, start, quoted", QUOTED)
+def test_malformed_values_are_quoted_as_json(files, action, option, doc, start, quoted):
+    bad = files["dir"] / "quoted.json"
+    bad.write_text(json.dumps(doc))
+    result, out, err = invoke(_reader_argv(files, action, option, bad))
+    assert result.exit_code == 1 and out == ""
+    error = payload_of(err)["error"]
+    assert error.startswith(start) and json.loads(error[len(start):]) == quoted
+
+
+# CLI refusals of calls that parse: {name} stands for the path of files[name],
+# {doc} for a file holding the row's document.
+REFUSALS = [
+    (["types", "extend"], None, "need a pattern: pass --type or --in"),
+    (["types", "insert"], None, "need a pattern: pass --type or --in"),
+    (["homog", "check", "--type", "x1<y1"], None, "need a coloring: pass --in or --csv"),
+    (["homog", "search", "--type", "x1<y1"], None, "need a coloring: pass --in or --csv"),
+    (["graph", "build", "--steps", "0"], None, "steps must be >= 1, got 0"),
+    (["graph", "build", "--cover-vertices", "-1"], None, "bounds must be naturals"),
+    (["graph", "demo-coloring", "--palette", "1"], None, "palette must have >= 2 colors, got 1"),
+    (["types", "extend", "--in", "{doc}"], {"n": 0, "classes": []}, "n must be >= 1, got 0"),
+    (["types", "insert", "--in", "{doc}"], {"n": 1, "classes": [[], ["x1"], ["y1"]]},
+     "invalid pattern: empty equivalence class"),
+    (["sets", "fr2", "--in", "{doc}"],
+     {"op": "complement", "args": [{"aboveDiag": True}, {"aboveDiag": True}]},
+     "args: complement takes exactly one argument"),
+    (["sets", "tail", "--in", "{doc}"], {"op": "xor"}, 'op: unknown operator "xor"'),
+    (["homog", "extract-s", "--in", "{doc}", "--cond", "{gridcond}"],
+     {"bounds": [3, 11, 3], "triples": [[0, 4, 0], [5, 4, 0]]},
+     "triple (5, 4, 0) outside grid bounds"),
+]
+
+
+@pytest.mark.parametrize("argv, doc, message", REFUSALS,
+                         ids=[" ".join(argv[:2]) + f" #{i}" for i, (argv, _, _) in enumerate(REFUSALS)])
+def test_refused_calls_exit_1_with_the_error_payload(files, tmp_path, argv, doc, message):
+    (tmp_path / "doc.json").write_text(json.dumps(doc))
+    paths = {name: str(path) for name, path in files.items()}
+    argv = [arg.format(doc=tmp_path / "doc.json", **paths) for arg in argv]
+    result, out, err = invoke(argv)
+    assert result.exit_code == 1 and out == ""
+    payload = payload_of(err)
+    conforms("error", payload)
+    assert (payload["kind"], payload["error"]) == ("ValueError", message)
 
 
 @pytest.mark.parametrize("option", ["--in", "--u", "--seq"])
@@ -1469,6 +1545,29 @@ def read_as_the_tree_reads(argv):
     read = cli._read_call(argv)
     assert read is None or vars(read) == tree_reads(argv), argv
     return read is not None
+
+
+def test_the_command_table_has_the_shape_the_reader_reads():
+    # _read_call reads each row as given: -- flags, each taking one value
+    # or a store_true switch, a str default never passed through a type,
+    # and no set_defaults key that is also an option's dest
+    keywords = {"dest", "metavar", "help", "type", "choices", "default", "required", "action"}
+    rows = []
+    for _, actions in cli._AREAS.values():
+        for _, _, handler, arguments in actions:
+            row = cli._Row()
+            for add in (*arguments, *cli._COMMON):
+                add(row)
+            row.set_defaults(func=handler)
+            rows.append(row)
+    assert all(
+        kwargs.keys() <= keywords
+        and kwargs.get("action", "store_true") == "store_true"
+        and all(flag.startswith("--") for flag in flags)
+        and not (isinstance(kwargs.get("default"), str) and "type" in kwargs)
+        and not row.defaults.keys() & {"area", "action",
+                                       kwargs.get("dest") or flags[0][2:].replace("-", "_")}
+        for row in rows for flags, kwargs in row.arguments)
 
 
 def test_the_reader_reads_every_action_call_as_the_tree_does():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from ramseybench import omegatypes
 from ramseybench.errors import MissingLabelError
 from ramseybench.omegatypes import (
     OmegaTypePrefix,
@@ -78,6 +79,78 @@ def test_prefix_constructor_rejects_invalid():
     p = OmegaTypePrefix(({"x": [1]}, {"y": 1}))
     assert p.classes == (XClass(frozenset({1})), YClass(1))
 
+
+
+def _judged_alike(classes) -> bool:
+    """validate_prefix and the constructor agree on classes, and the report
+    reads as the two-pass judge's; returns whether the prefix is valid."""
+    report = validate_prefix(classes)
+    try:
+        seq = omegatypes._coerce_classes(classes)
+    except ValueError as exc:
+        assert report == omegatypes.PrefixReport(False, (str(exc),), (), ())
+        message = str(exc)
+    else:
+        assert (report.ok, report.malformed, report.violations, report.assumed) == \
+            oracles.judge_prefix_two_passes(seq)
+        message = "invalid prefix: " + "; ".join(report.malformed + report.violations)
+    try:
+        built = OmegaTypePrefix(classes)
+    except ValueError as exc:
+        assert not report.ok and str(exc) == message
+        return False
+    assert report.ok and validate_prefix(built.classes) == report
+    return True
+
+
+def _broken(rng, classes: list) -> list:
+    """classes with one class dropped, repeated, moved or replaced by a bad entry."""
+    out = list(classes)
+    i = rng.randrange(len(out))
+    cut = rng.randrange(4)
+    if cut == 0:
+        del out[i]
+    elif cut == 1:
+        out.insert(rng.randrange(len(out) + 1), out[i])
+    elif cut == 2:
+        out.insert(rng.randrange(len(out) + 1), out.pop(i))
+    else:
+        out[i] = rng.choice([{"z": None}, {"x": 1}, {"y": True}, {"x": [0]}, {"x": []}, 3])
+    return out
+
+
+def test_the_constructor_refuses_exactly_what_validate_prefix_refuses():
+    rng = random.Random(29)
+    valid = [random_prefix(rng, rng.randint(1, 9)) for _ in range(150)]
+    assert all(_judged_alike(p.classes) for p in valid)
+    assert all(_judged_alike(prefix_to_json(p)["classes"]) for p in valid)
+    judged = [_judged_alike(_broken(rng, list(p.classes))) for p in valid for _ in range(4)]
+    # most changes break the prefix, some leave it valid
+    assert judged.count(False) > 300 and judged.count(True) > 10
+    assert not _judged_alike(5) and not _judged_alike({"x": [1]})
+
+
+PREFIX_ENTRIES = st.one_of(
+    st.builds(lambda xs: {"x": xs}, st.lists(st.integers(0, 5), max_size=3)),
+    st.builds(lambda y: {"y": y}, st.integers(0, 5)),
+    st.builds(lambda xs: XClass(frozenset(xs)), st.sets(st.integers(1, 5), min_size=1, max_size=3)),
+    st.builds(YClass, st.integers(1, 5)),
+    st.sampled_from([{"z": None}, {"x": 1}, {"y": True}, {"x": [1], "y": 1}, "x1"]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(PREFIX_ENTRIES, max_size=8))
+def test_drawn_class_lists_are_judged_alike_by_validate_prefix_and_the_constructor(classes):
+    _judged_alike(classes)
+
+
+def test_prefix_from_json_coerces_its_classes_once(monkeypatch):
+    coerce, calls = omegatypes._coerce_classes, []
+    monkeypatch.setattr(omegatypes, "_coerce_classes",
+                        lambda classes: calls.append(classes) or coerce(classes))
+    assert prefix_from_json(prefix_to_json(PAIR_PREFIX)) == PAIR_PREFIX
+    assert len(calls) == 1
 
 def test_position_lookups():
     assert PAIR_PREFIX.position_of_x(2) == 0
