@@ -76,7 +76,11 @@ WORK_BOUNDS = {
     # CLI then writes 80 MB of JSON for the statuses: `homog extract-s` on a
     # 1000 x 1000 x 1000 grid with no triples and an empty condition, stdout
     # to a file, takes 2.5 s in all and peaks at 0.63 GiB RSS (subprocess
-    # wall time and the child's ru_maxrss from wait4, three runs each).
+    # wall time and the child's ru_maxrss from wait4, three runs each).  It
+    # also counts the witness rows of a graph, one per vertex, that
+    # EdgeColoring.masks builds for `graph check` and `graph rich`: at the
+    # bound, an edgeless 10**6-vertex graph takes 1.35 s and 170 MB peak
+    # RSS in either action (subprocess, same host).
     "values": 1_000_000,
     # Conditions noreverse_demo draws and checks, each about 0.7 ms in
     # process on the same host, so about 0.7 s at the bound.

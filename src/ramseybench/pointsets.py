@@ -39,7 +39,10 @@ class Point:
     y: int
 
     def __post_init__(self):
-        if self.x < 0 or self.y < 0:
+        # naturals as errors._natural takes them: ints, not bools, not negative
+        x, y = self.x, self.y
+        if (not (isinstance(x, int) and isinstance(y, int) and x >= 0 and y >= 0)
+                or type(x) is bool or type(y) is bool):
             raise ValueError(f"coordinates must be naturals, got {self}")
 
     def __str__(self) -> str:
@@ -63,7 +66,8 @@ class ConditionReport:
 
 
 def check_condition(points) -> ConditionReport:
-    """Report every clause violation in a raw point set; never raises.
+    """Report every clause violation in a raw point set.  It raises only
+    for an item that is neither a Point nor a pair of naturals.
 
     Witnesses are the first points in (x, y) order: the first point on a
     shared y against each later one, and for a value used as both an x
@@ -93,7 +97,7 @@ def _as_point(p) -> Point:
     if isinstance(p, Point):
         return p
     x, y = p
-    return Point(int(x), int(y))
+    return Point(x, y)
 
 
 @value
@@ -519,21 +523,14 @@ def random_condition(rng: random.Random, n_points: int, spread: int = 4) -> Fini
     """
     points: list[Point] = []
     xs: list[int] = []
-    used = set()
     top = 0
     for _ in range(n_points):
         if xs and rng.random() < 0.5:
             x = rng.choice(xs)
         else:
             x = top + rng.randrange(1, spread)
-            while x in used:
-                x += 1
-            used.add(x)
             xs.append(x)
         y = max(x, top) + rng.randrange(1, spread)
-        while y in used:
-            y += 1
-        used.add(y)
         top = max(top, x, y)
         points.append(Point(x, y))
     return FiniteCondition(frozenset(points))

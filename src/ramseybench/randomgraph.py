@@ -82,7 +82,10 @@ class EdgeColoring:
     @cached_property
     def masks(self) -> tuple[tuple[int, ...], ...]:
         """Per vertex, the witness engine's row: index c >= 1 holds the
-        vertices joined to it by colour c, index 0 their union."""
+        vertices joined to it by colour c, index 0 their union.  More
+        rows than the "values" work bound raise LimitError first."""
+        check_work("values", self.vertex_count, "witness rows",
+                   f"the graph has {self.vertex_count} vertices, one row each")
         rows = [[0] * self.palette for _ in range(self.vertex_count)]
         for (u, v), c in self.table.items():
             if c:
@@ -213,8 +216,9 @@ def _walk(palette: int, steps: int | None = None, max_vertex: int | None = None,
         size = steps
         configs = islice(_schedule(palette), steps)
     else:
-        if max_vertex < 0 or max_params < 0:
-            raise ValueError("bounds must be naturals")
+        for name, bound in (("max_vertex", max_vertex), ("max_params", max_params)):
+            if bound < 0:
+                raise ValueError(f"{name} must be >= 0, got {bound}")
         size = _schedule_size(palette, max_vertex, max_params)
         configs = _schedule(palette, max_vertex, max_params)
     check_work("configurations", size, "build",
@@ -290,9 +294,10 @@ def check_extension_property(g: Graph, k: int, m: int) -> list[Configuration]:
         work += term
     check_work("subsets", work, "extension check",
                f"k={k} on {m} vertices gives at least {work} configurations")
+    rows = g.masks  # refuses too many vertices before the pool is built
     everyone = (1 << g.vertex_count) - 1
     return [Configuration(params, _targets(colors))
-            for params, colors in _unwitnessed(g.masks, everyone, range(m), k)]
+            for params, colors in _unwitnessed(rows, everyone, range(m), k)]
 
 
 def _unwitnessed(rows, pool: int, vertices, k: int):

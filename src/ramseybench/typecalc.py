@@ -18,11 +18,10 @@ each gap's x's, a per-gap choice list holds every weak order followed by
 the y closing the gap, built once as classes or as list-form text; a
 pattern is one choice per gap, so one product over the gaps yields the
 NTypes (``enumerate_ntypes``) or their list forms (``_list_forms``)
-without building the other.  Weak orders come in lexicographic order of
-their rank vectors, so the whole enumeration is lexicographic in (gap
-vector, rank vectors).  Summing products of per-gap weak-order counts
-gives an enumeration-free count of the same patterns, used as a
-cross-check.
+without building the other.  Weak orders are built straight as blocks,
+lexicographic in their rank vectors, so the whole enumeration is
+lexicographic in (gap vector, rank vectors).  The count walks no gap
+vector: a recurrence over the gaps cross-checks the enumeration.
 """
 
 from __future__ import annotations
@@ -263,57 +262,39 @@ def fubini(k: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _rank_vectors(k: int) -> tuple[tuple[int, ...], ...]:
-    """All rank vectors of weak orders on k positions, lexicographically.
+def _weak_orders(k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Each weak order of k positions as its blocks of positions, least
+    block first, lexicographic in rank vectors (position -> block index).
 
-    A rank vector maps position -> block index; value sets are initial
-    segments {0..m-1}, so vectors and weak orders correspond one-to-one.
-    Built depth first, values ascending: a value is placed only while the
-    values missing below the largest so far fit in the positions left.
+    Built depth first, one position at a time, block indices ascending:
+    a position joins block v only while the blocks left empty below the
+    highest used so far fit in the positions left.
     """
     out = []
-    vec = []
+    blocks: list[list[int]] = [[] for _ in range(k)]
 
-    def extend(used: int, top: int):
-        left = k - len(vec)
+    def extend(pos: int, used: int, top: int):
+        left = k - pos
         if not left:
-            out.append(tuple(vec))
+            out.append(tuple(map(tuple, blocks[:top + 1])))
             return
         for v in range(k):
             seen = used | 1 << v
             high = max(top, v)
             if high + 1 - seen.bit_count() < left:
-                vec.append(v)
-                extend(seen, high)
-                vec.pop()
+                blocks[v].append(pos)
+                extend(pos + 1, seen, high)
+                blocks[v].pop()
             elif v > top:
-                break  # above the largest value the gaps only grow with v
+                break  # above the highest block the empty ones only grow with v
 
-    extend(0, -1)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _weak_orders(k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Each weak order of k positions as its blocks of positions, least
-    block first, in the order of ``_rank_vectors(k)``."""
-    out = []
-    for vec in _rank_vectors(k):
-        blocks: list[list[int]] = [[] for _ in range(max(vec, default=-1) + 1)]
-        for pos, rank in enumerate(vec):
-            blocks[rank].append(pos)
-        out.append(tuple(map(tuple, blocks)))
+    extend(0, 0, -1)
     return tuple(out)
 
 
 # Shared Symbols for the patterns this package builds itself, so they
 # skip a validated Symbol per use.
 _symbol = lru_cache(maxsize=1024)(Symbol)
-
-
-def _gap_assignments(n: int):
-    # component i (1-based) is the gap of xi; legal gaps are 0..i-1
-    return product(*(range(i) for i in range(1, n + 1)))
 
 
 @lru_cache(maxsize=1024)
@@ -337,9 +318,10 @@ def _gap_choices(members: tuple[int, ...], g: int, text: bool) -> tuple:
 
 def _gap_products(n: int, text: bool):
     """Every n-pattern as one choice per gap 0..n-1, lexicographic in
-    (gap vector, per-gap rank vectors).  No x lands in gap n, the stretch
-    after yn, so it is left out."""
-    for assign in _gap_assignments(n):
+    (gap vector, per-gap rank vectors).  Component i of a gap vector is
+    xi's gap, one of 0..i-1; none is n, the stretch after yn."""
+    _check_n(n)
+    for assign in product(*(range(i) for i in range(1, n + 1))):
         gaps: list[list[int]] = [[] for _ in range(n)]
         for i, g in enumerate(assign, 1):
             gaps[g].append(i)
@@ -349,35 +331,30 @@ def _gap_products(n: int, text: bool):
 
 def enumerate_ntypes(n: int) -> list[NType]:
     """All n-patterns, lexicographic in (gap vector, per-gap rank vectors)."""
-    _check_n(n)
     return [NType._trusted(n, tuple(chain.from_iterable(choice)))
             for choice in _gap_products(n, text=False)]
 
 
 def _list_forms(n: int) -> list[str]:
     """``[list_form(t) for t in enumerate_ntypes(n)]`` without an NType."""
-    _check_n(n)
     return ["<".join(choice) for choice in _gap_products(n, text=True)]
 
 
 def count_ntypes(n: int) -> int:
-    """Pattern count by the gap formula; no enumeration involved.
-
-    Sum over legal gap assignments of the product, per gap, of the Fubini
-    number of the x's landing there.  Must agree with
-    len(enumerate_ntypes(n)); tests hold the two routes together.
+    """Pattern count by a recurrence over the gaps, filled from n - 1
+    down to 0; no enumeration involved.  ``ways[a]`` counts the fillings
+    that leave a x's for the gaps below.  Before gap g, x_{g+1} joins the
+    x's that may land there; the gap takes any j of the a available, in
+    any weak order: comb(a, j) * fubini(j) ways.  O(n**3) steps; tests
+    hold it to len(enumerate_ntypes(n)).
     """
     _check_n(n)
-    total = 0
-    for assign in _gap_assignments(n):
-        sizes = [0] * (n + 1)
-        for g in assign:
-            sizes[g] += 1
-        term = 1
-        for size in sizes:
-            term *= fubini(size)
-        total += term
-    return total
+    ways = [1]
+    for _ in range(n):
+        ways = [0, *ways]  # x_{g+1} joins: a x's available become a + 1
+        ways = [sum(w * comb(a, a - b) * fubini(a - b) for a, w in enumerate(ways[b:], b))
+                for b in range(len(ways))]
+    return ways[0]
 
 
 def list_form(t: NType) -> str:
@@ -463,6 +440,8 @@ def ntype_from_json(doc: dict) -> NType:
     if not isinstance(doc, dict) or "n" not in doc or "classes" not in doc:
         raise ValueError("pattern document needs 'n' and 'classes'")
     n = _natural(doc["n"], "n")
+    if not n:
+        raise ValueError("n: expected a natural number >= 1, got 0")
     if not isinstance(doc["classes"], list):
         raise ValueError(f"classes: expected a list of symbol lists, "
                          f"got {_jsonio.dumps(doc['classes'])}")

@@ -847,6 +847,21 @@ def test_graph_check_past_its_bound_is_refused(files):
         == unsatisfied_configurations(adj, 4, 12)
 
 
+@pytest.mark.parametrize("action", [
+    ["graph", "check", "--k", "0", "--m", "0"],
+    ["graph", "rich", "--vertices", "0,1"],
+])
+def test_a_graph_of_too_many_vertices_is_refused_fast(files, action):
+    # a 35-byte document; each vertex would cost a witness row
+    gpath = files["dir"] / "g_huge.json"
+    gpath.write_text(json.dumps({"vertices": 10**9, "edges": []}))
+    start = time.perf_counter()
+    doc = refused_fast([*action, "--in", str(gpath)])
+    assert time.perf_counter() - start < 0.5
+    assert doc["error"] == ("witness rows refused: the graph has 1000000000 vertices, "
+                            "one row each, the bound is 1000000")
+
+
 def test_graph_demo_coloring_past_its_bound_is_refused():
     doc = refused_fast(["graph", "demo-coloring", "--palette", "5", "--max-vertex", "2000"])
     assert "class count refused" in doc["error"]
@@ -1184,9 +1199,10 @@ REFUSALS = [
     (["homog", "check", "--type", "x1<y1"], None, "need a coloring: pass --in or --csv"),
     (["homog", "search", "--type", "x1<y1"], None, "need a coloring: pass --in or --csv"),
     (["graph", "build", "--steps", "0"], None, "steps must be >= 1, got 0"),
-    (["graph", "build", "--cover-vertices", "-1"], None, "bounds must be naturals"),
+    (["graph", "build", "--cover-vertices", "-1"], None, "max_vertex must be >= 0, got -1"),
     (["graph", "demo-coloring", "--palette", "1"], None, "palette must have >= 2 colors, got 1"),
-    (["types", "extend", "--in", "{doc}"], {"n": 0, "classes": []}, "n must be >= 1, got 0"),
+    (["types", "extend", "--in", "{doc}"], {"n": 0, "classes": []},
+     "n: expected a natural number >= 1, got 0"),
     (["types", "insert", "--in", "{doc}"], {"n": 1, "classes": [[], ["x1"], ["y1"]]},
      "invalid pattern: empty equivalence class"),
     (["sets", "fr2", "--in", "{doc}"],
@@ -1196,6 +1212,8 @@ REFUSALS = [
     (["homog", "extract-s", "--in", "{doc}", "--cond", "{gridcond}"],
      {"bounds": [3, 11, 3], "triples": [[0, 4, 0], [5, 4, 0]]},
      "triple (5, 4, 0) outside grid bounds"),
+    (["homog", "stabilize", "--in", "{doc}"], {"rows": [[0]]},
+     "rows document must be a JSON list of 0/1 rows"),
 ]
 
 

@@ -716,6 +716,15 @@ def test_a_colour_that_is_not_finite_is_refused_at_its_path(text, shown):
         assert oracles.coloring_outcome(read, doc, partial=True) == (ValueError, message)
 
 
+def test_an_unknown_mode_or_direction_is_refused():
+    coloring = realized_type_coloring(FiniteCondition(frozenset({Point(0, 1), Point(0, 2)})), 1)
+    with pytest.raises(ValueError, match="^mode must be 'exact' or 'greedy', got 'fast'$"):
+        search_homogeneous(coloring, parse_list_form("x1<y1"), mode="fast")
+    with pytest.raises(ValueError, match="^direction must be 'increasing' or 'decreasing', "
+                                         "got 'sideways'$"):
+        stabilize_lex([[0, 1], [1, 0]], "sideways")
+
+
 def test_csv_coordinates_are_read_as_numbers(tmp_path):
     path = tmp_path / "c.csv"
     path.write_text("0,7,0,007,c\n")

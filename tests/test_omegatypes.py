@@ -389,3 +389,11 @@ def test_zassignment_json_round_trip():
     doc = zassignment_to_json(za)
     assert doc == {"U": {"cofinite": [0, 1]}, "V_0": {"finite": [2]}}
     assert zassignment_from_json(doc) == za
+
+
+def test_an_absent_y_has_no_position_and_a_prefix_needs_a_class():
+    p = OmegaTypePrefix(({"x": [1]}, {"y": 1}))
+    assert p.position_of_y(1) == 1
+    assert p.position_of_y(2) is None
+    with pytest.raises(ValueError, match="^need at least one class$"):
+        random_prefix(random.Random(0), 0)

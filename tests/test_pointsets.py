@@ -1,5 +1,6 @@
 import gc
 import random
+import re
 import time
 import tracemalloc
 import types
@@ -44,6 +45,33 @@ def cond(*pairs):
 def test_point_rejects_negative():
     with pytest.raises(ValueError):
         Point(-1, 2)
+
+
+@pytest.mark.parametrize("x, y, shown", [
+    (1.5, 2, "(1.5,2)"), (1, 2.0, "(1,2.0)"), (True, 2, "(True,2)"), ("1", "2", "(1,2)"),
+    (None, 3, "(None,3)"),
+])
+def test_point_refuses_what_is_not_a_natural(x, y, shown):
+    with pytest.raises(ValueError, match=rf"^coordinates must be naturals, got {re.escape(shown)}$"):
+        Point(x, y)
+
+
+def test_point_takes_an_int_subclass():
+    nat = type("Nat", (int,), {})
+    assert Point(nat(1), nat(2)) == Point(1, 2)
+
+
+def test_raw_points_are_not_converted():
+    # int() would read (1, 2.9) and (0.5, 3) as the valid condition (1, 2), (0, 3)
+    with pytest.raises(ValueError, match=r"^coordinates must be naturals, got \((1,2\.9|0\.5,3)\)$"):
+        FiniteCondition(frozenset({(1, 2.9), (0.5, 3)}))
+    with pytest.raises(ValueError, match=r"^coordinates must be naturals, got \(1,2\)$"):
+        check_condition([("1", "2")])
+    # int() would tie the two x's as x1=x2<y1<y2
+    with pytest.raises(ValueError, match=r"^coordinates must be naturals, got \(1,2\.9\)$"):
+        realized_type([(1, 2.9), (1.99, 3.5)])
+    with pytest.raises(ValueError, match="too many values to unpack"):
+        check_condition([(1, 2, 3)])
 
 
 def test_check_condition_accepts_good_sets():
@@ -143,6 +171,22 @@ def test_realized_type_raises_with_clause():
     assert err.value.clause == CLAUSE_SECTIONS
     with pytest.raises(NoRealizedTypeError):
         realized_type([(0, 2), (2, 4)])
+
+
+def test_the_empty_set_realizes_no_type():
+    with pytest.raises(NoRealizedTypeError, match="^no type realized: empty point set$") as err:
+        realized_type([])
+    assert err.value.clause == "empty"
+
+
+def test_subset_realizes_refuses_a_wrong_size_and_an_invalid_condition():
+    tied = parse_list_form("x1=x2<y1<y2")
+    assert subset_realizes([(0, 1), (0, 2)], tied)
+    assert not subset_realizes([(0, 1)], tied)
+    assert not subset_realizes([(0, 1), (0, 2), (0, 3)], tied)
+    assert not subset_realizes([(0, 2), (0, 2)], tied)  # one point, not two
+    assert not subset_realizes([(0, 2), (1, 2)], tied)  # a shared y
+    assert not subset_realizes([(2, 1), (2, 3)], tied)  # below the diagonal
 
 
 def test_subset_realizes_agrees_with_realized_type():

@@ -135,6 +135,26 @@ def test_check_rich_refuses_a_negative_k_before_any_work():
         check_rich(range(100, 200), Graph(1, frozenset()), k=-1)
 
 
+def test_witness_rows_are_counted_against_the_values_bound(monkeypatch):
+    # one row per vertex, counted before any is built, by both checks
+    monkeypatch.setitem(WORK_BOUNDS, "values", 50)
+    message = ("witness rows refused: the graph has 51 vertices, one row each, "
+               "the bound is 50")
+    with pytest.raises(LimitError, match=f"^{message}$"):
+        check_extension_property(Graph(51, frozenset()), 0, 0)
+    with pytest.raises(LimitError, match=f"^{message}$"):
+        check_rich([0, 1], Graph(51, frozenset()), k=0)
+    assert check_extension_property(Graph(50, frozenset()), 0, 0) == []
+    assert check_rich([0, 1], Graph(50, frozenset()), k=0)
+
+
+def test_configurations_refuse_bad_parameters_and_targets():
+    with pytest.raises(ValueError, match=r"^parameters must be naturals: \(0, -1\)$"):
+        Configuration((0, -1), frozenset())
+    with pytest.raises(ValueError, match=r"^targets \[1\] are not positions into \(0,\)$"):
+        Configuration((0,), frozenset({1}))
+
+
 def test_graph_json_round_trip():
     g = build_random_graph(12)
     assert graph_from_json(graph_to_json(g)) == g

@@ -397,3 +397,20 @@ def test_the_deepest_chains_read_are_answered():
     report = json.loads(proc.stdout)
     assert report["failures"] == []
     assert min(report["chains"].values()) > 300
+
+
+def test_constructors_refuse_empty_arguments_and_negative_indices():
+    with pytest.raises(ValueError, match="^intersection needs at least one argument$"):
+        Intersection(())
+    with pytest.raises(ValueError, match="^principal point must be a natural$"):
+        Principal(-1)
+    with pytest.raises(ValueError, match="^exception indices must be naturals$"):
+        StandInSequence(Frechet(), ((-1, Principal(2)),))
+    assert standin_to_json(Frechet()) == {"frechet": True}
+
+
+@pytest.mark.parametrize("call", [lambda e: column_of(e, 0), tail_analysis, planar_set_to_json])
+@pytest.mark.parametrize("expr", [3, "a", None, FinCofin.finite([1])])
+def test_a_non_expression_is_a_type_error(call, expr):
+    with pytest.raises(TypeError, match=r"^not a planar set expression: "):
+        call(expr)

@@ -28,7 +28,7 @@ from ramseybench.typecalc import (
     validate_ntype,
 )
 from ramseybench import cli
-from ramseybench.typecalc import _class_problems, _gap_choices, _list_forms, _rank_vectors
+from ramseybench.typecalc import _class_problems, _gap_choices, _list_forms, _weak_orders
 
 from helpers import child_env
 from oracles import (
@@ -77,7 +77,14 @@ def test_fubini_matches_brute_force():
 
 @pytest.mark.parametrize("k", range(8))
 def test_rank_vectors_match_the_filter_in_order(k):
-    assert _rank_vectors(k) == tuple(rank_vectors_filter(k))
+    # _weak_orders(k) holds the blocks of the filter's rank vectors, in order
+    want = []
+    for vec in rank_vectors_filter(k):
+        blocks = [[] for _ in range(max(vec, default=-1) + 1)]
+        for pos, rank in enumerate(vec):
+            blocks[rank].append(pos)
+        want.append(tuple(map(tuple, blocks)))
+    assert _weak_orders(k) == tuple(want)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -152,6 +159,19 @@ def test_count_agrees_with_enumeration(n):
 
 def test_two_types_come_out_in_documented_order():
     assert [list_form(t) for t in enumerate_ntypes(2)] == TWO_TYPES_IN_ORDER
+
+
+def test_validate_ntype_reports_a_bad_n_and_bad_symbols_as_malformed():
+    assert validate_ntype(0, []) == TypeValidation(False, ("n must be >= 1",), ())
+    assert validate_ntype(1, [("q1", "x1")]) == TypeValidation(
+        False, ("cannot parse symbol 'q1'",), ())
+    assert validate_ntype(1, [(5, 5)]) == TypeValidation(False, ("not a symbol: 5",), ())
+
+
+def test_restrict_to_initial_refuses_n_zero():
+    t = parse_list_form("x1<y1<x2<y2")
+    with pytest.raises(ValueError, match="^cannot restrict an n=2 pattern to n=0$"):
+        restrict_to_initial(t, 0)
 
 
 def test_enumeration_bounds():

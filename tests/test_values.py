@@ -56,7 +56,7 @@ from ramseybench.setalgebra import (
     sequence_from_json,
     tail_analysis,
 )
-from ramseybench.typecalc import enumerate_ntypes, validate_ntype
+from ramseybench.typecalc import TypeValidation, enumerate_ntypes, validate_ntype
 
 CLASSES = oracles.value_classes()
 TWINS = {cls: oracles.dataclass_twin(cls) for cls in CLASSES}
@@ -251,3 +251,10 @@ def test_the_decorator_refuses_what_it_does_not_support():
 
             def __repr__(self):
                 return "a"
+
+
+def test_three_missing_arguments_are_listed_as_the_dataclass_lists_them():
+    # the "'a', 'b', and 'c'" form of the interpreter's missing-argument message
+    assert assert_same_behaviour(TypeValidation, [((), {}), ((True,), {})]) == 0
+    assert outcome(TypeValidation)[2].endswith(
+        "missing 3 required positional arguments: 'ok', 'malformed', and 'violations'")
