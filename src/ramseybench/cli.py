@@ -38,9 +38,9 @@ the C module ``_json``, byte for byte as ``json`` would.  Only a call
 that fails to read a document imports the ``json`` package, for the
 error it raises.
 
-The exact-search and richness bounds (``errors.WORK_BOUNDS``) can be set
+The exact-search bound (``errors.WORK_BOUNDS["points"]``) can be set
 only through the environment variable ``NBT_WORKBENCH_LIMITS``, a JSON
-object such as ``{"search": 18, "rich": 14}``.
+object such as ``{"search": 18}``.
 """
 
 from __future__ import annotations
@@ -55,9 +55,9 @@ from ._values import value
 from .errors import WorkbenchError, _natural, _naturals
 
 LIMITS_ENV = "NBT_WORKBENCH_LIMITS"
-# The bounds these keys set are the ``bound=`` arguments of check_rich and
-# exact search; unset, the routines use errors.WORK_BOUNDS.
-_LIMIT_KEYS = ("rich", "search")
+# The bound this key sets is exact search's ``bound=`` argument; unset,
+# search uses errors.WORK_BOUNDS.
+_LIMIT_KEYS = ("search",)
 
 
 @value
@@ -304,11 +304,11 @@ def _cmd_homog_stabilize(args, limits):
     doc = _read_json(args.infile)
     if not isinstance(doc, list):
         raise ValueError("rows document must be a JSON list of 0/1 rows")
-    for i, row in enumerate(doc):
-        for j, bit in enumerate(_naturals(row, f"[{i}]")):
-            if bit > 1:
-                raise ValueError(f"[{i}][{j}]: expected 0 or 1, got {bit}")
-    report = homogeneity.stabilize_lex(doc, direction=args.direction)
+    # stabilize_lex judges the bits; a row that is not a list is refused
+    # here (by _naturals) when the judge reaches it, so the first fault is named
+    rows = (row if isinstance(row, list) else _naturals(row, f"[{i}]")
+            for i, row in enumerate(doc))
+    report = homogeneity.stabilize_lex(rows, direction=args.direction)
     return {
         "stable": list(report.stable),
         "positions": list(report.positions),
@@ -361,7 +361,7 @@ def _cmd_graph_check(args, limits):
 def _cmd_graph_rich(args, limits):
     vertices = _int_list(args.vertices, "--vertices")
     g = randomgraph.graph_from_json(_read_json(args.infile))
-    rich = randomgraph.check_rich(vertices, g, k=args.k, bound=limits.get("rich"))
+    rich = randomgraph.check_rich(vertices, g, k=args.k)
     return {"vertices": sorted(set(vertices)), "k": args.k, "rich": rich}, [], None
 
 

@@ -7,8 +7,8 @@ from math import comb
 from . import _jsonio
 
 # The bound on each quantity an exhaustive routine counts before it starts;
-# check_work refuses a count above it.  Only "points" and "vertices" can be
-# set, through the CLI's NBT_WORKBENCH_LIMITS keys "search" and "rich".
+# check_work refuses a count above it.  Only "points" can be set, through
+# the CLI's NBT_WORKBENCH_LIMITS key "search".
 WORK_BOUNDS = {
     # Join steps: a few seconds at most.  Growth (extend_with_realizers) and
     # the block count (cond classify, homog floor) both count them with
@@ -142,10 +142,14 @@ class LexOrderError(WorkbenchError):
         self.witness = (row, next_row)
 
 
-def _natural(value, path: str) -> int:
+def _natural(value, path: str, least: int = 0) -> int:
+    """``value`` if it is an int, not a bool, and at least ``least``; the
+    one judge of naturals for readers and constructors alike."""
     # bool is an int subclass, but JSON true is not a number here
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"{path}: expected a natural number, got {_jsonio.dumps(value)}")
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        at_least = f" >= {least}" if least else ""
+        raise ValueError(f"{path}: expected a natural number{at_least}, "
+                         f"got {_jsonio.dumps(value, default=repr)}")
     return value
 
 

@@ -21,7 +21,7 @@ from operator import gt, lt
 from . import _jsonio
 from ._values import field, value
 from .errors import LexOrderError, _natural, _naturals, check_subsets, check_work
-from .pointsets import (FiniteCondition, Point, _pattern_counts, _realizers,
+from .pointsets import (FiniteCondition, Point, _as_point, _pattern_counts, _realizers,
                         points_from_json, realized_type)
 from .typecalc import NType, count_ntypes, enumerate_ntypes, list_form
 
@@ -143,8 +143,7 @@ def _normalize_subset(subset, ground: FiniteCondition) -> tuple[Point, ...]:
     if isinstance(subset, FiniteCondition):
         pts = subset.sorted_points
     else:
-        pts = tuple(sorted({p if isinstance(p, Point) else Point(*p) for p in subset},
-                           key=lambda p: p.y))
+        pts = tuple(sorted({_as_point(p) for p in subset}, key=lambda p: p.y))
     for p in pts:
         if p not in ground:
             raise ValueError(f"{p} is not in the ground condition")
@@ -338,7 +337,7 @@ def weak_ramsey_floor_demo(cond: FiniteCondition, n: int) -> FloorReport:
     return FloorReport(
         classes_met=classes_met,
         t_n=t_n,
-        floor_holds=not missing and classes_met == t_n,
+        floor_holds=not missing,
         missing=missing,
     )
 
@@ -355,17 +354,21 @@ def stabilize_lex(rows, direction: str = "increasing") -> StabilizeReport:
     Rows must be equal-width 0/1 vectors, lexicographically non-decreasing
     (non-increasing for direction="decreasing").  Returns the final stable
     vector and, per column, the least row index from which that column is
-    constant to the end.
+    constant to the end.  Each row is judged as it is read, so the first
+    bad bit is named by its path, e.g. ``[2][0]``.
     """
-    table = [tuple(int(b) for b in row) for row in rows]
+    table = []
+    for i, row in enumerate(rows):
+        row = tuple([_natural(b, f"[{i}][{j}]") for j, b in enumerate(row)])
+        for j, b in enumerate(row):
+            if b > 1:
+                raise ValueError(f"[{i}][{j}]: expected 0 or 1, got {b}")
+        table.append(row)
     if not table:
         raise ValueError("need at least one row")
     width = len(table[0])
-    for r in table:
-        if len(r) != width:
-            raise ValueError("rows must share a width")
-        if any(b not in (0, 1) for b in r):
-            raise ValueError("rows must be 0/1 vectors")
+    if any(len(r) != width for r in table):
+        raise ValueError("rows must share a width")
     if direction not in ("increasing", "decreasing"):
         raise ValueError(f"direction must be 'increasing' or 'decreasing', got {direction!r}")
     out_of_order = gt if direction == "increasing" else lt

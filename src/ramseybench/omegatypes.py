@@ -30,7 +30,7 @@ from functools import cached_property
 from . import _jsonio
 from ._values import value
 from .errors import MissingLabelError, _natural, _naturals
-from .pointsets import FiniteCondition, Point
+from .pointsets import FiniteCondition, Point, _as_point
 from .setalgebra import FinCofin, fincofin_from_json, fincofin_to_json
 
 
@@ -39,8 +39,7 @@ class YClass:
     index: int
 
     def __post_init__(self):
-        if self.index < 1:
-            raise ValueError(f"y-index must be >= 1, got {self.index}")
+        _natural(self.index, "y-index", 1)
 
 
 @value
@@ -48,11 +47,10 @@ class XClass:
     indices: frozenset[int]
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", frozenset(int(i) for i in self.indices))
+        object.__setattr__(self, "indices",
+                           frozenset(_natural(i, "x-indices", 1) for i in self.indices))
         if not self.indices:
             raise ValueError("x-class must be nonempty")
-        if any(i < 1 for i in self.indices):
-            raise ValueError(f"x-indices must be >= 1, got {sorted(self.indices)}")
 
 
 @value
@@ -167,9 +165,7 @@ class OmegaTypePrefix:
 
 
 def _check_chain(z) -> tuple[int, ...]:
-    vals = tuple(int(v) for v in z)
-    if any(v < 0 for v in vals):
-        raise ValueError("chain values must be naturals")
+    vals = tuple(_natural(v, "chain") for v in z)
     if any(vals[i] >= vals[i + 1] for i in range(len(vals) - 1)):
         raise ValueError(f"chain values must increase strictly: {vals}")
     return vals
@@ -270,7 +266,7 @@ def h_set_member(point, za: ZAssignment) -> bool:
     Requires the x to lie in the pool set "U" and the y to lie in the
     column set "V_x"; both labels must be assigned.
     """
-    p = point if isinstance(point, Point) else Point(*point)
+    p = _as_point(point)
     return za.lookup("U").contains(p.x) and za.lookup(f"V_{p.x}").contains(p.y)
 
 

@@ -39,11 +39,8 @@ class Point:
     y: int
 
     def __post_init__(self):
-        # naturals as errors._natural takes them: ints, not bools, not negative
-        x, y = self.x, self.y
-        if (not (isinstance(x, int) and isinstance(y, int) and x >= 0 and y >= 0)
-                or type(x) is bool or type(y) is bool):
-            raise ValueError(f"coordinates must be naturals, got {self}")
+        _natural(self.x, "x")
+        _natural(self.y, "y")
 
     def __str__(self) -> str:
         return f"({self.x},{self.y})"

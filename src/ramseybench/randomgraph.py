@@ -134,10 +134,10 @@ class Configuration:
     targets: frozenset[int]
 
     def __post_init__(self):
+        for p in self.params:
+            _natural(p, "params")
         if len(set(self.params)) != len(self.params):
             raise ValueError(f"parameters must be distinct: {self.params}")
-        if any(p < 0 for p in self.params):
-            raise ValueError(f"parameters must be naturals: {self.params}")
         if not self.targets <= set(range(len(self.params))):
             raise ValueError(
                 f"targets {sorted(self.targets)} are not positions into {self.params}"
@@ -311,10 +311,10 @@ def _unwitnessed(rows, pool: int, vertices, k: int):
                     yield params, digits[::-1]
 
 
-def check_rich(subset, g: Graph, k: int = 1, bound: int | None = None) -> bool:
+def check_rich(subset, g: Graph, k: int = 1) -> bool:
     """Does some subset of ``subset`` satisfy the k-extension property with
-    all witnesses inside itself?  Exhaustive; refuses sets above ``bound``
-    (None: the "vertices" work bound)."""
+    all witnesses inside itself?  Exhaustive; refuses sets above the
+    "vertices" work bound."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     vertices = tuple(sorted(set(subset)))
@@ -322,7 +322,7 @@ def check_rich(subset, g: Graph, k: int = 1, bound: int | None = None) -> bool:
         if not 0 <= v < g.vertex_count:
             raise ValueError(f"{v} is not a vertex of the graph")
     check_work("vertices", len(vertices), "rich check",
-               f"the set has {len(vertices)} vertices", bound)
+               f"the set has {len(vertices)} vertices")
     rows = g.masks
     for size in range(1, len(vertices) + 1):
         for inner in combinations(vertices, size):

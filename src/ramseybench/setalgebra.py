@@ -49,9 +49,8 @@ class FinCofin:
     support: frozenset[int]
 
     def __post_init__(self):
-        object.__setattr__(self, "support", frozenset(int(v) for v in self.support))
-        if any(v < 0 for v in self.support):
-            raise ValueError("support must contain naturals")
+        object.__setattr__(self, "support",
+                           frozenset(_natural(v, "support") for v in self.support))
 
     @classmethod
     def finite(cls, values) -> "FinCofin":
@@ -60,10 +59,6 @@ class FinCofin:
     @classmethod
     def cofinite_except(cls, values) -> "FinCofin":
         return cls(True, frozenset(values))
-
-    @property
-    def is_finite(self) -> bool:
-        return not self.cofinite
 
     def contains(self, v: int) -> bool:
         return (v in self.support) != self.cofinite
@@ -105,9 +100,8 @@ class FinitePoints(PlanarSet):
     points: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "points", frozenset((int(x), int(y)) for x, y in self.points)
-        )
+        object.__setattr__(self, "points", frozenset(
+            (_natural(x, "points"), _natural(y, "points")) for x, y in self.points))
 
 
 @value
@@ -125,6 +119,9 @@ class AboveDiag(PlanarSet):
 class Column(PlanarSet):
     x: int
     content: FinCofin
+
+    def __post_init__(self):
+        _natural(self.x, "column")
 
 
 @value
@@ -291,8 +288,7 @@ class Principal:
     point: int
 
     def __post_init__(self):
-        if self.point < 0:
-            raise ValueError("principal point must be a natural")
+        _natural(self.point, "principal")
 
     def holds(self, s: FinCofin) -> bool:
         return s.contains(self.point)
@@ -312,13 +308,9 @@ class StandInSequence:
     exceptions: tuple[tuple[int, FilterStandIn], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "exceptions",
-            tuple(sorted(self.exceptions, key=lambda kv: kv[0])),
-        )
-        indices = [i for i, _ in self.exceptions]
-        if any(i < 0 for i in indices):
-            raise ValueError("exception indices must be naturals")
+        exceptions = tuple(self.exceptions)
+        indices = [_natural(i, "exceptions") for i, _ in exceptions]
+        object.__setattr__(self, "exceptions", tuple(sorted(exceptions, key=lambda kv: kv[0])))
         if len(set(indices)) != len(indices):
             raise ValueError("exception indices must be distinct")
 

@@ -48,8 +48,7 @@ class Symbol:
     def __post_init__(self):
         if self.kind not in ("x", "y"):
             raise ValueError(f"symbol kind must be 'x' or 'y', got {self.kind!r}")
-        if self.index < 1:
-            raise ValueError(f"symbol index must be >= 1, got {self.index}")
+        _natural(self.index, "symbol index", 1)
 
     def __str__(self) -> str:
         return f"{self.kind}{self.index}"
@@ -130,8 +129,7 @@ class NType:
     classes: tuple[frozenset[Symbol], ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+        _natural(self.n, "n", 1)
         classes = tuple(self.classes)
         malformed, violations = _class_problems(self.n, classes)
         if malformed or violations:
@@ -439,9 +437,7 @@ def ntype_from_json(doc: dict) -> NType:
     input raises ValueError naming its JSON path, e.g. ``classes[0][1]``."""
     if not isinstance(doc, dict) or "n" not in doc or "classes" not in doc:
         raise ValueError("pattern document needs 'n' and 'classes'")
-    n = _natural(doc["n"], "n")
-    if not n:
-        raise ValueError("n: expected a natural number >= 1, got 0")
+    n = _natural(doc["n"], "n", 1)
     if not isinstance(doc["classes"], list):
         raise ValueError(f"classes: expected a list of symbol lists, "
                          f"got {_jsonio.dumps(doc['classes'])}")

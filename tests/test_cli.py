@@ -649,6 +649,14 @@ def test_invalid_limits_env_is_a_domain_error(raw, monkeypatch):
     assert payload_of(err)["kind"] == "ValueError"
 
 
+def test_the_rich_bound_is_not_an_env_key(monkeypatch):
+    monkeypatch.setenv(cli.LIMITS_ENV, '{"rich": 14}')
+    result, out, err = invoke(["types", "count", "--n", "2"])
+    assert result.exit_code == 1 and out == ""
+    assert payload_of(err)["error"] == (f"{cli.LIMITS_ENV}: unknown key 'rich' "
+                                        "(known: ['search'])")
+
+
 @pytest.mark.parametrize("option, text", [
     ("--in", '{"n": 2, "entries": [{"subset": [[0, 1], [2, 3]], "color": "\u00e9"}]}'),
     ("--csv", "0,1,2,3,\u00e9\n"),
@@ -1214,7 +1222,30 @@ REFUSALS = [
      "triple (5, 4, 0) outside grid bounds"),
     (["homog", "stabilize", "--in", "{doc}"], {"rows": [[0]]},
      "rows document must be a JSON list of 0/1 rows"),
+    # the library's one judge of naturals names the field and quotes the value
+    (["omega", "phi", "--in", "{doc}", "--z", "1,2"], {"classes": [{"x": [0]}, {"y": 1}]},
+     "x-indices: expected a natural number >= 1, got 0"),
+    (["omega", "zchain", "--in", "{doc}", "--z", "1,2", "--za", "{za}"],
+     {"classes": [{"x": [1]}, {"y": 0}]}, "y-index: expected a natural number >= 1, got 0"),
+    (["types", "extend", "--type", "x0<y0"], None,
+     "symbol index: expected a natural number >= 1, got 0"),
+    (["omega", "assignd", "--in", "{prefix}", "--s", "-3"], None,
+     "chain: expected a natural number, got -3"),
+    (["omega", "phi", "--in", "{prefix}", "--z=-1,2"], None,
+     "chain: expected a natural number, got -1"),
+    (["omega", "hmember", "--za", "{za}", "--point=-1,2"], None,
+     "x: expected a natural number, got -1"),
 ]
+
+
+def test_validate_reports_an_index_below_1_as_the_judge_words_it(files):
+    bad = files["dir"] / "low-index.json"
+    for classes, text in (([{"x": [0]}], "x-indices: expected a natural number >= 1, got 0"),
+                          ([{"x": [1]}, {"y": 0}], "y-index: expected a natural number >= 1, got 0")):
+        bad.write_text(json.dumps({"classes": classes}))
+        result, out, _ = invoke(["omega", "validate", "--in", str(bad)])
+        assert result.exit_code == 0
+        assert json.loads(out)["malformed"] == [text]
 
 
 @pytest.mark.parametrize("argv, doc, message", REFUSALS,

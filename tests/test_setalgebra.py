@@ -402,9 +402,9 @@ def test_the_deepest_chains_read_are_answered():
 def test_constructors_refuse_empty_arguments_and_negative_indices():
     with pytest.raises(ValueError, match="^intersection needs at least one argument$"):
         Intersection(())
-    with pytest.raises(ValueError, match="^principal point must be a natural$"):
+    with pytest.raises(ValueError, match="^principal: expected a natural number, got -1$"):
         Principal(-1)
-    with pytest.raises(ValueError, match="^exception indices must be naturals$"):
+    with pytest.raises(ValueError, match="^exceptions: expected a natural number, got -1$"):
         StandInSequence(Frechet(), ((-1, Principal(2)),))
     assert standin_to_json(Frechet()) == {"frechet": True}
 

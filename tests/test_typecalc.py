@@ -76,7 +76,7 @@ def test_fubini_matches_brute_force():
 
 
 @pytest.mark.parametrize("k", range(8))
-def test_rank_vectors_match_the_filter_in_order(k):
+def test_weak_orders_match_the_filter_in_order(k):
     # _weak_orders(k) holds the blocks of the filter's rank vectors, in order
     want = []
     for vec in rank_vectors_filter(k):
