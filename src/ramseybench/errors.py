@@ -33,7 +33,8 @@ WORK_BOUNDS = {
     # search, count_classes_met and check_tau_homogeneous; for the block
     # count (cond classify, homog floor), the subsets of the needed sizes
     # inside each value-separated block, tallied without being built; and
-    # the configurations that check_extension_property tests.  Listing 10**6 subsets takes about 1 s
+    # the configurations that check_extension_property tests, counted by
+    # randomgraph._schedule_size as a covering's are.  Listing 10**6 subsets takes about 1 s
     # and 90 MB of peak memory (n = 3 on 183 points: 0.97 s, 86 MB peak RSS;
     # n = 4 on 72 points: 1.2 s, 104 MB; Python 3.11 on an Intel Xeon).  The
     # block count tallies them without building them: a whole `cond

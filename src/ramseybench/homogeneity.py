@@ -44,6 +44,9 @@ class Coloring:
     n: int
     rule: object = field(compare=False)
 
+    def __post_init__(self):
+        _natural(self.n, "n")
+
     def color_of(self, subset):
         pts = _normalize_subset(subset, self.ground)
         if len(pts) != self.n:
@@ -396,6 +399,8 @@ class TernaryRelationGrid:
     triples: frozenset[tuple[int, int, int]]
 
     def __post_init__(self):
+        for name in ("x_bound", "y_bound", "z_bound"):
+            _natural(getattr(self, name), name)
         for (x, y, z) in self.triples:
             if not (0 <= x < self.x_bound and 0 <= y < self.y_bound
                     and 0 <= z < self.z_bound):

@@ -22,10 +22,11 @@ palette-2 ``EdgeColoring`` whose colour-1 pairs are its edges.
 A covering walks a capped schedule: parameter counts stop at
 ``max_params`` and the walk stops at the first parameter that reaches
 ``max_vertex``, so it generates nothing that the covering would skip.
-The capped schedule is still exponential in ``max_params``, so its size
-is counted before any work, and above the "configurations" work bound
-(``errors.WORK_BOUNDS``) the builders raise ``LimitError``; step counts
-share that bound.  The (8, 2) covering walks 241 configurations and
+So the (m, k) covering walks exactly the configurations the extension
+check tests, and ``_schedule_size`` counts both before any work, 1 + sum
+over c <= min(m, k) of P(m, c) * palette**c; above the "configurations"
+work bound (``errors.WORK_BOUNDS``) the builders raise ``LimitError``;
+step counts share that bound.  The (8, 2) covering walks 241 configurations and
 (8, 4) 29,809; (9, 9) would walk more than 3 * 10^8 and is refused.
 
 Richness of a vertex set is approximated internally: a set is rich when
@@ -38,7 +39,6 @@ from __future__ import annotations
 import random
 from functools import cached_property
 from itertools import combinations, islice, permutations, product
-from math import perm
 
 from . import _jsonio
 from ._values import field, value
@@ -73,6 +73,8 @@ class EdgeColoring:
     table: dict = field(hash=False)
 
     def __post_init__(self):
+        _natural(self.vertex_count, "vertex_count")
+        _natural(self.palette, "palette", 1)
         for (u, v), c in self.table.items():
             if not (0 <= u < v < self.vertex_count):
                 raise ValueError(f"bad pair {(u, v)} on {self.vertex_count} vertices")
@@ -149,30 +151,15 @@ def _targets(colors) -> frozenset[int]:
     return frozenset(i for i, c in enumerate(colors) if c)
 
 
-def _using_top(lower, top: int, count: int):
-    """The ``count``-tuples of distinct members of ``lower`` and ``top``
-    that use ``top``, in lexicographic order; ``lower`` ascends below
-    ``top``.  Every tuple is built once, none is filtered away."""
-    if count == 1:
-        yield (top,)
-        return
-    lower = tuple(lower)
-    for i, x in enumerate(lower):
-        # a 1-tuple tail is (top,) whatever is left below
-        rest = lower[:i] + lower[i + 1:] if count > 2 else ()
-        for tail in _using_top(rest, top, count - 1):
-            yield (x, *tail)
-    for tail in permutations(lower, count - 1):
-        yield (top, *tail)
-
-
 def _schedule(palette: int, max_vertex: int | None = None,
               max_params: int | None = None):
     """(params, colours) pairs in the documented order, capped.
 
     Parameter counts stop at ``max_params`` and the walk stops before
     ``top`` reaches ``max_vertex``; None leaves that side open.  Only
-    tuples that use ``top`` are generated.
+    tuples that use ``top`` are generated, count * P(top, count - 1) per
+    sorted list: at most 720 in step builds and 15,000 in coverings, but
+    362,880 at top 8 of the unbounded ``configuration_schedule()``.
     """
     yield (), ()
     if max_params == 0:
@@ -181,24 +168,27 @@ def _schedule(palette: int, max_vertex: int | None = None,
     while max_vertex is None or top < max_vertex:
         counts = top + 1 if max_params is None else min(top + 1, max_params)
         for count in range(1, counts + 1):
-            for params in _using_top(range(top), top, count):
+            # permutations(range(top), 0) would copy range(top) on every top
+            tuples = [(top,)] if count == 1 else sorted(
+                rest[:i] + (top,) + rest[i:]
+                for rest in permutations(range(top), count - 1) for i in range(count))
+            for params in tuples:
                 for digits in product(range(palette), repeat=count):
                     yield params, digits[::-1]
         top += 1
 
 
-def _schedule_size(palette: int, max_vertex: int, max_params: int) -> int:
-    """Length of the capped schedule, counted only until it passes the
-    "configurations" work bound: ``count`` slots for ``top`` times the
-    arrangements of the other parameters below it, times the colourings."""
-    size = 1
-    if max_params == 0:
-        return size
-    for top in range(max_vertex):
-        for count in range(1, min(top + 1, max_params) + 1):
-            size += count * perm(top, count - 1) * palette ** count
-        if size > WORK_BOUNDS["configurations"]:
+def _schedule_size(palette: int, max_vertex: int, max_params: int, bound: int) -> int:
+    """1 + sum over c <= min(max_vertex, max_params) of P(max_vertex, c) *
+    palette**c: the configurations a covering walks and, at palette 2,
+    those the extension check tests.  The terms are positive, so the
+    count stops once past ``bound``, one term beyond it at most."""
+    size = term = 1
+    for c in range(1, min(max_vertex, max_params) + 1):
+        if size > bound:
             break
+        term *= palette * (max_vertex - c + 1)
+        size += term
     return size
 
 
@@ -219,7 +209,8 @@ def _walk(palette: int, steps: int | None = None, max_vertex: int | None = None,
         for name, bound in (("max_vertex", max_vertex), ("max_params", max_params)):
             if bound < 0:
                 raise ValueError(f"{name} must be >= 0, got {bound}")
-        size = _schedule_size(palette, max_vertex, max_params)
+        size = _schedule_size(palette, max_vertex, max_params,
+                              WORK_BOUNDS["configurations"])
         configs = _schedule(palette, max_vertex, max_params)
     check_work("configurations", size, "build",
                f"the schedule walk takes at least {size} configurations")
@@ -278,20 +269,14 @@ def check_extension_property(g: Graph, k: int, m: int) -> list[Configuration]:
     """All configurations with <= k params among the first m vertices that
     lack a witness anywhere in g.  Empty list == property holds for (k, m).
 
-    There are sum over c <= min(k, m) of P(m, c) * 2**c configurations;
-    more than the "subsets" work bound raise LimitError before any work.
+    ``_schedule_size`` counts them, as it does an (m, k) covering; more
+    than the "subsets" work bound raise LimitError before any work.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     if not 0 <= m <= g.vertex_count:
         raise ValueError(f"m must be between 0 and {g.vertex_count}, got {m}")
-    # each term exceeds the last, so the count may stop once past the bound
-    work = term = 1
-    for c in range(1, min(k, m) + 1):
-        if work > WORK_BOUNDS["subsets"]:
-            break
-        term *= 2 * (m - c + 1)
-        work += term
+    work = _schedule_size(2, m, k, WORK_BOUNDS["subsets"])
     check_work("subsets", work, "extension check",
                f"k={k} on {m} vertices gives at least {work} configurations")
     rows = g.masks  # refuses too many vertices before the pool is built

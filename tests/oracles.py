@@ -278,14 +278,15 @@ def least_witness(adj, params, targets):
 def unsatisfied_configurations(adj, k: int, m: int):
     """(params, targets) with <= k params among the first m vertices that
     lack a witness, by parameter count, params lexicographically, then
-    targets as an ascending bitmask."""
+    targets as an ascending bitmask.  Each vertex outside params realises
+    one target mask; the missing masks are the unwitnessed targets."""
     out = []
     for count in range(k + 1):
         for params in permutations(range(m), count):
-            for bits in range(1 << count):
-                targets = frozenset(i for i in range(count) if bits >> i & 1)
-                if least_witness(adj, params, targets) is None:
-                    out.append((params, targets))
+            met = {sum(1 << i for i, a in enumerate(params) if a in adj[b])
+                   for b in range(len(adj)) if b not in params}
+            out.extend((params, frozenset(i for i in range(count) if bits >> i & 1))
+                       for bits in range(1 << count) if bits not in met)
     return out
 
 

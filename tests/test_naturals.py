@@ -9,17 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramseybench.errors import _natural
-from ramseybench.homogeneity import stabilize_lex
+from ramseybench.homogeneity import Coloring, TernaryRelationGrid, extract_S_from_R, stabilize_lex
 from ramseybench.omegatypes import (OmegaTypePrefix, XClass, YClass, _check_chain, assign_D,
                                     phi_prefix)
-from ramseybench.pointsets import Point
-from ramseybench.randomgraph import Configuration
+from ramseybench.pointsets import FiniteCondition, Point
+from ramseybench.randomgraph import Configuration, EdgeColoring, Graph
 from ramseybench.setalgebra import (FULL, Column, FinCofin, FinitePoints, Frechet, Principal,
                                     StandInSequence, tail_analysis)
 from ramseybench.typecalc import NType, Symbol, ntype_from_json
 
 X1 = OmegaTypePrefix((XClass(frozenset({1})),))
 X1_Y1 = OmegaTypePrefix((XClass(frozenset({1})), YClass(1)))
+GROUND = FiniteCondition(frozenset({Point(0, 2), Point(0, 3)}))
 
 # (path, least, the constructor with the natural in question set to v)
 SITES = [
@@ -41,6 +42,13 @@ SITES = [
     ("n", 1, lambda v: ntype_from_json({"n": v, "classes": []})),
     ("params", 0, lambda v: Configuration((v,), frozenset())),
     ("[0][0]", 0, lambda v: stabilize_lex([[v]])),
+    ("vertex_count", 0, lambda v: Graph(v, [])),
+    ("vertex_count", 0, lambda v: EdgeColoring(v, 3, {})),
+    ("palette", 1, lambda v: EdgeColoring(2, v, {})),
+    ("n", 0, lambda v: Coloring(GROUND, v, len)),
+    ("x_bound", 0, lambda v: TernaryRelationGrid(v, 2, 2, frozenset())),
+    ("y_bound", 0, lambda v: TernaryRelationGrid(2, v, 2, frozenset())),
+    ("z_bound", 0, lambda v: TernaryRelationGrid(2, 2, v, frozenset())),
 ]
 
 BAD = [1.5, True, "1", None, -1]
@@ -74,6 +82,10 @@ def test_the_judge_names_its_path_and_quotes_the_value_as_json(least, text, valu
     (lambda: Principal(1.5), "principal: expected a natural number, got 1.5"),
     (lambda: Symbol("x", True), "symbol index: expected a natural number >= 1, got true"),
     (lambda: assign_D(X1_Y1, [True]), "chain: expected a natural number, got true"),
+    (lambda: Graph(-3, []), "vertex_count: expected a natural number, got -3"),
+    (lambda: Coloring(GROUND, 1.5, len), "n: expected a natural number, got 1.5"),
+    (lambda: extract_S_from_R(TernaryRelationGrid(-1, 2, 2, frozenset()), FiniteCondition(frozenset())),
+     "x_bound: expected a natural number, got -1"),
     (lambda: stabilize_lex([[0, 2]]), "[0][1]: expected 0 or 1, got 2"),
     (lambda: stabilize_lex([[0], [1, 2]]), "[1][1]: expected 0 or 1, got 2"),
 ])
@@ -109,6 +121,10 @@ KEEPERS = [
     (1, lambda v: YClass(v), lambda c: c.index),
     (1, lambda v: Symbol("y", v), lambda s: s.index),
     (0, lambda v: Configuration((v,), frozenset({0})), lambda c: c.params[0]),
+    (0, lambda v: Graph(v, []), lambda g: g.vertex_count),
+    (1, lambda v: EdgeColoring(2, v, {}), lambda ec: ec.palette),
+    (0, lambda v: Coloring(GROUND, v, len), lambda c: c.n),
+    (0, lambda v: TernaryRelationGrid(v, 1, v, frozenset()), lambda grid: grid.z_bound),
 ]
 
 
