@@ -329,10 +329,13 @@ def _cmd_homog_extract_s(args, limits):
 def _cmd_graph_build(args, limits):
     if args.steps is not None and args.cover_vertices is not None:
         raise ValueError("pass either --steps or --cover-vertices, not both")
+    if args.cover_params is not None and args.cover_vertices is None:
+        raise ValueError("pass --cover-params only with --cover-vertices")
     if args.steps is not None:
         g = randomgraph.build_random_graph(args.steps)
     elif args.cover_vertices is not None:
-        g = randomgraph.build_graph_covering(args.cover_vertices, args.cover_params)
+        max_params = 2 if args.cover_params is None else args.cover_params
+        g = randomgraph.build_graph_covering(args.cover_vertices, max_params)
     else:
         raise ValueError("need --steps or --cover-vertices")
     artifact = randomgraph.graph_to_json(g)
@@ -594,7 +597,7 @@ _AREAS = {
                  help="number of schedule entries to process"),
             _arg("--cover-vertices", type=int, default=None,
                  help="process all configurations inside this many vertices"),
-            _arg("--cover-params", type=int, default=2,
+            _arg("--cover-params", type=int, default=None,
                  help="parameter-count cap for --cover-vertices (default 2)"),
         )),
         ("check", "verify the extension property", _cmd_graph_check, (

@@ -158,5 +158,6 @@ def _naturals(value, path: str, size: int | None = None) -> list[int]:
     """``value`` as a list of natural numbers, exactly ``size`` of them if given."""
     if not isinstance(value, list) or size not in (None, len(value)):
         what = "a list of" if size is None else f"a list of {size}"
-        raise ValueError(f"{path}: expected {what} natural numbers, got {_jsonio.dumps(value)}")
+        raise ValueError(f"{path}: expected {what} natural numbers, "
+                         f"got {_jsonio.dumps(value, default=repr)}")
     return [_natural(v, f"{path}[{i}]") for i, v in enumerate(value)]

@@ -431,8 +431,7 @@ def extract_S_from_R(grid: TernaryRelationGrid, cond: FiniteCondition,
     more (x, z) statuses than the "values" work bound raise LimitError
     before any work.
     """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
+    _natural(window, "window", 1)
     work = grid.x_bound * grid.z_bound
     check_work("values", work, "extraction",
                f"a {grid.x_bound} x {grid.z_bound} grid has {work} statuses")
@@ -472,19 +471,22 @@ def coloring_from_json(doc: dict, ground: FiniteCondition | None = None,
         raise ValueError("coloring document needs 'n' and 'entries'")
     n = _natural(doc["n"], "n")
     if not isinstance(doc["entries"], list):
-        raise ValueError(f"entries: expected a list, got {_jsonio.dumps(doc['entries'])}")
+        raise ValueError(f"entries: expected a list, "
+                         f"got {_jsonio.dumps(doc['entries'], default=repr)}")
     table = {}
     cache: dict[tuple[int, int], Point] = {}
     for i, entry in enumerate(doc["entries"]):
         where = f"entries[{i}]"
         if not isinstance(entry, dict):
-            raise ValueError(f"{where}: expected an object, got {_jsonio.dumps(entry)}")
+            raise ValueError(f"{where}: expected an object, "
+                             f"got {_jsonio.dumps(entry, default=repr)}")
         for key in ("subset", "color"):
             if key not in entry:
                 raise KeyError(f"{where}.{key}")
         subset = frozenset(_json_subset(entry["subset"], f"{where}.subset", cache))
         if len(subset) != n:
-            raise ValueError(f"{where}.subset: not a {n}-set: {_jsonio.dumps(entry['subset'])}")
+            raise ValueError(f"{where}.subset: not a {n}-set: "
+                             f"{_jsonio.dumps(entry['subset'], default=repr)}")
         color = entry["color"]
         if not (color is None or isinstance(color, (str, int))
                 or isinstance(color, float) and isfinite(color)):
@@ -588,7 +590,7 @@ def grid_from_json(doc: dict) -> TernaryRelationGrid:
     bounds = _naturals(doc["bounds"], "bounds", 3)
     if not isinstance(doc["triples"], list):
         raise ValueError(f"triples: expected a list of [x, y, z] triples, "
-                         f"got {_jsonio.dumps(doc['triples'])}")
+                         f"got {_jsonio.dumps(doc['triples'], default=repr)}")
     triples = frozenset(tuple(_naturals(t, f"triples[{i}]", 3))
                         for i, t in enumerate(doc["triples"]))
     return TernaryRelationGrid(*bounds, triples)

@@ -279,8 +279,7 @@ def grid_prefix(n_points: int) -> OmegaTypePrefix:
     in value order is the prefix; x-classes hold the point indices (in
     y-order) their column received so far.
     """
-    if n_points < 1:
-        raise ValueError(f"need at least one point, got {n_points}")
+    _natural(n_points, "n_points", 1)
     slots = []
     d = 0
     while len(slots) < n_points:
@@ -304,8 +303,7 @@ def grid_prefix(n_points: int) -> OmegaTypePrefix:
 
 def random_prefix(rng: random.Random, n_classes: int) -> OmegaTypePrefix:
     """Seeded valid prefix with the given class count."""
-    if n_classes < 1:
-        raise ValueError("need at least one class")
+    _natural(n_classes, "n_classes", 1)
     classes: list = []
     next_x = 1
     housed: list[int] = []

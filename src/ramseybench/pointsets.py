@@ -23,9 +23,8 @@ from itertools import chain, product, repeat, starmap
 from math import comb
 from operator import add, lshift, mul, or_
 
-from . import _jsonio
 from ._values import value
-from .errors import NoRealizedTypeError, _natural, check_subsets, check_work
+from .errors import NoRealizedTypeError, _natural, _naturals, check_subsets, check_work
 from .typecalc import NType, Symbol, _check_n, _symbol, count_ntypes, enumerate_ntypes
 
 CLAUSE_SECTIONS = "sections-disjoint"
@@ -542,12 +541,7 @@ def points_from_json(doc, where: str = "") -> list[Point]:
     input raises ValueError naming its path, e.g. ``[1][0]``."""
     if not isinstance(doc, list):
         raise ValueError(f"{where or 'condition document'} must be a list of [x, y] pairs")
-    out = []
-    for i, item in enumerate(doc):
-        if not isinstance(item, list) or len(item) != 2:
-            raise ValueError(f"{where}[{i}]: expected an [x, y] pair, got {_jsonio.dumps(item)}")
-        out.append(Point(*(_natural(v, f"{where}[{i}][{j}]") for j, v in enumerate(item))))
-    return out
+    return [Point(*_naturals(item, f"{where}[{i}]", 2)) for i, item in enumerate(doc)]
 
 
 def condition_from_json(doc) -> FiniteCondition:

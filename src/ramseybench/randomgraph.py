@@ -40,9 +40,8 @@ import random
 from functools import cached_property
 from itertools import combinations, islice, permutations, product
 
-from . import _jsonio
 from ._values import field, value
-from .errors import WORK_BOUNDS, _natural, check_work
+from .errors import WORK_BOUNDS, _natural, _naturals, check_work
 from .homogeneity import Coloring, check_tau_homogeneous, count_classes_met
 from .pointsets import FiniteCondition, Point
 from .typecalc import parse_list_form
@@ -192,23 +191,20 @@ def _schedule_size(palette: int, max_vertex: int, max_params: int, bound: int) -
     return size
 
 
-def _walk(palette: int, steps: int | None = None, max_vertex: int | None = None,
-          max_params: int | None = None) -> tuple[int, dict]:
+def _walk(palette: int, steps: int | None = None,
+          cap: tuple[int, int] | None = None) -> tuple[int, dict]:
     """The witness engine: run the schedule (its first ``steps`` entries,
-    or the covering capped at ``max_vertex``/``max_params``) from the
+    or the covering capped at ``cap`` = (max_vertex, max_params)) from the
     one-vertex seed.  Returns the vertex count and the pairs of colour
     >= 1 as ``{(u, v): colour}`` with u < v."""
-    if palette < 2:
-        raise ValueError(f"palette must have >= 2 colors, got {palette}")
-    if steps is not None:
-        if steps < 1:
-            raise ValueError(f"steps must be >= 1, got {steps}")
-        size = steps
+    _natural(palette, "palette", 2)
+    if cap is None:
+        size = _natural(steps, "steps", 1)
         configs = islice(_schedule(palette), steps)
     else:
-        for name, bound in (("max_vertex", max_vertex), ("max_params", max_params)):
-            if bound < 0:
-                raise ValueError(f"{name} must be >= 0, got {bound}")
+        max_vertex, max_params = cap
+        _natural(max_vertex, "max_vertex")
+        _natural(max_params, "max_params")
         size = _schedule_size(palette, max_vertex, max_params,
                               WORK_BOUNDS["configurations"])
         configs = _schedule(palette, max_vertex, max_params)
@@ -261,7 +257,7 @@ def build_random_graph(steps: int) -> Graph:
 def build_graph_covering(max_vertex: int, max_params: int) -> Graph:
     """Process every configuration with params inside [0, max_vertex) and
     at most max_params parameters, in schedule order."""
-    count, table = _walk(2, max_vertex=max_vertex, max_params=max_params)
+    count, table = _walk(2, cap=(max_vertex, max_params))
     return Graph(count, table)
 
 
@@ -272,9 +268,8 @@ def check_extension_property(g: Graph, k: int, m: int) -> list[Configuration]:
     ``_schedule_size`` counts them, as it does an (m, k) covering; more
     than the "subsets" work bound raise LimitError before any work.
     """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    if not 0 <= m <= g.vertex_count:
+    _natural(k, "k")
+    if _natural(m, "m") > g.vertex_count:
         raise ValueError(f"m must be between 0 and {g.vertex_count}, got {m}")
     work = _schedule_size(2, m, k, WORK_BOUNDS["subsets"])
     check_work("subsets", work, "extension check",
@@ -300,8 +295,7 @@ def check_rich(subset, g: Graph, k: int = 1) -> bool:
     """Does some subset of ``subset`` satisfy the k-extension property with
     all witnesses inside itself?  Exhaustive; refuses sets above the
     "vertices" work bound."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    _natural(k, "k")
     vertices = tuple(sorted(set(subset)))
     for v in vertices:
         if not 0 <= v < g.vertex_count:
@@ -353,7 +347,7 @@ def build_random_coloring(palette: int, steps: int) -> EdgeColoring:
 def build_coloring_covering(palette: int, max_vertex: int,
                             max_params: int) -> EdgeColoring:
     """Palette analogue of build_graph_covering."""
-    count, table = _walk(palette, max_vertex=max_vertex, max_params=max_params)
+    count, table = _walk(palette, cap=(max_vertex, max_params))
     return EdgeColoring(count, palette, table)
 
 
@@ -385,8 +379,7 @@ def noreverse_demo(count: int = 50, seed: int = 0) -> NoReverseReport:
     ValueError, since no column would be checked, and a count above the
     "conditions" work bound LimitError, before any work.
     """
-    if count < 1:
-        raise ValueError(f"count must be at least 1, got {count}")
+    _natural(count, "count", 1)
     check_work("conditions", count, "noreverse demo", f"{count} conditions were asked for")
     g = build_graph_covering(6, 2)
     rng = random.Random(seed)
@@ -480,9 +473,7 @@ def graph_from_json(doc: dict) -> Graph:
         raise ValueError("edges: expected a list of vertex pairs")
     edges = set()
     for i, edge in enumerate(doc["edges"]):
-        if not isinstance(edge, list) or len(edge) != 2:
-            raise ValueError(f"edges[{i}]: expected a pair of vertices, got {_jsonio.dumps(edge)}")
-        u, v = (_natural(x, f"edges[{i}][{j}]") for j, x in enumerate(edge))
+        u, v = _naturals(edge, f"edges[{i}]", 2)
         if u == v or max(u, v) >= count:
             raise ValueError(f"edges[{i}]: bad edge {[u, v]} on {count} vertices")
         edges.add((min(u, v), max(u, v)))

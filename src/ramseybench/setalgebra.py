@@ -180,8 +180,7 @@ def column_of(expr: PlanarSet, x: int) -> FinCofin:
     A section that may take more values (``_section_work``) than the
     "values" work bound raises LimitError before any work.
     """
-    if x < 0:
-        raise ValueError(f"column index must be a natural, got {x}")
+    _natural(x, "x")
     fixed, diagonal = _section_work(expr)
     work = fixed + diagonal * (x + 1)
     check_work("values", work, "column", f"the section at x={x} may take {work} values")

@@ -197,9 +197,8 @@ def _relation_classes(n: int, relation) -> tuple[TypeValidation, tuple]:
     """``validate_ntype``'s report and, when the relation is a total
     pre-order, its classes least first, each ranked by the number of
     symbols strictly below it (else no classes)."""
-    if n < 1:
-        return TypeValidation(False, ("n must be >= 1",), ()), ()
     try:
+        _natural(n, "n", 1)
         pairs = _as_pair_set(relation)
     except (ValueError, TypeError) as exc:
         return TypeValidation(False, (str(exc),), ()), ()
@@ -247,7 +246,7 @@ def ntype_from_relation(n: int, relation) -> NType:
 
 
 def _check_n(n: int):
-    if not 1 <= n <= MAX_N:
+    if _natural(n, "n", 1) > MAX_N:
         raise ValueError(f"n must be between 1 and {MAX_N}, got {n}")
 
 
@@ -440,11 +439,12 @@ def ntype_from_json(doc: dict) -> NType:
     n = _natural(doc["n"], "n", 1)
     if not isinstance(doc["classes"], list):
         raise ValueError(f"classes: expected a list of symbol lists, "
-                         f"got {_jsonio.dumps(doc['classes'])}")
+                         f"got {_jsonio.dumps(doc['classes'], default=repr)}")
     classes = []
     for i, cls in enumerate(doc["classes"]):
         if not isinstance(cls, list):
-            raise ValueError(f"classes[{i}]: expected a list of symbols, got {_jsonio.dumps(cls)}")
+            raise ValueError(f"classes[{i}]: expected a list of symbols, "
+                             f"got {_jsonio.dumps(cls, default=repr)}")
         symbols = []
         for j, name in enumerate(cls):
             try:

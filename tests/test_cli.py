@@ -938,7 +938,7 @@ def test_graph_demo_noreverse_refuses_a_negative_count():
     doc = payload_of(err)
     conforms("error", doc)
     assert doc["kind"] == "ValueError"
-    assert doc["error"] == "count must be at least 1, got -1"
+    assert doc["error"] == "count: expected a natural number >= 1, got -1"
 
 
 def test_graph_demo_noreverse_refuses_a_count_of_zero():
@@ -948,7 +948,7 @@ def test_graph_demo_noreverse_refuses_a_count_of_zero():
     doc = payload_of(err)
     conforms("error", doc)
     assert doc["kind"] == "ValueError"
-    assert doc["error"] == "count must be at least 1, got 0"
+    assert doc["error"] == "count: expected a natural number >= 1, got 0"
 
 
 # ------------------------------------------------------------------ sets
@@ -1206,9 +1206,11 @@ REFUSALS = [
     (["types", "insert"], None, "need a pattern: pass --type or --in"),
     (["homog", "check", "--type", "x1<y1"], None, "need a coloring: pass --in or --csv"),
     (["homog", "search", "--type", "x1<y1"], None, "need a coloring: pass --in or --csv"),
-    (["graph", "build", "--steps", "0"], None, "steps must be >= 1, got 0"),
-    (["graph", "build", "--cover-vertices", "-1"], None, "max_vertex must be >= 0, got -1"),
-    (["graph", "demo-coloring", "--palette", "1"], None, "palette must have >= 2 colors, got 1"),
+    (["graph", "build", "--steps", "0"], None, "steps: expected a natural number >= 1, got 0"),
+    (["graph", "build", "--cover-vertices", "-1"], None,
+     "max_vertex: expected a natural number, got -1"),
+    (["graph", "demo-coloring", "--palette", "1"], None,
+     "palette: expected a natural number >= 2, got 1"),
     (["types", "extend", "--in", "{doc}"], {"n": 0, "classes": []},
      "n: expected a natural number >= 1, got 0"),
     (["types", "insert", "--in", "{doc}"], {"n": 1, "classes": [[], ["x1"], ["y1"]]},
@@ -1235,6 +1237,19 @@ REFUSALS = [
      "chain: expected a natural number, got -1"),
     (["omega", "hmember", "--za", "{za}", "--point=-1,2"], None,
      "x: expected a natural number, got -1"),
+    (["graph", "build", "--steps", "5", "--cover-params", "3"], None,
+     "pass --cover-params only with --cover-vertices"),
+    (["graph", "check", "--in", "{doc}", "--k", "1", "--m=-1"], {"vertices": 2, "edges": []},
+     "m: expected a natural number, got -1"),
+    (["graph", "check", "--in", "{doc}", "--k", "1", "--m", "1"],
+     {"vertices": 2, "edges": [[0, 1, 1]]},
+     "edges[0]: expected a list of 2 natural numbers, got [0, 1, 1]"),
+    (["cond", "classify", "--in", "{doc}", "--n", "1"], [[0, 4], [0]],
+     "[1]: expected a list of 2 natural numbers, got [0]"),
+    (["homog", "extract-s", "--in", "{grid}", "--cond", "{gridcond}", "--window", "0"], None,
+     "window: expected a natural number >= 1, got 0"),
+    (["sets", "column", "--in", "{expr}", "--x=-1"], None, "x: expected a natural number, got -1"),
+    (["types", "count", "--n", "0"], None, "n: expected a natural number >= 1, got 0"),
 ]
 
 
@@ -1331,7 +1346,7 @@ def test_graph_check_and_rich_refuse_a_negative_k_alike(files, action, extra):
     assert result.exit_code == 1 and out == ""
     payload = payload_of(err)
     conforms("error", payload)
-    assert payload == {"error": "k must be >= 0, got -1", "kind": "ValueError"}
+    assert payload == {"error": "k: expected a natural number, got -1", "kind": "ValueError"}
 
 
 READER_JUNK = st.recursive(

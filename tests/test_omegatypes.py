@@ -395,5 +395,5 @@ def test_an_absent_y_has_no_position_and_a_prefix_needs_a_class():
     p = OmegaTypePrefix(({"x": [1]}, {"y": 1}))
     assert p.position_of_y(1) == 1
     assert p.position_of_y(2) is None
-    with pytest.raises(ValueError, match="^need at least one class$"):
+    with pytest.raises(ValueError, match="^n_classes: expected a natural number >= 1, got 0$"):
         random_prefix(random.Random(0), 0)

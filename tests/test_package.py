@@ -159,6 +159,16 @@ def test_only_errors_raises_limit_errors():
     assert raising == {"errors.py"}
 
 
+def test_only_errors_states_the_sign_rule_for_naturals():
+    # every natural value or argument is judged by errors._natural; the CSV
+    # and stand-in key readers parse digit text and word their own refusals
+    src = REPO / "src" / "ramseybench"
+    phrases = ("must be >= ", "must be at least", "must have >= ", "must be a natural,")
+    stating = {path.name for path in src.glob("*.py") if path.name != "errors.py"
+               and any(phrase in path.read_text() for phrase in phrases)}
+    assert stating == set()
+
+
 def test_pattern_clauses_are_stated_once():
     # classes and relations are both judged by typecalc._class_problems
     from ramseybench.typecalc import _class_problems

@@ -134,7 +134,7 @@ def test_check_rich_examples():
 def test_check_rich_refuses_a_negative_k_before_any_work():
     # as check_extension_property does; the set is too large for the
     # bound and names no vertex, yet the k is named first
-    with pytest.raises(ValueError, match=r"^k must be >= 0, got -1$"):
+    with pytest.raises(ValueError, match=r"^k: expected a natural number, got -1$"):
         check_rich(range(100, 200), Graph(1, frozenset()), k=-1)
 
 
@@ -277,9 +277,9 @@ def test_the_conditions_bound_caps_the_noreverse_demo(monkeypatch):
 
 def test_noreverse_demo_refuses_a_negative_count():
     # a count below 1 would check nothing and report every column failed
-    with pytest.raises(ValueError, match="count must be at least 1, got -1"):
+    with pytest.raises(ValueError, match="count: expected a natural number >= 1, got -1"):
         noreverse_demo(count=-1)
-    with pytest.raises(ValueError, match="count must be at least 1, got 0"):
+    with pytest.raises(ValueError, match="count: expected a natural number >= 1, got 0"):
         noreverse_demo(count=0)
 
 

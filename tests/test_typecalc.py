@@ -162,7 +162,8 @@ def test_two_types_come_out_in_documented_order():
 
 
 def test_validate_ntype_reports_a_bad_n_and_bad_symbols_as_malformed():
-    assert validate_ntype(0, []) == TypeValidation(False, ("n must be >= 1",), ())
+    assert validate_ntype(0, []) == TypeValidation(
+        False, ("n: expected a natural number >= 1, got 0",), ())
     assert validate_ntype(1, [("q1", "x1")]) == TypeValidation(
         False, ("cannot parse symbol 'q1'",), ())
     assert validate_ntype(1, [(5, 5)]) == TypeValidation(False, ("not a symbol: 5",), ())
