@@ -46,17 +46,24 @@ WORK_BOUNDS = {
     # no split into blocks counts more than C(points, n) + 1, still inside
     # the bound, so the block count admits whatever the listing admits.  The 716-point
     # n = 4 growth has 2,685 in-block subsets and the 10,915-point n = 5
-    # growth 67,673.  The extension check is slower per item (201,193
-    # configurations on the 30-vertex (8, 2) covering in 0.9 s), so at the
-    # bound it takes about 5 s.
+    # growth 67,673.  The extension check splits its witness pools one
+    # parameter at a time and lists its configurations unjudged: the
+    # 201,193 on the 30-vertex (8, 2) covering at k = 4, m = 12 take
+    # 0.19-0.25 s in process, and the 947,683 of the empty 17-vertex graph
+    # at k = 4, 886,193 of them listed, 1.6-1.8 s and 245 MB peak RSS
+    # (0.8-0.9 s and 5.0-5.8 s, 355 MB, when every configuration was
+    # re-ANDed and judged).
     "subsets": 1_000_000,
     # Configurations one witness-engine build may walk.  A configuration
     # costs a few big-int operations on masks as wide as the vertex count,
     # and a walk adds at most one vertex per configuration, so this also
     # caps the mask width.  The widest builds inside it, the (14999, 1)
     # graph and the palette-5 (5999, 1) coverings (15,000 and 18,001
-    # vertices), take about 0.2 s and under 70 MB on one core of a Xeon
-    # server.
+    # vertices), take 0.09-0.17 s as a process's first call and under
+    # 70 MB on one core of a Xeon server.  Their one-parameter tuples share
+    # no prefix, so splitting the pools per parameter saves them least:
+    # best of five, 73-81 and 55-60 ms, against 107-109 and 88 ms when each
+    # configuration re-ANDed its rows; the (8, 4) covering 8 against 45 ms.
     "configurations": 30_000,
     # Ground points of an exact homogeneous search, which is exponential in
     # them.  In process on an Intel Xeon (Python 3.11), the slowest seeded

@@ -13,11 +13,20 @@ puts the lone empty configuration first, then sorts by (largest
 parameter ``top``, parameter count, parameters lexicographically, colours
 little-endian); at palette 2 the last key is the target set as an
 ascending bitmask.  The engine keeps one int bitmask per vertex and
-colour >= 1, plus their union.  The least witness is the lowest set bit
-of ``all & ~params & AND(mask(a, c))``, where colour 0 ("none of the
+colour >= 1, plus their union.  The witnesses of a configuration are
+``all & ~params & AND(mask(a, c))``, where colour 0 ("none of the
 others") takes the complement of the union.  ``EdgeColoring.masks``
 holds these rows for a finished colouring, and a ``Graph`` is the
 palette-2 ``EdgeColoring`` whose colour-1 pairs are its edges.
+
+The walk splits these witness pools one parameter at a time.  For a
+parameter tuple, ``levels[d]`` holds the palette**d pools of its first d
+parameters, pool j for the colours whose little-endian base-palette
+number is j, so the last level lists the tuple's configurations in
+schedule order.  The next tuple keeps the levels of the prefix it shares
+and splits only past it; a fresh witness for pool b joins pool
+``b % palette**d`` of every level d.  The extension and rich checks walk
+``permutations`` the same way, over a fixed pool.
 
 A covering walks a capped schedule: parameter counts stop at
 ``max_params`` and the walk stops at the first parameter that reaches
@@ -38,26 +47,32 @@ from __future__ import annotations
 
 import random
 from functools import cached_property
-from itertools import combinations, islice, permutations, product
+from itertools import combinations, permutations
 
+from . import homogeneity, pointsets, typecalc
 from ._values import field, value
 from .errors import WORK_BOUNDS, _natural, _naturals, check_work
-from .homogeneity import Coloring, check_tau_homogeneous, count_classes_met
-from .pointsets import FiniteCondition, Point
-from .typecalc import parse_list_form
 
 
-def _witnesses(rows, pool: int, params, colors) -> int:
-    """The vertices of ``pool`` outside ``params`` whose edge to each
-    ``params[i]`` carries ``colors[i]``, as a bitmask.
-
-    ``rows[a][c]`` for c >= 1 holds the vertices joined to ``a`` by colour
-    c, and ``rows[a][0]`` their union, so colour 0 is its complement.
-    """
-    for a, c in zip(params, colors):
+def _descend(levels: list, last: tuple, params: tuple, rows) -> list:
+    """Move ``levels`` from parameter tuple ``last`` to ``params`` and
+    return the pools of ``params``' configurations.  The levels of their
+    shared prefix stay; each later parameter ``a`` splits the last level,
+    pool j met with the vertices joined to ``a`` by colour c going to
+    index j + c * len(level).  Vertex ``a`` is in none of its own ``rows``
+    (``EdgeColoring.masks``), so only colour 0 has to clear its bit."""
+    shared = 0
+    for x, y in zip(last, params):
+        if x != y:
+            break
+        shared += 1
+    del levels[shared + 1:]
+    for a in params[shared:]:
         row = rows[a]
-        pool &= ~(1 << a) & (row[c] if c else ~row[0])
-    return pool
+        masks = (~(row[0] | 1 << a), *row[1:])
+        pools = levels[-1]
+        levels.append([p & m for m in masks for p in pools])
+    return levels[-1]
 
 
 @value
@@ -144,36 +159,48 @@ class Configuration:
                 f"targets {sorted(self.targets)} are not positions into {self.params}"
             )
 
+    @classmethod
+    def _trusted(cls, params: tuple, targets: frozenset) -> "Configuration":
+        """Build without validation, for the distinct natural parameters
+        and in-range targets that this module's walks produce by
+        construction (the tests compare what they list with the public
+        constructor's result)."""
+        cfg = cls.__new__(cls)
+        cfg.__dict__.update(params=params, targets=targets)
+        return cfg
 
-def _targets(colors) -> frozenset[int]:
-    """A palette-2 colour tuple as a graph configuration's target set."""
-    return frozenset(i for i, c in enumerate(colors) if c)
+
+def _targets(count: int) -> list[frozenset[int]]:
+    """The target sets of graph configurations on ``count`` parameters,
+    by colour index: position i is a target when bit i of the index is."""
+    return [frozenset(i for i in range(count) if b >> i & 1) for b in range(1 << count)]
 
 
-def _schedule(palette: int, max_vertex: int | None = None,
-              max_params: int | None = None):
-    """(params, colours) pairs in the documented order, capped.
+def _schedule(max_vertex: int | None = None, max_params: int | None = None):
+    """The parameter tuples of the schedule in the documented order, capped.
 
+    A tuple of count parameters stands for its palette**count
+    configurations, whose colours, read as a little-endian base-palette
+    number, count up from 0; the tuples do not depend on the palette.
     Parameter counts stop at ``max_params`` and the walk stops before
     ``top`` reaches ``max_vertex``; None leaves that side open.  Only
     tuples that use ``top`` are generated, count * P(top, count - 1) per
     sorted list: at most 720 in step builds and 15,000 in coverings, but
     362,880 at top 8 of the unbounded ``configuration_schedule()``.
+    Sorted lists keep the tuples that share a prefix together, so the
+    walk splits only the pools past it.
     """
-    yield (), ()
+    yield ()
     if max_params == 0:
         return
     top = 0
     while max_vertex is None or top < max_vertex:
         counts = top + 1 if max_params is None else min(top + 1, max_params)
-        for count in range(1, counts + 1):
-            # permutations(range(top), 0) would copy range(top) on every top
-            tuples = [(top,)] if count == 1 else sorted(
+        yield (top,)
+        for count in range(2, counts + 1):
+            yield from sorted(
                 rest[:i] + (top,) + rest[i:]
                 for rest in permutations(range(top), count - 1) for i in range(count))
-            for params in tuples:
-                for digits in product(range(palette), repeat=count):
-                    yield params, digits[::-1]
         top += 1
 
 
@@ -199,43 +226,62 @@ def _walk(palette: int, steps: int | None = None,
     >= 1 as ``{(u, v): colour}`` with u < v."""
     _natural(palette, "palette", 2)
     if cap is None:
-        size = _natural(steps, "steps", 1)
-        configs = islice(_schedule(palette), steps)
+        left = _natural(steps, "steps", 1)
+        tuples = _schedule()
     else:
         max_vertex, max_params = cap
         _natural(max_vertex, "max_vertex")
         _natural(max_params, "max_params")
-        size = _schedule_size(palette, max_vertex, max_params,
+        # the capped schedule has exactly this many entries
+        left = _schedule_size(palette, max_vertex, max_params,
                               WORK_BOUNDS["configurations"])
-        configs = _schedule(palette, max_vertex, max_params)
-    check_work("configurations", size, "build",
-               f"the schedule walk takes at least {size} configurations")
+        tuples = _schedule(max_vertex, max_params)
+    check_work("configurations", left, "build",
+               f"the schedule walk takes at least {left} configurations")
     rows = [[0] * palette]
     table: dict = {}
-    for params, colors in configs:
-        # The vertex pool is conceptually all naturals: a parameter the
-        # walk has not reached yet is simply an isolated vertex so far.
-        while params and len(rows) <= max(params):
-            rows.append([0] * palette)
-        if _witnesses(rows, (1 << len(rows)) - 1, params, colors):
-            continue
-        fresh = len(rows)
-        row = [0] * palette
-        for a, c in zip(params, colors):
-            if c:
-                rows[a][c] |= 1 << fresh
-                rows[a][0] |= 1 << fresh
-                row[c] |= 1 << a
-                row[0] |= 1 << a
-                table[(a, fresh)] = c
-        rows.append(row)
+    levels = [[1]]  # levels[d]: the palette**d pools of params[:d]
+    last = ()
+    for params in tuples:
+        if len(params) == 1 and params[0] >= len(rows):
+            # The vertex pool is conceptually all naturals: a parameter the
+            # walk has not reached yet is simply an isolated vertex so far.
+            # Only a (top,) tuple can reach it, and it shares no prefix.
+            rows += ([0] * palette for _ in range(params[0] + 1 - len(rows)))
+            levels[0][0] = (1 << len(rows)) - 1
+        pools = _descend(levels, last, params, rows)
+        last = params
+        if left < len(pools):
+            pools = pools[:left]
+        left -= len(pools)
+        for b, pool in enumerate(pools):
+            if pool:
+                continue
+            fresh = len(rows)
+            bit = 1 << fresh
+            row = [0] * palette
+            digits = b
+            for a in params:
+                digits, c = divmod(digits, palette)
+                if c:
+                    rows[a][c] |= bit
+                    rows[a][0] |= bit
+                    row[c] |= 1 << a
+                    row[0] |= 1 << a
+                    table[(a, fresh)] = c
+            rows.append(row)
+            for level in levels:
+                level[b % len(level)] |= bit
+        if not left:
+            break
     return len(rows), table
 
 
 def configuration_schedule():
     """The canonical infinite configuration order; see the module doc."""
-    for params, colors in _schedule(2):
-        yield Configuration(params, _targets(colors))
+    for params in _schedule():
+        for targets in _targets(len(params)):
+            yield Configuration(params, targets)
 
 
 def realize_configuration(g: Graph, cfg: Configuration):
@@ -243,8 +289,10 @@ def realize_configuration(g: Graph, cfg: Configuration):
     for p in cfg.params:
         if p >= g.vertex_count:
             raise ValueError(f"parameter {p} is not a vertex of the graph")
-    colors = [int(i in cfg.targets) for i in range(len(cfg.params))]
-    found = _witnesses(g.masks, (1 << g.vertex_count) - 1, cfg.params, colors)
+    found = (1 << g.vertex_count) - 1
+    for i, a in enumerate(cfg.params):
+        row = g.masks[a]
+        found &= row[1] if i in cfg.targets else ~(row[0] | 1 << a)
     return (found & -found).bit_length() - 1 if found else None
 
 
@@ -276,19 +324,26 @@ def check_extension_property(g: Graph, k: int, m: int) -> list[Configuration]:
                f"k={k} on {m} vertices gives at least {work} configurations")
     rows = g.masks  # refuses too many vertices before the pool is built
     everyone = (1 << g.vertex_count) - 1
-    return [Configuration(params, _targets(colors))
-            for params, colors in _unwitnessed(rows, everyone, range(m), k)]
+    targets = [_targets(count) for count in range(min(k, m) + 1)]
+    return [Configuration._trusted(params, targets[len(params)][b])
+            for params, b in _unwitnessed(rows, everyone, range(m), k)]
 
 
 def _unwitnessed(rows, pool: int, vertices, k: int):
     """Each graph configuration on at most k of ``vertices`` that no vertex
-    of ``pool`` witnesses, as (params, colours): by parameter count, then
-    parameters, then colours little-endian."""
-    for count in range(k + 1):
+    of ``pool`` witnesses, as (params, colour index): by parameter count,
+    then parameters, then colour index, whose bit i is the colour at
+    params[i].  Consecutive permutations keep the pools of their shared
+    prefix, as the build walk does."""
+    levels = [[pool]]  # levels[d]: the 2**d pools of params[:d]
+    last = ()
+    for count in range(min(k, len(vertices)) + 1):
         for params in permutations(vertices, count):
-            for digits in product((0, 1), repeat=count):
-                if not _witnesses(rows, pool, params, digits[::-1]):
-                    yield params, digits[::-1]
+            pools = _descend(levels, last, params, rows)
+            last = params
+            for b, found in enumerate(pools):
+                if not found:
+                    yield params, b
 
 
 def check_rich(subset, g: Graph, k: int = 1) -> bool:
@@ -296,7 +351,7 @@ def check_rich(subset, g: Graph, k: int = 1) -> bool:
     all witnesses inside itself?  Exhaustive; refuses sets above the
     "vertices" work bound."""
     _natural(k, "k")
-    vertices = tuple(sorted(set(subset)))
+    vertices = tuple(sorted({_natural(v, "vertices") for v in subset}))
     for v in vertices:
         if not 0 <= v < g.vertex_count:
             raise ValueError(f"{v} is not a vertex of the graph")
@@ -314,7 +369,8 @@ def check_rich(subset, g: Graph, k: int = 1) -> bool:
 VERTICAL_PAIR = "x1=x2<y1<y2"
 
 
-def color_vertical_pairs(cond: FiniteCondition, g: EdgeColoring) -> Coloring:
+def color_vertical_pairs(cond: pointsets.FiniteCondition,
+                         g: EdgeColoring) -> homogeneity.Coloring:
     """Color tied pairs of cond by the colour ``g.color`` gives their y's,
     which for a Graph is 1 on an edge and 0 off it.
 
@@ -331,7 +387,7 @@ def color_vertical_pairs(cond: FiniteCondition, g: EdgeColoring) -> Coloring:
             return None
         return g.color(a.y, b.y)
 
-    return Coloring.from_rule(cond, 2, rule)
+    return homogeneity.Coloring.from_rule(cond, 2, rule)
 
 
 # the palette name of the same rule, kept for callers that use it
@@ -383,7 +439,7 @@ def noreverse_demo(count: int = 50, seed: int = 0) -> NoReverseReport:
     check_work("conditions", count, "noreverse demo", f"{count} conditions were asked for")
     g = build_graph_covering(6, 2)
     rng = random.Random(seed)
-    tau = parse_list_form(VERTICAL_PAIR)
+    tau = typecalc.parse_list_form(VERTICAL_PAIR)
     pool = list(range(3, g.vertex_count))
     edge_pool = [(u, v) for (u, v) in sorted(g.edges) if u >= 3 and v >= 3]
     verdicts: list[ColumnVerdict] = []
@@ -414,12 +470,12 @@ def noreverse_demo(count: int = 50, seed: int = 0) -> NoReverseReport:
             continue
         points = set()
         for x, ys in enumerate(column_sets):
-            points |= {Point(x, y) for y in ys}
-        cond = FiniteCondition(frozenset(points))
+            points |= {pointsets.Point(x, y) for y in ys}
+        cond = pointsets.FiniteCondition(frozenset(points))
         coloring = color_vertical_pairs(cond, g)
         for x, ys in enumerate(column_sets):
-            col_pts = [Point(x, y) for y in ys]
-            report = check_tau_homogeneous(col_pts, coloring, tau)
+            col_pts = [pointsets.Point(x, y) for y in ys]
+            report = homogeneity.check_tau_homogeneous(col_pts, coloring, tau)
             verdicts.append(ColumnVerdict(
                 column=x,
                 points=len(col_pts),
@@ -446,11 +502,11 @@ class PaletteDemoReport:
 def coloring_demo(palette: int, max_vertex: int = 4) -> PaletteDemoReport:
     """One column over the palette engine's vertices meets every color."""
     ec = build_coloring_covering(palette, max_vertex, 1)
-    cond = FiniteCondition(frozenset(
-        Point(0, v) for v in range(1, ec.vertex_count)
+    cond = pointsets.FiniteCondition(frozenset(
+        pointsets.Point(0, v) for v in range(1, ec.vertex_count)
     ))
     coloring = color_vertical_pairs(cond, ec)
-    met = count_classes_met(cond, coloring)
+    met = homogeneity.count_classes_met(cond, coloring)
     return PaletteDemoReport(
         palette=palette, classes_met=met, all_colors=met == palette
     )

@@ -38,7 +38,7 @@ own, but neither its point cache nor its totality count.
 import csv
 import dataclasses
 import json
-from itertools import chain, combinations, permutations, product
+from itertools import chain, combinations, islice, permutations, product
 from math import isfinite
 
 from ramseybench.errors import _natural
@@ -214,13 +214,16 @@ def weak_order_count(k: int) -> int:
     return len(rank_vectors_filter(k))
 
 
-def full_schedule(palette: int):
+def full_schedule(palette: int, max_vertex=None, max_params=None):
     """(params, colours) in the documented order, by enumerating every
-    parameter count per top vertex and filtering on ``max(params) == top``."""
+    parameter count per top vertex and filtering on ``max(params) ==
+    top``.  When given, tops stop before ``max_vertex`` and counts at
+    ``max_params``."""
     yield (), ()
     top = 0
-    while True:
-        for count in range(1, top + 2):
+    while max_vertex is None or top < max_vertex:
+        most = top + 1 if max_params is None else min(top + 1, max_params)
+        for count in range(1, most + 1):
             for params in permutations(range(top + 1), count):
                 if max(params) != top:
                     continue
@@ -231,37 +234,38 @@ def full_schedule(palette: int):
         top += 1
 
 
-def schedule_walk(palette: int, steps=None, max_vertex=None, max_params=None):
+def walk_states(palette: int, max_vertex=None, max_params=None):
     """The witness walk as the definition reads, slow on purpose.
 
-    Runs ``full_schedule``.  Coverings skip entries with more than
-    ``max_params`` parameters and stop at the first parameter reaching
-    ``max_vertex``; step walks take the first ``steps`` entries.  Each
-    entry scans every vertex for a witness; without one, a fresh vertex
-    gets the demanded colours.  Returns the vertex count and the pairs of
-    colour >= 1 as ``{(u, v): colour}``.
+    Runs ``full_schedule``, capped at ``max_vertex`` and ``max_params``
+    for coverings.  Each entry scans every vertex for a witness; without
+    one, a fresh vertex gets the demanded colours.  After each entry it
+    yields the vertex count and the colour of every pair recorded so far,
+    colour 0 included, as ``{(u, v): colour}``: one dict, updated in place.
     """
     table = {}
     count = 1
-    for step, (params, colors) in enumerate(full_schedule(palette)):
-        if steps is not None and step >= steps:
-            break
-        if max_vertex is not None and params and max(params) >= max_vertex:
-            break
-        if max_params is not None and len(params) > max_params:
-            continue
+    for params, colors in full_schedule(palette, max_vertex, max_params):
         if params:
             count = max(count, max(params) + 1)
-        if any(
+        if not any(
             b not in params
             and all(table.get((min(a, b), max(a, b)), 0) == c
                     for a, c in zip(params, colors))
             for b in range(count)
         ):
-            continue
-        for a, c in zip(params, colors):
-            table[(a, count)] = c
-        count += 1
+            for a, c in zip(params, colors):
+                table[(a, count)] = c
+            count += 1
+        yield count, table
+
+
+def schedule_walk(palette: int, steps=None, max_vertex=None, max_params=None):
+    """The vertex count and the pairs of colour >= 1 after the first
+    ``steps`` entries of ``walk_states``, or after all of a covering's."""
+    count, table = 1, {}
+    for count, table in islice(walk_states(palette, max_vertex, max_params), steps):
+        pass
     return count, {pair: c for pair, c in table.items() if c}
 
 

@@ -76,6 +76,8 @@ SITES = [
     # the pair readers judge each coordinate of a pair
     ("[0][0]", 0, lambda v: points_from_json([[v, 1]])),
     ("edges[0][1]", 0, lambda v: graph_from_json({"vertices": 3, "edges": [[1, v]]})),
+    # appended here, so the ids of the rows above stay
+    ("vertices", 0, lambda v: check_rich([v], PATH)),
 ]
 
 BAD = [1.5, True, "1", None, -1]

@@ -90,6 +90,12 @@ def test_public_names_still_resolve():
     (["cond", "check"], [[0, 1], [2, 3]], {"pointsets", "typecalc"}),
     (["homog", "check", "--type", "x1<y1<x2<y2"], "0,1,2,3,red\n",
      {"homogeneity", "pointsets", "typecalc"}),
+    # the graph engine reaches the pattern areas only in its two demos
+    (["graph", "build", "--steps", "30"], None, {"randomgraph"}),
+    (["graph", "check", "--k", "1", "--m", "3"], {"vertices": 4, "edges": [[0, 1], [2, 3]]},
+     {"randomgraph"}),
+    (["graph", "rich", "--vertices", "0,1,2,3"], {"vertices": 4, "edges": [[0, 1], [2, 3]]},
+     {"randomgraph"}),
 ])
 def test_a_call_loads_only_its_area(argv, doc, loaded, tmp_path):
     # a str document is a coloring CSV, passed as --csv

@@ -1,16 +1,15 @@
 import random
 import time
-from itertools import combinations, islice, takewhile
+from itertools import islice, product, takewhile
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from oracles import (
     full_schedule,
     is_rich,
     least_witness,
     schedule_walk,
     unsatisfied_configurations,
+    walk_states,
 )
 
 from ramseybench.errors import WORK_BOUNDS, LimitError
@@ -188,9 +187,17 @@ def test_vertical_pair_constant_matches_tied_pattern():
     assert parse_list_form(VERTICAL_PAIR).n == 2
 
 
+def entries(palette, tuples):
+    """The (params, colours) entries of schedule parameter tuples: each
+    tuple's colourings by colour index, colours little-endian."""
+    for params in tuples:
+        for digits in product(range(palette), repeat=len(params)):
+            yield params, digits[::-1]
+
+
 def test_palette_two_schedule_matches_graph_schedule():
     graph_cfgs = list(islice(configuration_schedule(), 30))
-    color_cfgs = list(islice(_schedule(2), 30))
+    color_cfgs = list(islice(entries(2, _schedule()), 30))
     for gc, (params, colors) in zip(graph_cfgs, color_cfgs):
         assert gc.params == params
         mask = frozenset(i for i, c in enumerate(colors) if c == 1)
@@ -318,28 +325,32 @@ def test_graph_covering_matches_walk_oracle(max_vertex, max_params):
 
 @pytest.mark.parametrize("palette, max_vertex, max_params", [
     (p, v, m) for p in (2, 3, 4) for v, m in ((3, 3), (4, 1), (4, 2))
-] + [(2, 5, 1), (3, 5, 1), (3, 5, 2)])
+] + [(2, 5, 1), (3, 5, 1), (3, 5, 2), (2, 8, 3), (2, 8, 4), (3, 6, 3)])
 def test_coloring_covering_matches_walk_oracle(palette, max_vertex, max_params):
     ec = build_coloring_covering(palette, max_vertex, max_params)
     assert (ec.vertex_count, colour_table(ec)) == schedule_walk(
         palette, max_vertex=max_vertex, max_params=max_params)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=2, max_value=4), st.integers(min_value=1, max_value=400))
-def test_step_builds_match_walk_oracle(palette, steps):
-    count, table = schedule_walk(palette, steps=steps)
-    ec = build_random_coloring(palette, steps)
-    assert (ec.vertex_count, colour_table(ec)) == (count, table)
-    if palette == 2:
-        g = build_random_graph(steps)
-        assert (g.vertex_count, g.edges) == (count, frozenset(table))
+def test_step_builds_match_walk_oracle():
+    # every step count, so builds that stop inside a parameter tuple's
+    # colourings are among them, against the oracle's state after each entry
+    for palette, first, last in ((2, 1, 400), (3, 1, 400), (4, 1, 400), (5, 1, 400),
+                                 (2, 3000, 3100)):
+        states = islice(walk_states(palette), first - 1, last)
+        for steps, (count, table) in enumerate(states, start=first):
+            table = {pair: c for pair, c in table.items() if c}
+            ec = build_random_coloring(palette, steps)
+            assert (ec.vertex_count, colour_table(ec)) == (count, table), (palette, steps)
+            if palette == 2:
+                g = build_random_graph(steps)
+                assert (g.vertex_count, g.edges) == (count, frozenset(table)), steps
 
 
 @pytest.mark.parametrize("palette", [2, 3])
 def test_schedules_match_the_filtered_full_schedule(palette):
     want = list(islice(full_schedule(palette), 3000))
-    assert list(islice(_schedule(palette), 3000)) == want
+    assert list(islice(entries(palette, _schedule()), 3000)) == want
     if palette == 2:
         got = [(c.params, c.targets) for c in islice(configuration_schedule(), 3000)]
         assert got == [(ps, frozenset(i for i, c in enumerate(cs) if c)) for ps, cs in want]
@@ -349,7 +360,7 @@ def test_schedules_match_the_filtered_full_schedule(palette):
 def test_one_count_gives_the_length_of_the_capped_schedule(palette):
     for max_vertex in range(8):
         for max_params in range(5):
-            walked = sum(1 for _ in _schedule(palette, max_vertex, max_params))
+            walked = sum(palette ** len(ps) for ps in _schedule(max_vertex, max_params))
             assert _schedule_size(palette, max_vertex, max_params, 10**18) == walked
 
 
@@ -370,7 +381,7 @@ def test_capped_schedules_match_the_capped_full_schedule(palette, widest, most):
         for max_params in range(most + 1):
             want = [(ps, cs) for ps, cs in full
                     if (not ps or max(ps) < max_vertex) and len(ps) <= max_params]
-            assert list(_schedule(palette, max_vertex, max_params)) == want
+            assert list(entries(palette, _schedule(max_vertex, max_params))) == want
 
 
 def test_the_widest_covering_answers_quickly():
@@ -407,16 +418,21 @@ def adjacency_sets(g):
     return adj
 
 
-@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("seed", range(40))
 def test_mask_checks_match_oracle(seed):
     rng = random.Random(seed)
     g = random_graph(rng, rng.randint(1, 14), rng.choice((0.2, 0.5, 0.8)))
     adj = adjacency_sets(g)
     assert [g.neighbors(v) for v in range(g.vertex_count)] == adj
-    for k in range(3):
-        m = rng.randint(0, min(g.vertex_count, 5))
-        got = [(c.params, c.targets) for c in check_extension_property(g, k, m)]
-        assert got == unsatisfied_configurations(adj, k, m)
+    for k in range(5):
+        m = rng.randint(0, min(g.vertex_count, 8))
+        listed = check_extension_property(g, k, m)
+        assert [(c.params, c.targets) for c in listed] == unsatisfied_configurations(adj, k, m)
+        for c in listed:
+            # built without the constructor's checks, yet the same value
+            public = Configuration(c.params, c.targets)
+            assert vars(c) == vars(public) and hash(c) == hash(public)
+            assert (type(c.params), type(c.targets)) == (tuple, frozenset)
     for _ in range(30):
         count = rng.randint(0, min(3, g.vertex_count))
         params = tuple(rng.sample(range(g.vertex_count), count))
@@ -425,6 +441,23 @@ def test_mask_checks_match_oracle(seed):
             least_witness(adj, params, targets)
     for _ in range(4):
         vertices = rng.sample(range(g.vertex_count), min(g.vertex_count, rng.randint(1, 7)))
-        for k in (0, 1):
+        for k in range(3):
             assert check_rich(vertices, g, k) == is_rich(adj, vertices, k)
 
+
+def test_check_rich_judges_each_vertex_before_the_range_check():
+    g = build_graph_covering(3, 1)
+    with pytest.raises(ValueError, match=r"^vertices: expected a natural number, got 1\.5$"):
+        check_rich([1.5], g)
+    # True is not taken as vertex 1
+    with pytest.raises(ValueError, match=r"^vertices: expected a natural number, got true$"):
+        check_rich([True, 2], g)
+    with pytest.raises(ValueError, match=r"^vertices: expected a natural number, got -1$"):
+        check_rich([99, -1], g)
+
+
+def test_a_large_k_costs_no_more_than_the_vertices_allow():
+    # parameter counts stop at the vertex count, as the work count does
+    g = build_graph_covering(4, 2)
+    assert check_extension_property(g, 10**12, 3) == check_extension_property(g, 3, 3)
+    assert check_rich(range(5), g, 10**12) == check_rich(range(5), g, 5)
