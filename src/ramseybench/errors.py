@@ -66,10 +66,13 @@ WORK_BOUNDS = {
     # configuration re-ANDed its rows; the (8, 4) covering 8 against 45 ms.
     "configurations": 30_000,
     # Ground points of an exact homogeneous search, which is exponential in
-    # them.  In process on an Intel Xeon (Python 3.11), the slowest seeded
-    # planted or uniform 2- or 3-colouring took 0.51 s at 24 points and
-    # 1.18 s at 25 (CHANGES.md).
-    "points": 24,
+    # them: the largest m whose worst whole search_homogeneous call stays
+    # under 1 s.  In process on an Intel Xeon (Python 3.11), over seeds 0-5,
+    # n = 2 and 3, 2 or 3 colours, uniform and planted with d in {2, m//4,
+    # m//3, m//2} disjoint recoloured realizers, the worst call took 0.43 s
+    # at 28 points, 0.53 s at 29 and 1.04 s at 30, each on a planted colouring
+    # (CHANGES.md).
+    "points": 29,
     # Vertices of a richness check, which tries every subset of them.
     "vertices": 12,
     # Values built one by one: those a set-algebra section may read or copy

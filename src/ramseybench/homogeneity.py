@@ -57,13 +57,24 @@ class Coloring:
     def from_table(cls, ground: FiniteCondition, n: int, table: dict,
                    partial: bool = False) -> "Coloring":
         """Table-backed coloring; totality is validated unless partial."""
-        return cls._from_keyed(ground, n, {frozenset(k): v for k, v in table.items()},
-                               partial)
+        bits: dict = {}
+        colors = {}
+        for key, color in table.items():
+            mask = 0
+            for p in key:
+                bit = bits.get(p)
+                if bit is None:
+                    bit = bits[p] = 1 << len(bits)
+                mask |= bit
+            colors[mask] = color
+        return cls._from_masks(ground, n, bits, colors, partial)
 
     @classmethod
-    def _from_keyed(cls, ground: FiniteCondition, n: int, keyed: dict,
+    def _from_masks(cls, ground: FiniteCondition, n: int, bits: dict, colors: dict,
                     partial: bool, inside: bool = False) -> "Coloring":
-        """Coloring over a table keyed by frozensets of points.
+        """Coloring over ``colors``, a table keyed by point masks in which
+        ``bits[p]`` stands for point p; ``bits`` is extended with a bit of
+        its own for each ground point no key names.
 
         Totality is counted: the keys that are n-subsets of the ground
         against C(m, n); ``inside`` says every key is one, as when the
@@ -71,22 +82,53 @@ class Coloring:
         scanned, in ``combinations`` order, for its first missing subset,
         which then lies among the first ``have + 1`` combinations.
         """
+        pts = ground.sorted_points
+        for p in pts:
+            if p not in bits:
+                bits[p] = 1 << len(bits)
         if not partial:
-            points = ground.points
-            have = len(keyed) if inside else sum(
-                1 for k in keyed if len(k) == n and k <= points)
-            if have != comb(len(points), n):
-                for combo in islice(combinations(ground.sorted_points, n), have + 1):
-                    if frozenset(combo) not in keyed:
+            ground_bits = [bits[p] for p in pts]
+            whole = sum(ground_bits)
+            have = len(colors) if inside else sum(
+                1 for k in colors if k | whole == whole and k.bit_count() == n)
+            if have != comb(len(pts), n):
+                scan = zip(combinations(pts, n), combinations(ground_bits, n))
+                for combo, combo_bits in islice(scan, have + 1):
+                    if sum(combo_bits) not in colors:
                         raise ValueError(
                             "coloring table is not total: no color for "
                             + ", ".join(map(str, combo))
                         )
-        return cls(ground, n, lambda pts: keyed.get(frozenset(pts)))
+        return cls(ground, n, _MaskTable(bits, colors))
 
     @classmethod
     def from_rule(cls, ground: FiniteCondition, n: int, fn) -> "Coloring":
         return cls(ground, n, fn)
+
+
+class _MaskTable:
+    """The rule of a table coloring: colours keyed by point masks.
+
+    ``bits`` gives a bit of its own to each point that a key names and to
+    each ground point, and ``colors`` maps the mask of each listed subset
+    to its colour.  Called on points, it answers as a table keyed by point sets
+    would: the colour listed for the set they form, else None.
+    """
+
+    __slots__ = ("bits", "colors")
+
+    def __init__(self, bits: dict, colors: dict):
+        self.bits = bits
+        self.colors = colors
+
+    def __call__(self, pts):
+        mask = 0
+        for p in pts:
+            bit = self.bits.get(p)
+            if bit is None:
+                return None
+            mask |= bit
+        return self.colors.get(mask)
 
 
 def realized_type_coloring(cond: FiniteCondition, n: int) -> Coloring:
@@ -128,16 +170,24 @@ def check_tau_homogeneous(subset, coloring: Coloring, tau: NType) -> TauReport:
 def _realizer_rows(coloring: Coloring, tau: NType, pts) -> list[tuple[int, object]]:
     """(mask, colour) per tau-realizer among the y-sorted ground points pts,
     in lexicographic y-sequence order: bit i of the mask stands for the i-th
-    point of the (x, y)-sorted ground, and the colour is the rule's on the
-    realizer's y-sorted points.  The walk labels each point (bit, point),
-    so a realizer comes as its bits and points interleaved and no point is
-    hashed per row."""
+    point of the (x, y)-sorted ground.  A table coloring's colour is one
+    lookup of the realizer's table mask; any other's is the rule's on the
+    realizer's y-sorted points.  The walk labels each point with its bits
+    (and a rule's point), so no point is hashed per row."""
     if tau.n != coloring.n:
         raise ValueError(
             f"pattern size {tau.n} does not match coloring arity {coloring.n}"
         )
     bit = {p: 1 << i for i, p in enumerate(sorted(coloring.ground.points))}
     rule = coloring.rule
+    if isinstance(rule, _MaskTable):
+        # one int label per point: its ground bit, and its table bit above
+        # the ground's m bits (a point the table lacks gets one it never uses)
+        m = len(bit)
+        keys, spare = rule.bits, 1 << len(rule.bits)
+        labels = [(bit[p] | keys.get(p, spare) << m,) for p in pts]
+        ground, get = (1 << m) - 1, rule.colors.get
+        return [(s & ground, get(s >> m)) for s in map(sum, _realizers(pts, tau, labels))]
     return [(sum(labelled[::2]), rule(labelled[1::2]))
             for labelled in _realizers(pts, tau, [(bit[p], p) for p in pts])]
 
@@ -191,8 +241,9 @@ def search_homogeneous(coloring: Coloring, tau: NType, min_size: int = 0,
     refuses grounds with more n-subsets than the "subsets" work bound
     before any work.  Both modes judge colours by ``_one_color``, and the
     first coloured realizer inside the answer, in table order, names its
-    colour.
+    colour.  ``min_size`` must be a natural number.
     """
+    _natural(min_size, "min-size")
     if mode not in ("exact", "greedy"):
         raise ValueError(f"mode must be 'exact' or 'greedy', got {mode!r}")
     ground_pts = tuple(sorted(coloring.ground.points))
@@ -233,45 +284,118 @@ def _one_color(colors) -> tuple[bool, object]:
     return all(c is None or c == first for c in rest), first
 
 
+def _color_classes(colors) -> tuple[list, int]:
+    """(class per colour, number of classes) under ``_one_color``'s rule:
+    None is in no class, colours equal under ``==`` share one (1, 1.0 and
+    True), and a colour unequal to itself (a NaN) is a class of its own,
+    although a dict would let one NaN object find itself."""
+    index: dict = {}
+    loose: list = []  # (colour, class) of the unhashable colours, matched by ==
+    out = []
+    count = 0
+    for c in colors:
+        if c is None:
+            out.append(None)
+            continue
+        if c != c:
+            k = count
+        else:
+            try:
+                k = index.setdefault(c, count)
+            except TypeError:
+                k = next((k for other, k in loose if other == c), count)
+                if k == count:
+                    loose.append((c, k))
+        if k == count:
+            count += 1
+        out.append(k)
+    return out, count
+
+
 def _max_homogeneous(realizers, m: int) -> int:
     """Bitmask of the lexicographically least largest index set whose
     coloured realizers share one colour.
 
-    Include-first depth-first search over the indices 0..m-1: index j
-    may join only if every coloured realizer with top index j inside the
-    new set agrees with the colour fixed so far.  A branch is cut once
-    it cannot beat the best set found, and only a strictly larger set
-    replaces it, so the first largest set found is the least.
+    Include-first depth-first search over the indices 0..m-1; a node
+    carries the colour class (``_color_classes``) its set has fixed, if
+    any, and index j may join only if the realizers with top index j
+    inside the new set leave one class at most, the fixed one if any.  A
+    class holding a quarter of the realizers or more tests only the
+    other classes' realizers.  A branch is cut once it cannot beat the
+    best set found (``_rooms``), and only a strictly larger set replaces
+    it, so the first largest set found is the least.
     """
-    buckets: list[list[tuple[int, object]]] = [[] for _ in range(m)]
-    for sub, c in realizers:
-        if c is not None:
-            top = sub.bit_length() - 1
-            buckets[top].append((sub ^ 1 << top, c))
+    classes, count = _color_classes(c for _, c in realizers)
+    rows = [(sub, k) for (sub, _), k in zip(realizers, classes) if k is not None]
+    # per top index: (realizer less the top bit, class), for every class
+    # and, for each large class, for the others only
+    tops: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+    for sub, k in rows:
+        top = sub.bit_length() - 1
+        tops[top].append((sub ^ 1 << top, k))
+    sizes = Counter(k for _, k in rows)
+    tests = [[[row for row in top if row[1] != c] for top in tops]
+             if 4 * sizes[c] >= len(rows) else tops for c in range(count)]
+    tests.append(tops)
+    rooms = _rooms(rows, m, count)
     best_mask = best_size = 0
-    # frames (next index to try, set, its size, its colour); a loop, not
-    # recursion, so a raised bound cannot exhaust the interpreter's stack
-    stack = [(0, 0, 0, None)]
+    # frames (next index to try, set, its size, its class or count for
+    # none yet); a loop, not recursion, so a raised bound cannot exhaust
+    # the interpreter's stack
+    stack = [(0, 0, 0, count)]
     while stack:
-        j, mask, size, color = stack.pop()
+        j, mask, size, c = stack.pop()
         if size > best_size:
             best_mask, best_size = mask, size
-        while j < m and size + m - j > best_size:
-            # _one_color's test, inlined one colour at a time: a call per
-            # node made the search 1.6 to 3 times slower at m = 24
-            c = color
-            for rest, rc in buckets[j]:
-                if rest & mask == rest:
-                    if c is None:
-                        c = rc
-                    elif rc != c:
+        room, test = rooms[c], tests[c]
+        while j < m and size + room[j] > best_size:
+            joined = c
+            for rest, k in test[j]:
+                if rest & mask == rest and k != joined:
+                    if joined != count:  # a second class inside, or not the fixed one
                         break
+                    joined = k
             else:
-                stack.append((j + 1, mask, size, color))  # then without j
-                stack.append((j + 1, mask | 1 << j, size + 1, c))  # with j first
+                stack.append((j + 1, mask, size, c))  # then without j
+                stack.append((j + 1, mask | 1 << j, size + 1, joined))  # with j first
                 break
             j += 1
     return best_mask
+
+
+def _rooms(rows, m: int, count: int) -> list[list[int]]:
+    """rooms[k][j] bounds how many of the indices j..m-1 a set of class k
+    can still take: m - j less a greedy packing of pairwise disjoint
+    realizers of the other classes inside j..m-1, each of which must lose
+    a point; rooms[count], for a set with no class yet, is the most over
+    the classes.  The packing takes, from index m-1 down, the first
+    realizer in table order with that least index that is disjoint from
+    those taken.  A class none of whose realizers the packing of all
+    classes takes has the same packing, so at most m / n + 1 are run."""
+    bottoms: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+    for sub, k in rows:
+        bottoms[(sub & -sub).bit_length() - 1].append((sub, k))
+
+    def room(skip):
+        used = packed = 0
+        out = [0] * m
+        took = set()
+        for j in range(m - 1, -1, -1):
+            for sub, k in bottoms[j]:
+                if k != skip and not sub & used:
+                    used |= sub
+                    packed += 1
+                    took.add(k)
+                    break
+            out[j] = m - j - packed
+        return out, took
+
+    shared, took = room(None)
+    own = {k: room(k)[0] for k in took}
+    rooms = [own.get(k, shared) for k in range(count)]
+    spread = list(own.values()) + ([shared] if len(own) < count else [])
+    rooms.append([max(col) for col in zip(*spread)] if spread else list(range(m, 0, -1)))
+    return rooms
 
 
 def _greedy(realizers, m: int) -> tuple[int, int]:
@@ -473,35 +597,37 @@ def coloring_from_json(doc: dict, ground: FiniteCondition | None = None,
     if not isinstance(doc["entries"], list):
         raise ValueError(f"entries: expected a list, "
                          f"got {_jsonio.dumps(doc['entries'], default=repr)}")
-    table = {}
-    cache: dict[tuple[int, int], Point] = {}
+    colors = {}
+    bits: dict[Point, int] = {}
+    cache: dict[tuple[int, int], int] = {}  # coordinate pair -> its point's bit
     for i, entry in enumerate(doc["entries"]):
-        where = f"entries[{i}]"
+        # paths are spelt out only for a refusal
         if not isinstance(entry, dict):
-            raise ValueError(f"{where}: expected an object, "
+            raise ValueError(f"entries[{i}]: expected an object, "
                              f"got {_jsonio.dumps(entry, default=repr)}")
         for key in ("subset", "color"):
             if key not in entry:
-                raise KeyError(f"{where}.{key}")
-        subset = frozenset(_json_subset(entry["subset"], f"{where}.subset", cache))
-        if len(subset) != n:
-            raise ValueError(f"{where}.subset: not a {n}-set: "
+                raise KeyError(f"entries[{i}].{key}")
+        mask = _json_subset(entry["subset"], i, cache, bits)
+        if mask.bit_count() != n:
+            raise ValueError(f"entries[{i}].subset: not a {n}-set: "
                              f"{_jsonio.dumps(entry['subset'], default=repr)}")
         color = entry["color"]
         if not (color is None or isinstance(color, (str, int))
                 or isinstance(color, float) and isfinite(color)):
-            raise ValueError(f"{where}.color: expected a finite JSON scalar, "
+            raise ValueError(f"entries[{i}].color: expected a finite JSON scalar, "
                              f"got {_jsonio.dumps(color, default=repr)}")
-        table[subset] = color
+        colors[mask] = color
     inside = ground is None
     if inside:
-        ground = FiniteCondition(frozenset(cache.values()))
-    return Coloring._from_keyed(ground, n, table, partial, inside)
+        ground = FiniteCondition(frozenset(bits))
+    return Coloring._from_masks(ground, n, bits, colors, partial, inside)
 
 
-def _json_subset(doc, where: str, cache: dict) -> list[Point]:
-    """The points of the subset document ``doc`` at JSON path ``where``,
-    one Point per coordinate pair across the calls that share ``cache``.
+def _json_subset(doc, i: int, cache: dict, bits: dict) -> int:
+    """The mask of the subset document ``doc`` of entry ``i``: one bit per
+    distinct point across the calls that share ``cache`` (keyed by
+    coordinate pair) and ``bits`` (keyed by point).
 
     Pairs of plain non-negative ints are looked up by value; anything
     else goes through ``points_from_json``, which names its path.  The
@@ -509,23 +635,26 @@ def _json_subset(doc, where: str, cache: dict) -> list[Point]:
     from any pair would let a boolean through.
     """
     if type(doc) is list:
-        out = []
+        mask = 0
         for item in doc:
             if type(item) is not list or len(item) != 2:
                 break
             x, y = item
             if type(x) is not int or type(y) is not int or x < 0 or y < 0:
                 break
-            p = cache.get((x, y))
-            if p is None:
-                p = cache[x, y] = Point(x, y)
-            out.append(p)
+            bit = cache.get((x, y))
+            if bit is None:
+                bit = cache[x, y] = bits[Point(x, y)] = 1 << len(bits)
+            mask |= bit
         else:
-            return out
-    out = points_from_json(doc, where)
-    for p in out:
-        cache.setdefault((p.x, p.y), p)
-    return out
+            return mask
+    mask = 0
+    for p in points_from_json(doc, f"entries[{i}].subset"):
+        bit = cache.get((p.x, p.y))
+        if bit is None:
+            bit = cache[p.x, p.y] = bits[p] = 1 << len(bits)
+        mask |= bit
+    return mask
 
 
 def coloring_from_csv(path: str, ground: FiniteCondition | None = None,
@@ -538,8 +667,12 @@ def coloring_from_csv(path: str, ground: FiniteCondition | None = None,
     """
     import _csv  # csv.reader is _csv.reader; here, as only --csv calls need it
 
-    table = {}
-    cache: dict[tuple[str, str], Point] = {}  # raw text pair -> its point
+    colors = {}
+    bits: dict[Point, int] = {}
+    # raw text pair -> its point's bit, and (x, y) -> the same bit, so
+    # that "007" and "7" are one point
+    cache: dict[tuple, int] = {}
+    get = cache.get
     n = None
     with open(path, newline="", encoding="utf-8") as fh:
         reader = _csv.reader(fh)
@@ -548,31 +681,49 @@ def coloring_from_csv(path: str, ground: FiniteCondition | None = None,
                 continue
             if len(row) % 2 != 1 or len(row) < 3:
                 raise ValueError(f"bad coloring row (want 2n coords + color): {row}")
-            cells = iter(row[:-1])
-            pts = []
-            for i, pair in enumerate(zip(cells, cells)):
-                p = cache.get(pair)
-                if p is None:
-                    for col, v in enumerate(pair, 2 * i + 1):
-                        if not (v.isascii() and v.isdigit()):
-                            raise ValueError(f"row {reader.line_num}, column {col}: "
-                                             f"expected a natural number, got {v!r}")
-                    p = cache[pair] = Point(int(pair[0]), int(pair[1]))
-                pts.append(p)
+            cells = iter(row)  # pairs up the coordinates; the colour is left over
+            mask = 0
+            for pair in zip(cells, cells):
+                bit = get(pair)
+                if bit is None:  # a new pair: judge and enter the row's cells in order
+                    mask = _csv_mask(row, reader.line_num, cache, bits)
+                    break
+                mask |= bit
             if n is None:
-                n = len(pts)
-            elif len(pts) != n:
+                n = len(row) // 2
+            elif len(row) // 2 != n:
                 raise ValueError("coloring rows disagree on subset size")
-            subset = frozenset(pts)
-            if len(subset) != n:
+            if mask.bit_count() != n:
                 raise ValueError(f"row {reader.line_num}: not a {n}-set: {row[:-1]}")
-            table[subset] = row[-1]
+            colors[mask] = row[-1]
     if n is None:
         raise ValueError("empty coloring file")
     inside = ground is None
     if inside:
-        ground = FiniteCondition(frozenset(cache.values()))
-    return Coloring._from_keyed(ground, n, table, partial, inside)
+        ground = FiniteCondition(frozenset(bits))
+    return Coloring._from_masks(ground, n, bits, colors, partial, inside)
+
+
+def _csv_mask(row: list, line: int, cache: dict, bits: dict) -> int:
+    """The mask of the coordinate pairs of CSV ``row`` (file line
+    ``line``), each new pair judged in column order and entered in
+    ``cache`` and ``bits``."""
+    cells = iter(row)
+    mask = 0
+    for i, pair in enumerate(zip(cells, cells)):
+        bit = cache.get(pair)
+        if bit is None:
+            for col, v in enumerate(pair, 2 * i + 1):
+                if not (v.isascii() and v.isdigit()):
+                    raise ValueError(f"row {line}, column {col}: "
+                                     f"expected a natural number, got {v!r}")
+            xy = int(pair[0]), int(pair[1])
+            bit = cache.get(xy)
+            if bit is None:
+                bit = cache[xy] = bits[Point(*xy)] = 1 << len(bits)
+            cache[pair] = bit
+        mask |= bit
+    return mask
 
 
 def grid_to_json(grid: TernaryRelationGrid) -> dict:

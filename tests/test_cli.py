@@ -628,6 +628,17 @@ def test_homog_pattern_size_must_match_coloring_arity(files, action):
                        "kind": "ValueError"}
 
 
+@pytest.mark.parametrize("mode", ["exact", "greedy"])
+def test_homog_search_refuses_a_negative_min_size(files, mode):
+    result, out, err = invoke(["homog", "search", "--in", str(files["coloring"]),
+                               "--type", "x1=x2<y1<y2", "--mode", mode, "--min-size", "-1"])
+    assert result.exit_code == 1 and out == ""
+    payload = payload_of(err)
+    conforms("error", payload)
+    assert payload == {"error": "min-size: expected a natural number, got -1",
+                       "kind": "ValueError"}
+
+
 def test_homog_search_respects_limit_env(files, monkeypatch):
     monkeypatch.setenv(cli.LIMITS_ENV, json.dumps({"search": 3}))
     result, out, err = invoke(

@@ -345,6 +345,11 @@ def test_realizer_tables_match_oracle_on_hypothesis_colorings(seed, size, n):
 
 SEARCH_COLORS = [None, 0, 1, 1.0, True, "a"]
 UNCOLORED = object()  # no table entry: the subset is outside a partial coloring
+NAN = float("nan")  # one object: a set or a Counter takes it as one colour, == does not
+# the colour rule's hard cases: one class under three types, strings, no
+# colour, and NaNs, each realizer of which is a class of its own
+CLASS_PALETTES = [[1, 1.0, True], ["a", "b"], [None, 1], [NAN], [NAN, 1],
+                  ["a", "b", "c", UNCOLORED]]
 
 
 def assert_search_matches_scan(coloring, tau, min_size):
@@ -371,25 +376,28 @@ def drawn_coloring(data, size, n, palette):
     return coloring, tau
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.data(), st.integers(min_value=0, max_value=12), st.sampled_from([2, 3]))
-def test_exact_search_matches_scan_on_hypothesis_colorings(data, size, n):
-    coloring, tau = drawn_coloring(data, size, n, SEARCH_COLORS + [UNCOLORED])
+@settings(max_examples=120, deadline=None)
+@given(st.data(), st.integers(min_value=0, max_value=12), st.sampled_from([2, 3]),
+       st.sampled_from([SEARCH_COLORS + [UNCOLORED]] + CLASS_PALETTES))
+def test_exact_search_matches_scan_on_hypothesis_colorings(data, size, n, palette):
+    coloring, tau = drawn_coloring(data, size, n, palette)
     assert_search_matches_scan(coloring, tau, data.draw(st.integers(0, size + 1)))
 
 
-def planted_coloring(rng, m, n):
-    """Every n-subset colored 0, then a few pairwise disjoint realizers of
-    the ground's most frequent pattern recolored; returns it with the pattern."""
+def planted_coloring(rng, m, n, most=5, palette=(1, 1.0, True, "a")):
+    """Every n-subset colored 0, then 1 to ``most`` pairwise disjoint
+    realizers of the ground's most frequent pattern recolored from
+    ``palette`` (fewer where not that many exist); returns it with the
+    pattern."""
     ground = random_condition(rng, m)
     groups = classify_subsets(ground, n)
     tau = max(groups, key=lambda t: (len(groups[t]), list_form(t)))
     table = {frozenset(c): 0 for c in combinations(ground.sorted_points, n)}
     used: set = set()
-    defects = rng.randint(1, 5)
+    defects = rng.randint(1, most)
     for combo in rng.sample(groups[tau], len(groups[tau])):
         if len(used) < n * defects and not used & set(combo):
-            table[frozenset(combo)] = rng.choice([1, 1.0, True, "a"])
+            table[frozenset(combo)] = rng.choice(palette)
             used |= set(combo)
     return Coloring.from_table(ground, n, table), tau
 
@@ -401,6 +409,37 @@ def test_exact_search_matches_scan_on_planted_colorings(m, n, seed):
     rng = random.Random(1000 * m + 10 * n + seed)
     coloring, tau = planted_coloring(rng, m, n)
     assert_search_matches_scan(coloring, tau, rng.randint(m - 6, m))
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("m", range(9, 15))
+@pytest.mark.parametrize("n", [2, 3])
+def test_exact_search_matches_scan_with_up_to_half_the_points_planted(m, n, seed):
+    # up to m // 2 defects, so the packing cut has realizers of the other
+    # classes to count; string and NaN defects are classes of their own
+    rng = random.Random(1000 * m + 10 * n + seed + 500)
+    coloring, tau = planted_coloring(rng, m, n, m // 2, [1, 1.0, True, "a", "b", NAN])
+    assert_search_matches_scan(coloring, tau, rng.randint(0, m))
+
+
+def test_off_colour_realizers_through_one_point_cost_that_point_once():
+    # a column of six points, every pair a TIED realizer.  Colour 1 is on
+    # the lowest pair, which the search meets first, and on every pair
+    # with the top point; those share the top point, so the cut for
+    # colour 0 may count only one of them.  The answer is the largest
+    # colour-0 set, found only after the first colour-1 dive.
+    ground = cond(*((0, y) for y in range(1, 7)))
+    coloring = Coloring.from_rule(
+        ground, 2, lambda pts: int(pts[0].y == 1 and pts[1].y == 2 or pts[1].y == 6))
+    result = search_homogeneous(coloring, TIED)
+    assert [p.y for p in result.points] == [1, 3, 4, 5] and result.color == 0
+    assert_search_matches_scan(coloring, TIED, 0)
+
+
+def test_colour_classes_follow_the_one_colour_rule():
+    colors = [1, None, 1.0, True, "1", NAN, NAN, [1], [1], "1", float("nan"), (1,)]
+    assert homogeneity._color_classes(colors) == (
+        [0, None, 0, 0, 1, 2, 3, 4, 4, 1, 5, 6], 7)
 
 
 def assert_greedy_matches_scan(coloring, tau):
@@ -444,8 +483,6 @@ def test_greedy_search_matches_scan_on_seeded_colorings(seed, n):
 def test_greedy_search_matches_scan_on_hypothesis_colorings(data, size, n, palette):
     assert_greedy_matches_scan(*drawn_coloring(data, size, n, palette))
 
-
-NAN = float("nan")  # one object: a set or a Counter takes it as one colour, == does not
 
 
 @pytest.mark.parametrize("seed, palette", enumerate(
@@ -637,10 +674,12 @@ READER_COLORS = [0, 1, 1.0, True, "a", None]
 
 def reader_inputs(rng, size, n, full):
     """A seeded coloring of a random ground's n-subsets as a JSON document
-    and as CSV text, plus a sub-condition of the ground to pass as a
-    ground.  Entries come in random order, with repeats, with the points
-    of each subset shuffled and, in the CSV, some coordinates zero-padded;
-    ``full`` lists every n-subset at least once."""
+    and as CSV text, plus grounds to pass with it: a sub-condition of the
+    table's ground, the table's ground with points no entry names, and
+    the sub-condition with those points.  Entries come in random order,
+    with repeats, with the points of each subset shuffled and, in the
+    CSV, some coordinates zero-padded; ``full`` lists every n-subset at
+    least once."""
     cond = random_condition(rng, size)
     combos = list(combinations(cond.sorted_points, n))
     picks = [] if not combos else [rng.choice(combos)
@@ -655,14 +694,17 @@ def reader_inputs(rng, size, n, full):
                              for p in pts for v in (p.x, p.y)] + [str(c)]) + "\n"
                    for pts, c in entries)
     sub = FiniteCondition(frozenset(rng.sample(sorted(cond.points), rng.randint(0, size))))
-    return doc, text, sub
+    # points above every coordinate of the table's, so any union stays a condition
+    top = max((p.y for p in cond.points), default=0) + 1
+    extra = {Point(p.x + top, p.y + top) for p in random_condition(rng, rng.randint(1, 3))}
+    return doc, text, (sub, cond.union(extra), sub.union(extra))
 
 
-def assert_readers_match_scan(tmp_path_factory, doc, text, sub):
+def assert_readers_match_scan(tmp_path_factory, doc, text, grounds):
     path = str(tmp_path_factory.mktemp("readers") / "coloring.csv")
     with open(path, "w", newline="") as fh:
         fh.write(text)
-    for ground in (None, sub):
+    for ground in (None, *grounds):
         for partial in (False, True):
             assert (oracles.coloring_outcome(coloring_from_json, doc, ground, partial)
                     == oracles.coloring_outcome(oracles.coloring_from_json_scan,
@@ -687,6 +729,62 @@ def test_coloring_readers_match_the_scan_readers_on_hypothesis_colorings(
         tmp_path_factory, seed, size, n, full):
     assert_readers_match_scan(tmp_path_factory,
                               *reader_inputs(random.Random(seed), size, n, full))
+
+
+@pytest.mark.parametrize("entries, text", [
+    # a subset that repeats a point is one point short
+    ([[[0, 1], [0, 1]]], "0,1,0,1,a\n"),
+    # repeated, it still names two points: the JSON reader takes it, and
+    # the CSV reader counts its size by pairs
+    ([[[0, 1], [0, 2], [0, 1]], [[0, 1], [0, 3]]], "0,1,0,2,0,1,a\n0,1,0,3,b\n"),
+    # "007" and "7" are one point, and a repeat keeps its last colour
+    ([[[0, 7], [0, 9]], [[0, 9], [0, 7]]], "0,7,0,9,a\n0,009,0,007,b\n"),
+    ([[[0, 1], [0, 7]]], "0,1,0,7,a\n0,01,0,007,b\n0,1,0,9,c\n"),
+], ids=["short", "repeated", "padded", "padded-partial"])
+def test_a_repeated_or_padded_point_is_read_as_the_scan_reads_it(tmp_path, entries, text):
+    doc = {"n": 2, "entries": [{"subset": s, "color": i} for i, s in enumerate(entries)]}
+    path = tmp_path / "c.csv"
+    path.write_text(text)
+    for partial in (False, True):
+        assert (oracles.coloring_outcome(coloring_from_json, doc, partial=partial)
+                == oracles.coloring_outcome(oracles.coloring_from_json_scan, doc,
+                                            partial=partial))
+        assert (oracles.coloring_outcome(coloring_from_csv, str(path), partial=partial)
+                == oracles.coloring_outcome(oracles.coloring_from_csv_scan, str(path),
+                                            partial=partial))
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_table_colours_are_read_without_hashing_points_per_realizer(tmp_path, monkeypatch, fmt):
+    # a table read from a file keys its subsets by point masks, so reading
+    # it, checking it and both searches hash each point a few times, not
+    # once or more per realizer
+    rng = random.Random(7)
+    m, n = 24, 3
+    ground = random_condition(rng, m)
+    groups = classify_subsets(ground, n)
+    tau = max(groups, key=lambda t: (len(groups[t]), list_form(t)))
+    rows = [(combo, int(rng.random() < 0.02)) for combo in combinations(ground.sorted_points, n)]
+    path = tmp_path / f"coloring.{fmt}"
+    if fmt == "json":
+        path.write_text(json.dumps({"n": n, "entries": [
+            {"subset": [[p.x, p.y] for p in combo], "color": c} for combo, c in rows]}))
+    else:
+        path.write_text("".join(",".join(str(v) for p in combo for v in (p.x, p.y))
+                                + f",{c}\n" for combo, c in rows))
+    hashes = []
+    point_hash = Point.__hash__
+    monkeypatch.setattr(Point, "__hash__", lambda p: hashes.append(p) or point_hash(p))
+    if fmt == "json":
+        coloring = coloring_from_json(json.loads(path.read_text()))
+    else:
+        coloring = coloring_from_csv(str(path))
+    report = check_tau_homogeneous(coloring.ground, coloring, tau)
+    exact = search_homogeneous(coloring, tau)
+    greedy = search_homogeneous(coloring, tau, mode="greedy")
+    monkeypatch.undo()
+    assert len(hashes) <= 16 * m < report.realizers == len(groups[tau])
+    assert not report.homogeneous and exact.size >= greedy.size
 
 
 def test_a_cached_point_does_not_admit_a_boolean_or_a_float():

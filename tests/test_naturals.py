@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from oracles import brute_force_ntypes, is_rich, schedule_walk, unsatisfied_configurations
 from ramseybench.errors import _natural
 from ramseybench.homogeneity import (Coloring, TernaryRelationGrid, coloring_from_json,
-                                     extract_S_from_R, grid_from_json, stabilize_lex)
+                                     extract_S_from_R, grid_from_json, search_homogeneous,
+                                     stabilize_lex)
 from ramseybench.omegatypes import (OmegaTypePrefix, XClass, YClass, _check_chain, assign_D,
                                     grid_prefix, phi_prefix, random_prefix)
 from ramseybench.pointsets import FiniteCondition, Point, points_from_json
@@ -23,13 +24,15 @@ from ramseybench.randomgraph import (Configuration, EdgeColoring, Graph, build_c
 from ramseybench.setalgebra import (FULL, AboveDiag, Column, FinCofin, FinitePoints, Frechet,
                                     Principal, StandInSequence, column_of, tail_analysis)
 from ramseybench.typecalc import (NType, Symbol, count_ntypes, ntype_from_json,
-                                  ntype_from_relation, validate_ntype)
+                                  ntype_from_relation, parse_list_form, validate_ntype)
 
 X1 = OmegaTypePrefix((XClass(frozenset({1})),))
 X1_Y1 = OmegaTypePrefix((XClass(frozenset({1})), YClass(1)))
 GROUND = FiniteCondition(frozenset({Point(0, 2), Point(0, 3)}))
 PATH = Graph(3, {(0, 1), (1, 2)})
 EMPTY_GRID = TernaryRelationGrid(1, 1, 1, frozenset())
+PAIRS = Coloring(GROUND, 2, len)  # its one pair, ((0,2), (0,3)), realizes TIED
+TIED = parse_list_form("x1=x2<y1<y2")
 
 # (path, least, the constructor with the natural in question set to v)
 SITES = [
@@ -78,6 +81,8 @@ SITES = [
     ("edges[0][1]", 0, lambda v: graph_from_json({"vertices": 3, "edges": [[1, v]]})),
     # appended here, so the ids of the rows above stay
     ("vertices", 0, lambda v: check_rich([v], PATH)),
+    ("min-size", 0, lambda v: search_homogeneous(PAIRS, TIED, min_size=v)),
+    ("min-size", 0, lambda v: search_homogeneous(PAIRS, TIED, min_size=v, mode="greedy")),
 ]
 
 BAD = [1.5, True, "1", None, -1]
@@ -117,6 +122,8 @@ def test_the_judge_names_its_path_and_quotes_the_value_as_json(least, text, valu
      "x_bound: expected a natural number, got -1"),
     (lambda: stabilize_lex([[0, 2]]), "[0][1]: expected 0 or 1, got 2"),
     (lambda: stabilize_lex([[0], [1, 2]]), "[1][1]: expected 0 or 1, got 2"),
+    (lambda: search_homogeneous(PAIRS, TIED, min_size=-1),
+     "min-size: expected a natural number, got -1"),
 ])
 def test_silent_wrong_answers_are_refusals(call, message):
     with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
@@ -264,6 +271,8 @@ ARGUMENT_KEEPERS = [
     (1, 40, lambda v: len(random_prefix(random.Random(v), v).classes), lambda v: v),
     (1, 3, lambda v: count_ntypes(v), lambda v: len(brute_force_ntypes(v))),
     (1, 4, lambda v: ntype_from_relation(v, _relation(v)), lambda v: NType(v, _pattern(v))),
+    (0, 3, lambda v: search_homogeneous(PAIRS, TIED, min_size=v).met_min_size,
+     lambda v: v <= 2),
 ]
 
 
