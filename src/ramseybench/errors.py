@@ -29,16 +29,18 @@ WORK_BOUNDS = {
     # on the n = 5 growth (9,631,248) is refused; every input of at most
     # C(points, n) <= 10**6 n-subsets stays under 1.7 * 10**6.
     "steps": 5_000_000,
-    # Subsets visited: C(points, n), one by one, for classify_subsets, greedy
-    # search, count_classes_met and check_tau_homogeneous; for the block
+    # Subsets visited: C(points, n), one by one, for classify_subsets, both
+    # searches, count_classes_met and check_tau_homogeneous; for the block
     # count (cond classify, homog floor), the subsets of the needed sizes
     # inside each value-separated block, tallied without being built; and
     # the configurations that check_extension_property tests, counted by
     # randomgraph._schedule_size as a covering's are.  Listing 10**6 subsets takes about 1 s
     # and 90 MB of peak memory (n = 3 on 183 points: 0.97 s, 86 MB peak RSS;
-    # n = 4 on 72 points: 1.2 s, 104 MB; Python 3.11 on an Intel Xeon).  The
-    # block count tallies them without building them: a whole `cond
-    # classify` call on one block of 182 points at n = 3 takes 0.24 s, of
+    # n = 4 on 72 points: 1.2 s, 104 MB; Python 3.11 on an Intel Xeon).
+    # Exact search holds a row per realizer: on a one-colour 29-point
+    # column at n = 6, 475,020 rows, a whole call takes 1.7 s and 178 MB
+    # peak RSS.  The block count tallies them without building them: a
+    # whole `cond classify` call on one block of 182 points at n = 3 takes 0.24 s, of
     # 71 at n = 4 0.33 s and of 1,414 at n = 2 0.54 s, at 15, 15 and 23 MB
     # peak RSS (1.17, 1.32 and 1.31 s, 83, 98 and 84 MB when listing).  It
     # admits n = 2 up to 1,414 points, n = 3 up to 182 and n = 4 up to 71 in
@@ -67,11 +69,15 @@ WORK_BOUNDS = {
     "configurations": 30_000,
     # Ground points of an exact homogeneous search, which is exponential in
     # them: the largest m whose worst whole search_homogeneous call stays
-    # under 1 s.  In process on an Intel Xeon (Python 3.11), over seeds 0-5,
-    # n = 2 and 3, 2 or 3 colours, uniform and planted with d in {2, m//4,
-    # m//3, m//2} disjoint recoloured realizers, the worst call took 0.43 s
-    # at 28 points, 0.53 s at 29 and 1.04 s at 30, each on a planted colouring
-    # (CHANGES.md).
+    # under 1 s for n = 2 and 3.  In process on an Intel Xeon (Python
+    # 3.11), over seeds 0-5, 2 or 3 colours, uniform and planted with d in
+    # {2, m//4, m//3, m//2} disjoint recoloured realizers, the worst call
+    # took 0.43 s at 28 points, 0.53 s at 29 and 1.04 s at 30, each on a
+    # planted colouring (CHANGES.md); a column with a colour per 3-subset
+    # takes 0.10-0.17 s at 29.  Larger n is not held to 1 s by this bound:
+    # a column with a colour per n-subset takes 1.0 s at 24 points and
+    # 6.1-6.9 s at 29 for n = 4, and 1.7 s at 18 for n = 5.  The "subsets"
+    # bound, which exact search also asks, caps its rows at any n.
     "points": 29,
     # Vertices of a richness check, which tries every subset of them.
     "vertices": 12,

@@ -233,7 +233,8 @@ def search_homogeneous(coloring: Coloring, tau: NType, min_size: int = 0,
     Exact mode returns a maximum-size answer, ties broken by the
     lexicographically least sorted point list, found by branch and bound
     (``_max_homogeneous``); it refuses grounds larger than ``bound`` (None:
-    the "points" work bound) before any work.  Its ``subsets_checked`` is
+    the "points" work bound), and grounds with more n-subsets than the
+    "subsets" work bound, before any work.  Its ``subsets_checked`` is
     the number of subsets a scan by descending size, each size in
     lexicographic order, checks up to and including the answer.  Greedy
     mode (``_greedy``) removes the most conflicted point until
@@ -250,8 +251,8 @@ def search_homogeneous(coloring: Coloring, tau: NType, min_size: int = 0,
     m = len(ground_pts)
     if mode == "exact":
         check_work("points", m, "exact search", f"the ground has {m} points", bound)
-    else:
-        check_subsets(m, coloring.n, "greedy search")
+    # every realizer is a row of either search
+    check_subsets(m, coloring.n, f"{mode} search")
     rows = _realizer_rows(coloring, tau, coloring.ground.sorted_points)
     # table order (by index tuples; greedy breaks ties by it): for masks of
     # n bits each, their bit strings read from bit 0 up, in descending order
@@ -685,9 +686,8 @@ def coloring_from_csv(path: str, ground: FiniteCondition | None = None,
             mask = 0
             for pair in zip(cells, cells):
                 bit = get(pair)
-                if bit is None:  # a new pair: judge and enter the row's cells in order
-                    mask = _csv_mask(row, reader.line_num, cache, bits)
-                    break
+                if bit is None:
+                    bit = _csv_bit(pair, row, reader.line_num, cache, bits)
                 mask |= bit
             if n is None:
                 n = len(row) // 2
@@ -704,26 +704,24 @@ def coloring_from_csv(path: str, ground: FiniteCondition | None = None,
     return Coloring._from_masks(ground, n, bits, colors, partial, inside)
 
 
-def _csv_mask(row: list, line: int, cache: dict, bits: dict) -> int:
-    """The mask of the coordinate pairs of CSV ``row`` (file line
-    ``line``), each new pair judged in column order and entered in
-    ``cache`` and ``bits``."""
-    cells = iter(row)
-    mask = 0
-    for i, pair in enumerate(zip(cells, cells)):
-        bit = cache.get(pair)
-        if bit is None:
-            for col, v in enumerate(pair, 2 * i + 1):
-                if not (v.isascii() and v.isdigit()):
-                    raise ValueError(f"row {line}, column {col}: "
-                                     f"expected a natural number, got {v!r}")
-            xy = int(pair[0]), int(pair[1])
-            bit = cache.get(xy)
-            if bit is None:
-                bit = cache[xy] = bits[Point(*xy)] = 1 << len(bits)
-            cache[pair] = bit
-        mask |= bit
-    return mask
+def _csv_bit(pair: tuple, row: list, line: int, cache: dict, bits: dict) -> int:
+    """The bit of ``pair``, a coordinate pair of CSV ``row`` (file line
+    ``line``) that ``cache`` lacks, once both are judged natural; entered
+    in ``cache`` under the pair and under its (x, y), and in ``bits``.
+    Every pair before it in the row is in ``cache``, so its first
+    occurrence in the row is this one, which names its columns."""
+    for k, v in enumerate(pair):
+        if not (v.isascii() and v.isdigit()):
+            cells = iter(row)
+            col = 2 * list(zip(cells, cells)).index(pair) + 1 + k
+            raise ValueError(f"row {line}, column {col}: "
+                             f"expected a natural number, got {v!r}")
+    xy = int(pair[0]), int(pair[1])
+    bit = cache.get(xy)
+    if bit is None:
+        bit = cache[xy] = bits[Point(*xy)] = 1 << len(bits)
+    cache[pair] = bit
+    return bit
 
 
 def grid_to_json(grid: TernaryRelationGrid) -> dict:

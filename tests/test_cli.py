@@ -403,6 +403,10 @@ BAD_COLORING_CSVS = [
     ("0,1\n", "bad coloring row"),
     ("0,1,0,2,0\n0,1,0,2,3,5,0\n", "coloring rows disagree on subset size"),
     ("0,1,0,2,0\n0,1,0,2,3,x,0\n", "row 2, column 6:"),
+    # a bad pair after a known one, after a repeat, and repeated
+    ("0,1,0,2,0\n0,2,1,x,0\n", "row 2, column 4:"),
+    ("0,1,0,1,0,x,0\n", "row 1, column 6:"),
+    ("0,x,0,x,0\n", "row 1, column 2:"),
     ("\n\n", "empty coloring file"),
 ]
 
@@ -898,6 +902,23 @@ def test_homog_check_past_its_bound_is_refused(files):
     doc = refused_fast(["homog", "check", "--in", str(cpath), "--partial",
                         "--cond", str(column), "--type", "x1=x2=x3<y1<y2<y3"])
     assert doc["error"].startswith("homogeneity check refused: 400 points")
+
+
+def test_homog_exact_search_of_a_large_n_is_refused(files):
+    # a 29-point column is inside the "points" bound, but its C(29, 14) =
+    # 77,558,760 14-subsets all realize the tied 14-tuple, and exact search
+    # holds a row per realizer, though the coloring names only one
+    column = files["dir"] / "column29.json"
+    column.write_text(json.dumps(condition_to_json(
+        FiniteCondition(frozenset(Point(0, y) for y in range(1, 30))))))
+    cpath = files["dir"] / "one_entry_14coloring.json"
+    cpath.write_text(json.dumps(
+        {"n": 14, "entries": [{"subset": [[0, y] for y in range(1, 15)], "color": 0}]}))
+    tau = "=".join(f"x{i}" for i in range(1, 15)) + "".join(f"<y{i}" for i in range(1, 15))
+    doc = refused_fast(["homog", "search", "--mode", "exact", "--in", str(cpath), "--partial",
+                        "--cond", str(column), "--type", tau])
+    assert doc["error"] == ("exact search refused: 29 points have 77558760 14-subsets, "
+                            "the bound is 1000000")
 
 
 @pytest.mark.parametrize("doc, path", [

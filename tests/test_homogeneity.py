@@ -2,6 +2,7 @@ import json
 import random
 import re
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -142,11 +143,12 @@ def test_count_classes_met_refuses_before_reading_any_color():
 
 def test_the_subset_bound_moves_every_subset_refusal_together(monkeypatch):
     # C(11, 3) = 165 3-subsets: admitted at 165, refused at 164 by the
-    # classification, greedy search, the class count and the check alike
+    # classification, both searches, the class count and the check alike
     ground = random_condition(random.Random(3), 11)
     coloring = realized_type_coloring(ground, 3)
     tau = realized_type(ground.sorted_points[:3])
     runs = (lambda: classify_subsets(ground, 3),
+            lambda: search_homogeneous(coloring, tau, mode="exact"),
             lambda: search_homogeneous(coloring, tau, mode="greedy"),
             lambda: count_classes_met(ground, coloring),
             lambda: check_tau_homogeneous(ground, coloring, tau))
@@ -215,6 +217,20 @@ def test_search_exact_refuses_before_reading_any_color():
     assert calls == []
     search_homogeneous(coloring, SPLIT, mode="greedy")
     assert calls
+
+
+def test_search_exact_refuses_a_large_n_inside_the_point_bound_before_reading_any_color():
+    # every 14-subset of a 29-point column realizes the tied 14-tuple: the
+    # search would hold a row for each of C(29, 14) = 77,558,760
+    calls = []
+    m = WORK_BOUNDS["points"]
+    column = cond(*((0, y) for y in range(1, m + 1)))
+    coloring = Coloring.from_rule(column, 14, lambda pts: calls.append(pts) or 0)
+    tied = realized_type(column.sorted_points[:14])
+    with pytest.raises(LimitError, match=f"^exact search refused: {m} points have "
+                                         f"{comb(m, 14)} 14-subsets"):
+        search_homogeneous(coloring, tied, mode="exact", bound=m)
+    assert calls == []
 
 
 def test_search_exact_takes_a_raised_bound_past_the_recursion_limit():
@@ -376,10 +392,17 @@ def drawn_coloring(data, size, n, palette):
     return coloring, tau
 
 
-@settings(max_examples=120, deadline=None)
-@given(st.data(), st.integers(min_value=0, max_value=12), st.sampled_from([2, 3]),
-       st.sampled_from([SEARCH_COLORS + [UNCOLORED]] + CLASS_PALETTES))
-def test_exact_search_matches_scan_on_hypothesis_colorings(data, size, n, palette):
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(min_value=0, max_value=12), st.sampled_from([2, 3]))
+def test_exact_search_matches_scan_on_hypothesis_colorings(data, size, n):
+    coloring, tau = drawn_coloring(data, size, n, SEARCH_COLORS + [UNCOLORED])
+    assert_search_matches_scan(coloring, tau, data.draw(st.integers(0, size + 1)))
+
+
+@pytest.mark.parametrize("palette", CLASS_PALETTES, ids=range(len(CLASS_PALETTES)))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), size=st.integers(min_value=0, max_value=12), n=st.sampled_from([2, 3]))
+def test_exact_search_matches_scan_on_each_class_palette(palette, data, size, n):
     coloring, tau = drawn_coloring(data, size, n, palette)
     assert_search_matches_scan(coloring, tau, data.draw(st.integers(0, size + 1)))
 
