@@ -10,7 +10,8 @@ So every call reads and writes here:
 - ``dumps(obj, default)`` is ``json.dumps(obj, default=default)`` on
   ``_json.make_encoder``;
 - ``dumps_indented(obj)`` is ``json.dumps(obj, indent=2)``, written as a
-  recursion over the scalar texts.
+  recursion over the scalar texts, with a flat list of exact strs or ints
+  in one join.
 
 ``json`` is imported only when a read fails, for ``JSONDecodeError``,
 the class of json's decode errors, which lives in ``json.decoder``.
@@ -135,6 +136,10 @@ def _scalar_text(obj) -> str:
     _unserializable(obj)
 
 
+# The texts of the scalar types a flat list is written with in one join.
+_FLAT_TEXTS = {str: _encode_str, int: int.__repr__}
+
+
 def _indented(obj, head: str, newline: str, out: list) -> None:
     """Append ``head`` and then the text of ``obj`` at the depth that
     ``newline`` (a line break and that depth's indent) marks."""
@@ -143,6 +148,12 @@ def _indented(obj, head: str, newline: str, out: list) -> None:
             out.append(head + "[]")
             return
         inner = newline + "  "
+        kinds = set(map(type, obj))
+        # a list of exact strs, or of exact ints, is one join; subclasses,
+        # bools and mixed lists take the recursion, which keeps their texts
+        if len(kinds) == 1 and (text := _FLAT_TEXTS.get(kinds.pop())):
+            out.append(head + "[" + inner + ("," + inner).join(map(text, obj)) + newline + "]")
+            return
         sep = head + "[" + inner
         for item in obj:
             _indented(item, sep, inner, out)

@@ -39,12 +39,13 @@ WORK_BOUNDS = {
     # n = 4 on 72 points: 1.2 s, 104 MB; Python 3.11 on an Intel Xeon).
     # Exact search holds a row per realizer: on a one-colour 29-point
     # column at n = 6, 475,020 rows, a whole call takes 1.7 s and 178 MB
-    # peak RSS.  The block count tallies them without building them: a
-    # whole `cond classify` call on one block of 182 points at n = 3 takes 0.24 s, of
-    # 71 at n = 4 0.33 s and of 1,414 at n = 2 0.54 s, at 15, 15 and 23 MB
-    # peak RSS (1.17, 1.32 and 1.31 s, 83, 98 and 84 MB when listing).  It
-    # admits n = 2 up to 1,414 points, n = 3 up to 182 and n = 4 up to 71 in
-    # one block.  At the most points the listing admits for each n = 2..6,
+    # peak RSS.  The block count tallies them without building them, in
+    # byte lanes: a whole `cond classify` call on one block of 182 points
+    # at n = 3 takes 0.10 s, of 71 at n = 4 0.11 s and of 1,414 at n = 2
+    # 0.11 s, at 17-19 MB peak RSS each (0.15, 0.22 and 0.28 s when a
+    # Counter took each subset; 1.17, 1.32 and 1.31 s, 83, 98 and 84 MB
+    # when listing).  It admits n = 2 up to 1,414 points, n = 3 up to 182
+    # and n = 4 up to 71 in one block.  At the most points the listing admits for each n = 2..6,
     # no split into blocks counts more than C(points, n) + 1, still inside
     # the bound, so the block count admits whatever the listing admits.  The 716-point
     # n = 4 growth has 2,685 in-block subsets and the 10,915-point n = 5

@@ -211,7 +211,15 @@ def count_classes_met(subset, coloring: Coloring) -> int:
     """
     pts = _normalize_subset(subset, coloring.ground)
     check_subsets(len(pts), coloring.n, "class count")
-    colors = {coloring.rule(combo) for combo in combinations(pts, coloring.n)}
+    rule = coloring.rule
+    if isinstance(rule, _MaskTable):
+        # a table coloring's colours are read by subset masks, so no point
+        # is hashed per subset (a point the table lacks gets a bit no key has)
+        spare = 1 << len(rule.bits)
+        masks = [rule.bits.get(p, spare) for p in pts]
+        colors = set(map(rule.colors.get, map(sum, combinations(masks, coloring.n))))
+    else:
+        colors = {rule(combo) for combo in combinations(pts, coloring.n)}
     return len(colors - {None})
 
 

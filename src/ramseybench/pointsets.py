@@ -17,11 +17,14 @@ blocks.
 from __future__ import annotations
 
 import random
-from collections import Counter
+import struct
+import sys
+from bisect import bisect_left
+from collections import Counter, defaultdict
 from functools import cached_property, lru_cache
-from itertools import chain, product, repeat, starmap
+from itertools import product, repeat, starmap
 from math import comb
-from operator import add, lshift, mul, or_
+from operator import add, mul, or_
 
 from ._values import value
 from .errors import NoRealizedTypeError, _natural, _naturals, check_subsets, check_work
@@ -366,53 +369,120 @@ def _value_blocks(pts) -> list[tuple[Point, ...]]:
     return blocks
 
 
+# The lane walk.  _block_key_counts keeps each prefix of its walk as one
+# int with a lane of w bytes per point: lane c holds, at bit 0, the column
+# of the key that point c would complete, that is the codes of c against
+# the prefix's points.  Appending a point b shifts nothing: b's codes go in
+# above the column's bits, at bit 2k for the prefix's k-th point.  So a
+# prefix's lanes, written out by to_bytes, are the last columns of all its
+# one-point extensions at once.  They are held by the prefix's key and
+# counted in batches at C speed.  Lanes at or before the prefix's last
+# point hold codes that are never read.
+_FLUSH = 1 << 15  # bytes a size holds before they are counted
+# Lane types by width, the narrowest that fits both uses: a walk's lanes
+# hold columns of 2 * (top - 1) bits, and the rank int read by codes holds
+# an x rank below a spare top bit, which codes' subtractions borrow.  Lanes
+# are written in sys.byteorder, so memoryview.cast reads them natively.
+_LANES = [(code, struct.calcsize(code)) for code in "BHIQ"]
+
+
 def _block_key_counts(pts, sizes: range) -> dict[int, Counter]:
     """For each k in sizes, the count of each key among the k-subsets of
-    y-sorted pts.  The walk extends prefix keys as _keyed_subsets does but
-    builds no subsets: it tallies the last column of every candidate at
-    once, and extends a prefix only while the smallest size left can still
-    be reached."""
+    y-sorted pts.  The lane walk builds no subsets and no key of one: each
+    prefix is one int of lanes that holds the last column of every
+    extension, and a prefix is extended only while the smallest size left
+    can still be reached."""
     counts = {k: Counter() for k in sizes}
-    if not sizes:
+    if not sizes or not pts:
         return counts
-    top = sizes[-1]
-    xs = [p.x for p in pts]
+    top, m = sizes[-1], len(pts)
+    px = [p.x for p in pts]
+    xs = sorted(set(px))
+    code, w = next((c, w) for c, w in _LANES
+                   if 2 * top - 2 <= 8 * w and len(xs) <= 1 << 8 * w - 1)
+    order, span, sign = sys.byteorder, m * w, 8 * w - 1
+    ones = int.from_bytes((1).to_bytes(w, order) * m, order)
+    high = ones << sign
+    ranks = int.from_bytes(struct.pack(f"{m}{code}", *map(bisect_left, repeat(xs), px)),
+                           order) | high
 
-    def codes(b, shift=0):
-        p = pts[b]
-        return [(x >= p.x) + (x > p.x) + (x > p.y) << shift for x in xs[b + 1:]]
+    def codes(b):
+        # the pair code of pts[b] against each point, in its lane: a lane
+        # minus r keeps its spare bit when its x rank is r or more, so the
+        # three terms count x >= x_b, x > x_b and x > y_b
+        r, s = bisect_left(xs, px[b]) * ones, bisect_left(xs, pts[b].y) * ones
+        return (((ranks - r & high) >> sign) + ((ranks - r - ones & high) >> sign)
+                + ((ranks - s & high) >> sign))
 
-    # rows[k](b)[d - b - 1] is the pair code of pts[b] below pts[d], placed
-    # where it sits in the key when pts[b] is point k of the subset.  The
-    # walk enters point 0 once, so row 0 is made when it is read; the rows
-    # of later points are read once per prefix, so they are kept.
-    rows = [codes] + [[codes(b, k * (k + 3)) for b in range(len(pts))].__getitem__
-                      for k in range(1, top - 1)]
+    # With no size above 2 the walk reads each point's codes once, so they
+    # are made when read; otherwise once per prefix, so they are kept.
+    row = codes if top <= 2 else list(map(codes, range(m))).__getitem__
+    batch = max(1, _FLUSH // span)
+    # held[k][key]: the last columns of the k-subsets whose other points
+    # have that key, not yet counted; filled[k] lanes in all
+    held = {k: defaultdict(bytearray) for k in sizes}
+    filled = dict.fromkeys(sizes, 0)
 
-    def walk(k, key, cols, lo):
-        # cols[i] is column k of the key for candidate lo + i, at its bits
-        if k + 1 in counts:
-            counts[k + 1].update(map(or_, repeat(key), cols))
+    def count(k):
+        into, shift, keys = counts[k], (k - 1) * (k - 2), held[k]
+        if filled[k] < 16 * len(keys):
+            # with a few lanes a key, counting them one by one costs less
+            # than a Counter a key
+            get = into.get
+            for key, columns in keys.items():
+                for col in memoryview(columns).cast(code):
+                    full = key | col << shift
+                    into[full] = get(full, 0) + 1
+        elif w == 1 and k <= 3:
+            # at most 16 columns, a byte each: bytearray.count finds each at
+            # memchr speed, several times faster than a Counter a lane
+            for key, columns in keys.items():
+                for col in range(1 << 2 * k - 2):
+                    if n := columns.count(col):
+                        into[key | col << shift] += n
+        else:
+            for key, columns in keys.items():
+                for col, n in Counter(memoryview(columns).cast(code)).items():
+                    into[key | col << shift] += n
+        keys.clear()
+        filled[k] = 0
+
+    def walk(k, key, lanes, lo):
+        # lanes: column k of the key of each candidate c >= lo, in lane c
+        data = lanes.to_bytes(span, order)
+        if k + 1 in held:
+            held[k + 1][key].extend(data[lo * w:])
+            filled[k + 1] += m - lo
+            if filled[k + 1] * w >= _FLUSH:
+                count(k + 1)
         if k + 2 > top:
             return
-        moved = list(map(lshift, cols, repeat(2 * k)))
-        row = rows[k]
-        if k + 2 == top:
-            # the children would only tally their columns: do it here
-            counts[top].update(chain.from_iterable(
-                map(or_, repeat(key | cols[i]), map(or_, moved[i + 1:], row(lo + i)))
-                for i in range(len(cols) - 1)))
+        cols, shift, up = memoryview(data).cast(code), k * (k - 1), 2 * k
+        if k + 2 < top:
+            for b in range(lo, m - max(sizes.start, k + 2) + k + 1):
+                walk(k + 1, key | cols[b] << shift, lanes | row(b) << up, b + 1)
             return
-        need = max(sizes.start, k + 2) - k - 1
-        for i in range(len(cols) - need):
-            walk(k + 1, key | cols[i], list(map(or_, moved[i + 1:], row(lo + i))), lo + i + 1)
+        # the children would only hold their lanes: do it here, and count
+        # them in batches of about _FLUSH bytes
+        into = held[top]
+        for start in range(lo, m - 1, batch):
+            end = min(start + batch, m - 1)
+            for b in range(start, end):
+                into[key | cols[b] << shift].extend(
+                    (lanes | row(b) << up).to_bytes(span, order)[(b + 1) * w:])
+            filled[top] += (end - start) * (2 * m - start - end - 1) // 2
+            if filled[top] * w >= _FLUSH:
+                count(top)
 
     try:
-        walk(0, 0, [0] * len(pts), 0)
+        walk(0, 0, 0, 0)
     finally:
-        # walk holds itself through its cell, and with it counts and rows:
-        # break that cycle so reference counting frees them
+        # walk holds itself through its cell, and with it the codes and
+        # buffers: break that cycle so reference counting frees them
         del walk
+    for k in sizes:
+        if filled[k]:
+            count(k)
     return counts
 
 

@@ -26,11 +26,33 @@ def child_env() -> dict:
     return env
 
 
+def _starts(exe) -> bool:
+    return subprocess.run([exe, "-c", "pass"], capture_output=True).returncode == 0
+
+
+def _pyenv_python(name: str):
+    """``$PYENV_ROOT/versions/<minor>.<patch>/bin/<name>`` for the highest
+    installed patch of the minor version ``name`` names, or None."""
+    root = os.environ.get("PYENV_ROOT")
+    minor = name.removeprefix("python")
+    if not root or not minor:
+        return None
+    found = []
+    for path in Path(root, "versions").glob(f"{minor}.*"):
+        patch = path.name[len(minor) + 1:]
+        if patch.isdigit() and (path / "bin" / name).is_file():
+            found.append((int(patch), path / "bin" / name))
+    return str(max(found)[1]) if found else None
+
+
 def other_python(name: str) -> str:
     """The path of interpreter ``name``; skips the test where it is absent
-    or does not start."""
+    or does not start.  A version manager's shim is on PATH even where it
+    cannot start (pyenv's starts only when PYENV_VERSION names it), so the
+    interpreter pyenv installed is tried next."""
     exe = shutil.which(name)
-    # a version manager's shim is on PATH even where it cannot start
-    if exe is None or subprocess.run([exe, "-c", "pass"], capture_output=True).returncode:
-        pytest.skip(f"{name} is absent or does not start")
+    if exe is None or not _starts(exe):
+        exe = _pyenv_python(name)
+        if exe is None or not _starts(exe):
+            pytest.skip(f"{name} is absent or does not start")
     return exe

@@ -17,6 +17,12 @@ subset keys through ``pointsets._keyed_subsets``, which the tests hold
 to ``realized_type``, and is itself held to ``extend_scan`` where that
 scan can reach; it exists because ``extend_scan`` cannot reach n >= 4.
 
+One block count reference, ``block_key_counts_walk``, is the list walk
+``pointsets._block_key_counts`` used before its lanes: it keeps a list of
+each later candidate's key column per prefix and tallies one ``Counter``
+entry per subset.  Its tests hold it to ``classify_scan`` where that scan
+can reach.
+
 One verdict reference, ``verdict_set_scan``, is the route ``verdict_set``
 took before it read tail verdicts off the tail form: it builds every
 section up to past each principal point through ``_column`` and takes
@@ -38,8 +44,10 @@ own, but neither its point cache nor its totality count.
 import csv
 import dataclasses
 import json
-from itertools import chain, combinations, islice, permutations, product
+from collections import Counter
+from itertools import chain, combinations, islice, permutations, product, repeat
 from math import isfinite
+from operator import lshift, or_
 
 from ramseybench.errors import _natural
 from ramseybench.homogeneity import Coloring
@@ -479,6 +487,56 @@ def extend_key_sums(cond: FiniteCondition, n: int) -> FiniteCondition:
                     realized[k].update(low | lifted for low in realized[k - j])
         added.extend(batch)
     return cond.union(added) if added else cond
+
+
+def block_key_counts_walk(pts, sizes: range) -> dict[int, Counter]:
+    """For each k in sizes, the count of each key among the k-subsets of
+    y-sorted pts, by the list walk: a prefix keeps column k of the key of
+    each later candidate in a list, extends it by one map per child, and
+    tallies one Counter entry per subset.  It extends a prefix only while
+    the smallest size left can still be reached."""
+    counts = {k: Counter() for k in sizes}
+    if not sizes:
+        return counts
+    top = sizes[-1]
+    xs = [p.x for p in pts]
+
+    def codes(b, shift=0):
+        p = pts[b]
+        return [(x >= p.x) + (x > p.x) + (x > p.y) << shift for x in xs[b + 1:]]
+
+    # rows[k](b)[d - b - 1] is the pair code of pts[b] below pts[d], placed
+    # where it sits in the key when pts[b] is point k of the subset.  The
+    # walk enters point 0 once, so row 0 is made when it is read; the rows
+    # of later points are read once per prefix, so they are kept.
+    rows = [codes] + [[codes(b, k * (k + 3)) for b in range(len(pts))].__getitem__
+                      for k in range(1, top - 1)]
+
+    def walk(k, key, cols, lo):
+        # cols[i] is column k of the key for candidate lo + i, at its bits
+        if k + 1 in counts:
+            counts[k + 1].update(map(or_, repeat(key), cols))
+        if k + 2 > top:
+            return
+        moved = list(map(lshift, cols, repeat(2 * k)))
+        row = rows[k]
+        if k + 2 == top:
+            # the children would only tally their columns: do it here
+            counts[top].update(chain.from_iterable(
+                map(or_, repeat(key | cols[i]), map(or_, moved[i + 1:], row(lo + i)))
+                for i in range(len(cols) - 1)))
+            return
+        need = max(sizes.start, k + 2) - k - 1
+        for i in range(len(cols) - need):
+            walk(k + 1, key | cols[i], list(map(or_, moved[i + 1:], row(lo + i))), lo + i + 1)
+
+    try:
+        walk(0, 0, [0] * len(pts), 0)
+    finally:
+        # walk holds itself through its cell, and with it counts and rows:
+        # break that cycle so reference counting frees them
+        del walk
+    return counts
 
 
 def floor_scan(cond: FiniteCondition, n: int):

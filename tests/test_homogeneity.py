@@ -129,6 +129,35 @@ def test_count_classes_met_on_pattern_coloring():
     assert count_classes_met([], coloring) == 0
 
 
+def test_count_classes_met_reads_table_colours_as_the_rule_does(monkeypatch):
+    # a table coloring's class count reads colours by subset masks; a rule
+    # over the same table answers alike, with each NaN a class of its own
+    # and 1, 1.0 and True one class
+    rng = random.Random(17)
+    for trial in range(24):
+        n = 2 + trial % 2
+        ground = random_condition(rng, rng.randint(n, 11))
+        table = {}
+        for combo in combinations(ground.sorted_points, n):
+            if rng.random() < 0.9:
+                table[frozenset(combo)] = rng.choice([float("nan"), NAN, 1, 1.0, True, None, "a", 0])
+        masked = Coloring.from_table(ground, n, table, partial=True)
+        ruled = Coloring.from_rule(ground, n, lambda pts, t=table: t.get(frozenset(pts)))
+        pts = ground.sorted_points
+        for subset in (pts, pts[::2], rng.sample(pts, rng.randint(0, len(pts))), ()):
+            assert count_classes_met(subset, masked) == count_classes_met(subset, ruled)
+    ground = random_condition(rng, 20)
+    coloring = Coloring.from_table(ground, 3, {frozenset(combo): i % 7 for i, combo in
+                                               enumerate(combinations(ground.sorted_points, 3))})
+    hashes = []
+    point_hash = Point.__hash__
+    monkeypatch.setattr(Point, "__hash__", lambda p: hashes.append(p) or point_hash(p))
+    met = count_classes_met(ground, coloring)
+    monkeypatch.undo()
+    # the rule route hashed 3,440 points for the 1,140 subsets
+    assert met == 7 and len(hashes) <= 4 * 20
+
+
 def test_count_classes_met_refuses_before_reading_any_color():
     # C(1415, 2) = 1,000,405 pairs, above the "subsets" work bound
     calls = []

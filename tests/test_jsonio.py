@@ -9,6 +9,7 @@ documents (``json_cases``), Hypothesis documents and malformed texts.
 other interpreters the package supports.
 """
 
+import enum
 import json
 import subprocess
 import sys
@@ -40,6 +41,34 @@ def test_seeded_documents_and_malformed_texts_match_json():
 @given(DOCS)
 def test_hypothesis_documents_match_json(doc):
     assert document_mismatches(doc) == []
+
+
+class Text(str):
+    pass
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+# Lists of exact strs or ints are written in one join; the rest, subclasses
+# and bools among them, take the recursion.
+FLAT_LISTS = st.one_of(
+    st.lists(st.integers(), min_size=1), st.lists(TEXTS, min_size=1),
+    st.lists(st.integers(), min_size=1).map(tuple),
+    st.lists(st.one_of(st.integers(), st.booleans()), min_size=1),
+    st.lists(TEXTS.map(Text), min_size=1),
+    st.lists(st.one_of(TEXTS, TEXTS.map(Text)), min_size=1),
+    st.lists(st.sampled_from(Level), min_size=1),
+    st.lists(st.one_of(st.sampled_from(Level), st.integers()), min_size=1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(FLAT_LISTS, st.dictionaries(TEXTS, FLAT_LISTS, max_size=3),
+                 st.lists(FLAT_LISTS, max_size=3)))
+def test_flat_lists_are_written_as_json_writes_them(doc):
+    assert _jsonio.dumps_indented(doc) == json.dumps(doc, indent=2)
 
 
 @settings(max_examples=100, deadline=None)

@@ -639,6 +639,66 @@ def test_triple_keys_keep_only_the_shifted_table_of_pair_codes():
     assert counts == {3: {_type_key(realized_type(oracles.fans(3))): comb(120, 3)}}
 
 
+def block_cases():
+    """(points, sizes) for the lane walk: n = 1..6, sizes starting above 1,
+    fewer points than the sizes, one point, no point, fans, and blocks
+    whose subsets pass the _FLUSH bytes a size holds before they are
+    counted.  Lanes are 1 byte on small blocks up to n = 5, 2 bytes at
+    n = 6 or past 128 distinct x's, and 4 bytes past 32,768."""
+    rng = random.Random(41)
+    cases = [((), range(1, 4)), (oracles.fans(1).sorted_points, range(1, 7)),
+             (oracles.fans(3).sorted_points, range(2, 6)),
+             (oracles.fans(130).sorted_points, range(1, 4)),
+             (oracles.fans(33_000).sorted_points, range(1, 2)),
+             (random_condition(rng, 90).sorted_points, range(3, 4)),
+             (random_condition(rng, 300).sorted_points, range(1, 3)),
+             (random_condition(rng, 28).sorted_points, range(4, 7))]
+    for n in range(1, 7):
+        for _ in range(12):
+            pts = random_condition(rng, rng.randint(0, (40, 40, 30, 20, 14, 12)[n - 1])).sorted_points
+            cases.append((pts, range(rng.randint(1, n), n + 1)))
+    return cases
+
+
+def test_lane_walk_matches_the_list_walk():
+    for pts, sizes in block_cases():
+        assert _block_key_counts(pts, sizes) == oracles.block_key_counts_walk(pts, sizes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(conditions(max_points=12), st.integers(1, 6), st.integers(0, 5))
+def test_lane_walk_matches_the_list_walk_on_hypothesis_blocks(c, n, below):
+    pts, sizes = one_block(c).sorted_points, range(max(1, n - below), n + 1)
+    assert _block_key_counts(pts, sizes) == oracles.block_key_counts_walk(pts, sizes)
+
+
+def test_the_list_walk_counts_what_the_scan_classifies():
+    rng = random.Random(43)
+    for n in range(1, 6):
+        for _ in range(4):
+            pts = one_block(random_condition(rng, rng.randint(n, 11))).sorted_points
+            counts = oracles.block_key_counts_walk(pts, range(n, n + 1))[n]
+            expected = oracles.classify_scan(FiniteCondition(frozenset(pts)), n)
+            assert {_key_type(key, n): count for key, count in counts.items()} == \
+                {t: len(subs) for t, subs in expected.items()}
+
+
+@pytest.mark.parametrize("n, m, limit", [(4, 71, 100_000), (5, 43, 80_000), (6, 32, 80_000)])
+def test_lanes_are_counted_in_bounded_batches(n, m, limit):
+    # C(71, 4), C(43, 5) and C(32, 6) keys pass through batches of about
+    # 32 kB, in 1-byte lanes for n = 4, 5 and 2-byte lanes for n = 6; the
+    # list walk peaks at about 144, 103 and 87 kB on these fans
+    pts = oracles.fans(m).sorted_points
+    tracemalloc.start()
+    try:
+        counts = _block_key_counts(pts, range(n, n + 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit
+    assert counts == {n: {_type_key(realized_type(oracles.fans(n))): comb(m, n)}}
+
+
 @pytest.mark.parametrize("n, m", [(3, 182), (4, 71)])
 def test_counts_at_the_listing_bound(n, m):
     assert _pattern_counts(oracles.fans(m), n) == {realized_type(oracles.fans(n)): comb(m, n)}
