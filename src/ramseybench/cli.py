@@ -48,6 +48,7 @@ from __future__ import annotations
 import atexit
 import os
 import sys
+from functools import partial
 from types import SimpleNamespace
 
 from . import _jsonio, homogeneity, omegatypes, pointsets, randomgraph, setalgebra, typecalc
@@ -112,16 +113,25 @@ def _load_condition(path: str) -> pointsets.FiniteCondition:
 
 
 def _int_list(text: str, option: str, size: int | None = None) -> tuple[int, ...]:
-    """The integers of a comma-separated option; errors name the option."""
+    """The integers of a comma-separated option; errors name the option.
+    A part is read by ``int`` only when it is ASCII without ``_``, as the
+    CSV and JSON readers read digits; any other is refused in ``int``'s
+    words."""
     text = text.strip()
     try:
-        values = tuple(int(part) for part in text.split(",")) if text else ()
+        values = tuple(map(_ascii_int, text.split(","))) if text else ()
     except ValueError as exc:
         raise ValueError(f"{option}: {exc}") from None
     if size is not None and len(values) != size:
         raise ValueError(f"{option}: expected {size} comma-separated integers, "
                          f"got {len(values)}")
     return values
+
+
+def _ascii_int(part: str) -> int:
+    if not part.isascii() or "_" in part:
+        raise ValueError(f"invalid literal for int() with base 10: {part!r}")
+    return int(part)
 
 
 def _points_json(points) -> list:
@@ -171,19 +181,11 @@ def _load_ntype(args) -> typecalc.NType:
     raise ValueError("need a pattern: pass --type or --in")
 
 
-def _cmd_types_extend(args, limits):
+def _cmd_types_transform(transform: str, args, limits):
+    """``types extend`` and ``insert``: the table row names the typecalc
+    transform, by name so that building the table loads no area."""
     tau = _load_ntype(args)
-    out = typecalc.append_extension(tau)
-    return {
-        "input": typecalc.list_form(tau),
-        "output": typecalc.list_form(out),
-        "n": out.n,
-    }, [], None
-
-
-def _cmd_types_insert(args, limits):
-    tau = _load_ntype(args)
-    out = typecalc.insert_extension(tau)
+    out = getattr(typecalc, transform)(tau)
     return {
         "input": typecalc.list_form(tau),
         "output": typecalc.list_form(out),
@@ -546,8 +548,10 @@ _AREAS = {
     "types": ("pattern enumeration and extension", (
         ("enum", "list all patterns of a size", _cmd_types_enum, (_N,)),
         ("count", "number of patterns of a size", _cmd_types_count, (_N,)),
-        ("extend", "append a new pair strictly last", _cmd_types_extend, _PATTERN),
-        ("insert", "tie a new pair into a 2-pattern", _cmd_types_insert, _PATTERN),
+        ("extend", "append a new pair strictly last",
+         partial(_cmd_types_transform, "append_extension"), _PATTERN),
+        ("insert", "tie a new pair into a 2-pattern",
+         partial(_cmd_types_transform, "insert_extension"), _PATTERN),
     )),
     "cond": ("finite planar conditions", (
         ("check", "validate the three condition clauses", _cmd_cond_check,

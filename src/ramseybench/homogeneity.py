@@ -732,13 +732,6 @@ def _csv_bit(pair: tuple, row: list, line: int, cache: dict, bits: dict) -> int:
     return bit
 
 
-def grid_to_json(grid: TernaryRelationGrid) -> dict:
-    return {
-        "bounds": [grid.x_bound, grid.y_bound, grid.z_bound],
-        "triples": sorted([x, y, z] for (x, y, z) in grid.triples),
-    }
-
-
 def grid_from_json(doc: dict) -> TernaryRelationGrid:
     """Ingest {"bounds": [bx, by, bz], "triples": [[x, y, z], ...]}; malformed
     input raises ValueError naming its JSON path, e.g. ``triples[3][1]``."""

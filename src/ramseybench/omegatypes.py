@@ -24,14 +24,13 @@ value v.  ``zchain_check`` walks a chain through those demands, and
 
 from __future__ import annotations
 
-import random
 from functools import cached_property
 
 from . import _jsonio
 from ._values import value
 from .errors import MissingLabelError, _natural, _naturals
 from .pointsets import FiniteCondition, Point, _as_point
-from .setalgebra import FinCofin, fincofin_from_json, fincofin_to_json
+from .setalgebra import FinCofin, fincofin_from_json
 
 
 @value
@@ -301,38 +300,6 @@ def grid_prefix(n_points: int) -> OmegaTypePrefix:
     return OmegaTypePrefix(tuple(classes))
 
 
-def random_prefix(rng: random.Random, n_classes: int) -> OmegaTypePrefix:
-    """Seeded valid prefix with the given class count."""
-    _natural(n_classes, "n_classes", 1)
-    classes: list = []
-    next_x = 1
-    housed: list[int] = []
-    last_y = 0
-    for _ in range(n_classes):
-        ready = [j for j in housed if j > last_y]
-        if ready and rng.random() < 0.55:
-            j = rng.choice(ready)
-            classes.append(YClass(j))
-            last_y = j
-        else:
-            size = rng.randint(1, 3)
-            indices = frozenset(range(next_x, next_x + size))
-            next_x += size
-            housed.extend(sorted(indices))
-            classes.append(XClass(indices))
-    return OmegaTypePrefix(tuple(classes))
-
-
-def prefix_to_json(prefix: OmegaTypePrefix) -> dict:
-    classes = []
-    for cls in prefix.classes:
-        if isinstance(cls, XClass):
-            classes.append({"x": sorted(cls.indices)})
-        else:
-            classes.append({"y": cls.index})
-    return {"classes": classes}
-
-
 def prefix_from_json(doc: dict) -> OmegaTypePrefix:
     if not isinstance(doc, dict) or "classes" not in doc:
         raise ValueError("prefix document needs 'classes'")
@@ -343,7 +310,3 @@ def zassignment_from_json(doc: dict) -> ZAssignment:
     if not isinstance(doc, dict):
         raise ValueError("assignment document must be an object")
     return ZAssignment({k: fincofin_from_json(v, k) for k, v in doc.items()})
-
-
-def zassignment_to_json(za: ZAssignment) -> dict:
-    return {label: fincofin_to_json(za.lookup(label)) for label in za.labels()}

@@ -16,7 +16,6 @@ blocks.
 
 from __future__ import annotations
 
-import random
 import struct
 import sys
 from bisect import bisect_left
@@ -612,7 +611,3 @@ def points_from_json(doc, where: str = "") -> list[Point]:
     if not isinstance(doc, list):
         raise ValueError(f"{where or 'condition document'} must be a list of [x, y] pairs")
     return [Point(*_naturals(item, f"{where}[{i}]", 2)) for i, item in enumerate(doc)]
-
-
-def condition_from_json(doc) -> FiniteCondition:
-    return FiniteCondition(frozenset(points_from_json(doc)))

@@ -390,16 +390,6 @@ def color_vertical_pairs(cond: pointsets.FiniteCondition,
     return homogeneity.Coloring.from_rule(cond, 2, rule)
 
 
-# the palette name of the same rule, kept for callers that use it
-color_vertical_pairs_palette = color_vertical_pairs
-
-
-def build_random_coloring(palette: int, steps: int) -> EdgeColoring:
-    """Run the first ``steps`` palette-schedule entries from one vertex."""
-    count, table = _walk(palette, steps=steps)
-    return EdgeColoring(count, palette, table)
-
-
 def build_coloring_covering(palette: int, max_vertex: int,
                             max_params: int) -> EdgeColoring:
     """Palette analogue of build_graph_covering."""

@@ -30,8 +30,6 @@ cofinite nor avoided simply fails membership.
 
 from __future__ import annotations
 
-import random
-
 from . import _jsonio
 from ._values import value
 from .errors import _natural, _naturals, check_work
@@ -367,39 +365,6 @@ def image_membership(b: FinCofin, u: FilterStandIn, seq: StandInSequence) -> boo
     return sum_membership(Rect(b, FULL), u, seq)
 
 
-def random_fincofin(rng: random.Random, bound: int = 12) -> FinCofin:
-    size = rng.randint(0, min(5, bound))
-    return FinCofin(
-        cofinite=rng.random() < 0.5,
-        support=frozenset(rng.sample(range(bound), size)),
-    )
-
-
-def random_planar_set(rng: random.Random, depth: int = 4, bound: int = 12) -> PlanarSet:
-    """Seeded random expression of at most the given operator depth."""
-    if depth <= 0 or rng.random() < 0.35:
-        kind = rng.randrange(4)
-        if kind == 0:
-            pts = frozenset(
-                (rng.randrange(bound), rng.randrange(bound))
-                for _ in range(rng.randint(0, 6))
-            )
-            return FinitePoints(pts)
-        if kind == 1:
-            return Rect(random_fincofin(rng, bound), random_fincofin(rng, bound))
-        if kind == 2:
-            return AboveDiag()
-        return Column(rng.randrange(bound), random_fincofin(rng, bound))
-    op = rng.randrange(3)
-    if op == 2:
-        return Complement(random_planar_set(rng, depth - 1, bound))
-    args = tuple(
-        random_planar_set(rng, depth - 1, bound)
-        for _ in range(rng.randint(2, 3))
-    )
-    return Union(args) if op == 0 else Intersection(args)
-
-
 def fincofin_to_json(s: FinCofin) -> dict:
     key = "cofinite" if s.cofinite else "finite"
     return {key: sorted(s.support)}
@@ -429,26 +394,6 @@ def fincofin_from_json(doc: dict, where: str = "") -> FinCofin:
         [(key, values)] = doc.items()
         return FinCofin(key == "cofinite", frozenset(_naturals(values, _at(where, key))))
     raise _bad(where, "finite/cofinite", doc)
-
-
-def planar_set_to_json(expr: PlanarSet) -> dict:
-    if isinstance(expr, FinitePoints):
-        return {"points": [[x, y] for x, y in sorted(expr.points)]}
-    if isinstance(expr, Rect):
-        return {"rect": {"x": fincofin_to_json(expr.xs),
-                         "y": fincofin_to_json(expr.ys)}}
-    if isinstance(expr, AboveDiag):
-        return {"aboveDiag": True}
-    if isinstance(expr, Column):
-        return {"column": {"x": expr.x, "content": fincofin_to_json(expr.content)}}
-    if isinstance(expr, Union):
-        return {"op": "union", "args": [planar_set_to_json(a) for a in expr.args]}
-    if isinstance(expr, Intersection):
-        return {"op": "intersection",
-                "args": [planar_set_to_json(a) for a in expr.args]}
-    if isinstance(expr, Complement):
-        return {"op": "complement", "args": [planar_set_to_json(expr.arg)]}
-    raise TypeError(f"not a planar set expression: {expr!r}")
 
 
 def planar_set_from_json(doc: dict, where: str = "") -> PlanarSet:
@@ -501,12 +446,6 @@ def standin_from_json(doc: dict, where: str = "") -> FilterStandIn:
     if isinstance(doc, dict) and set(doc) == {"principal"}:
         return Principal(_natural(doc["principal"], _at(where, "principal")))
     raise _bad(where, "stand-in", doc)
-
-
-def standin_to_json(s: FilterStandIn) -> dict:
-    if isinstance(s, Frechet):
-        return {"frechet": True}
-    return {"principal": s.point}
 
 
 def sequence_from_json(doc: dict) -> StandInSequence:

@@ -2,8 +2,8 @@
 
 An n-pattern (``NType``) is a linear pre-order on the 2n formal symbols
 x1..xn, y1..yn subject to three clauses, judged by ``_class_problems``
-alone on the classes that every reader (constructor, list form, JSON,
-relation) hands it as given:
+alone on the classes that every reader (constructor, list form, JSON)
+hands it as given:
 
 * the y's increase strictly: y1 < y2 < ... < yn;
 * each xi sits strictly before its partner yi;
@@ -157,92 +157,6 @@ class NType:
 
     def __str__(self) -> str:
         return list_form(self)
-
-
-@value
-class TypeValidation:
-    """Outcome of validate_ntype: ok, or malformed input, or clause breaks."""
-
-    ok: bool
-    malformed: tuple[str, ...]
-    violations: tuple[str, ...]
-
-
-def _as_pair_set(relation) -> set[tuple[Symbol, Symbol]]:
-    pairs = set()
-    for item in relation:
-        a, b = item
-        if isinstance(a, str):
-            a = Symbol.parse(a)
-        if isinstance(b, str):
-            b = Symbol.parse(b)
-        pairs.add((a, b))
-    return pairs
-
-
-def validate_ntype(n: int, relation) -> TypeValidation:
-    """Check a binary relation (pairs (a, b) meaning a <= b) against the clauses.
-
-    Malformed input (a population of mentioned symbols that
-    ``_class_problems`` refuses) is reported apart from clause violations,
-    and then no clause is judged.  Breaks of the pre-order (reflexive,
-    total, transitive) come next.  Only a total pre-order is read into its
-    classes and judged against the clauses by ``_class_problems``, so a
-    tie that holds a y is named once per class.
-    """
-    return _relation_classes(n, relation)[0]
-
-
-def _relation_classes(n: int, relation) -> tuple[TypeValidation, tuple]:
-    """``validate_ntype``'s report and, when the relation is a total
-    pre-order, its classes least first, each ranked by the number of
-    symbols strictly below it (else no classes)."""
-    try:
-        _natural(n, "n", 1)
-        pairs = _as_pair_set(relation)
-    except (ValueError, TypeError) as exc:
-        return TypeValidation(False, (str(exc),), ()), ()
-
-    mentioned = {s for p in pairs for s in p}
-    # one class per symbol, so only the population counts; repr orders non-Symbols too
-    malformed, _ = _class_problems(n, [[s] for s in sorted(mentioned, key=repr)])
-    if malformed:
-        return TypeValidation(False, tuple(malformed), ()), ()
-
-    syms = sorted(mentioned)
-    violations = []
-    for s in syms:
-        if (s, s) not in pairs:
-            violations.append(f"not reflexive at {s}")
-    for a in syms:
-        for b in syms:
-            if a < b and (a, b) not in pairs and (b, a) not in pairs:
-                violations.append(f"not total: {a} vs {b} incomparable")
-    for a, b in sorted(pairs):
-        for c in syms:
-            if (b, c) in pairs and (a, c) not in pairs:
-                violations.append(f"not transitive: {a}<={b}<={c} but not {a}<={c}")
-                break
-    if violations:
-        return TypeValidation(False, (), tuple(violations)), ()
-
-    ranked: dict[int, set[Symbol]] = {}
-    for s in syms:
-        below = sum(1 for t in syms if (t, s) in pairs and (s, t) not in pairs)
-        ranked.setdefault(below, set()).add(s)
-    classes = tuple(frozenset(ranked[k]) for k in sorted(ranked))
-    _, violations = _class_problems(n, classes)
-    return TypeValidation(not violations, (), tuple(violations)), classes
-
-
-def ntype_from_relation(n: int, relation) -> NType:
-    """Build the canonical NType from a valid pre-order relation."""
-    report, classes = _relation_classes(n, relation)
-    if not report.ok:
-        raise ValueError(
-            "invalid pattern: " + "; ".join(report.malformed + report.violations)
-        )
-    return NType._trusted(n, classes)
 
 
 def _check_n(n: int):
@@ -422,13 +336,6 @@ def restrict_to_initial(t: NType, n: int) -> NType:
         if kept:
             classes.append(kept)
     return NType(n, tuple(classes))
-
-
-def ntype_to_json(t: NType) -> dict:
-    return {
-        "n": t.n,
-        "classes": [[str(s) for s in sorted(cls)] for cls in t.classes],
-    }
 
 
 def ntype_from_json(doc: dict) -> NType:

@@ -24,6 +24,7 @@ import random
 import sys
 import tempfile
 
+from fixtures import random_planar_set
 from oracles import verdict_set_scan
 
 from ramseybench import cli
@@ -32,7 +33,6 @@ from ramseybench.setalgebra import (
     Principal,
     StandInSequence,
     _section_work,
-    random_planar_set,
     verdict_set,
 )
 

@@ -22,7 +22,6 @@ from ramseybench.omegatypes import (
     YClass,
     phi_prefix,
     h_set_member,
-    random_prefix,
     zchain_check,
 )
 from ramseybench.pointsets import (
@@ -45,8 +44,6 @@ from ramseybench.setalgebra import (
     column_of,
     image_membership,
     in_fr2,
-    random_fincofin,
-    random_planar_set,
     sum_membership,
     tail_analysis,
 )
@@ -59,6 +56,7 @@ from ramseybench.typecalc import (
     parse_list_form,
 )
 
+from fixtures import random_fincofin, random_planar_set, random_prefix
 from oracles import brute_force_ntypes, subset_realizes_compare
 
 

@@ -1335,6 +1335,11 @@ def test_a_file_that_is_not_json_is_named_in_the_error(files, option):
      "--s: invalid literal for int() with base 10: 'y'"),
     (["graph", "rich", "--in", "graph.json", "--vertices", "0;1"],
      "--vertices: invalid literal for int() with base 10: '0;1'"),
+    # int() alone would read any Unicode decimal digit and underscores
+    (["graph", "rich", "--in", "graph.json", "--vertices", "\u0663"],
+     "--vertices: invalid literal for int() with base 10: '\u0663'"),
+    (["graph", "rich", "--in", "graph.json", "--vertices", "1_0"],
+     "--vertices: invalid literal for int() with base 10: '1_0'"),
 ], ids=lambda v: " ".join(v[:2] + v[-2:]) if isinstance(v, list) else None)
 def test_a_bad_comma_list_names_its_option(files, argv, message):
     graph = files["dir"] / "graph.json"

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from fixtures import grid_to_json
 from ramseybench import homogeneity
 from ramseybench.errors import WORK_BOUNDS, LexOrderError, LimitError
 from ramseybench.homogeneity import (
@@ -24,7 +25,6 @@ from ramseybench.homogeneity import (
     count_classes_met,
     extract_S_from_R,
     grid_from_json,
-    grid_to_json,
     realized_type_coloring,
     search_homogeneous,
     stabilize_lex,

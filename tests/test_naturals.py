@@ -9,22 +9,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fixtures import random_prefix
 from oracles import brute_force_ntypes, is_rich, schedule_walk, unsatisfied_configurations
 from ramseybench.errors import _natural
 from ramseybench.homogeneity import (Coloring, TernaryRelationGrid, coloring_from_json,
                                      extract_S_from_R, grid_from_json, search_homogeneous,
                                      stabilize_lex)
 from ramseybench.omegatypes import (OmegaTypePrefix, XClass, YClass, _check_chain, assign_D,
-                                    grid_prefix, phi_prefix, random_prefix)
+                                    grid_prefix, phi_prefix)
 from ramseybench.pointsets import FiniteCondition, Point, points_from_json
-from ramseybench.randomgraph import (Configuration, EdgeColoring, Graph, build_coloring_covering,
-                                     build_graph_covering, build_random_coloring,
+from ramseybench.randomgraph import (Configuration, EdgeColoring, Graph, _walk,
+                                     build_coloring_covering, build_graph_covering,
                                      build_random_graph, check_extension_property, check_rich,
                                      graph_from_json, noreverse_demo)
 from ramseybench.setalgebra import (FULL, AboveDiag, Column, FinCofin, FinitePoints, Frechet,
                                     Principal, StandInSequence, column_of, tail_analysis)
-from ramseybench.typecalc import (NType, Symbol, count_ntypes, ntype_from_json,
-                                  ntype_from_relation, parse_list_form, validate_ntype)
+from ramseybench.typecalc import (NType, Symbol, count_ntypes, enumerate_ntypes, ntype_from_json,
+                                  parse_list_form)
 
 X1 = OmegaTypePrefix((XClass(frozenset({1})),))
 X1_Y1 = OmegaTypePrefix((XClass(frozenset({1})), YClass(1)))
@@ -62,7 +63,7 @@ SITES = [
     ("y_bound", 0, lambda v: TernaryRelationGrid(2, v, 2, frozenset())),
     ("z_bound", 0, lambda v: TernaryRelationGrid(2, 2, v, frozenset())),
     # function arguments, named as their CLI flags where they have one
-    ("palette", 2, lambda v: build_random_coloring(v, 1)),
+    ("palette", 2, lambda v: _walk(v, steps=1)),
     ("palette", 2, lambda v: build_coloring_covering(v, 1, 1)),
     ("steps", 1, lambda v: build_random_graph(v)),
     ("max_vertex", 0, lambda v: build_graph_covering(v, 1)),
@@ -128,13 +129,6 @@ def test_the_judge_names_its_path_and_quotes_the_value_as_json(least, text, valu
 def test_silent_wrong_answers_are_refusals(call, message):
     with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
         call()
-
-
-@pytest.mark.parametrize("value", BAD + [0], ids=repr)
-def test_validate_reports_a_bad_n_as_the_judge_words_it(value):
-    with pytest.raises(ValueError) as refused:
-        _natural(value, "n", 1)
-    assert validate_ntype(value, []).malformed == (str(refused.value),)
 
 
 @pytest.mark.parametrize("item, shown", [
@@ -235,12 +229,6 @@ def _least_stable_z(statuses):
     return min(z for (_, z), status in statuses.items() if status == "stable-1")
 
 
-def _relation(n):
-    classes = _pattern(n)
-    return {(a, b) for i, low in enumerate(classes) for high in classes[i:]
-            for a in low for b in high}
-
-
 COVERING = build_graph_covering(4, 2)
 # a column of 10 points at x = 0 under which R(0, y, z) holds on the top z:
 # the least z read as stable-1 is the window
@@ -251,7 +239,7 @@ WINDOW_COLUMN = FiniteCondition(frozenset(Point(0, y) for y in range(1, 11)))
 # (least, most, the call with the argument in question set to v, the same
 # answer by another route); work grows with these, so they stay small
 ARGUMENT_KEEPERS = [
-    (2, 5, lambda v: build_random_coloring(v, 3).palette, lambda v: v),
+    (2, 5, lambda v: _walk(v, steps=3), lambda v: schedule_walk(v, steps=3)),
     (1, 80, lambda v: _walked(build_random_graph(v)), lambda v: _oracle_walk(steps=v)),
     (0, 6, lambda v: _walked(build_graph_covering(v, 2)),
      lambda v: _oracle_walk(max_vertex=v, max_params=2)),
@@ -270,7 +258,7 @@ ARGUMENT_KEEPERS = [
     (1, 40, lambda v: sum(isinstance(c, YClass) for c in grid_prefix(v).classes), lambda v: v),
     (1, 40, lambda v: len(random_prefix(random.Random(v), v).classes), lambda v: v),
     (1, 3, lambda v: count_ntypes(v), lambda v: len(brute_force_ntypes(v))),
-    (1, 4, lambda v: ntype_from_relation(v, _relation(v)), lambda v: NType(v, _pattern(v))),
+    (1, 3, lambda v: set(enumerate_ntypes(v)), lambda v: brute_force_ntypes(v)),
     (0, 3, lambda v: search_homogeneous(PAIRS, TIED, min_size=v).met_min_size,
      lambda v: v <= 2),
 ]

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from fixtures import prefix_to_json, random_fincofin, random_prefix, zassignment_to_json
 from ramseybench import omegatypes
 from ramseybench.errors import MissingLabelError
 from ramseybench.omegatypes import (
@@ -18,15 +19,12 @@ from ramseybench.omegatypes import (
     h_set_member,
     phi_prefix,
     prefix_from_json,
-    prefix_to_json,
-    random_prefix,
     validate_prefix,
     zassignment_from_json,
-    zassignment_to_json,
     zchain_check,
 )
 from ramseybench.pointsets import Point, check_condition
-from ramseybench.setalgebra import FinCofin, random_fincofin
+from ramseybench.setalgebra import FinCofin
 
 PAIR_PREFIX = OmegaTypePrefix((XClass(frozenset({1, 2})), YClass(1), YClass(2)))
 

@@ -11,6 +11,7 @@ hides a load, and the probe reads ``sys.modules`` before its own
 imports.  ``cli.run`` leaves the collector as it finds it.
 """
 
+import ast
 import gc
 import inspect
 import io
@@ -75,6 +76,46 @@ def test_public_names_still_resolve():
     assert set(PUBLIC_NAMES) <= set(dir(ramseybench))
     with pytest.raises(AttributeError, match="no_such_name"):
         ramseybench.no_such_name
+
+
+def _library_uses(names) -> set:
+    """The names read somewhere in ``src/`` (``__init__.py`` aside) outside
+    their own top-level definition: a ``Name`` or ``Attribute`` node, not
+    an assignment target of that name.  Docstrings and a function's calls
+    to itself do not count."""
+    used = set()
+    for path in (REPO / "src" / "ramseybench").glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                own = {stmt.name}
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                own = {node.id for node in ast.walk(stmt) if isinstance(node, ast.Name)
+                       and isinstance(node.ctx, ast.Store)}
+            else:
+                own = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                    found = node.id
+                elif isinstance(node, ast.Attribute):
+                    found = node.attr
+                else:
+                    continue
+                if found in names and found not in own:
+                    used.add(found)
+    return used
+
+
+def test_every_public_name_has_a_user_outside_the_tests():
+    # the surface holds what the library, the demos or the README use;
+    # a helper only the tests call belongs in tests/
+    names = set(ramseybench.__all__)
+    texts = [path.read_text() for path in (REPO / "demos").glob("*.py")]
+    texts.append((REPO / "README.md").read_text())
+    named = {name for name in names
+             if any(re.search(rf"\b{name}\b", text) for text in texts)}
+    assert sorted(names - _library_uses(names) - named) == []
 
 
 @pytest.mark.parametrize("argv, doc, loaded", [
@@ -176,7 +217,7 @@ def test_only_errors_states_the_sign_rule_for_naturals():
 
 
 def test_pattern_clauses_are_stated_once():
-    # classes and relations are both judged by typecalc._class_problems
+    # every pattern reader hands its classes to typecalc._class_problems
     from ramseybench.typecalc import _class_problems
     src = REPO / "src" / "ramseybench"
     texts = [path.read_text() for path in src.glob("*.py")]

@@ -23,14 +23,13 @@ from ramseybench.randomgraph import (
     _schedule,
     _schedule_size,
     _unwitnessed,
+    _walk,
     build_coloring_covering,
     build_graph_covering,
-    build_random_coloring,
     build_random_graph,
     check_extension_property,
     check_rich,
     color_vertical_pairs,
-    color_vertical_pairs_palette,
     coloring_demo,
     configuration_schedule,
     graph_from_json,
@@ -206,7 +205,8 @@ def test_palette_two_schedule_matches_graph_schedule():
 
 def test_palette_two_build_reduces_to_graph():
     g = build_random_graph(20)
-    ec = build_random_coloring(2, 20)
+    count, table = _walk(2, steps=20)
+    ec = EdgeColoring(count, 2, table)
     assert ec.vertex_count == g.vertex_count
     for u in range(g.vertex_count):
         for v in range(u + 1, g.vertex_count):
@@ -215,7 +215,8 @@ def test_palette_two_build_reduces_to_graph():
 
 def test_graph_color_is_the_palette_two_edge_coloring():
     g = build_random_graph(20)
-    ec = build_random_coloring(2, 20)
+    count, table = _walk(2, steps=20)
+    ec = EdgeColoring(count, 2, table)
     for u in range(g.vertex_count):
         for v in range(g.vertex_count):
             if u != v:
@@ -224,7 +225,6 @@ def test_graph_color_is_the_palette_two_edge_coloring():
         for view in (g, ec):
             with pytest.raises(ValueError):
                 view.color(*pair)
-    assert color_vertical_pairs_palette is color_vertical_pairs
 
 
 def test_edge_coloring_defaults_and_validation():
@@ -260,7 +260,7 @@ def test_coloring_demo_attains_all_colors(palette):
 def test_coloring_demo_details_for_three():
     ec = build_coloring_covering(3, 4, 1)
     cond = FiniteCondition(frozenset(Point(0, v) for v in range(1, ec.vertex_count)))
-    coloring = color_vertical_pairs_palette(cond, ec)
+    coloring = color_vertical_pairs(cond, ec)
     met = count_classes_met(cond, coloring)
     assert met == 3
 
@@ -340,7 +340,8 @@ def test_step_builds_match_walk_oracle():
         states = islice(walk_states(palette), first - 1, last)
         for steps, (count, table) in enumerate(states, start=first):
             table = {pair: c for pair, c in table.items() if c}
-            ec = build_random_coloring(palette, steps)
+            built, pairs = _walk(palette, steps=steps)
+            ec = EdgeColoring(built, palette, pairs)
             assert (ec.vertex_count, colour_table(ec)) == (count, table), (palette, steps)
             if palette == 2:
                 g = build_random_graph(steps)

@@ -32,17 +32,14 @@ from ramseybench.setalgebra import (
     in_fr2,
     meets_all_fr2,
     planar_set_from_json,
-    planar_set_to_json,
-    random_fincofin,
-    random_planar_set,
     sequence_from_json,
     standin_from_json,
-    standin_to_json,
     sum_membership,
     tail_analysis,
     verdict_set,
 )
 
+from fixtures import planar_set_to_json, random_fincofin, random_planar_set, standin_to_json
 from oracles import point_in, verdict_set_scan
 from set_cases import verdict_mismatches
 

@@ -1,7 +1,5 @@
 import io
 import random
-import subprocess
-import sys
 import time
 import tracemalloc
 
@@ -13,7 +11,6 @@ from ramseybench.typecalc import (
     MAX_N,
     NType,
     Symbol,
-    TypeValidation,
     append_extension,
     count_ntypes,
     enumerate_ntypes,
@@ -21,16 +18,13 @@ from ramseybench.typecalc import (
     insert_extension,
     list_form,
     ntype_from_json,
-    ntype_from_relation,
-    ntype_to_json,
     parse_list_form,
     restrict_to_initial,
-    validate_ntype,
 )
 from ramseybench import cli
 from ramseybench.typecalc import _class_problems, _gap_choices, _list_forms, _weak_orders
 
-from helpers import child_env
+from fixtures import ntype_to_json
 from oracles import (
     brute_force_ntypes,
     enumerate_ntypes_scan,
@@ -161,12 +155,14 @@ def test_two_types_come_out_in_documented_order():
     assert [list_form(t) for t in enumerate_ntypes(2)] == TWO_TYPES_IN_ORDER
 
 
-def test_validate_ntype_reports_a_bad_n_and_bad_symbols_as_malformed():
-    assert validate_ntype(0, []) == TypeValidation(
-        False, ("n: expected a natural number >= 1, got 0",), ())
-    assert validate_ntype(1, [("q1", "x1")]) == TypeValidation(
-        False, ("cannot parse symbol 'q1'",), ())
-    assert validate_ntype(1, [(5, 5)]) == TypeValidation(False, ("not a symbol: 5",), ())
+def test_a_bad_n_and_bad_symbols_are_refused():
+    y1 = [Symbol("y", 1)]
+    with pytest.raises(ValueError, match="^n: expected a natural number >= 1, got 0$"):
+        NType(0, (y1,))
+    with pytest.raises(ValueError, match="^classes\\[0\\]\\[0\\]: cannot parse symbol 'q1'$"):
+        ntype_from_json({"n": 1, "classes": [["q1"], ["y1"]]})
+    with pytest.raises(ValueError, match="^invalid pattern: not a symbol: 5$"):
+        NType(1, ([5], y1))
 
 
 def test_restrict_to_initial_refuses_n_zero():
@@ -184,95 +180,50 @@ def test_enumeration_bounds():
         count_ntypes(-3)
 
 
-def test_validate_accepts_a_legal_relation():
-    # x1 = x2 < y1 < y2 as explicit <= pairs
-    syms = ["x1", "x2", "y1", "y2"]
-    order = {"x1": 0, "x2": 0, "y1": 1, "y2": 2}
-    rel = {(a, b) for a in syms for b in syms if order[a] <= order[b]}
-    report = validate_ntype(2, rel)
-    assert report.ok and not report.malformed and not report.violations
-    t = ntype_from_relation(2, rel)
-    assert list_form(t) == "x1=x2<y1<y2"
-
-
 def test_validate_flags_each_clause():
-    syms = ["x1", "x2", "y1", "y2"]
+    def refusal(form):
+        with pytest.raises(ValueError) as exc:
+            parse_list_form(form)
+        return str(exc.value)
 
-    def rel_from(order):
-        return {(a, b) for a in syms for b in syms if order[a] <= order[b]}
-
-    # y2 before y1
-    report = validate_ntype(2, rel_from({"x1": 0, "x2": 1, "y2": 2, "y1": 3}))
-    assert not report.ok
-    assert any("y" in v and "increas" in v for v in report.violations)
-
-    # x2 after y2
-    report = validate_ntype(2, rel_from({"x1": 0, "y1": 1, "y2": 2, "x2": 3}))
-    assert not report.ok
-
-    # y1 tied to x2
-    report = validate_ntype(2, rel_from({"x1": 0, "x2": 1, "y1": 1, "y2": 2}))
-    assert not report.ok
-    assert any("equivalent symbols must both be x's" in v for v in report.violations)
-
-    # wrong symbol population is malformed, not a violation
-    report = validate_ntype(2, {("x1", "x1")})
-    assert not report.ok and report.malformed and not report.violations
+    assert "y symbols must increase strictly: y1 vs y2" in refusal("x1<x2<y2<y1")
+    assert "x2 must sit strictly before y2" in refusal("x1<y1<y2<x2")
+    assert "equivalent symbols must both be x's: x2=y1" in refusal("x1<x2=y1<y2")
+    # a wrong symbol population is malformed, and no clause is judged
+    assert refusal("x1<y1<y1<y2") == "invalid pattern: symbols repeated: y1"
 
 
 def _total_preorders(n):
-    """Every total pre-order of the 2n symbols as (list form, relation),
+    """Every total pre-order of the 2n symbols as (list form, classes),
     one per rank vector of a weak order on them."""
     syms = sorted(Symbol(kind, i) for kind in "xy" for i in range(1, n + 1))
     for ranks in rank_vectors_filter(2 * n):
         levels = [sorted(s for s, r in zip(syms, ranks) if r == level)
                   for level in range(max(ranks) + 1)]
-        form = "<".join("=".join(map(str, level)) for level in levels)
-        yield form, {(str(a), str(b)) for a, ra in zip(syms, ranks)
-                     for b, rb in zip(syms, ranks) if ra <= rb}
+        yield "<".join("=".join(map(str, level)) for level in levels), levels
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_relation_route_on_every_total_preorder(n):
+def test_the_constructor_on_every_total_preorder(n):
     # a total pre-order is an n-pattern exactly when its list form is
-    # enumerated, and then the relation builds that very pattern
+    # enumerated, and then its classes build that very pattern
     patterns = set(_list_forms(n))
     seen = 0
-    for form, relation in _total_preorders(n):
+    for form, classes in _total_preorders(n):
         seen += 1
-        report = validate_ntype(n, relation)
-        assert report.ok == (form in patterns), form
-        assert not report.malformed
-        if report.ok:
-            assert list_form(ntype_from_relation(n, relation)) == form
-        else:
-            with pytest.raises(ValueError):
-                ntype_from_relation(n, relation)
+        got = _outcome(lambda: NType(n, tuple(classes)))
+        assert isinstance(got, NType) == (form in patterns), form
+        if form in patterns:
+            assert list_form(got) == form
     assert seen == {1: 3, 2: 75, 3: 4683}[n]
 
 
-@pytest.mark.parametrize("ranks, dropped, violation", [
-    ({"x1": 0, "x2": 0, "y1": 1, "y2": 2}, ("y2", "y2"), "not reflexive at y2"),
-    ({"x1": 0, "x2": 0, "y1": 1, "y2": 2}, ("y1", "y2"), "not total: y1 vs y2 incomparable"),
-    ({"x1": 0, "x2": 1, "y1": 1, "y2": 1}, ("y1", "x2"),
-     "not transitive: y1<=y2<=x2 but not y1<=x2"),
-])
-def test_each_preorder_break_is_reported_alone(ranks, dropped, violation):
-    # a relation that is no total pre-order gets its pre-order breaks and
-    # no pattern clause, not even the tie of y's the third one holds
-    relation = {(a, b) for a in ranks for b in ranks if ranks[a] <= ranks[b]}
-    relation.discard(dropped)
-    report = validate_ntype(2, relation)
-    assert report == TypeValidation(False, (), (violation,))
-
-
 def test_a_tie_holding_a_y_is_named_once_per_class():
-    syms = ["x1", "x2", "y1", "y2"]
-    report = validate_ntype(2, {(a, b) for a in syms for b in syms})
-    assert report.violations == ("equivalent symbols must both be x's: x1=x2=y1=y2",
-                                 "y symbols must increase strictly: y1 vs y2",
-                                 "x1 must sit strictly before y1",
-                                 "x2 must sit strictly before y2")
+    with pytest.raises(ValueError) as exc:
+        parse_list_form("x1=x2=y1=y2")
+    assert str(exc.value) == ("invalid pattern: equivalent symbols must both be x's: x1=x2=y1=y2; "
+                              "y symbols must increase strictly: y1 vs y2; "
+                              "x1 must sit strictly before y1; x2 must sit strictly before y2")
 
 
 def test_ntype_constructor_rejects_garbage():
@@ -441,12 +392,6 @@ def _readers_agree(classes):
     population = population_problems_scan(n, classes)
     if population:
         assert got == "; ".join(population), text
-    syms = [s for cls in classes for s in cls]
-    if len(syms) == len(set(syms)):
-        # no symbol repeats, so the classes are a total pre-order of their symbols
-        rank = {s: pos for pos, cls in enumerate(classes) for s in cls}
-        relation = {(a, b) for a in syms for b in syms if rank[a] <= rank[b]}
-        assert _outcome(lambda: ntype_from_relation(n, relation)) == got, text
     return got
 
 
@@ -477,30 +422,12 @@ def test_a_repeat_inside_one_class_is_refused_by_every_reader():
 
 
 @pytest.mark.parametrize("n", [10**5, 10**9])
-def test_relation_population_work_follows_the_symbols_given(n):
+def test_population_work_follows_the_symbols_given(n):
     start = time.perf_counter()
-    report = validate_ntype(n, [("x1", "x1")])
     with pytest.raises(ValueError) as exc:
-        ntype_from_relation(n, [("x1", "x1")])
+        ntype_from_json({"n": n, "classes": [["x1"]]})
     assert time.perf_counter() - start < 1.0
     names = ", ".join(f"x{i}" for i in range(2, 22))
     message = f"symbols missing: {names} and {2 * n - 21} more"
-    assert report == TypeValidation(False, (message,), ())
     assert str(exc.value) == "invalid pattern: " + message
     assert len(message.encode()) < 1024
-
-
-def test_relation_reports_do_not_depend_on_the_hash_seed():
-    code = ("from ramseybench.typecalc import validate_ntype\n"
-            "ranks = {'x1': 0, 'x2': 1, 'y1': 1, 'y2': 1}\n"
-            "rel = {(a, b) for a in ranks for b in ranks if ranks[a] <= ranks[b]}\n"
-            "rel -= {('y1', 'x2'), ('x2', 'y2')}\n"
-            "print(validate_ntype(2, rel).violations)\n")
-    reports = set()
-    for seed in range(4):
-        env = {**child_env(), "PYTHONHASHSEED": str(seed)}
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, env=env, check=True)
-        reports.add(proc.stdout)
-    assert len(reports) == 1, reports
-    assert reports.pop().count("not transitive") == 2
