@@ -114,9 +114,8 @@ def _load_condition(path: str) -> pointsets.FiniteCondition:
 
 def _int_list(text: str, option: str, size: int | None = None) -> tuple[int, ...]:
     """The integers of a comma-separated option; errors name the option.
-    A part is read by ``int`` only when it is ASCII without ``_``, as the
-    CSV and JSON readers read digits; any other is refused in ``int``'s
-    words."""
+    Only ASCII parts without ``_`` reach ``int``, which would also read
+    any Unicode digit and underscores."""
     text = text.strip()
     try:
         values = tuple(map(_ascii_int, text.split(","))) if text else ()
