@@ -23,14 +23,14 @@ flushes stdout and stderr and leaves with ``os._exit``, so the
 interpreter does not free its modules and heap on the way out.  Usage
 errors and ``--help`` still leave through ``SystemExit``.
 
-Reading argv: ``_read_call`` reads a plain action call (``argv[0]`` an
-area, ``argv[1]`` one of its actions, then exact flags of that action,
-each with one value that does not start with ``-`` unless it is a
-``store_true`` flag) straight from the command table, and only argv it
-cannot read builds the argparse tree, which answers help, usage errors
-and every other spelling.  ``argparse`` is imported only then.  The
-table's shape (``--`` flags, ``store_true`` the only action) is held by
-the tests, not checked per call.
+Reading argv: each option of the command table is the plain ``(flags,
+keywords)`` of its ``add_argument`` call.  ``_read_call`` reads a plain
+action call (an area, one of its actions, then exact flags of that
+action, each with one value not starting with ``-`` unless a
+``store_true`` flag) by those specs; only argv it cannot read builds the
+argparse tree from them, which answers help, usage errors and every other
+spelling, and imports ``argparse``.  The table's shape (``--`` flags,
+``store_true`` the only action) is held by the tests, not checked per call.
 
 JSON in and out: input files are read as UTF-8 (RFC 8259), whatever the
 locale, and every document is read and written through ``_jsonio``, on
@@ -113,9 +113,7 @@ def _load_condition(path: str) -> pointsets.FiniteCondition:
 
 
 def _int_list(text: str, option: str, size: int | None = None) -> tuple[int, ...]:
-    """The integers of a comma-separated option; errors name the option.
-    Only ASCII parts without ``_`` reach ``int``, which would also read
-    any Unicode digit and underscores."""
+    """The integers of a comma-separated option; errors name the option."""
     text = text.strip()
     try:
         values = tuple(map(_ascii_int, text.split(","))) if text else ()
@@ -128,9 +126,14 @@ def _int_list(text: str, option: str, size: int | None = None) -> tuple[int, ...
 
 
 def _ascii_int(part: str) -> int:
+    """``int`` of ASCII text without ``_``; ``int`` alone reads any Unicode
+    digit.  Named ``int`` for argparse's ``invalid int value`` refusal."""
     if not part.isascii() or "_" in part:
         raise ValueError(f"invalid literal for int() with base 10: {part!r}")
     return int(part)
+
+
+_ascii_int.__name__ = "int"
 
 
 def _points_json(points) -> list:
@@ -495,10 +498,11 @@ def _cmd_omega_hmember(args, limits):
 # ---------------------------------------------------------------- parser
 # The command tree is one table: area -> (help, actions), each action a
 # (name, help, handler, arguments) row, in the order the help lists them.
-# An argument adds itself to its action's parser.
+# An argument is the (flags, keywords) of its ``add_argument`` call, which
+# ``_read_call`` reads and ``build_parser`` passes on as they are.
 
 def _arg(*flags, **kwargs):
-    return lambda parser: parser.add_argument(*flags, **kwargs)
+    return flags, kwargs
 
 
 def _path(text: str) -> str:
@@ -510,30 +514,28 @@ def _path(text: str) -> str:
 
 
 def _in(help, required=True, cond_alias=False):
-    """``--in``, with ``--cond`` as its alias where asked.  A required
-    ``--in`` is checked by ``run()``, so either spelling satisfies it."""
-    def add(parser):
-        parser.add_argument("--in", dest="infile", metavar="PATH", type=_path, help=help)
-        if cond_alias:
-            parser.add_argument("--cond", dest="infile", metavar="PATH", type=_path,
-                                help="alias of --in")
-        parser.set_defaults(_in_required=required)
-    return add
+    """``--in``, with ``--cond`` as its alias where asked; a required one
+    defaults to ``_NO_IN``, which ``_lacks_in`` refuses."""
+    spec = {"dest": "infile", "metavar": "PATH", "type": _path,
+            "default": _NO_IN if required else None}
+    alias = (_arg("--cond", **spec, help="alias of --in"),) if cond_alias else ()
+    return (_arg("--in", **spec, help=help), *alias)
 
 
+_NO_IN = object()
 _COMMON = (
     _arg("--format", choices=("json", "table"), default="json",
          help="payload rendering (default json)"),
     _arg("--out", metavar="PATH", type=_path, default=None,
          help="persist the result to a JSON file"),
 )
-_N = _arg("--n", type=int, required=True)
+_N = _arg("--n", type=_ascii_int, required=True)
 _TYPE = _arg("--type", required=True, help="pattern in list form")
 _PATTERN = (_arg("--type", default=None,
                  help="pattern in list form, e.g. 'x1<y1<x2<y2'"),
-            _in("pattern JSON file", required=False))
+            *_in("pattern JSON file", required=False))
 _CONDITION = _in("condition JSON file", cond_alias=True)
-_COLORING = (_in("coloring JSON file", required=False),
+_COLORING = (*_in("coloring JSON file", required=False),
              _arg("--csv", type=_path, default=None, help="coloring CSV file"))
 _GRAPH = _in("graph JSON file")
 _EXPR = _in("planar set expression JSON file")
@@ -554,13 +556,13 @@ _AREAS = {
     )),
     "cond": ("finite planar conditions", (
         ("check", "validate the three condition clauses", _cmd_cond_check,
-         (_in("condition JSON file ([[x,y],...])", cond_alias=True),)),
+         _in("condition JSON file ([[x,y],...])", cond_alias=True)),
         ("realize", "least subset realizing a pattern", _cmd_cond_realize,
-         (_CONDITION, _TYPE)),
+         (*_CONDITION, _TYPE)),
         ("classify", "tally n-subsets by realized pattern", _cmd_cond_classify,
-         (_CONDITION, _N)),
+         (*_CONDITION, _N)),
         ("grow", "extend until every n-pattern is realized", _cmd_cond_grow,
-         (_in("starting condition (default empty)", required=False, cond_alias=True),
+         (*_in("starting condition (default empty)", required=False, cond_alias=True),
           _N)),
     )),
     "homog": ("colorings and homogeneity", (
@@ -578,94 +580,79 @@ _AREAS = {
                  help="ground condition JSON file (optional)"),
             _TYPE,
             _arg("--mode", choices=("exact", "greedy"), default="exact"),
-            _arg("--min-size", type=int, default=0),
+            _arg("--min-size", type=_ascii_int, default=0),
             _arg("--partial", action="store_true"),
         )),
         ("floor", "pattern classes met vs the full tally", _cmd_homog_floor,
-         (_CONDITION, _N)),
+         (*_CONDITION, _N)),
         ("stabilize", "stable bits of lex-monotone rows", _cmd_homog_stabilize, (
-            _in("JSON list of equal-width 0/1 rows"),
+            *_in("JSON list of equal-width 0/1 rows"),
             _arg("--direction", choices=("increasing", "decreasing"),
                  default="increasing"),
         )),
         ("extract-s", "stable binary relation from a grid", _cmd_homog_extract_s, (
-            _in("ternary grid JSON file"),
+            *_in("ternary grid JSON file"),
             _arg("--cond", type=_path, required=True, help="condition JSON file"),
-            _arg("--window", type=int, default=3),
+            _arg("--window", type=_ascii_int, default=3),
         )),
     )),
     "graph": ("deterministic extension-rich graphs", (
         ("build", "run the construction schedule", _cmd_graph_build, (
-            _arg("--steps", type=int, default=None,
+            _arg("--steps", type=_ascii_int, default=None,
                  help="number of schedule entries to process"),
-            _arg("--cover-vertices", type=int, default=None,
+            _arg("--cover-vertices", type=_ascii_int, default=None,
                  help="process all configurations inside this many vertices"),
-            _arg("--cover-params", type=int, default=None,
+            _arg("--cover-params", type=_ascii_int, default=None,
                  help="parameter-count cap for --cover-vertices (default 2)"),
         )),
         ("check", "verify the extension property", _cmd_graph_check, (
-            _GRAPH,
-            _arg("--k", type=int, required=True),
-            _arg("--m", type=int, required=True),
+            *_GRAPH,
+            _arg("--k", type=_ascii_int, required=True),
+            _arg("--m", type=_ascii_int, required=True),
         )),
         ("rich", "does a vertex set contain a rich core", _cmd_graph_rich, (
-            _GRAPH,
+            *_GRAPH,
             _arg("--vertices", required=True,
                  help="comma-separated vertex list, e.g. 0,2,5"),
-            _arg("--k", type=int, default=1),
+            _arg("--k", type=_ascii_int, default=1),
         )),
         ("demo-noreverse", "adjacency coloring is never constant on rich columns",
          _cmd_graph_demo_noreverse, (
-             _arg("--count", type=int, default=50),
-             _arg("--seed", type=int, default=0),
+             _arg("--count", type=_ascii_int, default=50),
+             _arg("--seed", type=_ascii_int, default=0),
          )),
         ("demo-coloring", "one column meets every color of a palette",
          _cmd_graph_demo_coloring, (
-             _arg("--palette", type=int, required=True),
-             _arg("--max-vertex", type=int, default=4),
+             _arg("--palette", type=_ascii_int, required=True),
+             _arg("--max-vertex", type=_ascii_int, default=4),
          )),
     )),
     "sets": ("planar set algebra and filter sums", (
         ("column", "exact vertical section", _cmd_sets_column,
-         (_EXPR, _arg("--x", type=int, required=True))),
-        ("tail", "horizon and eventual section shape", _cmd_sets_tail, (_EXPR,)),
-        ("fr2", "cofinitely many cofinite sections?", _cmd_sets_fr2, (_EXPR,)),
-        ("meets", "infinitely many infinite sections?", _cmd_sets_meets, (_EXPR,)),
+         (*_EXPR, _arg("--x", type=_ascii_int, required=True))),
+        ("tail", "horizon and eventual section shape", _cmd_sets_tail, _EXPR),
+        ("fr2", "cofinitely many cofinite sections?", _cmd_sets_fr2, _EXPR),
+        ("meets", "infinitely many infinite sections?", _cmd_sets_meets, _EXPR),
         ("sum", "membership in an indexed filter sum", _cmd_sets_sum,
-         (_EXPR, *_STANDINS)),
+         (*_EXPR, *_STANDINS)),
         ("image", "membership in the sum's first projection", _cmd_sets_image,
-         (_in("finite/cofinite set JSON file"), *_STANDINS)),
+         (*_in("finite/cofinite set JSON file"), *_STANDINS)),
     )),
     "omega": ("prefixes of infinite patterns", (
-        ("validate", "judge a candidate prefix", _cmd_omega_validate, (_PREFIX,)),
-        ("phi", "realize a prefix as a condition", _cmd_omega_phi, (_PREFIX, _Z)),
+        ("validate", "judge a candidate prefix", _cmd_omega_validate, _PREFIX),
+        ("phi", "realize a prefix as a condition", _cmd_omega_phi, (*_PREFIX, _Z)),
         ("assignd", "label demanded after a chain fragment", _cmd_omega_assignd,
-         (_PREFIX, _arg("--s", default="", help="comma-separated values so far"))),
+         (*_PREFIX, _arg("--s", default="", help="comma-separated values so far"))),
         ("zchain", "walk a chain through its demanded sets", _cmd_omega_zchain,
-         (_PREFIX, _Z, _ZA)),
+         (*_PREFIX, _Z, _ZA)),
         ("hmember", "point membership in the carved set", _cmd_omega_hmember,
          (_ZA, _arg("--point", required=True, help="x,y"))),
     )),
 }
 
 
-class _Row:
-    """Records what an action's table row adds, as ``_read_call`` needs it:
-    each ``add_argument`` call and the ``set_defaults`` keys."""
-
-    def __init__(self):
-        self.arguments = []
-        self.defaults = {}
-
-    def add_argument(self, *flags, **kwargs):
-        self.arguments.append((flags, kwargs))
-
-    def set_defaults(self, **kwargs):
-        self.defaults.update(kwargs)
-
-
 def _lacks_in(args) -> bool:
-    return getattr(args, "_in_required", False) and not getattr(args, "infile", None)
+    return getattr(args, "infile", None) is _NO_IN
 
 
 def _read_call(argv):
@@ -684,14 +671,9 @@ def _read_call(argv):
             break
     else:
         return None
-    row = _Row()
-    for add in (*arguments, *_COMMON):
-        add(row)
-    row.set_defaults(func=handler)
-
     values = {"area": argv[0], "action": argv[1]}
     options, required = {}, set()
-    for flags, kwargs in row.arguments:
+    for flags, kwargs in (*arguments, *_COMMON):
         switch = "action" in kwargs
         dest = kwargs.get("dest") or flags[0].lstrip("-").replace("-", "_")
         options.update(dict.fromkeys(flags, (flags, dest, switch, kwargs)))
@@ -720,7 +702,7 @@ def _read_call(argv):
         if kwargs.get("choices") is not None and value not in kwargs["choices"]:
             return None
         values[dest] = value
-    args = SimpleNamespace(**values, **row.defaults)
+    args = SimpleNamespace(**values, func=handler)
     return None if required or _lacks_in(args) else args
 
 
@@ -737,8 +719,8 @@ def build_parser():
         subs = sub.add_subparsers(dest="action", required=True, metavar="ACTION")
         for act, act_hlp, handler, arguments in actions:
             p = subs.add_parser(act, help=act_hlp)
-            for add in (*arguments, *_COMMON):
-                add(p)
+            for flags, kwargs in (*arguments, *_COMMON):
+                p.add_argument(*flags, **kwargs)
             p.set_defaults(func=handler)
     return parser
 

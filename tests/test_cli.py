@@ -1549,14 +1549,6 @@ def in_process(argv):
 
 # ------------------------------------------------------------------ parser
 
-def table_row(arguments):
-    """What an action's table row adds, recorded as ``cli._read_call`` sees it."""
-    row = cli._Row()
-    for add in arguments:
-        add(row)
-    return row
-
-
 VALUES = {"--n": "1", "--type": "x1<y1", "--palette": "2", "--k": "1", "--m": "1",
           "--x": "0", "--vertices": "0", "--z": "1", "--point": "1,2"}
 
@@ -1565,7 +1557,7 @@ def action_argv(area, action, arguments):
     """A call of the action with every required option and ``--in`` given;
     files are missing, so most calls stop at their first read."""
     argv = [area, action]
-    for flags, kwargs in table_row(arguments).arguments:
+    for flags, kwargs in arguments:
         if kwargs.get("required") or flags[0] == "--in":
             argv += [flags[0], VALUES.get(flags[0], NO_FILE)]
     return argv
@@ -1590,13 +1582,11 @@ EDGE_CALLS = [
 # values that some options take and others refuse, and tokens only argparse
 # reads or refuses: '=' spellings, abbreviations, '--', help, a stray
 # positional and flags of other actions.
-OWN_FLAGS = {(area, action): [flag for flags, _ in
-                              table_row((*arguments, *cli._COMMON)).arguments
-                              for flag in flags]
+OWN_FLAGS = {(area, action): [flag for flags, _ in (*arguments, *cli._COMMON) for flag in flags]
              for area, action, arguments in ACTIONS}
 ALL_FLAGS = sorted({flag for flags in OWN_FLAGS.values() for flag in flags})
 OPTION_VALUES = sorted({*VALUES.values(), "0", "2", "1,x", "json", "table", "exact",
-                        "greedy", "decreasing", NO_FILE, "", "-1", "x"})
+                        "greedy", "decreasing", NO_FILE, "", "-1", "x", "\u0663", "1_0", "\uff13"})
 HOSTILE = ["", "-1", "--", "--n=3", "--format=table", "--cov", "--form", "--in", "-h",
            "--help", "stray"]
 
@@ -1649,26 +1639,28 @@ def read_as_the_tree_reads(argv):
 
 
 def test_the_command_table_has_the_shape_the_reader_reads():
-    # _read_call reads each row as given: -- flags, each taking one value
+    # _read_call reads each spec as given: -- flags, each taking one value
     # or a store_true switch, a str default never passed through a type,
-    # and no set_defaults key that is also an option's dest
+    # no dest that the namespace's area, action or func key takes, and
+    # integers read by the ASCII check, never by int()
     keywords = {"dest", "metavar", "help", "type", "choices", "default", "required", "action"}
-    rows = []
-    for _, actions in cli._AREAS.values():
-        for _, _, handler, arguments in actions:
-            row = cli._Row()
-            for add in (*arguments, *cli._COMMON):
-                add(row)
-            row.set_defaults(func=handler)
-            rows.append(row)
+    specs = [spec for _, _, arguments in ACTIONS for spec in (*arguments, *cli._COMMON)]
     assert all(
         kwargs.keys() <= keywords
         and kwargs.get("action", "store_true") == "store_true"
         and all(flag.startswith("--") for flag in flags)
         and not (isinstance(kwargs.get("default"), str) and "type" in kwargs)
-        and not row.defaults.keys() & {"area", "action",
-                                       kwargs.get("dest") or flags[0][2:].replace("-", "_")}
-        for row in rows for flags, kwargs in row.arguments)
+        and kwargs.get("type") is not int
+        and (kwargs.get("dest") or flags[0][2:].replace("-", "_")) not in {"area", "action", "func"}
+        for flags, kwargs in specs)
+    # only --in and its --cond alias of a required input default to the
+    # sentinel, and an alias shares its --in's default
+    assert {(flags, kwargs["dest"]) for flags, kwargs in specs
+            if kwargs.get("default") is cli._NO_IN} == {(("--in",), "infile"),
+                                                         (("--cond",), "infile")}
+    for _, _, arguments in ACTIONS:
+        inputs = [kwargs for _, kwargs in arguments if kwargs.get("dest") == "infile"]
+        assert len({id(kwargs["default"]) for kwargs in inputs}) <= 1
 
 
 def test_the_reader_reads_every_action_call_as_the_tree_does():
@@ -1725,6 +1717,37 @@ def test_the_parser_built_for_a_call_answers_as_the_full_tree(argv, monkeypatch)
     got, parsers = answer(argv, monkeypatch)
     assert got == answer(argv, monkeypatch, full=True)[0]
     assert (parsers == 0) == (argv in ACTION_CALLS)
+
+
+def test_the_docs_name_the_actions_of_the_table():
+    # README's "Areas and actions" block and the schema's per-action defs
+    # (named area.action; shared defs such as error have no dot)
+    table = {area: [action for action, _, _, _ in actions]
+             for area, (_, actions) in cli._AREAS.items()}
+    block = (REPO / "README.md").read_text().split("Areas and actions:\n\n```text\n")[1]
+    listed = {}
+    for line in block.split("```")[0].splitlines():
+        area, actions = line.split(maxsplit=1)
+        listed[area] = actions.split(" | ")
+    assert listed == table
+    assert sorted(name for name in SCHEMA["$defs"] if "." in name) \
+        == sorted(f"{area}.{action}" for area, actions in table.items() for action in actions)
+
+
+@pytest.mark.parametrize("argv", [
+    ["types", "count", "--n", "\u0663"], ["types", "count", "--n", "1_0"],
+    ["sets", "column", "--x", "\uff13"],
+], ids=["arabic-indic-digit", "underscore", "fullwidth-digit"])
+def test_integer_options_read_ascii_integers_only(argv, monkeypatch):
+    # int() alone reads any Unicode digit and underscores; these are usage
+    # errors worded as argparse words a refused int
+    monkeypatch.setenv("COLUMNS", "80")
+    flag, text = argv[-2:]
+    code, out, err = in_process(argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument {flag}: invalid int value: {text!r}\n")
+    proc = subprocess.run([*CONSOLE, *argv], capture_output=True, text=True, env=child_env())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
 
 # ------------------------------------------------------------------ console entry

@@ -19,6 +19,7 @@ import json
 import re
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -76,6 +77,22 @@ def test_public_names_still_resolve():
     assert set(PUBLIC_NAMES) <= set(dir(ramseybench))
     with pytest.raises(AttributeError, match="no_such_name"):
         ramseybench.no_such_name
+
+
+def test_every_public_annotation_resolves():
+    # annotations are strings until a tool asks for them: each must name
+    # what its module can reach
+    for name in ramseybench.__all__:
+        obj = getattr(ramseybench, name)
+        if not callable(obj):
+            continue
+        typing.get_type_hints(obj)
+        if isinstance(obj, type):
+            for attr in dir(obj):
+                method = getattr(obj, attr)
+                if not attr.startswith("_") and inspect.isroutine(method) \
+                        and getattr(method, "__module__", "").startswith("ramseybench."):
+                    typing.get_type_hints(method)
 
 
 def _library_uses(names) -> set:
