@@ -41,10 +41,8 @@ _HOME = {name: area for area, names in _PUBLIC.items() for name in names.split()
 __all__ = sorted(_HOME)
 
 
-def _lazy(name):
-    """Module ``name``, in ``sys.modules`` from now on; its body runs on
-    first attribute access."""
-    spec = importlib.util.find_spec(name)
+def _lazy(area):
+    spec = importlib.util.find_spec(f"{__name__}.{area}")
     spec.loader = importlib.util.LazyLoader(spec.loader)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
@@ -52,9 +50,8 @@ def _lazy(name):
     return module
 
 
-typecalc, pointsets, homogeneity, randomgraph, setalgebra, omegatypes = (
-    _lazy(f"{__name__}.{area}") for area in
-    ("typecalc", "pointsets", "homogeneity", "randomgraph", "setalgebra", "omegatypes"))
+typecalc, pointsets, homogeneity, randomgraph, setalgebra, omegatypes = map(
+    _lazy, ("typecalc", "pointsets", "homogeneity", "randomgraph", "setalgebra", "omegatypes"))
 
 
 def __getattr__(name):

@@ -16,6 +16,7 @@ blocks.
 
 from __future__ import annotations
 
+import random
 import struct
 import sys
 from bisect import bisect_left
@@ -25,14 +26,9 @@ from itertools import product, repeat, starmap
 from math import comb
 from operator import add, mul, or_
 
-from . import _lazy
 from ._values import value
 from .errors import NoRealizedTypeError, _natural, _naturals, check_subsets, check_work
 from .typecalc import NType, Symbol, _check_n, _symbol, count_ntypes, enumerate_ntypes
-
-# random_condition's annotation names random.Random.  Every cond call loads
-# pointsets and none draws, so random's body runs only once it is read.
-random = sys.modules.get("random") or _lazy("random")
 
 CLAUSE_SECTIONS = "sections-disjoint"
 CLAUSE_DIAGONAL = "above-diagonal"

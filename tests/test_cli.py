@@ -1734,22 +1734,6 @@ def test_the_docs_name_the_actions_of_the_table():
         == sorted(f"{area}.{action}" for area, actions in table.items() for action in actions)
 
 
-@pytest.mark.parametrize("argv", [
-    ["types", "count", "--n", "\u0663"], ["types", "count", "--n", "1_0"],
-    ["sets", "column", "--x", "\uff13"],
-], ids=["arabic-indic-digit", "underscore", "fullwidth-digit"])
-def test_integer_options_read_ascii_integers_only(argv, monkeypatch):
-    # int() alone reads any Unicode digit and underscores; these are usage
-    # errors worded as argparse words a refused int
-    monkeypatch.setenv("COLUMNS", "80")
-    flag, text = argv[-2:]
-    code, out, err = in_process(argv)
-    assert (code, out) == (2, "")
-    assert err.endswith(f"error: argument {flag}: invalid int value: {text!r}\n")
-    proc = subprocess.run([*CONSOLE, *argv], capture_output=True, text=True, env=child_env())
-    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
-
-
 # ------------------------------------------------------------------ console entry
 # The entry leaves through os._exit once the payload is out, so these start
 # it as the installed script does and compare what reaches the streams.

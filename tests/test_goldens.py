@@ -147,7 +147,9 @@ def test_usage_output_matches_golden(entry, monkeypatch):
 
 CONSOLE_USAGE = (["--help"], ["homog", "--help"], ["homog", "search", "--help"], ["nope"],
                  ["homog", "nope"], ["types", "count"], ["cond", "check"],
-                 ["--bogus", "types", "count", "--n", "1"])
+                 ["--bogus", "types", "count", "--n", "1"],
+                 ["types", "count", "--n", "\u0663"], ["types", "count", "--n", "1_0"],
+                 ["sets", "column", "--x", "\uff13"])
 
 
 @pytest.mark.parametrize("entry", [e for e in USAGE_GOLDENS if e["argv"] in CONSOLE_USAGE],
